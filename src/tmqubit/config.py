@@ -33,6 +33,11 @@ class ConfigError(ValueError):
 
 _CONSTANT_FIELDS = {f.name for f in dataclasses.fields(PhysicsConstants)}
 _CALIB_FIELDS = set(CrosstalkCalibration._FIELDS)
+# drift kind -> (class, {field: default}); each field is read from "drift_<field>"
+_DRIFT_KINDS = {
+    "sinusoid": (SinusoidDrift, {"amplitude": "0", "period": "1"}),
+    "random_walk": (RandomWalkDrift, {"step": "0", "interval": "1"}),
+}
 
 
 @dataclass
@@ -99,9 +104,12 @@ class RunConfig:
 
 def _float(section, key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: not a finite number: {raw!r}")
+    return value
 
 
 def load_config(path) -> RunConfig:
@@ -146,18 +154,21 @@ def load_config(path) -> RunConfig:
         dead = _float("noise", "inter_shot_dead_time",
                       noise.get("inter_shot_dead_time", "0.6"))
         kind = noise.get("drift", "none").strip().lower()
-        if kind == "sinusoid":
-            drift = SinusoidDrift(
-                amplitude=_float("noise", "drift_amplitude", noise.get("drift_amplitude", "0")),
-                period=_float("noise", "drift_period", noise.get("drift_period", "1")))
-        elif kind == "random_walk":
-            drift = RandomWalkDrift(
-                step=_float("noise", "drift_step", noise.get("drift_step", "0")),
-                interval=_float("noise", "drift_interval", noise.get("drift_interval", "1")))
+        if kind in _DRIFT_KINDS:
+            cls, defaults = _DRIFT_KINDS[kind]
+            kwargs = {name: _float("noise", f"drift_{name}", noise.get(f"drift_{name}", default))
+                      for name, default in defaults.items()}
+            try:
+                drift = cls(**kwargs)
+            except ValueError as exc:   # the message starts with the field name
+                raise ConfigError(f"[noise] drift_{exc}") from None
         elif kind != "none":
             raise ConfigError(f"[noise] unknown drift kind {kind!r}")
-    cfg.noise = NoiseModel(sigma_B_shot=sigma, drift=drift, laser_phase_diffusion=laser,
-                           seed=cfg.seed, inter_shot_dead_time=dead)
+    try:
+        cfg.noise = NoiseModel(sigma_B_shot=sigma, drift=drift, laser_phase_diffusion=laser,
+                               seed=cfg.seed, inter_shot_dead_time=dead)
+    except ValueError as exc:
+        raise ConfigError(f"[noise] {exc}") from None
 
     if parser.has_section("loss"):
         loss = parser["loss"]

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .atom import (
     STATE_INDEX,
     SublevelRef,
     TransitionKind,
+    metastable_branching_table,
 )
 from .readout import (
     CrosstalkCalibration,
@@ -89,6 +91,9 @@ _GROUND_F3 = np.array([STATE_INDEX[s] for s in BASIS
                        if s.manifold is Manifold.GROUND and s.F == 3])
 _META = np.array([STATE_INDEX[s] for s in BASIS
                   if s.manifold is Manifold.METASTABLE_1140])
+# the metastable states close the basis, so rows/columns scale through a view
+_META_ROWS = slice(int(_META[0]), int(_META[-1]) + 1)
+assert _META_ROWS.stop == DIM and len(_META) == DIM - _META_ROWS.start
 _GROUND_BY_F = {4: _GROUND_F4, 3: _GROUND_F3}
 _IDX_G40 = STATE_INDEX[SublevelRef(Manifold.GROUND, 4, 0)]
 _IDX_G30 = STATE_INDEX[SublevelRef(Manifold.GROUND, 3, 0)]
@@ -99,12 +104,28 @@ _G4_NONZERO = np.array([i for i in _GROUND_F4 if BASIS[i].mF != 0])
 # ----------------------------------------------------------------- noise model
 
 
+def _require(name: str, value: float, positive: bool = False,
+             non_negative: bool = False) -> None:
+    """Raise ValueError naming ``name`` unless value is finite (and > 0 or
+    >= 0 when asked)."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if positive and not value > 0:
+        raise ValueError(f"{name} must be > 0, got {value!r}")
+    if non_negative and not value >= 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SinusoidDrift:
     """Deterministic slow field drift B(t) = amplitude*sin(2*pi*t/period)."""
 
     amplitude: float   # G
     period: float      # s
+
+    def __post_init__(self):
+        _require("amplitude", self.amplitude)
+        _require("period", self.period, positive=True)
 
 
 @dataclass(frozen=True)
@@ -113,6 +134,10 @@ class RandomWalkDrift:
 
     step: float        # G
     interval: float    # s
+
+    def __post_init__(self):
+        _require("step", self.step, non_negative=True)
+        _require("interval", self.interval, positive=True)
 
 
 @dataclass(frozen=True)
@@ -131,6 +156,11 @@ class NoiseModel:
     seed: int = 0
     inter_shot_dead_time: float = 0.6     # s
 
+    def __post_init__(self):
+        _require("sigma_B_shot", self.sigma_B_shot, non_negative=True)
+        _require("laser_phase_diffusion", self.laser_phase_diffusion, non_negative=True)
+        _require("inter_shot_dead_time", self.inter_shot_dead_time, non_negative=True)
+
     def shot_rng(self, shot_index: int) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([self.seed & 0xFFFFFFFFFFFFFFFF, shot_index])))
@@ -140,19 +170,24 @@ class NoiseModel:
         return NoiseModel(sigma_B_shot=0.0, drift=None, laser_phase_diffusion=0.0, seed=seed)
 
 
-_WALK_CACHE: dict[tuple, np.ndarray] = {}
+# Least recently used walks, one per noise seed; an evicted walk is
+# regenerated with the same values, since every prefix depends on the seed only.
+_WALK_CACHE: OrderedDict[int, np.ndarray] = OrderedDict()
+_WALK_CACHE_SIZE = 32
 
 
 def _walk_values(seed: int, n: int) -> np.ndarray:
     """Cumulative standard-normal walk, deterministic in (seed, index)."""
-    key = (seed,)
-    have = _WALK_CACHE.get(key)
+    have = _WALK_CACHE.get(seed)
     if have is None or len(have) < n:
         m = max(n, 1024 if have is None else 2 * len(have))
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0x9E3779B9])))
-        _WALK_CACHE[key] = np.cumsum(rng.standard_normal(m))
-        have = _WALK_CACHE[key]
+        have = np.cumsum(rng.standard_normal(m))
+        _WALK_CACHE[seed] = have
+        if len(_WALK_CACHE) > _WALK_CACHE_SIZE:
+            _WALK_CACHE.popitem(last=False)
+    _WALK_CACHE.move_to_end(seed)
     return have
 
 
@@ -189,6 +224,13 @@ class LossParameters:
     @property
     def beta(self) -> dict[str, float]:
         return dict(self.beta_by_state)
+
+    @cached_property
+    def loss_classes(self) -> tuple[tuple[int, float, bool], ...]:
+        """(basis index, beta, is the redistributing g40 class) of every
+        two-body class with beta > 0, resolved once."""
+        return tuple((STATE_INDEX[SublevelRef.from_token(token)], beta, token == "g40")
+                     for token, beta in self.beta.items() if beta > 0.0)
 
     @classmethod
     def from_table(cls, B: float, tau: float = 16.4,
@@ -270,6 +312,16 @@ class EnsembleState:
 # ---------------------------------------------------------------- shot context
 
 
+@lru_cache(maxsize=8)
+def _zeeman_coeffs(model: AtomModel) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only per-state (linear, quadratic) field coefficients of a model,
+    which is immutable after construction."""
+    k, q = (np.array(c) for c in zip(*map(model.state_zeeman_coeffs, BASIS)))
+    k.setflags(write=False)
+    q.setflags(write=False)
+    return k, q
+
+
 class ShotContext:
     """Per-shot sampled noise, elapsed time, and model/loss references."""
 
@@ -289,13 +341,7 @@ class ShotContext:
         self.wall_t0 = shot_index * (schedule.duration + noise.inter_shot_dead_time)
         self.t = 0.0
         self.laser_phase = 0.0
-        k, q = [], []
-        for s in BASIS:
-            ks, qs = model.state_zeeman_coeffs(s)
-            k.append(ks)
-            q.append(qs)
-        self._zeeman_k = np.array(k)
-        self._zeeman_q = np.array(q)
+        self._zeeman_k, self._zeeman_q = _zeeman_coeffs(model)
 
     # ---- field sampling -----------------------------------------------------
 
@@ -372,34 +418,62 @@ def _apply_state_phases(rho: np.ndarray, phases: np.ndarray) -> None:
 
 
 def _apply_pair_unitary(rho: np.ndarray, i: int, j: int, u2: np.ndarray) -> None:
-    idx = [i, j]
-    rho[idx, :] = u2 @ rho[idx, :]
-    rho[:, idx] = rho[:, idx] @ u2.conj().T
+    """rho -> U rho U^dagger for U acting on the pair (i, j): two rows, then
+    two columns, updated in place."""
+    (a, b), (c, d) = u2.tolist()
+    ri, rj = rho[i], rho[j]
+    new_i = a * ri + b * rj
+    rj *= d
+    rj += c * ri
+    ri[:] = new_i
+    ci, cj = rho[:, i], rho[:, j]
+    new_i = a.conjugate() * ci + b.conjugate() * cj
+    cj *= d.conjugate()
+    cj += c.conjugate() * ci
+    ci[:] = new_i
 
 
 def _apply_pair_channel(rho: np.ndarray, i: int, j: int,
                         m2: np.ndarray, s4: np.ndarray) -> None:
     """Mixture-of-unitaries channel on pair (i, j): mean matrix m2 acts on
     cross coherences, the 4x4 superoperator s4 on the pair block."""
-    idx = [i, j]
-    block = rho[np.ix_(idx, idx)].copy()
-    rho[idx, :] = m2 @ rho[idx, :]
-    rho[:, idx] = rho[:, idx] @ m2.conj().T
-    rho[np.ix_(idx, idx)] = (s4 @ block.reshape(4)).reshape(2, 2)
+    block = np.array((rho[i, i], rho[i, j], rho[j, i], rho[j, j]))
+    _apply_pair_unitary(rho, i, j, m2)
+    rho[i, i], rho[i, j], rho[j, i], rho[j, j] = (s4 @ block).tolist()
 
 
 def _probabilistic_swap(rho: np.ndarray, i: int, j: int, p: float) -> None:
     """With probability p exchange states i and j (incoherent transfer)."""
     if p <= 0.0:
         return
-    swap = np.eye(2, dtype=complex)[::-1]
-    idx = [i, j]
-    block = rho[np.ix_(idx, idx)].copy()
-    rows = rho[idx, :].copy()
-    cols = rho[:, idx].copy()
-    rho[idx, :] = (1 - p) * rows + p * (swap @ rows)
-    rho[:, idx] = (1 - p) * cols + p * (cols @ swap)
-    rho[np.ix_(idx, idx)] = (1 - p) * block + p * (swap @ block @ swap)
+    q = 1.0 - p
+    ii, ij, ji, jj = rho[i, i], rho[i, j], rho[j, i], rho[j, j]
+    for ri, rj in ((rho[i], rho[j]), (rho[:, i], rho[:, j])):
+        moved = p * (rj - ri)
+        ri += moved
+        rj -= moved
+    rho[i, i], rho[j, j] = q * ii + p * jj, q * jj + p * ii
+    rho[i, j], rho[j, i] = q * ij + p * ji, q * ji + p * ij
+
+
+def _rotation(omega, delta: float, tau: float):
+    """Entries (u00, u01, u11) of the drive-frame two-level propagator,
+    basis (lower, upper); u10 = u01.  ``delta`` is drive minus atom (rad/s).
+    ``omega`` may be an array, giving one propagator per entry."""
+    w = np.hypot(omega, delta)
+    half = 0.5 * w * tau
+    c = np.cos(half)
+    s_w = np.sin(half) / np.where(w > 0.0, w, 1.0)   # sin(half) = 0 where w = 0
+    phase = cmath.exp(0.5j * delta * tau)
+    return ((c - 1j * s_w * delta) * phase, -1j * s_w * omega * phase,
+            (c + 1j * s_w * delta) * phase)
+
+
+def _frame_phases(phase_start: float, phase_end: float) -> np.ndarray:
+    """Elementwise factors taking a drive-frame 2x2 propagator to the storage
+    frame, diag(1, e^{-i phase_end}) U diag(1, e^{i phase_start})."""
+    e_start, e_end = cmath.exp(1j * phase_start), cmath.exp(-1j * phase_end)
+    return np.array(((1.0, e_start), (e_end, e_end * e_start)))
 
 
 def _pair_rotation(omega: float, delta: float, tau: float,
@@ -410,18 +484,8 @@ def _pair_rotation(omega: float, delta: float, tau: float,
     theta(t) = 2*pi*detuning*t + phi at the pulse edges, which transform the
     constant drive-frame solution back into the storage frame.
     """
-    w = math.hypot(omega, delta)
-    half = 0.5 * w * tau
-    c, s = math.cos(half), math.sin(half)
-    if w > 0.0:
-        u0 = np.array([[c - 1j * s * delta / w, -1j * s * omega / w],
-                       [-1j * s * omega / w, c + 1j * s * delta / w]])
-    else:
-        u0 = np.eye(2, dtype=complex)
-    u0 *= cmath.exp(0.5j * delta * tau)
-    d_end = np.array([1.0, cmath.exp(-1j * phase_end)])
-    d_start = np.array([1.0, cmath.exp(1j * phase_start)])
-    return (d_end[:, None] * u0) * d_start[None, :]
+    u00, u01, u11 = _rotation(omega, delta, tau)
+    return np.array(((u00, u01), (u01, u11))) * _frame_phases(phase_start, phase_end)
 
 
 @lru_cache(maxsize=512)
@@ -435,21 +499,10 @@ def _clock_average_core(omega_tau: float, delta_tau: float, a: float) -> tuple:
     def evaluate(n_nodes: int):
         u = 2 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes
         scale = np.sqrt(np.clip(1.0 + a * a + a * np.cos(u), 0.0, None))
-        m2 = np.zeros((2, 2), dtype=complex)
-        s4 = np.zeros((4, 4), dtype=complex)
-        for r in scale:
-            w = math.hypot(omega_tau * r, delta_tau)
-            half = 0.5 * w
-            c, s = math.cos(half), math.sin(half)
-            if w > 0.0:
-                u2 = np.array([[c - 1j * s * delta_tau / w, -1j * s * omega_tau * r / w],
-                               [-1j * s * omega_tau * r / w, c + 1j * s * delta_tau / w]])
-            else:
-                u2 = np.eye(2, dtype=complex)
-            u2 = u2 * cmath.exp(0.5j * delta_tau)
-            m2 += u2
-            s4 += np.kron(u2, u2.conj())
-        return m2 / n_nodes, s4 / n_nodes
+        u00, u01, u11 = _rotation(omega_tau * scale, delta_tau, 1.0)
+        nodes = np.stack((u00, u01, u01, u11), axis=-1).reshape(n_nodes, 2, 2)
+        s4 = np.einsum("nij,nkl->ikjl", nodes, nodes.conj()).reshape(4, 4)
+        return nodes.mean(axis=0), s4 / n_nodes
 
     n = 32
     m2, s4 = evaluate(n)
@@ -473,21 +526,30 @@ def clock_rotation_transfer(omega0: float, tau: float, a: float,
     return float(s4[3, 0].real)
 
 
+@lru_cache(maxsize=16)
+def _branching_matrix(branch_to_f4: float) -> np.ndarray:
+    """Read-only W[dst, k]: share of the decay of the k-th metastable state
+    that lands in ground state dst."""
+    w = np.zeros((DIM, len(_META)))
+    for src, targets in metastable_branching_table(branch_to_f4).items():
+        for dst, weight in targets:
+            w[dst, src - _META_ROWS.start] = weight
+    w.setflags(write=False)
+    return w
+
+
 def _metastable_decay(rho: np.ndarray, dt: float, model: AtomModel) -> None:
-    tau_c = model.constants.tau_c
-    if dt <= 0 or not math.isfinite(tau_c):
+    c = model.constants
+    if dt <= 0 or not math.isfinite(c.tau_c):
         return
-    surv = math.exp(-dt / tau_c)
-    old_diag = rho.diagonal().real.copy()
-    f = np.ones(DIM)
-    f[_META] = math.sqrt(surv)
-    rho *= np.outer(f, f)
-    for src, targets in model.metastable_branching().items():
-        freed = (1.0 - surv) * old_diag[src]
-        if freed <= 0.0:
-            continue
-        for dst, w in targets:
-            rho[dst, dst] += freed * w
+    surv = math.exp(-dt / c.tau_c)
+    # a negative rounding residue on the diagonal frees nothing
+    freed = (1.0 - surv) * np.maximum(rho.diagonal()[_META_ROWS].real, 0.0)
+    f = math.sqrt(surv)
+    rho[_META_ROWS] *= f
+    rho[:, _META_ROWS] *= f
+    if freed.any():
+        rho.flat[::DIM + 1] += _branching_matrix(c.metastable_branch_to_f4) @ freed
 
 
 def two_body_decay(n_init: float, t: float, tau: float,
@@ -513,14 +575,10 @@ def _apply_loss_channels(rho: np.ndarray, dt: float, n0: float,
         return
     if math.isfinite(loss.tau):
         rho *= math.exp(-dt / loss.tau)
-    betas = loss.beta
     diag0 = rho.diagonal().real.copy()   # after tau factor; class split uses pre-step counts
     factors = np.ones(DIM)
     redistribute = 0.0
-    for token, beta in betas.items():
-        if beta <= 0.0:
-            continue
-        idx = STATE_INDEX[SublevelRef.from_token(token)]
+    for idx, beta, is_g40 in loss.loss_classes:
         frac0 = diag0[idx] * (math.exp(dt / loss.tau) if math.isfinite(loss.tau) else 1.0)
         n_init = n0 * frac0
         if n_init <= 0.0:
@@ -529,7 +587,7 @@ def _apply_loss_channels(rho: np.ndarray, dt: float, n0: float,
         survival = n_t / n_init
         tau_only = math.exp(-dt / loss.tau) if math.isfinite(loss.tau) else 1.0
         factors[idx] = math.sqrt(max(survival / tau_only, 0.0))
-        if token == "g40":
+        if is_g40:
             # dipolar spin flips keep the atoms trapped: route the two-body
             # removal into the other F=4 sublevels.  Flipped atoms keep
             # decaying with tau afterwards, so exactly n_init*e^{-dt/tau}
@@ -604,12 +662,12 @@ def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
         if averaged:
             a = math.sqrt(ctx.model.constants.clock_reflection_intensity)
             m2_core, s4_core = _clock_average_core(omega * dt, delta * dt, a)
-            d_end = np.array([1.0, cmath.exp(-1j * theta_b)])
-            d_start = np.array([1.0, cmath.exp(1j * theta_a)])
-            m2 = (d_end[:, None] * m2_core) * d_start[None, :]
-            s4 = (np.kron(d_end, d_end.conj())[:, None] * s4_core
-                  * np.kron(d_start, d_start.conj())[None, :])
-            _apply_pair_channel(state.rho, i, j, m2, s4)
+            frame = _frame_phases(theta_a, theta_b)
+            # on the pair block the frame diagonals d = (1, e) act as kron(d, d*)
+            e_end, e_start = frame[1, 0], frame[0, 1]
+            s4 = (s4_core * np.array((1.0, e_end.conjugate(), e_end, 1.0))[:, None]
+                  * np.array((1.0, e_start.conjugate(), e_start, 1.0)))
+            _apply_pair_channel(state.rho, i, j, m2_core * frame, s4)
         else:
             u2 = _pair_rotation(omega, delta, dt, theta_a, theta_b)
             _apply_pair_unitary(state.rho, i, j, u2)
@@ -631,7 +689,7 @@ def apply_mw_pulse(state: EnsembleState, ev: MwPulse, ctx: ShotContext) -> None:
     b_mid = ctx.field_at(ctx.t - 0.5 * ev.duration)
     f_drive = ctx.model.transition_frequency(spec, ctx.B_nominal) + ev.detuning
     for other in ctx.model.transition_catalog():
-        if other.kind is not TransitionKind.MW_HYPERFINE or other.name == spec.name:
+        if other.kind is not TransitionKind.MW_HYPERFINE or other is spec:
             continue
         omega_s = ev.rabi_frequency * other.relative_strength / spec.relative_strength
         dnu = f_drive - ctx.model.transition_frequency(other, b_mid)

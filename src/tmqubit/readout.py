@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -308,14 +309,20 @@ def _forward_signals(p0: np.ndarray, calib: CrosstalkCalibration) -> np.ndarray:
     return np.array(signals)
 
 
+@lru_cache(maxsize=16)
 def forward_matrix(calib: CrosstalkCalibration) -> np.ndarray:
     """4x4 map from true populations [n4x, n40, n3x, n30] at readout start to
-    the four raw counts [N4, N3, N4_mf0, N3_mf0]."""
+    the four raw counts [N4, N3, N4_mf0, N3_mf0].
+
+    Memoized per (frozen, hence hashable) calibration; the shared result is
+    read-only.
+    """
     a = np.zeros((4, 4))
     for j in range(4):
         p0 = np.zeros(_NB)
         p0[j] = 1.0
         a[:, j] = _forward_signals(p0, calib)
+    a.setflags(write=False)
     return a
 
 

@@ -98,6 +98,22 @@ class TestSimulate:
                      "--out", str(tmp_path / "out.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("noise, field", [
+        ("sigma_b_shot = -1e-4", "sigma_b_shot"),
+        ("sigma_b_shot = nan", "sigma_b_shot"),
+        ("drift = sinusoid\ndrift_amplitude = 3e-4\ndrift_period = 0", "drift_period"),
+        ("drift = random_walk\ndrift_step = 1e-4\ndrift_interval = -1", "drift_interval"),
+    ], ids=["negative_sigma", "nan_sigma", "zero_drift_period", "negative_drift_interval"])
+    def test_invalid_noise_is_config_error(self, tmp_path, capsys, noise, field):
+        path = tmp_path / "bad.ini"
+        path.write_text(RAMSEY_INI.replace("sigma_b_shot = 0", noise))
+        code = main(["simulate", "--config", str(path), "--shots", "1",
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [noise]")
+        assert field in err.lower()
+
     def test_config_embedded_for_provenance(self, ramsey_config, tmp_path):
         out = str(tmp_path / "out.csv")
         main(["simulate", "--config", ramsey_config, "--shots", "2", "--out", out])

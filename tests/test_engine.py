@@ -1,8 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from tmqubit import engine
 from tmqubit.atom import AtomModel, Manifold, PhysicsConstants, STATE_INDEX, SublevelRef
 from tmqubit.engine import (
     EnsembleState,
@@ -190,6 +192,66 @@ class TestClockPulse:
         assert state.population("m30") == pytest.approx(
             eta_rot * math.exp(-1e-3 / 0.112), rel=1e-6)
 
+    @staticmethod
+    def _node_loop(omega_tau, delta_tau, a, n_nodes):
+        """Standing-wave average, one 2x2 rotation and one Kronecker product
+        per node."""
+        m2 = np.zeros((2, 2), dtype=complex)
+        s4 = np.zeros((4, 4), dtype=complex)
+        for k in range(n_nodes):
+            r = math.sqrt(max(1.0 + a * a + a * math.cos(2 * math.pi * (k + 0.5) / n_nodes), 0.0))
+            w = math.hypot(omega_tau * r, delta_tau)
+            c, s = math.cos(0.5 * w), math.sin(0.5 * w)
+            if w > 0.0:
+                u = np.array([[c - 1j * s * delta_tau / w, -1j * s * omega_tau * r / w],
+                              [-1j * s * omega_tau * r / w, c + 1j * s * delta_tau / w]])
+            else:
+                u = np.eye(2, dtype=complex)
+            u = u * cmath.exp(0.5j * delta_tau)
+            m2 += u
+            s4 += np.kron(u, u.conj())
+        return m2 / n_nodes, s4 / n_nodes
+
+    @pytest.mark.parametrize("omega_tau, delta_tau, a, min_nodes", [
+        (0.0, 0.0, 0.1225, 64),            # w = 0 at every node: identity
+        (0.0, 2.5, 0.1225, 64),
+        (math.pi, 0.0, 0.1225, 64),
+        (math.pi / 2, 0.8, 0.3, 64),
+        (60 * math.pi, 4.0, 0.5, 256),     # detuned, many Rabi cycles
+    ])
+    def test_array_average_matches_node_loop(self, omega_tau, delta_tau, a, min_nodes):
+        n = 32
+        m2_ref, s4_ref = self._node_loop(omega_tau, delta_tau, a, n)
+        while n < 16384:
+            n *= 2
+            m2_next, s4_next = self._node_loop(omega_tau, delta_tau, a, n)
+            done = (np.max(np.abs(s4_next - s4_ref)) < 1e-9
+                    and np.max(np.abs(m2_next - m2_ref)) < 1e-9)
+            m2_ref, s4_ref = m2_next, s4_next
+            if done:
+                break
+        assert n >= min_nodes
+        m2, s4 = engine._clock_average_core(omega_tau, delta_tau, a)
+        assert np.max(np.abs(m2 - m2_ref)) <= 1e-12
+        assert np.max(np.abs(s4 - s4_ref)) <= 1e-12
+        assert not m2.flags.writeable and not s4.flags.writeable
+
+    def test_vanishing_reflection_is_storage_frame_rotation(self):
+        # without back-reflection the averaged channel is one rotation, drive
+        # phases at both pulse edges included
+        ideal = AtomModel(PhysicsConstants(clock_reflection_intensity=1e-30, tau_c=1e12))
+        omega, tau, det, phi = math.pi / 1e-3, 0.4e-3, 300.0, math.pi / 3
+        pulse = ClockPulse(duration=tau, detuning=det, phase=phi)
+        state, _ = _drive([pulse, pulse], _meta(initial="g40"), model=ideal)
+        delta = 2 * math.pi * det
+        u0, _ = self._node_loop(omega * tau, delta * tau, 0.0, 1)
+        psi = np.array([1.0, 0.0])
+        for k in range(2):   # drive phase theta(t) = delta*t + phi at each edge
+            psi = (np.diag([1.0, cmath.exp(-1j * (delta * (k + 1) * tau + phi))]) @ u0
+                   @ np.diag([1.0, cmath.exp(1j * (delta * k * tau + phi))]) @ psi)
+        idx = [STATE_INDEX[SublevelRef.from_token(t)] for t in ("g40", "m30")]
+        assert np.allclose(state.rho[np.ix_(idx, idx)], np.outer(psi, psi.conj()), atol=1e-9)
+
 
 class TestFreeEvolution:
     def test_zero_time_identity(self):
@@ -287,6 +349,15 @@ class TestDriftIntegrals:
         # shot 1 starts at wall time 1.5; the walk value there matches the
         # value shot 0 sees at its own t = 1.5
         assert c1.field_offset(0.0) == pytest.approx(c0.field_offset(1.5))
+
+    def test_walk_cache_bounded_and_regenerated_exactly(self):
+        first = engine._walk_values(12345, 3000).copy()
+        for seed in range(engine._WALK_CACHE_SIZE + 5):
+            engine._walk_values(seed, 10)
+        assert len(engine._WALK_CACHE) <= engine._WALK_CACHE_SIZE
+        assert 12345 not in engine._WALK_CACHE
+        again = engine._walk_values(12345, 3000)
+        assert np.array_equal(again[:3000], first[:3000])
 
 
 class TestEchoAndCoherence:
@@ -566,6 +637,26 @@ class TestParameterValidation:
             LossParameters(beta_by_state=(("g30", -1e-9),))
         with pytest.raises(ValueError):
             LossParameters(beta_by_state=(("g55", 1e-9),))
+
+    def test_loss_classes_resolved_once(self):
+        loss = LossParameters(beta_by_state=(("g4m4", 0.0), ("g40", 1e-9), ("g30", 2e-9)))
+        g40 = STATE_INDEX[SublevelRef.from_token("g40")]
+        g30 = STATE_INDEX[SublevelRef.from_token("g30")]
+        assert loss.loss_classes == ((g40, 1e-9, True), (g30, 2e-9, False))
+        assert loss.loss_classes is loss.loss_classes
+
+    @pytest.mark.parametrize("make", [
+        lambda: NoiseModel(sigma_B_shot=-1e-4),
+        lambda: NoiseModel(sigma_B_shot=float("nan")),
+        lambda: NoiseModel(laser_phase_diffusion=-1.0),
+        lambda: SinusoidDrift(amplitude=1e-4, period=0.0),
+        lambda: SinusoidDrift(amplitude=float("inf"), period=1.0),
+        lambda: RandomWalkDrift(step=1e-4, interval=-1.0),
+        lambda: RandomWalkDrift(step=-1e-4, interval=1.0),
+    ])
+    def test_noise_parameters_ranges(self, make):
+        with pytest.raises(ValueError):
+            make()
 
     def test_from_table_picks_nearest_field(self):
         low = LossParameters.from_table(0.15)

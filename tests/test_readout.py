@@ -92,6 +92,18 @@ class TestForwardModel:
             rhs = 2 * a @ p + 3 * a @ q
             assert np.allclose(lhs, rhs, atol=1e-9)
 
+    def test_forward_matrix_memoized_read_only(self):
+        a = forward_matrix(CALIB)
+        assert forward_matrix(CALIB) is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 2.0
+        twin = dataclasses.replace(CALIB)
+        assert twin is not CALIB
+        assert np.array_equal(forward_matrix(twin), a)
+        other = dataclasses.replace(CALIB, eps_43=0.03)
+        assert not np.array_equal(forward_matrix(other), a)
+
     def test_roundtrip_identity_noise_off(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
