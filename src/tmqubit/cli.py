@@ -25,10 +25,9 @@ from .fitting import (
     MODELS,
     chi2_profile,
     least_squares,
-    model_exponential,
 )
 from .protocols import QUANTITIES, build_protocol, record_quantity
-from .readout import CrosstalkCalibration
+from .readout import CrosstalkCalibration, fit_probe_scan, probe_parabola
 from .schedule import ParseError, parse_sequence
 
 __all__ = ["main"]
@@ -309,23 +308,15 @@ def cmd_calibrate_readout(args) -> int:
     n3_err = np.array([max(float(np.std(by_tau[t]["N3"]) / math.sqrt(len(by_tau[t]["N3"]))), 1e-3)
                        for t in taus])
 
-    def parabola(x, c):
-        return c * x * x
-
-    # the quadratic growth law holds for probe pulses up to ~1 ms
-    mask = taus <= 1.0e-3
     try:
-        fit4 = least_squares(parabola, Dataset(taus[mask], n4[mask], n4_err[mask]),
-                             [max(n4[mask][-1], 1.0) / taus[mask][-1] ** 2], ("c",))
-        fit3 = least_squares(model_exponential, Dataset(taus, n3, n3_err),
-                             [float(n3[0]), 4e-3])
+        fit4, fit3 = fit_probe_scan(taus, n4, n4_err, n3, n3_err)
     except FitNonConvergence as exc:
         print(f"calibrate-readout: {exc}", file=sys.stderr)
         return EXIT_FIT
     tau_ref = args.probe_reference
     a0 = fit3.params["a"]
-    eps = float(parabola(tau_ref, fit4.params["c"]) / a0)
-    eps_err = float(parabola(tau_ref, fit4.error("c")) / a0)
+    eps = float(probe_parabola(tau_ref, fit4.params["c"]) / a0)
+    eps_err = float(probe_parabola(tau_ref, fit4.error("c")) / a0)
     dep = float(-math.expm1(-tau_ref / fit3.params["tau"]))
     dep_err = abs(dep - (-math.expm1(-tau_ref / (fit3.params["tau"] + fit3.error("tau")))))
     calib = CrosstalkCalibration(eps_43=min(max(eps, 0.0), 1.0),

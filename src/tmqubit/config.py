@@ -196,6 +196,10 @@ def load_config(path) -> RunConfig:
             if key not in _CALIB_FIELDS:
                 raise ConfigError(f"[readout] unknown calibration field {key!r}")
             cfg.calibration_overrides[key] = _float("readout", key, raw)
+        try:
+            CrosstalkCalibration(**cfg.calibration_overrides)
+        except ValueError as exc:
+            raise ConfigError(f"[readout] {exc}") from None
 
     if parser.has_section("schedule"):
         sched = parser["schedule"]

@@ -417,6 +417,12 @@ def _apply_state_phases(rho: np.ndarray, phases: np.ndarray) -> None:
     rho *= np.outer(ph, ph.conj())
 
 
+def _scale_states(rho: np.ndarray, indices, f: float) -> None:
+    """rho -> D rho D in place, D = diag(f on ``indices``, 1 elsewhere)."""
+    rho[indices] *= f
+    rho[:, indices] *= f
+
+
 def _apply_pair_unitary(rho: np.ndarray, i: int, j: int, u2: np.ndarray) -> None:
     """rho -> U rho U^dagger for U acting on the pair (i, j): two rows, then
     two columns, updated in place."""
@@ -545,9 +551,7 @@ def _metastable_decay(rho: np.ndarray, dt: float, model: AtomModel) -> None:
     surv = math.exp(-dt / c.tau_c)
     # a negative rounding residue on the diagonal frees nothing
     freed = (1.0 - surv) * np.maximum(rho.diagonal()[_META_ROWS].real, 0.0)
-    f = math.sqrt(surv)
-    rho[_META_ROWS] *= f
-    rho[:, _META_ROWS] *= f
+    _scale_states(rho, _META_ROWS, math.sqrt(surv))
     if freed.any():
         rho.flat[::DIM + 1] += _branching_matrix(c.metastable_branch_to_f4) @ freed
 
@@ -576,7 +580,6 @@ def _apply_loss_channels(rho: np.ndarray, dt: float, n0: float,
     if math.isfinite(loss.tau):
         rho *= math.exp(-dt / loss.tau)
     diag0 = rho.diagonal().real.copy()   # after tau factor; class split uses pre-step counts
-    factors = np.ones(DIM)
     redistribute = 0.0
     for idx, beta, is_g40 in loss.loss_classes:
         frac0 = diag0[idx] * (math.exp(dt / loss.tau) if math.isfinite(loss.tau) else 1.0)
@@ -586,15 +589,15 @@ def _apply_loss_channels(rho: np.ndarray, dt: float, n0: float,
         n_t = two_body_decay(n_init, dt, loss.tau, beta / loss.volume_cm3)
         survival = n_t / n_init
         tau_only = math.exp(-dt / loss.tau) if math.isfinite(loss.tau) else 1.0
-        factors[idx] = math.sqrt(max(survival / tau_only, 0.0))
+        factor = math.sqrt(max(survival / tau_only, 0.0))
+        if factor != 1.0:
+            _scale_states(rho, idx, factor)
         if is_g40:
             # dipolar spin flips keep the atoms trapped: route the two-body
             # removal into the other F=4 sublevels.  Flipped atoms keep
             # decaying with tau afterwards, so exactly n_init*e^{-dt/tau}
             # of the class survives somewhere in F=4.
             redistribute += max(n_init * tau_only - n_t, 0.0) / n0
-    if np.any(factors != 1.0):
-        rho *= np.outer(factors, factors)
     if redistribute > 0.0:
         per_state = redistribute / len(_G4_NONZERO)
         for i in _G4_NONZERO:
@@ -740,9 +743,7 @@ def apply_probe_410(state: EnsembleState, ev: Probe410, ctx: ShotContext) -> Non
     _remove_manifold(state.rho, _GROUND_BY_F[ev.target_F])
     other = _GROUND_BY_F[3 if ev.target_F == 4 else 4]
     dep = pump_depletion(ev.duration, calib)
-    f = np.ones(DIM)
-    f[other] = math.sqrt(1.0 - dep)
-    state.rho *= np.outer(f, f)
+    _scale_states(state.rho, other, math.sqrt(1.0 - dep))
     _decay_during(state, ev.duration, ctx)
     ctx.advance_laser_phase(ev.duration)
     ctx.t += ev.duration
@@ -754,11 +755,8 @@ def apply_clean_530(state: EnsembleState, ev: Clean530, ctx: ShotContext) -> Non
     c = ctx.model.constants
     if ev.duration <= 0:
         return
-    target = _GROUND_BY_F[ev.target_F]
     surv = math.exp(-ev.duration / c.tau_clean)
-    f = np.ones(DIM)
-    f[target] = math.sqrt(surv)
-    state.rho *= np.outer(f, f)
+    _scale_states(state.rho, _GROUND_BY_F[ev.target_F], math.sqrt(surv))
     # photon scattering on the other manifold, detuned by the upper-state
     # hyperfine splitting: p = Gamma s t / (2 (1 + s + (4 pi dnu / Gamma)^2))
     other = _GROUND_BY_F[3 if ev.target_F == 4 else 4]
@@ -766,9 +764,7 @@ def apply_clean_530(state: EnsembleState, ev: Clean530, ctx: ShotContext) -> Non
     p = gamma * ev.s * ev.duration / (2.0 * (1.0 + ev.s + (4 * math.pi * ev.detuning / gamma)**2))
     if p > 0.0:
         scattered = p * state.rho[other, other].real.copy()
-        f = np.ones(DIM)
-        f[other] = math.sqrt(1.0 - p)
-        state.rho *= np.outer(f, f)
+        _scale_states(state.rho, other, math.sqrt(1.0 - p))
         per_state = scattered.sum() / len(other)
         for i in other:
             state.rho[i, i] += per_state
@@ -798,9 +794,7 @@ def apply_measure(state: EnsembleState, ev: Measure, ctx: ShotContext,
         signal_frac = scale * float(rho[_GROUND_F4, _GROUND_F4].real.sum()) + eps * f3
         _remove_manifold(rho, _GROUND_F4)
         dep = pump_depletion(ev.probe_duration, calib)
-        f = np.ones(DIM)
-        f[_GROUND_F3] = math.sqrt(1.0 - dep)
-        rho *= np.outer(f, f)
+        _scale_states(rho, _GROUND_F3, math.sqrt(1.0 - dep))
     raw = signal_frac * state.n0
     if calib.camera_floor > 0:
         raw += ctx.rng.normal(0.0, calib.camera_floor)

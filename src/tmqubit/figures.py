@@ -36,6 +36,7 @@ from .fitting import (
     model_ramsey_fringe,
 )
 from .protocols import build_protocol, record_quantity
+from .readout import fit_probe_scan, probe_parabola
 from .schedule import MwPulse, Schedule, build_clock_coherence
 
 __all__ = ["FIGURES", "reproduce_figure"]
@@ -308,7 +309,6 @@ def fig7(outdir, seed=0, shots=20, n_atoms=2000.0, taus=None):
     model = AtomModel()
     noise = NoiseModel.off(seed)
     loss = LossParameters.off()
-    calib = default_calibration(model)   # camera noise on
     taus = taus if taus is not None else np.linspace(0.05e-3, 1.2e-3, 12)
     rows = []
     for tau in taus:
@@ -322,19 +322,10 @@ def fig7(outdir, seed=0, shots=20, n_atoms=2000.0, taus=None):
         rows.append([float(tau), n4, max(n4_err, 1e-3), n3, max(n3_err, 1e-3)])
 
     arr = np.array(rows)
-    mask = arr[:, 0] <= 1.0e-3
-
-    def parabola(x, c):
-        return c * x * x
-
-    fit4 = least_squares(parabola, Dataset(arr[mask, 0], arr[mask, 1], arr[mask, 2]),
-                         [arr[mask, 1][-1] / arr[mask, 0][-1] ** 2], ("c",))
-    fit3 = least_squares(model_exponential,
-                         Dataset(arr[:, 0], arr[:, 3], arr[:, 4]),
-                         [n_atoms, 4e-3])
+    fit4, fit3 = fit_probe_scan(*arr.T)
     out = []
     for row in rows:
-        out.append(tuple(row) + (float(parabola(row[0], *fit4.values)),
+        out.append(tuple(row) + (float(probe_parabola(row[0], *fit4.values)),
                                  float(model_exponential(row[0], *fit3.values))))
     path = _write_csv(os.path.join(outdir, "fig7_readout_scan.csv"),
                       ["probe_s", "n4_raw", "n4_err", "n3_raw", "n3_err",

@@ -13,27 +13,34 @@ systematic effects tie raw counts to the true populations:
   population back into the ground manifolds between detections.
 
 All three are linear in the populations at fixed timings, so the forward
-model is a matrix and calibration is its inverse.  Camera noise is additive
+model is a matrix and calibration is its inverse.  The matrix is not a
+second model of the block: it is the engine's own shelving readout run on
+the four basis populations with the calibration's durations, lifetime,
+branching and (believed) shelving efficiency.  Camera noise is additive
 Gaussian with a configurable floor; counts below the floor are flagged, not
-clipped.
+clipped.  The probe-duration scan that measures the crosstalk pair is
+fitted here too (``fit_probe_scan``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .atom import (
+    AtomModel,
     BASIS,
     DIM,
     Manifold,
+    PhysicsConstants,
     STATE_INDEX,
     SublevelRef,
     metastable_branching_table,
 )
+from .fitting import Dataset, FitResult, least_squares, model_exponential
 
 __all__ = [
     "READOUT_LABELS",
@@ -48,6 +55,8 @@ __all__ = [
     "simulate_readout",
     "forward_matrix",
     "calibrate",
+    "probe_parabola",
+    "fit_probe_scan",
 ]
 
 READOUT_LABELS = ("N4", "N3", "N4_mf0", "N3_mf0")
@@ -56,8 +65,6 @@ _G4 = [STATE_INDEX[s] for s in BASIS if s.manifold is Manifold.GROUND and s.F ==
 _G3 = [STATE_INDEX[s] for s in BASIS if s.manifold is Manifold.GROUND and s.F == 3]
 _I_G40 = STATE_INDEX[SublevelRef.from_token("g40")]
 _I_G30 = STATE_INDEX[SublevelRef.from_token("g30")]
-_I_M30 = STATE_INDEX[SublevelRef.from_token("m30")]
-_I_M20 = STATE_INDEX[SublevelRef.from_token("m20")]
 
 
 class CalibrationError(ValueError):
@@ -126,6 +133,12 @@ class CrosstalkCalibration:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.camera_floor < 0:
             raise ValueError("camera_floor must be >= 0")
+        for name in ("tau_c", "probe_reference", "clock_pi_time"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("probe_duration", "dead_time"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
 
     @property
     def readout_duration(self) -> float:
@@ -231,97 +244,44 @@ def decay_fraction_matrix(t: float, tau_c: float, branching) -> np.ndarray:
 
 # --------------------------------------------------------- linear block model
 
-# Aggregate bins of the linear model; ground manifolds split into the central
-# sublevel and the mF != 0 remainder, which the probes cannot distinguish.
-_BINS = ("n4x", "n40", "n3x", "n30", "m30", "m20")
-_NB = len(_BINS)
-
-
-_BIN_MEMBERS = {
-    "n4x": [i for i in _G4 if i != _I_G40],
-    "n40": [_I_G40],
-    "n3x": [i for i in _G3 if i != _I_G30],
-    "n30": [_I_G30],
-    "m30": [_I_M30],
-    "m20": [_I_M20],
-}
-
-
-def _aggregate_decay(dt: float, calib: CrosstalkCalibration) -> np.ndarray:
-    """Decay flow on the aggregate bins; exact because every member of a
-    ground background bin behaves identically under decay."""
-    full = decay_fraction_matrix(dt, calib.tau_c,
-                                 metastable_branching_table(calib.branch_to_f4))
-    m = np.zeros((_NB, _NB))
-    for cj, src_bin in enumerate(_BINS):
-        src = _BIN_MEMBERS[src_bin][0]
-        for ci, dst_bin in enumerate(_BINS):
-            m[ci, cj] = full[_BIN_MEMBERS[dst_bin], src].sum()
-    return m
-
-
-def _swap(p: np.ndarray, i: int, j: int, eta: float) -> None:
-    a, b = p[i], p[j]
-    p[i] = (1 - eta) * a + eta * b
-    p[j] = eta * a + (1 - eta) * b
-
-
-def _forward_signals(p0: np.ndarray, calib: CrosstalkCalibration) -> np.ndarray:
-    """Push a 6-bin population vector through the readout block; returns the
-    four detected signals."""
-    eta = calib.clock_pi_efficiency
-    eps = crosstalk_fraction(calib.probe_duration, calib)
-    dep = pump_depletion(calib.probe_duration, calib)
-    d_pulse = _aggregate_decay(calib.clock_pi_time, calib)
-    d_meas = _aggregate_decay(calib.probe_duration + calib.dead_time, calib)
-    i4x, i40, i3x, i30, im30, im20 = range(6)
-
-    p = p0.astype(float).copy()
-    signals = []
-    _swap(p, i40, im30, eta)
-    p = d_pulse @ p
-    _swap(p, i30, im20, eta)
-    p = d_pulse @ p
-
-    def measure_f4():
-        s = p[i4x] + p[i40] + eps * (p[i3x] + p[i30])
-        p[i4x] = p[i40] = 0.0
-        p[i3x] *= 1.0 - dep
-        p[i30] *= 1.0 - dep
-        return s
-
-    def measure_f3():
-        s = p[i4x] + p[i40] + p[i3x] + p[i30]
-        p[i4x] = p[i40] = p[i3x] = p[i30] = 0.0
-        return s
-
-    signals.append(measure_f4())
-    p = d_meas @ p
-    signals.append(measure_f3())
-    p = d_meas @ p
-    _swap(p, i40, im30, eta)
-    p = d_pulse @ p
-    _swap(p, i30, im20, eta)
-    p = d_pulse @ p
-    signals.append(measure_f4())
-    p = d_meas @ p
-    signals.append(measure_f3())
-    return np.array(signals)
-
 
 @lru_cache(maxsize=16)
 def forward_matrix(calib: CrosstalkCalibration) -> np.ndarray:
     """4x4 map from true populations [n4x, n40, n3x, n30] at readout start to
     the four raw counts [N4, N3, N4_mf0, N3_mf0].
 
+    Column j is the engine's own shelving readout block run on one atom in
+    g4m4, g40, g3m3 or g30, with the calibration's durations, lifetime and
+    branching, noise and loss off.  Each shelving pulse has the area
+    2*asin(sqrt(clock_pi_efficiency)) and no back-reflection, so it transfers
+    exactly the calibrated (believed) efficiency.
+
     Memoized per (frozen, hence hashable) calibration; the shared result is
     read-only.
     """
+    # both modules import this one at load time
+    from .engine import EnsembleState, LossParameters, NoiseModel, ShotContext, apply_event
+    from .schedule import BuilderConfig, ClockPulse, build_shelving_readout
+
+    model = AtomModel(PhysicsConstants(tau_c=calib.tau_c,
+                                       metastable_branch_to_f4=calib.branch_to_f4,
+                                       clock_reflection_intensity=0.0))
+    schedule = build_shelving_readout(BuilderConfig(
+        clock_pi_time=calib.clock_pi_time, probe_duration=calib.probe_duration,
+        dead_time=calib.dead_time))
+    rabi = 2.0 * math.asin(math.sqrt(calib.clock_pi_efficiency)) / calib.clock_pi_time
+    events = [replace(ev, rabi_frequency=rabi) if isinstance(ev, ClockPulse) else ev
+              for ev in schedule.events]
+    noise, loss = NoiseModel.off(), LossParameters.off()
+    exact = replace(calib, camera_floor=0.0)
     a = np.zeros((4, 4))
-    for j in range(4):
-        p0 = np.zeros(_NB)
-        p0[j] = 1.0
-        a[:, j] = _forward_signals(p0, calib)
+    for j, token in enumerate(("g4m4", "g40", "g3m3", "g30")):
+        ctx = ShotContext(model, noise, loss, schedule, 0, 1.0, exact)
+        state = EnsembleState.pure(token, 1.0)
+        record = ReadoutRecord()
+        for ev in events:
+            apply_event(state, ev, ctx, record)
+        a[:, j] = [record.raw[label] for label in READOUT_LABELS]
     a.setflags(write=False)
     return a
 
@@ -351,6 +311,18 @@ def simulate_readout(populations, calib: CrosstalkCalibration,
     return dict(zip(READOUT_LABELS, raw))
 
 
+@lru_cache(maxsize=16)
+def _inverse_matrix(calib: CrosstalkCalibration) -> np.ndarray:
+    """Read-only inverse of ``forward_matrix(calib)``, memoized like it;
+    raises CalibrationError (not cached) when the matrix is singular."""
+    a = forward_matrix(calib)
+    if abs(np.linalg.det(a)) < 1e-12:
+        raise CalibrationError("singular calibration matrix")
+    inv = np.linalg.inv(a)
+    inv.setflags(write=False)
+    return inv
+
+
 def calibrate(raw, calib: CrosstalkCalibration) -> dict:
     """Invert the linear readout model.
 
@@ -362,9 +334,32 @@ def calibrate(raw, calib: CrosstalkCalibration) -> dict:
         vec = np.array([raw[label] for label in READOUT_LABELS], dtype=float)
     else:
         vec = np.asarray(raw, dtype=float)
-    a = forward_matrix(calib)
-    if abs(np.linalg.det(a)) < 1e-12:
-        raise CalibrationError("singular calibration matrix")
-    n4x, n40, n3x, n30 = np.linalg.solve(a, vec)
+    n4x, n40, n3x, n30 = _inverse_matrix(calib) @ vec
     return {"N4": float(n4x), "N3": float(n3x),
             "N4_mf0": float(n40), "N3_mf0": float(n30)}
+
+
+# ---------------------------------------------------------- probe-scan fit
+
+
+def probe_parabola(tau, c):
+    """Crosstalk signal c*tau^2 of a short F=4 probe on F=3 atoms."""
+    return c * tau * tau
+
+
+def fit_probe_scan(taus, n4, n4_err, n3, n3_err) -> tuple[FitResult, FitResult]:
+    """Fit a first-probe duration scan of atoms prepared in F=3 (arrays over
+    the probe durations ``taus``).
+
+    The F=4 count is the crosstalk signal, fitted by ``probe_parabola`` where
+    the quadratic growth law holds (probe pulses up to 1 ms); the F=3 count
+    decays as ``model_exponential`` over the whole scan.  Returns the
+    (parabola, exponential) fits; raises FitNonConvergence like
+    ``least_squares``.
+    """
+    mask = taus <= 1.0e-3
+    fit4 = least_squares(probe_parabola, Dataset(taus[mask], n4[mask], n4_err[mask]),
+                         [max(n4[mask][-1], 1.0) / taus[mask][-1] ** 2], ("c",))
+    fit3 = least_squares(model_exponential, Dataset(taus, n3, n3_err),
+                         [float(n3[0]), 4e-3])
+    return fit4, fit3

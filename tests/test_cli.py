@@ -114,6 +114,21 @@ class TestSimulate:
         assert err.startswith("config error: [noise]")
         assert field in err.lower()
 
+    @pytest.mark.parametrize("readout, field", [
+        ("eps_43 = 1.5", "eps_43"),
+        ("clock_pi_time = 0", "clock_pi_time"),
+        ("probe_reference = -3e-4", "probe_reference"),
+    ], ids=["eps_above_one", "zero_pi_time", "negative_probe_reference"])
+    def test_invalid_readout_is_config_error(self, tmp_path, capsys, readout, field):
+        path = tmp_path / "bad.ini"
+        path.write_text(RAMSEY_INI.replace("camera_floor = 0", readout))
+        code = main(["simulate", "--config", str(path), "--shots", "1",
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [readout]")
+        assert field in err
+
     def test_config_embedded_for_provenance(self, ramsey_config, tmp_path):
         out = str(tmp_path / "out.csv")
         main(["simulate", "--config", ramsey_config, "--shots", "2", "--out", out])

@@ -474,6 +474,17 @@ class TestProbeAndClean:
         p_scatter = 1 - state3.population("g30") / state3.manifold_population(Manifold.GROUND, 3)
         assert 2.5e-4 * 6 / 7 * 0.9 < p_scatter < 3.5e-4
 
+    def test_scale_states_is_diagonal_congruence(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(28, 28)) + 1j * rng.normal(size=(28, 28))
+        rho0 = x @ x.conj().T
+        for indices in (np.array([2, 5, 11]), slice(20, 28), 7):
+            d = np.ones(28)
+            d[indices] = 0.6
+            rho = rho0.copy()
+            engine._scale_states(rho, indices, 0.6)
+            assert np.allclose(rho, np.diag(d) @ rho0 @ np.diag(d), rtol=1e-15, atol=1e-13)
+
 
 class TestRunSchedule:
     def test_ramsey_t0_eta4_unity(self):

@@ -6,6 +6,7 @@ import pytest
 
 from tmqubit.atom import AtomModel, metastable_branching_table
 from tmqubit.engine import LossParameters, NoiseModel, default_calibration, run_shot
+from tmqubit.fitting import model_exponential
 from tmqubit.readout import (
     CalibrationError,
     CrosstalkCalibration,
@@ -14,7 +15,9 @@ from tmqubit.readout import (
     calibrate,
     crosstalk_fraction,
     decay_fraction_matrix,
+    fit_probe_scan,
     forward_matrix,
+    probe_parabola,
     pump_depletion,
     simulate_readout,
 )
@@ -140,6 +143,55 @@ class TestForwardModel:
         st = EnsembleState.pure("g30", 1000.0, 0.6)
         raw = simulate_readout(st, CALIB)
         assert raw["N3_mf0"] > 700
+
+
+class TestEngineReadoutModel:
+    """forward_matrix is the engine's own shelving block run on basis states."""
+
+    BASIS_TOKENS = ("g4m4", "g40", "g3m3", "g30")
+
+    def test_matches_engine_default_readout_block(self):
+        exact = dataclasses.replace(CALIB, camera_floor=0.0)
+        engine = np.zeros((4, 4))
+        for j, token in enumerate(self.BASIS_TOKENS):
+            _, rec = run_shot(build_shelving_readout(), MODEL, NoiseModel.off(),
+                              LossParameters.off(), 0, n_atoms=1.0,
+                              calibration=exact, initial_state=token)
+            engine[:, j] = [rec.raw[label] for label in READOUT_LABELS]
+        assert np.max(np.abs(engine - forward_matrix(CALIB))) <= 1e-12
+
+    def test_closed_form_column_without_decay(self):
+        eta = 0.7
+        calib = CrosstalkCalibration(clock_pi_efficiency=eta, tau_c=1e15)
+        eps = crosstalk_fraction(calib.probe_duration, calib)
+        dep = pump_depletion(calib.probe_duration, calib)
+        expected = [eps * (1 - eta), (1 - eta) * (1 - dep), eps * eta**2, eta**2 * (1 - dep)]
+        assert np.allclose(forward_matrix(calib)[:, 3], expected, rtol=0.0, atol=1e-12)
+
+    def test_probe_reference_differs_from_duration(self):
+        # counts scale with probe duration over the reference length; the
+        # inversion must undo that scale, not report 4/3 of the atoms
+        calib = default_calibration(MODEL, probe_reference=0.3e-3, camera_floor=0.0)
+        assert calib.probe_duration != calib.probe_reference
+        _, rec = run_shot(build_shelving_readout(), MODEL, NoiseModel.off(),
+                          LossParameters.off(), 0, n_atoms=5000.0,
+                          calibration=calib, initial_state="g30")
+        assert rec.calibrated["N3_mf0"] == pytest.approx(5000.0, rel=1e-9)
+        for label in ("N4", "N3", "N4_mf0"):
+            assert rec.calibrated[label] == pytest.approx(0.0, abs=1e-6)
+
+
+class TestProbeScanFit:
+    def test_recovers_noiseless_scan(self):
+        taus = np.linspace(0.05e-3, 1.2e-3, 12)
+        n4 = probe_parabola(taus, 3.0e7)
+        n4[taus > 1.0e-3] *= 2.0   # past the quadratic law: excluded from the parabola
+        n3 = model_exponential(taus, 2000.0, 4.5e-3)
+        err = np.ones_like(taus)
+        fit4, fit3 = fit_probe_scan(taus, n4, err, n3, err)
+        assert fit4.params["c"] == pytest.approx(3.0e7, rel=1e-8)
+        assert fit3.params["a"] == pytest.approx(2000.0, rel=1e-8)
+        assert fit3.params["tau"] == pytest.approx(4.5e-3, rel=1e-8)
 
 
 class TestRecord:
