@@ -37,7 +37,6 @@ from .readout import (
     CrosstalkCalibration,
     ReadoutRecord,
     calibrate,
-    decay_fraction_matrix,
     simulate_readout,
 )
 from .schedule import (

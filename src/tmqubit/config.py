@@ -33,6 +33,7 @@ class ConfigError(ValueError):
 
 _CONSTANT_FIELDS = {f.name for f in dataclasses.fields(PhysicsConstants)}
 _CALIB_FIELDS = set(CrosstalkCalibration._FIELDS)
+_READOUT_TIMING = ("clock_pi_time", "probe_duration", "dead_time")
 # drift kind -> (class, {field: default}); each field is read from "drift_<field>"
 _DRIFT_KINDS = {
     "sinusoid": (SinusoidDrift, {"amplitude": "0", "period": "1"}),
@@ -62,10 +63,11 @@ class RunConfig:
         return AtomModel(self.constants)
 
     def calibration(self) -> CrosstalkCalibration:
-        overrides = dict(self.calibration_overrides)
-        return default_calibration(self.model(),
-                                   clock_pi_time=self.schedule_params.get("clock_pi_time", 1e-3),
-                                   **overrides)
+        """Calibration of the schedule's readout block: its pi time, probe
+        duration and dead time, unless ``[readout]`` sets them."""
+        timing = _readout_timing(self.schedule_params)
+        return default_calibration(self.model(), timing.pop("clock_pi_time", 1e-3),
+                                   **{**timing, **self.calibration_overrides})
 
     def describe(self) -> list[str]:
         """Flat key=value lines of the resolved configuration, for embedding
@@ -100,6 +102,11 @@ class RunConfig:
             lines.append(f"scan.param={self.scan_param}")
             lines.append(f"scan.values={','.join(repr(v) for v in self.scan_values)}")
         return lines
+
+
+def _readout_timing(schedule_params: dict) -> dict:
+    """The ``[schedule]`` parameters that also time the readout block."""
+    return {key: schedule_params[key] for key in _READOUT_TIMING if key in schedule_params}
 
 
 def _float(section, key, raw):
@@ -213,6 +220,10 @@ def load_config(path) -> RunConfig:
             cfg.schedule_params["state"] = sched["state"].strip()
         if "mode" in sched:
             cfg.schedule_params["mode"] = sched["mode"].strip()
+        try:
+            CrosstalkCalibration(**_readout_timing(cfg.schedule_params))
+        except ValueError as exc:
+            raise ConfigError(f"[schedule] {exc}") from None
 
     if parser.has_section("scan"):
         scan = parser["scan"]

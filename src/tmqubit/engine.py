@@ -494,31 +494,43 @@ def _pair_rotation(omega: float, delta: float, tau: float,
     return np.array(((u00, u01), (u01, u11))) * _frame_phases(phase_start, phase_end)
 
 
+def _standing_wave_average(average, a: float):
+    """Standing-wave average of one 1140 nm quantity, converged by node doubling.
+
+    A back-reflection of amplitude ratio ``a`` modulates the Rabi frequency
+    as Omega(z) = Omega0*sqrt(1+a^2+a*cos 2kz).  ``average`` maps the node
+    scales Omega(z)/Omega0 at n midpoint nodes of one optical period to a
+    tuple of arrays, each already averaged over the nodes.  n doubles from 32
+    until no entry of the tuple moves by 1e-9 (at most 16384 nodes).
+    """
+    def evaluate(n_nodes: int):
+        u = 2 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes
+        return average(np.sqrt(np.clip(1.0 + a * a + a * np.cos(u), 0.0, None)))
+
+    n = 32
+    out = evaluate(n)
+    while n < 16384:
+        n *= 2
+        prev, out = out, evaluate(n)
+        if all(np.max(np.abs(new - old)) < 1e-9 for new, old in zip(out, prev)):
+            break
+    return out
+
+
 @lru_cache(maxsize=512)
 def _clock_average_core(omega_tau: float, delta_tau: float, a: float) -> tuple:
     """Standing-wave average of the drive-frame rotation for one 1140 nm pulse.
 
     Returns (mean 2x2 matrix, 4x4 superoperator) of the mixture over the
-    reflection-modulated Rabi frequency Omega(z) = Omega0*sqrt(1+a^2+a*cos 2kz),
-    averaged over one optical period; converged by node doubling to <= 1e-9.
+    reflection-modulated Rabi frequency (``_standing_wave_average``).
     """
-    def evaluate(n_nodes: int):
-        u = 2 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes
-        scale = np.sqrt(np.clip(1.0 + a * a + a * np.cos(u), 0.0, None))
+    def average(scale):
         u00, u01, u11 = _rotation(omega_tau * scale, delta_tau, 1.0)
-        nodes = np.stack((u00, u01, u01, u11), axis=-1).reshape(n_nodes, 2, 2)
+        nodes = np.stack((u00, u01, u01, u11), axis=-1).reshape(len(scale), 2, 2)
         s4 = np.einsum("nij,nkl->ikjl", nodes, nodes.conj()).reshape(4, 4)
-        return nodes.mean(axis=0), s4 / n_nodes
+        return nodes.mean(axis=0), s4 / len(scale)
 
-    n = 32
-    m2, s4 = evaluate(n)
-    while n < 16384:
-        n *= 2
-        m2_next, s4_next = evaluate(n)
-        if np.max(np.abs(s4_next - s4)) < 1e-9 and np.max(np.abs(m2_next - m2)) < 1e-9:
-            m2, s4 = m2_next, s4_next
-            break
-        m2, s4 = m2_next, s4_next
+    m2, s4 = _standing_wave_average(average, a)
     m2.setflags(write=False)
     s4.setflags(write=False)
     return m2, s4
@@ -831,11 +843,12 @@ def apply_event(state: EnsembleState, ev, ctx: ShotContext,
 
 def default_calibration(model: AtomModel, clock_pi_time: float = 1e-3,
                         **overrides) -> CrosstalkCalibration:
-    """Calibration whose shelving efficiency matches the engine's own
-    1140 nm pulse map at the default pi time."""
+    """Calibration of a readout block with 1140 nm pulses of ``clock_pi_time``,
+    whose shelving efficiency matches the engine's own pulse map."""
     a = math.sqrt(model.constants.clock_reflection_intensity)
     eta = clock_rotation_transfer(math.pi / clock_pi_time, clock_pi_time, a)
-    kwargs = dict(clock_pi_efficiency=eta, tau_c=model.constants.tau_c,
+    kwargs = dict(clock_pi_efficiency=eta, clock_pi_time=clock_pi_time,
+                  tau_c=model.constants.tau_c,
                   branch_to_f4=model.constants.metastable_branch_to_f4)
     kwargs.update(overrides)
     return CrosstalkCalibration(**kwargs)

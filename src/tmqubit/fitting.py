@@ -5,7 +5,9 @@ sum(((y - f(x)) / sigma)^2) with central finite-difference Jacobians.
 Covariance comes from the final normal matrix; without stated
 uncertainties it is scaled by the reduced chi-square (unit-weight
 convention for count data).  Confidence intervals beyond the covariance
-come from profiling the chi-square to the min+1 crossings.
+come from profiling the chi-square to the min+1 crossings.  The 1140 nm
+reflection model averages over the standing wave with the engine's own
+node average, the one behind every simulated 1140 nm pulse.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "Dataset",
@@ -24,7 +25,6 @@ __all__ = [
     "FitNonConvergence",
     "SingularNormalMatrix",
     "DegenerateProfile",
-    "QuadratureError",
     "least_squares",
     "finite_difference_jacobian",
     "chi2_profile",
@@ -54,10 +54,6 @@ class SingularNormalMatrix(FitError):
 
 
 class DegenerateProfile(FitError):
-    pass
-
-
-class QuadratureError(FitError):
     pass
 
 
@@ -332,30 +328,22 @@ def model_exponential(t, a, tau):
 model_exponential.param_names = ("a", "tau")
 
 
-def _rabi_reflection_scalar(t, omega0, a, tau_c) -> float:
-    if t <= 0:
-        return 0.0
-    decay = math.exp(-t / (2.0 * tau_c)) if math.isfinite(tau_c) else 1.0
-    if a == 0.0:
-        return 0.5 * (1.0 - math.cos(omega0 * t)) * decay
-
-    def integrand(u):
-        return math.cos(omega0 * t * math.sqrt(max(1.0 + a * a + a * math.cos(u), 0.0)))
-
-    val, err = quad(integrand, 0.0, math.pi, epsabs=1e-8, epsrel=1e-10, limit=400)
-    if err > 1e-6:
-        raise QuadratureError(f"standing-wave average did not converge (err={err:.2g})")
-    return 0.5 * (1.0 - val / math.pi) * decay
-
-
 def model_rabi_reflection(t, omega0, a, tau_c):
     """Excitation probability of the 1140 nm drive with amplitude reflection
     a, averaged over the standing-wave phase:
-    eta(t) = <(1 - cos(Omega(z) t))/2> exp(-t/(2 tau_c)),
-    Omega(z) = Omega0 sqrt(1 + a^2 + a cos(2kz))."""
+    eta(t) = <sin^2(Omega(z) t / 2)> exp(-t/(2 tau_c)),
+    Omega(z) = Omega0 sqrt(1 + a^2 + a cos(2kz)), zero for t <= 0.  The
+    average is the engine's (``engine._standing_wave_average``), over all t
+    at once."""
+    # the engine imports this module at load time
+    from .engine import _standing_wave_average
+
     scalar = np.isscalar(t)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.array([_rabi_reflection_scalar(tt, omega0, abs(a), tau_c) for tt in t])
+    half = 0.5 * omega0 * np.maximum(t, 0.0)[:, None]
+    (braket,) = _standing_wave_average(
+        lambda scale: (np.mean(np.sin(half * scale) ** 2, axis=1),), abs(a))
+    out = braket * np.exp(-t / (2.0 * tau_c))
     return out[0] if scalar else out
 
 

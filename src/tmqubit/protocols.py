@@ -135,11 +135,11 @@ QUANTITIES = ("eta4", "eta3", "total", "N4", "N3", "N4_mf0", "N3_mf0")
 
 def record_quantity(record: ReadoutRecord, quantity: str) -> float:
     """Scalar observable of one shot, from calibrated counts when available."""
+    if quantity == "eta4":
+        return record.eta4()
+    if quantity == "eta3":
+        return record.eta3()
     src = record.calibrated if record.calibrated else record.raw
-    if quantity in ("eta4", "eta3"):
-        n40, n30 = src["N4_mf0"], src["N3_mf0"]
-        eta4 = n40 / (n40 + n30)
-        return eta4 if quantity == "eta4" else 1.0 - eta4
     if quantity == "total":
         return float(sum(src[label] for label in READOUT_LABELS if label in src))
     if quantity in src:

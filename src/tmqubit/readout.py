@@ -33,12 +33,10 @@ import numpy as np
 from .atom import (
     AtomModel,
     BASIS,
-    DIM,
     Manifold,
     PhysicsConstants,
     STATE_INDEX,
     SublevelRef,
-    metastable_branching_table,
 )
 from .fitting import Dataset, FitResult, least_squares, model_exponential
 
@@ -51,7 +49,6 @@ __all__ = [
     "pump_depletion",
     "crosstalk_fraction",
     "probe_signal_scale",
-    "decay_fraction_matrix",
     "simulate_readout",
     "forward_matrix",
     "calibrate",
@@ -112,8 +109,8 @@ class CrosstalkCalibration:
 
     ``eps_43``/``dep_3`` are the crosstalk signal fraction and F=3 depletion
     per reference probe pulse; ``clock_pi_efficiency`` is the shelving
-    transfer probability of the averaged 1140 nm rotation (lifetime decay is
-    carried separately by the decay matrix built from ``tau_c``).
+    transfer probability of the averaged 1140 nm rotation (metastable decay
+    over the block comes from the engine's, with ``tau_c``/``branch_to_f4``).
     """
 
     eps_43: float = 0.015
@@ -139,17 +136,6 @@ class CrosstalkCalibration:
         for name in ("probe_duration", "dead_time"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
-
-    @property
-    def readout_duration(self) -> float:
-        """Total duration of the standard four-detection readout block."""
-        return 4 * self.clock_pi_time + 4 * (self.probe_duration + self.dead_time)
-
-    @property
-    def decay_matrix(self) -> np.ndarray:
-        """Population-flow matrix of metastable decay over the full block."""
-        return decay_fraction_matrix(self.readout_duration, self.tau_c,
-                                     metastable_branching_table(self.branch_to_f4))
 
     # ------------------------------------------------------------ persistence
 
@@ -220,26 +206,6 @@ def crosstalk_fraction(tau: float, calib: CrosstalkCalibration) -> float:
     p = pump_rate(calib)
     kappa = calib.eps_43 / _pumped_signal_integral(calib.probe_reference, p)
     return kappa * _pumped_signal_integral(tau, p)
-
-
-# ------------------------------------------------------------ decay transport
-
-
-def decay_fraction_matrix(t: float, tau_c: float, branching) -> np.ndarray:
-    """Exact population flow of metastable decay over time t (28x28).
-
-    Column j holds the final distribution of population that started in
-    state j; columns sum to one (the decay lands in tracked ground states).
-    """
-    m = np.eye(DIM)
-    if t <= 0 or not math.isfinite(tau_c):
-        return m
-    surv = math.exp(-t / tau_c)
-    for src, targets in branching.items():
-        m[src, src] = surv
-        for dst, w in targets:
-            m[dst, src] += (1.0 - surv) * w
-    return m
 
 
 # --------------------------------------------------------- linear block model

@@ -129,6 +129,37 @@ class TestSimulate:
         assert err.startswith("config error: [readout]")
         assert field in err
 
+    @pytest.mark.parametrize("value", ["0", "-1e-3"])
+    def test_nonpositive_schedule_pi_time_is_config_error(self, tmp_path, capsys, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(RAMSEY_INI.replace("t = 0.08", f"t = 0.08\nclock_pi_time = {value}"))
+        code = main(["simulate", "--config", str(path), "--shots", "1",
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: [schedule] clock_pi_time")
+
+    @pytest.mark.parametrize("timing", [
+        "probe_duration = 0.3e-3", "dead_time = 8e-3", "clock_pi_time = 2e-3"])
+    def test_calibration_inverts_the_schedule_readout_block(self, tmp_path, timing):
+        # noiseless, lossless g30 atoms: the calibrated count is the atom number
+        path = tmp_path / "lifetime.ini"
+        path.write_text(RAMSEY_INI.replace("name = ramsey", f"name = lifetime\n{timing}")
+                        .replace("t = 0.08", "t = 0.01").split("[scan]")[0])
+        out = str(tmp_path / "out.csv")
+        assert main(["simulate", "--config", str(path), "--shots", "1", "--out", out]) == 0
+        calibrated = {r["measure"]: float(r["calibrated"]) for r in read_simulate_csv(out)}
+        assert calibrated["N3_mf0"] == pytest.approx(5000.0, rel=1e-9)
+        assert abs(calibrated["N4_mf0"]) < 1e-6
+
+    def test_readout_timing_key_wins_over_schedule(self, tmp_path):
+        path = tmp_path / "both.ini"
+        path.write_text(RAMSEY_INI.replace("t = 0.08", "t = 0.08\ndead_time = 8e-3\n"
+                                           "probe_duration = 0.3e-3")
+                        .replace("camera_floor = 0", "camera_floor = 0\ndead_time = 2e-3"))
+        calib = load_config(path).calibration()
+        assert calib.dead_time == 2e-3
+        assert calib.probe_duration == 0.3e-3
+
     def test_config_embedded_for_provenance(self, ramsey_config, tmp_path):
         out = str(tmp_path / "out.csv")
         main(["simulate", "--config", ramsey_config, "--shots", "2", "--out", out])

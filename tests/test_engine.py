@@ -309,6 +309,43 @@ class TestFreeEvolution:
                                                      rel=1e-9)
 
 
+class TestMetastableDecay:
+    """``_metastable_decay`` on a diagonal rho: the population flow of the
+    metastable lifetime and branching."""
+
+    TAU_C = 0.112
+
+    @staticmethod
+    def _decayed(dts, branch_to_f4=0.5):
+        model = AtomModel(PhysicsConstants(tau_c=TestMetastableDecay.TAU_C,
+                                           metastable_branch_to_f4=branch_to_f4))
+        pops = np.random.default_rng(4).uniform(0.1, 1.0, engine.DIM)
+        rho = np.diag(pops).astype(complex)
+        for dt in dts:
+            engine._metastable_decay(rho, dt, model)
+        assert np.count_nonzero(rho - np.diag(rho.diagonal())) == 0
+        return pops, rho.diagonal().real
+
+    def test_identity_at_zero(self):
+        pops, after = self._decayed([0.0])
+        assert np.array_equal(after, pops)
+
+    def test_survival_at_one_lifetime(self):
+        pops, after = self._decayed([self.TAU_C])
+        meta = engine._META
+        assert after[meta] == pytest.approx(math.exp(-1.0) * pops[meta], rel=1e-12)
+
+    def test_population_conserved(self):
+        pops, after = self._decayed([0.05], branch_to_f4=0.35)
+        assert after.sum() == pytest.approx(pops.sum(), rel=1e-12)
+        assert np.all(after[engine._GROUND_F4] >= pops[engine._GROUND_F4])
+
+    def test_two_half_steps_equal_one_step(self):
+        _, halves = self._decayed([0.01, 0.01])
+        _, whole = self._decayed([0.02])
+        assert halves == pytest.approx(whole, abs=1e-12)
+
+
 class TestDriftIntegrals:
     @staticmethod
     def _trapezoid(y, x):

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tmqubit
+from tmqubit.engine import clock_rotation_transfer
 from tmqubit.fitting import (
     Dataset,
     DegenerateProfile,
@@ -241,6 +246,24 @@ class TestRabiReflection:
         fit = least_squares(fixed_tau, Dataset(t, y, np.full(len(t), 0.01)),
                             [omega0 * 1.02, 0.08], ("omega0", "a"))
         assert fit.params["a"] ** 2 == pytest.approx(0.015, abs=0.005)
+
+    @pytest.mark.parametrize("a", [0.0, math.sqrt(0.015), -0.2])
+    def test_equals_engine_transfer(self, a):
+        # without lifetime decay the model is the engine's averaged pi-pulse map
+        omega0 = math.pi / 1e-3
+        t = np.array([0.0, 0.5e-3, 1e-3, 3.3e-3, 7e-3])
+        got = model_rabi_reflection(t, omega0, a, math.inf)
+        want = [clock_rotation_transfer(omega0, float(tt), a) for tt in t]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_package_imports_without_scipy(self):
+        src = os.path.dirname(os.path.dirname(tmqubit.__file__))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import tmqubit, tmqubit.cli, tmqubit.figures; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestExponential:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tmqubit.atom import AtomModel, metastable_branching_table
+from tmqubit.atom import AtomModel
 from tmqubit.engine import LossParameters, NoiseModel, default_calibration, run_shot
 from tmqubit.fitting import model_exponential
 from tmqubit.readout import (
@@ -14,7 +14,6 @@ from tmqubit.readout import (
     ReadoutRecord,
     calibrate,
     crosstalk_fraction,
-    decay_fraction_matrix,
     fit_probe_scan,
     forward_matrix,
     probe_parabola,
@@ -41,31 +40,6 @@ class TestRates:
         e1 = crosstalk_fraction(0.05e-3, CALIB)
         e2 = crosstalk_fraction(0.1e-3, CALIB)
         assert e2 / e1 == pytest.approx(4.0, rel=0.02)
-
-
-class TestDecayMatrix:
-    def test_identity_at_zero(self):
-        branching = metastable_branching_table(0.5)
-        assert np.array_equal(decay_fraction_matrix(0.0, 0.112, branching), np.eye(28))
-
-    def test_survival_at_one_lifetime(self):
-        branching = metastable_branching_table(0.5)
-        m = decay_fraction_matrix(0.112, 0.112, branching)
-        from tmqubit.atom import STATE_INDEX, SublevelRef
-
-        i = STATE_INDEX[SublevelRef.from_token("m30")]
-        assert m[i, i] == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-    def test_columns_stochastic(self):
-        branching = metastable_branching_table(0.35)
-        m = decay_fraction_matrix(0.05, 0.112, branching)
-        assert np.allclose(m.sum(axis=0), 1.0, atol=1e-12)
-
-    def test_semigroup(self):
-        branching = metastable_branching_table(0.5)
-        m1 = decay_fraction_matrix(0.01, 0.112, branching)
-        m2 = decay_fraction_matrix(0.02, 0.112, branching)
-        assert np.allclose(m1 @ m1, m2, atol=1e-12)
 
 
 class TestForwardModel:
@@ -233,11 +207,6 @@ class TestPersistence:
         path.write_text("nonsense = 1.0\n")
         with pytest.raises(CalibrationError):
             CrosstalkCalibration.load(path)
-
-    def test_decay_matrix_property(self):
-        m = CALIB.decay_matrix
-        assert m.shape == (28, 28)
-        assert np.allclose(m.sum(axis=0), 1.0, atol=1e-9)
 
 
 class TestValidation:
