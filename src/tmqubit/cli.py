@@ -26,7 +26,7 @@ from .fitting import (
     chi2_profile,
     least_squares,
 )
-from .protocols import QUANTITIES, build_protocol, record_quantity
+from .protocols import QUANTITIES, build_protocol, builder_config_from_params, record_quantity
 from .readout import CrosstalkCalibration, fit_probe_scan, probe_parabola
 from .schedule import ParseError, parse_sequence
 
@@ -41,10 +41,11 @@ EXIT_IO = 4
 # ----------------------------------------------------------------- simulate
 
 
-def _resolve_schedule(cfg: RunConfig, scan_value=None):
-    params = dict(cfg.schedule_params)
-    if cfg.scan_param and scan_value is not None:
-        params[cfg.scan_param] = scan_value
+def _resolve_schedule(cfg: RunConfig, params: dict, scan_value):
+    try:
+        builder_config_from_params(params)
+    except ValueError as exc:   # load_config checked [schedule], so a scan value
+        raise ConfigError(f"[scan] {cfg.scan_param} = {scan_value!r}: {exc}") from None
     if cfg.schedule_script:
         try:
             with open(cfg.schedule_script) as fh:
@@ -62,16 +63,17 @@ def _resolve_schedule(cfg: RunConfig, scan_value=None):
 
 def _simulate_rows(cfg: RunConfig):
     model = cfg.model()
-    calib = cfg.calibration()
     rows = []
     scan_values = cfg.scan_values if cfg.scan_param else (None,)
     for k, value in enumerate(scan_values):
-        schedule = _resolve_schedule(cfg, value)
+        params = dict(cfg.schedule_params)
+        if value is not None:
+            params[cfg.scan_param] = value
+        schedule = _resolve_schedule(cfg, params, value)
         noise = dataclasses.replace(cfg.noise,
                                     seed=cfg.noise.seed + 104729 * k)
         records = run_schedule(schedule, model, noise, cfg.loss, cfg.shots,
-                               n_atoms=cfg.atoms, calibration=calib,
-                               workers=cfg.workers)
+                               n_atoms=cfg.atoms, calibration=cfg.calibration(params))
         for rec in records:
             for label in sorted(rec.raw, key=list(rec.raw).index):
                 rows.append((cfg.scan_param or "", value if value is not None else "",
@@ -125,8 +127,6 @@ def cmd_simulate(args) -> int:
         cfg.noise = dataclasses.replace(cfg.noise, seed=args.seed)
     if args.shots is not None:
         cfg.shots = args.shots
-    if args.workers is not None:
-        cfg.workers = args.workers
     if getattr(args, "param", None):
         cfg.scan_param = args.param
         if args.points == 1:
@@ -352,7 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--shots", type=int, default=None)
-    sim.add_argument("--workers", type=int, default=None)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)
 
@@ -364,7 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--points", type=int, required=True)
     scan.add_argument("--seed", type=int, default=None)
     scan.add_argument("--shots", type=int, default=None)
-    scan.add_argument("--workers", type=int, default=None)
     scan.add_argument("--out", required=True)
     scan.set_defaults(func=cmd_simulate)
 

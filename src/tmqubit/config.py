@@ -1,6 +1,6 @@
 """Run configuration: INI-style files resolving to model/noise/loss objects.
 
-Sections: ``[run]`` (seed, shots, atoms, workers), ``[constants]`` (any
+Sections: ``[run]`` (seed, shots, atoms), ``[constants]`` (any
 physics-constant override), ``[noise]``, ``[loss]``, ``[readout]``
 (calibration overrides), ``[schedule]`` (built-in name plus parameters, or a
 script path) and ``[scan]`` (1-D parameter sweep).  Every default equals the
@@ -22,6 +22,7 @@ from .engine import (
     SinusoidDrift,
     default_calibration,
 )
+from .protocols import builder_config_from_params
 from .readout import CrosstalkCalibration
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
@@ -33,6 +34,7 @@ class ConfigError(ValueError):
 
 _CONSTANT_FIELDS = {f.name for f in dataclasses.fields(PhysicsConstants)}
 _CALIB_FIELDS = set(CrosstalkCalibration._FIELDS)
+# [schedule] parameters that also time the readout block
 _READOUT_TIMING = ("clock_pi_time", "probe_duration", "dead_time")
 # drift kind -> (class, {field: default}); each field is read from "drift_<field>"
 _DRIFT_KINDS = {
@@ -48,7 +50,6 @@ class RunConfig:
     seed: int = 0
     shots: int = 20
     atoms: float = 5000.0
-    workers: int = 1
     constants: PhysicsConstants = field(default_factory=PhysicsConstants)
     noise: NoiseModel = field(default_factory=NoiseModel)
     loss: LossParameters = field(default_factory=LossParameters)
@@ -62,10 +63,12 @@ class RunConfig:
     def model(self) -> AtomModel:
         return AtomModel(self.constants)
 
-    def calibration(self) -> CrosstalkCalibration:
-        """Calibration of the schedule's readout block: its pi time, probe
+    def calibration(self, params: dict | None = None) -> CrosstalkCalibration:
+        """Calibration of the readout block of the schedule built from
+        ``params`` (default: the ``[schedule]`` values): its pi time, probe
         duration and dead time, unless ``[readout]`` sets them."""
-        timing = _readout_timing(self.schedule_params)
+        params = self.schedule_params if params is None else params
+        timing = {key: params[key] for key in _READOUT_TIMING if key in params}
         return default_calibration(self.model(), timing.pop("clock_pi_time", 1e-3),
                                    **{**timing, **self.calibration_overrides})
 
@@ -73,7 +76,7 @@ class RunConfig:
         """Flat key=value lines of the resolved configuration, for embedding
         in reports."""
         lines = [f"run.seed={self.seed}", f"run.shots={self.shots}",
-                 f"run.atoms={self.atoms!r}", f"run.workers={self.workers}"]
+                 f"run.atoms={self.atoms!r}"]
         for f_ in dataclasses.fields(PhysicsConstants):
             lines.append(f"constants.{f_.name}={getattr(self.constants, f_.name)!r}")
         lines.append(f"noise.sigma_b_shot={self.noise.sigma_B_shot!r}")
@@ -104,11 +107,6 @@ class RunConfig:
         return lines
 
 
-def _readout_timing(schedule_params: dict) -> dict:
-    """The ``[schedule]`` parameters that also time the readout block."""
-    return {key: schedule_params[key] for key in _READOUT_TIMING if key in schedule_params}
-
-
 def _float(section, key, raw):
     try:
         value = float(raw)
@@ -133,7 +131,6 @@ def load_config(path) -> RunConfig:
         cfg.seed = int(_float("run", "seed", run.get("seed", "0")))
         cfg.shots = int(_float("run", "shots", run.get("shots", "20")))
         cfg.atoms = _float("run", "atoms", run.get("atoms", "5000"))
-        cfg.workers = int(_float("run", "workers", run.get("workers", "1")))
         if cfg.shots < 1:
             raise ConfigError("[run] shots must be >= 1")
 
@@ -221,7 +218,7 @@ def load_config(path) -> RunConfig:
         if "mode" in sched:
             cfg.schedule_params["mode"] = sched["mode"].strip()
         try:
-            CrosstalkCalibration(**_readout_timing(cfg.schedule_params))
+            builder_config_from_params(cfg.schedule_params)
         except ValueError as exc:
             raise ConfigError(f"[schedule] {exc}") from None
 

@@ -19,8 +19,8 @@ full basis, combined with multiplicative decay/loss factors:
 
 The state is held unnormalized: trace(rho) is the surviving fraction of the
 initial ensemble and the complement is the lost count.  Shots are seeded
-individually from the master seed so serial and parallel execution agree
-bit for bit.
+individually from the master seed, so a shot's outcome depends only on its
+index.
 """
 
 from __future__ import annotations
@@ -878,25 +878,14 @@ def run_shot(schedule: Schedule, model: AtomModel, noise: NoiseModel,
     return state, record
 
 
-def _run_shot_args(args):
-    return run_shot(*args)[1]
-
-
 def run_schedule(schedule: Schedule, model: AtomModel, noise: NoiseModel,
                  loss: LossParameters, n_shots: int, n_atoms: float = 5000.0,
                  calibration: CrosstalkCalibration | None = None,
-                 initial_state: str | None = None,
-                 workers: int = 1) -> list[ReadoutRecord]:
-    """Run n_shots independent shots; deterministic under the noise seed and
-    identical for serial and parallel execution."""
+                 initial_state: str | None = None) -> list[ReadoutRecord]:
+    """Run n_shots independent shots; deterministic under the noise seed."""
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     schedule.validate(model)
-    args = [(schedule, model, noise, loss, k, n_atoms, calibration, initial_state)
+    return [run_shot(schedule, model, noise, loss, k, n_atoms, calibration,
+                     initial_state)[1]
             for k in range(n_shots)]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_shot_args, args))
-    return [_run_shot_args(a) for a in args]

@@ -277,6 +277,14 @@ class BuilderConfig:
     dead_time: float = 4e-3
     prep_theta: float = math.pi      # final prep rotation; 0 omits the pulse
 
+    def __post_init__(self):
+        for name in ("mw_pi_time", "clock_pi_time"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name in ("rf_sweep_time", "clean_time", "probe_duration", "dead_time"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+
     @property
     def mw_rabi(self) -> float:
         return math.pi / self.mw_pi_time

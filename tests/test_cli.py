@@ -151,6 +151,38 @@ class TestSimulate:
         assert calibrated["N3_mf0"] == pytest.approx(5000.0, rel=1e-9)
         assert abs(calibrated["N4_mf0"]) < 1e-6
 
+    def test_zero_mw_pi_time_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(RAMSEY_INI.replace("t = 0.08", "t = 0.08\nmw_pi_time = 0"))
+        code = main(["simulate", "--config", str(path), "--shots", "1",
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: [schedule] mw_pi_time")
+
+    def test_zero_scanned_pi_time_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(RAMSEY_INI.split("[scan]")[0]
+                        + "[scan]\nparam = clock_pi_time\nvalues = 1e-3, 0\n")
+        code = main(["simulate", "--config", str(path), "--shots", "1",
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [scan] clock_pi_time = 0.0: clock_pi_time")
+
+    def test_scan_over_readout_timing_calibrates_each_point(self, tmp_path):
+        # noiseless, lossless g30 atoms: every point's calibrated count is the atom number
+        path = tmp_path / "lifetime.ini"
+        path.write_text(RAMSEY_INI.replace("name = ramsey", "name = lifetime")
+                        .replace("t = 0.08", "t = 0.01").split("[scan]")[0]
+                        + "[scan]\nparam = dead_time\nvalues = 4e-3, 8e-3\n")
+        out = str(tmp_path / "out.csv")
+        assert main(["simulate", "--config", str(path), "--shots", "1", "--out", out]) == 0
+        n3 = {r["scan_value"]: float(r["calibrated"])
+              for r in read_simulate_csv(out) if r["measure"] == "N3_mf0"}
+        assert sorted(n3) == ["0.004", "0.008"]
+        for value in n3.values():
+            assert value == pytest.approx(5000.0, rel=1e-9)
+
     def test_readout_timing_key_wins_over_schedule(self, tmp_path):
         path = tmp_path / "both.ini"
         path.write_text(RAMSEY_INI.replace("t = 0.08", "t = 0.08\ndead_time = 8e-3\n"
@@ -416,42 +448,6 @@ class TestFitOptions:
 
 
 class TestWorkersAndProtocols:
-    def test_parallel_workers_same_data_rows(self, tmp_path):
-        ini = tmp_path / "clock.ini"
-        ini.write_text("""
-[run]
-seed = 2
-shots = 3
-[noise]
-sigma_b_shot = 0
-[loss]
-tau = inf
-beta_g4m4 = 0
-beta_g40 = 0
-beta_g30 = 0
-[readout]
-camera_floor = 0
-[schedule]
-name = clock_coherence
-mode = single
-bias_field = 0.1
-[scan]
-param = t
-start = 0
-stop = 0.15
-points = 3
-""")
-        serial = str(tmp_path / "serial.csv")
-        parallel = str(tmp_path / "parallel.csv")
-        assert main(["simulate", "--config", str(ini), "--out", serial]) == 0
-        assert main(["simulate", "--config", str(ini), "--workers", "2",
-                     "--out", parallel]) == 0
-
-        def data(path):
-            return [l for l in open(path) if not l.startswith("#")]
-
-        assert data(serial) == data(parallel)
-
     def test_clock_coherence_contrast_decays_with_storage(self, tmp_path):
         # eta4 at resonance falls toward 1/2 as the stored arm decays
         rows_by_t = {}

@@ -557,13 +557,18 @@ class TestRunSchedule:
             assert ra.raw == rb.raw
             assert ra.calibrated == rb.calibrated
 
-    def test_parallel_equals_serial(self):
+    def test_shot_depends_only_on_its_index(self):
+        # each shot draws from its own seeded stream: running shot k alone,
+        # in any order, reproduces record k of the run
         sched = build_ramsey(0.005, 0.0).followed_by(build_shelving_readout())
-        noise = NoiseModel(sigma_B_shot=150e-6, seed=11)
-        serial = run_schedule(sched, MODEL, noise, LOSS_OFF, 4)
-        parallel = run_schedule(sched, MODEL, noise, LOSS_OFF, 4, workers=2)
-        for ra, rb in zip(serial, parallel):
-            assert ra.raw == rb.raw
+        noise = NoiseModel(sigma_B_shot=150e-6, drift=RandomWalkDrift(2e-5, 0.6), seed=11)
+        loss = LossParameters.from_table(0.6)
+        calib = default_calibration(MODEL)
+        records = run_schedule(sched, MODEL, noise, loss, 4, calibration=calib)
+        for k in reversed(range(4)):
+            _, alone = run_shot(sched, MODEL, noise, loss, k, calibration=calib)
+            assert alone.raw == records[k].raw
+            assert alone.calibrated == records[k].calibrated
 
     def test_readout_record_assembly(self):
         sched = build_shelving_readout()
