@@ -404,10 +404,3 @@ class AtomModel:
 
     def metastable_branching(self) -> dict[int, tuple[tuple[int, float], ...]]:
         return self._branching
-
-    # ------------------------------------------------------------------- misc
-
-    def loss_rate_class(self, s: SublevelRef) -> str | None:
-        """Two-body loss class token of a sublevel, or None."""
-        token = s.token
-        return token if token in ("g4m4", "g40", "g30") else None

@@ -28,7 +28,7 @@ from .fitting import (
 )
 from .protocols import QUANTITIES, build_protocol, builder_config_from_params, record_quantity
 from .readout import CrosstalkCalibration, fit_probe_scan, probe_parabola
-from .schedule import ParseError, parse_sequence
+from .schedule import ParseError, ScheduleError, parse_sequence
 
 __all__ = ["main"]
 
@@ -41,9 +41,30 @@ EXIT_IO = 4
 # ----------------------------------------------------------------- simulate
 
 
-def _resolve_schedule(cfg: RunConfig, params: dict, scan_value):
+def _builds(name: str, params: dict, model) -> bool:
     try:
-        builder_config_from_params(params)
+        build_protocol(name, params).validate(model)
+    except ScheduleError:
+        return False
+    return True
+
+
+def _blamed_key(cfg: RunConfig, params: dict, scan_value, model) -> str:
+    """The config entry to name for a protocol that does not build: the scan
+    point when the ``[schedule]`` values alone build, else the first
+    ``[schedule]`` key without which they do."""
+    fixed = cfg.schedule_params
+    if scan_value is not None and _builds(cfg.schedule_name, fixed, model):
+        return f"[scan] {cfg.scan_param} = {scan_value!r}"
+    for key, value in fixed.items():
+        if _builds(cfg.schedule_name, {k: v for k, v in fixed.items() if k != key}, model):
+            return f"[schedule] {key} = {value!r}"
+    return f"[schedule] name = {cfg.schedule_name}"
+
+
+def _resolve_schedule(cfg: RunConfig, params: dict, scan_value, model):
+    try:
+        builder = builder_config_from_params(params)
     except ValueError as exc:   # load_config checked [schedule], so a scan value
         raise ConfigError(f"[scan] {cfg.scan_param} = {scan_value!r}: {exc}") from None
     if cfg.schedule_script:
@@ -52,13 +73,17 @@ def _resolve_schedule(cfg: RunConfig, params: dict, scan_value):
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"[schedule] script: {exc}") from None
-        return parse_sequence(text, model=cfg.model())
+        return parse_sequence(text, builder, model)
     if not cfg.schedule_name:
         raise ConfigError("[schedule] name (or script) is required")
     try:
-        return build_protocol(cfg.schedule_name, params)
+        schedule = build_protocol(cfg.schedule_name, params)
+        schedule.validate(model)
     except KeyError as exc:
         raise ConfigError(f"[schedule] name: {exc.args[0]}") from None
+    except ScheduleError as exc:
+        raise ConfigError(f"{_blamed_key(cfg, params, scan_value, model)}: {exc}") from None
+    return schedule
 
 
 def _simulate_rows(cfg: RunConfig):
@@ -69,7 +94,7 @@ def _simulate_rows(cfg: RunConfig):
         params = dict(cfg.schedule_params)
         if value is not None:
             params[cfg.scan_param] = value
-        schedule = _resolve_schedule(cfg, params, value)
+        schedule = _resolve_schedule(cfg, params, value, model)
         noise = dataclasses.replace(cfg.noise,
                                     seed=cfg.noise.seed + 104729 * k)
         records = run_schedule(schedule, model, noise, cfg.loss, cfg.shots,
@@ -409,6 +434,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ParseError as exc:
         print(f"sequence error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ScheduleError as exc:   # a script's own check, e.g. an unknown transition
+        print(f"schedule error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FitNonConvergence as exc:
         print(f"fit error: {exc}", file=sys.stderr)

@@ -18,14 +18,18 @@ full basis, combined with multiplicative decay/loss factors:
 * probe/clean pulses: calibrated rate processes.
 
 The state is held unnormalized: trace(rho) is the surviving fraction of the
-initial ensemble and the complement is the lost count.  Shots are seeded
-individually from the master seed, so a shot's outcome depends only on its
-index.
+initial ensemble and the complement is the lost count.  The engine has one
+leading batch axis: ``run_schedule`` evolves its shots together as one
+(shots, 28, 28) state, with per-shot field offsets, wall clocks and laser
+phases, and every handler acts once per event on the whole batch.  A single
+shot (``run_shot``, or a 2-D ``rho`` passed to ``apply_event``) is the batch
+of one.  Shots are seeded individually from the master seed and every sum
+runs in a fixed order, so a shot's outcome depends only on its index, not
+on the batch it ran in.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -43,6 +47,7 @@ from .atom import (
     TransitionKind,
     metastable_branching_table,
 )
+from .fitting import model_two_body_loss
 from .readout import (
     CrosstalkCalibration,
     ReadoutRecord,
@@ -95,9 +100,6 @@ _META = np.array([STATE_INDEX[s] for s in BASIS
 _META_ROWS = slice(int(_META[0]), int(_META[-1]) + 1)
 assert _META_ROWS.stop == DIM and len(_META) == DIM - _META_ROWS.start
 _GROUND_BY_F = {4: _GROUND_F4, 3: _GROUND_F3}
-_IDX_G40 = STATE_INDEX[SublevelRef(Manifold.GROUND, 4, 0)]
-_IDX_G30 = STATE_INDEX[SublevelRef(Manifold.GROUND, 3, 0)]
-_IDX_G4M4 = STATE_INDEX[SublevelRef(Manifold.GROUND, 4, -4)]
 _G4_NONZERO = np.array([i for i in _GROUND_F4 if BASIS[i].mF != 0])
 
 
@@ -232,6 +234,15 @@ class LossParameters:
         return tuple((STATE_INDEX[SublevelRef.from_token(token)], beta, token == "g40")
                      for token, beta in self.beta.items() if beta > 0.0)
 
+    @cached_property
+    def class_arrays(self) -> tuple[np.ndarray, np.ndarray, int | None]:
+        """``loss_classes`` as arrays: basis indices, beta/V per class, and
+        the position of the redistributing g40 class (None without one)."""
+        indices = np.array([c[0] for c in self.loss_classes], dtype=np.intp)
+        beta_over_v = np.array([c[1] for c in self.loss_classes]) / self.volume_cm3
+        g40 = next((k for k, c in enumerate(self.loss_classes) if c[2]), None)
+        return indices, beta_over_v, g40
+
     @classmethod
     def from_table(cls, B: float, tau: float = 16.4,
                    volume_cm3: float = 0.16e-3) -> "LossParameters":
@@ -256,18 +267,19 @@ class EnsembleState:
 
     ``rho`` is unnormalized: its trace is the fraction of the initial
     ``n0`` atoms still trapped, so ``atom_number + lost == n0`` holds
-    through every event.
+    through every event.  A batch of shots holds ``rho`` as
+    (shots, DIM, DIM); the accessors below read the 2-D ``rho`` of one shot.
     """
 
     __slots__ = ("rho", "n0", "B_actual")
 
-    def __init__(self, rho: np.ndarray, n0: float, B_actual: float):
+    def __init__(self, rho: np.ndarray, n0: float, B_actual):
         self.rho = rho
         self.n0 = float(n0)
-        self.B_actual = float(B_actual)
+        self.B_actual = B_actual
 
     @classmethod
-    def pure(cls, token: str, n0: float = 5000.0, B_actual: float = 0.0) -> "EnsembleState":
+    def pure(cls, token: str, n0: float = 5000.0, B_actual=0.0) -> "EnsembleState":
         idx = STATE_INDEX[SublevelRef.from_token(token)]
         rho = np.zeros((DIM, DIM), dtype=complex)
         rho[idx, idx] = 1.0
@@ -284,10 +296,6 @@ class EnsembleState:
     @property
     def lost(self) -> float:
         return self.n0 - self.atom_number
-
-    @property
-    def lost_fraction(self) -> float:
-        return 1.0 - self.trace
 
     def population(self, token: str) -> float:
         idx = STATE_INDEX[SublevelRef.from_token(token)]
@@ -309,6 +317,13 @@ class EnsembleState:
         return EnsembleState(self.rho.copy(), self.n0, self.B_actual)
 
 
+def _batch(state: EnsembleState) -> np.ndarray:
+    """``state.rho`` as a (shots, DIM, DIM) view; a 2-D rho is a batch of one."""
+    if not state.rho.flags.c_contiguous:
+        state.rho = np.ascontiguousarray(state.rho)
+    return state.rho.reshape(-1, DIM, DIM)
+
+
 # ---------------------------------------------------------------- shot context
 
 
@@ -323,10 +338,19 @@ def _zeeman_coeffs(model: AtomModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ShotContext:
-    """Per-shot sampled noise, elapsed time, and model/loss references."""
+    """Sampled noise, elapsed time, and model/loss references of a batch of
+    shots.
+
+    ``shot_index`` is one index (the batch of one) or a sequence of them.
+    Each shot draws from its own generator ``noise.shot_rng(k)`` in the
+    order of the schedule's events, so its numbers do not depend on the
+    other shots of the batch.  ``delta_B``, ``wall_t0``, ``laser_phase`` and
+    the field queries are arrays shaped like ``shot_index`` (0-d for one
+    index); schedule time ``t`` is common to all shots.
+    """
 
     def __init__(self, model: AtomModel, noise: NoiseModel, loss: LossParameters,
-                 schedule: Schedule, shot_index: int, n_atoms: float,
+                 schedule: Schedule, shot_index, n_atoms: float,
                  calibration: CrosstalkCalibration | None = None):
         self.model = model
         self.noise = noise
@@ -335,202 +359,271 @@ class ShotContext:
         self.n_atoms = n_atoms
         self.calibration = calibration
         self.B_nominal = schedule.metadata.bias_field
-        self.rng = noise.shot_rng(shot_index)
-        self.delta_B = (self.rng.normal(0.0, noise.sigma_B_shot)
+        shots = np.asarray(shot_index)
+        self.rngs = [noise.shot_rng(int(k)) for k in shots.ravel()]
+        self.wall_t0 = shots * (schedule.duration + noise.inter_shot_dead_time)
+        self.delta_B = (self.draw_normal(noise.sigma_B_shot)
                         if noise.sigma_B_shot > 0 else 0.0)
-        self.wall_t0 = shot_index * (schedule.duration + noise.inter_shot_dead_time)
         self.t = 0.0
-        self.laser_phase = 0.0
+        self.laser_phase = np.zeros(shots.shape)
         self._zeeman_k, self._zeeman_q = _zeeman_coeffs(model)
+
+    @property
+    def delta_B(self) -> np.ndarray:
+        """Per-shot quasi-static field offset (G); setting a number sets it
+        for every shot."""
+        return self._delta_B
+
+    @delta_B.setter
+    def delta_B(self, value) -> None:
+        self._delta_B = np.zeros(self.wall_t0.shape) + value
+
+    def draw_normal(self, sd: float) -> np.ndarray:
+        """One N(0, sd) draw from each shot's generator."""
+        return np.reshape([rng.normal(0.0, sd) for rng in self.rngs], self.wall_t0.shape)
 
     # ---- field sampling -----------------------------------------------------
 
-    def _drift_value(self, wall_t: float) -> float:
+    def _drift_value(self, wall_t: np.ndarray):
         d = self.noise.drift
         if d is None:
             return 0.0
         if isinstance(d, SinusoidDrift):
-            return d.amplitude * math.sin(2 * math.pi * wall_t / d.period)
-        k = max(0, int(wall_t // d.interval))
-        return d.step * float(_walk_values(self.noise.seed, k + 1)[k])
+            return d.amplitude * np.sin(2 * math.pi * wall_t / d.period)
+        k = np.maximum(wall_t // d.interval, 0).astype(np.intp)
+        return d.step * _walk_values(self.noise.seed, int(k.max()) + 1)[k]
 
-    def field_offset(self, t: float) -> float:
-        """B(t) - B_nominal at schedule time t (G)."""
+    def field_offset(self, t: float) -> np.ndarray:
+        """B(t) - B_nominal at schedule time t (G), per shot."""
         return self.delta_B + self._drift_value(self.wall_t0 + t)
 
-    def field_at(self, t: float) -> float:
+    def field_at(self, t: float) -> np.ndarray:
         return self.B_nominal + self.field_offset(t)
 
-    def _offset_integrals(self, t0: float, t1: float) -> tuple[float, float]:
-        """(int o dt, int o^2 dt) of the field offset o(t) over [t0, t1]."""
+    def _offset_integrals(self, t0, t1) -> tuple[np.ndarray, np.ndarray]:
+        """(int o dt, int o^2 dt) of the field offset o(t) over [t0, t1], zero
+        for t1 <= t0.  ``t0``/``t1`` may be arrays of interval edges that
+        broadcast against the shots (e.g. one row per pulse substep)."""
+        t1 = np.maximum(t0, t1)
         dt = t1 - t0
-        if dt <= 0:
-            return 0.0, 0.0
+        o = self.delta_B
         d = self.noise.drift
         if d is None:
-            o = self.delta_B
             return o * dt, o * o * dt
         if isinstance(d, SinusoidDrift):
             w = 2 * math.pi / d.period
             a, b = w * (self.wall_t0 + t0), w * (self.wall_t0 + t1)
-            int_d = -(d.amplitude / w) * (math.cos(b) - math.cos(a))
-            int_d2 = 0.5 * d.amplitude**2 * (dt - (math.sin(2 * b) - math.sin(2 * a)) / (2 * w))
-            i1 = self.delta_B * dt + int_d
-            i2 = self.delta_B**2 * dt + 2 * self.delta_B * int_d + int_d2
+            int_d = -(d.amplitude / w) * (np.cos(b) - np.cos(a))
+            int_d2 = 0.5 * d.amplitude**2 * (dt - (np.sin(2 * b) - np.sin(2 * a)) / (2 * w))
+            i1 = o * dt + int_d
+            i2 = o**2 * dt + 2 * o * int_d + int_d2
             return i1, i2
-        # random walk: piecewise constant on drift intervals
-        i1 = i2 = 0.0
-        wa, wb = self.wall_t0 + t0, self.wall_t0 + t1
-        k = int(wa // d.interval)
-        values = _walk_values(self.noise.seed, int(wb // d.interval) + 2)
+        # random walk: piecewise constant on drift intervals; an interval that
+        # has ended adds zero-length segments
+        wa, wb = np.broadcast_arrays(self.wall_t0 + t0, self.wall_t0 + t1)
+        k = (wa // d.interval).astype(np.intp)
+        values = _walk_values(self.noise.seed, int((wb // d.interval).max()) + 2)
+        i1, i2 = np.zeros(wa.shape), np.zeros(wa.shape)
         t = wa
-        while t < wb:
-            t_next = min(wb, (k + 1) * d.interval)
-            o = self.delta_B + d.step * float(values[k])
-            i1 += o * (t_next - t)
-            i2 += o * o * (t_next - t)
-            k += 1
-            t = t_next
+        while (active := t < wb).any():
+            t_next = np.minimum(wb, (k + 1) * d.interval)
+            seg = np.where(active, t_next - t, 0.0)
+            step = o + d.step * values[k]
+            i1 += step * seg
+            i2 += step * step * seg
+            k = k + active
+            t = np.where(active, t_next, t)
         return i1, i2
 
-    def field_integrals(self, t0: float, t1: float) -> tuple[float, float]:
+    def field_integrals(self, t0, t1) -> tuple[np.ndarray, np.ndarray]:
         """(I1, I2) = (int (B-Bn) dt, int (B^2-Bn^2) dt) over [t0, t1], G*s units."""
         i1, i2 = self._offset_integrals(t0, t1)
         return i1, 2.0 * self.B_nominal * i1 + i2
 
-    def zeeman_phases(self, t0: float, t1: float) -> np.ndarray:
-        """Per-state phase (rad) accumulated from the field deviation."""
+    def zeeman_phases(self, t0, t1, states=slice(None)) -> np.ndarray:
+        """Phase (rad) accumulated from the field deviation per shot (and per
+        interval) on each of the basis states ``states`` (default all)."""
         i1, i2 = self.field_integrals(t0, t1)
-        return 2 * math.pi * (self._zeeman_k * i1 + self._zeeman_q * i2)
+        return 2 * math.pi * (np.multiply.outer(i1, self._zeeman_k[states])
+                              + np.multiply.outer(i2, self._zeeman_q[states]))
 
     def advance_laser_phase(self, dt: float) -> None:
         d = self.noise.laser_phase_diffusion
         if d > 0 and dt > 0:
-            self.laser_phase += self.rng.normal(0.0, math.sqrt(d * dt))
+            self.laser_phase = self.laser_phase + self.draw_normal(math.sqrt(d * dt))
 
 
 # --------------------------------------------------------- low-level channels
+#
+# Every channel acts on a (shots, DIM, DIM) batch.  Per-shot factors are
+# arrays over the batch, and every sum over states or matrix entries is
+# written out in a fixed order, so a shot rounds the same at any batch size.
+
+
+def _diagonal(rho: np.ndarray) -> np.ndarray:
+    """Writable (shots, DIM) view of the diagonals of a batch."""
+    return rho.reshape(len(rho), DIM * DIM)[:, ::DIM + 1]
+
+
+def _population(rho: np.ndarray, indices) -> np.ndarray:
+    """Per-shot population of the states ``indices``, added in index order."""
+    diag = _diagonal(rho).real
+    total = diag[:, indices[0]].copy()
+    for k in indices[1:]:
+        total += diag[:, k]
+    return total
 
 
 def _apply_state_phases(rho: np.ndarray, phases: np.ndarray) -> None:
     ph = np.exp(-1j * phases)
-    rho *= np.outer(ph, ph.conj())
+    rho *= ph[..., :, None] * ph.conj()[..., None, :]
 
 
-def _scale_states(rho: np.ndarray, indices, f: float) -> None:
-    """rho -> D rho D in place, D = diag(f on ``indices``, 1 elsewhere)."""
-    rho[indices] *= f
-    rho[:, indices] *= f
+def _scale_states(rho: np.ndarray, indices, f) -> None:
+    """rho -> D rho D in place, D = diag(f on ``indices``, 1 elsewhere).
+
+    ``f`` is one factor, one per shot, or one per shot and index (shots,
+    len(indices)); ``rho`` may be a single 2-D matrix.
+    """
+    rho = rho.reshape(-1, DIM, DIM)
+    if isinstance(indices, (int, np.integer)):
+        indices = slice(indices, indices + 1)
+    f = np.asarray(f, dtype=float)
+    if f.ndim < 2:
+        f = f.reshape(-1, 1)
+    rho[:, indices] *= f[..., None]
+    rho[:, :, indices] *= f[..., None, :]
 
 
-def _apply_pair_unitary(rho: np.ndarray, i: int, j: int, u2: np.ndarray) -> None:
-    """rho -> U rho U^dagger for U acting on the pair (i, j): two rows, then
-    two columns, updated in place."""
-    (a, b), (c, d) = u2.tolist()
-    ri, rj = rho[i], rho[j]
+def _apply_pair_unitary(rho: np.ndarray, i: int, j: int, u: np.ndarray) -> None:
+    """rho -> U rho U^dagger for U = [[a, b], [c, d]] acting on the pair
+    (i, j), entries ``u[..., :] = (a, b, c, d)`` per shot: two rows, then two
+    columns, in place."""
+    u = u[..., None]
+    a, b, c, d = u[..., 0, :], u[..., 1, :], u[..., 2, :], u[..., 3, :]
+    ri, rj = rho[:, i], rho[:, j]
     new_i = a * ri + b * rj
     rj *= d
     rj += c * ri
     ri[:] = new_i
-    ci, cj = rho[:, i], rho[:, j]
-    new_i = a.conjugate() * ci + b.conjugate() * cj
-    cj *= d.conjugate()
-    cj += c.conjugate() * ci
+    u = u.conj()
+    a, b, c, d = u[..., 0, :], u[..., 1, :], u[..., 2, :], u[..., 3, :]
+    ci, cj = rho[:, :, i], rho[:, :, j]
+    new_i = a * ci + b * cj
+    cj *= d
+    cj += c * ci
     ci[:] = new_i
 
 
-def _apply_pair_channel(rho: np.ndarray, i: int, j: int,
-                        m2: np.ndarray, s4: np.ndarray) -> None:
-    """Mixture-of-unitaries channel on pair (i, j): mean matrix m2 acts on
-    cross coherences, the 4x4 superoperator s4 on the pair block."""
-    block = np.array((rho[i, i], rho[i, j], rho[j, i], rho[j, j]))
+def _apply_pair_channel(rho: np.ndarray, i: int, j: int, m2, s4: np.ndarray,
+                        e_start, e_end) -> None:
+    """Mixture-of-unitaries channel on pair (i, j), per shot: the mean matrix
+    (entries ``m2`` as for ``_apply_pair_unitary``) acts on cross coherences,
+    the drive-frame 4x4 superoperator s4 on the pair block, taken to the
+    storage frame by the edge factors ``e_start`` = e^{i phase_start} and
+    ``e_end`` = e^{-i phase_end}."""
+    block = np.stack((rho[:, i, i], rho[:, i, j] * np.conj(e_start),
+                      rho[:, j, i] * e_start, rho[:, j, j]), axis=-1)
     _apply_pair_unitary(rho, i, j, m2)
-    rho[i, i], rho[i, j], rho[j, i], rho[j, j] = (s4 @ block).tolist()
+    terms = s4 * block[:, None, :]
+    new = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
+    rho[:, i, i] = new[:, 0]
+    rho[:, i, j] = new[:, 1] * np.conj(e_end)
+    rho[:, j, i] = new[:, 2] * e_end
+    rho[:, j, j] = new[:, 3]
 
 
-def _probabilistic_swap(rho: np.ndarray, i: int, j: int, p: float) -> None:
-    """With probability p exchange states i and j (incoherent transfer)."""
-    if p <= 0.0:
+def _probabilistic_swap(rho: np.ndarray, i: int, j: int, p) -> None:
+    """With probability p (one value or one per shot) exchange states i and j
+    (incoherent transfer): rho -> (1-p) rho + p P rho P, P the swap of i, j."""
+    p = np.asarray(p, dtype=float)[..., None]
+    if not (p > 0.0).any():
         return
-    q = 1.0 - p
-    ii, ij, ji, jj = rho[i, i], rho[i, j], rho[j, i], rho[j, j]
-    for ri, rj in ((rho[i], rho[j]), (rho[:, i], rho[:, j])):
+    pair = ([[i], [j]], [i, j])
+    block = rho[:, pair[0], pair[1]]
+    for ri, rj in ((rho[:, i], rho[:, j]), (rho[:, :, i], rho[:, :, j])):
         moved = p * (rj - ri)
         ri += moved
         rj -= moved
-    rho[i, i], rho[j, j] = q * ii + p * jj, q * jj + p * ii
-    rho[i, j], rho[j, i] = q * ij + p * ji, q * ji + p * ij
+    p = p[..., None]
+    rho[:, pair[0], pair[1]] = (1.0 - p) * block + p * block[:, ::-1, ::-1]
 
 
-def _rotation(omega, delta: float, tau: float):
+def _rotation(omega, delta, tau: float):
     """Entries (u00, u01, u11) of the drive-frame two-level propagator,
     basis (lower, upper); u10 = u01.  ``delta`` is drive minus atom (rad/s).
-    ``omega`` may be an array, giving one propagator per entry."""
+    ``omega`` and ``delta`` may be arrays, giving one propagator per entry."""
     w = np.hypot(omega, delta)
     half = 0.5 * w * tau
     c = np.cos(half)
     s_w = np.sin(half) / np.where(w > 0.0, w, 1.0)   # sin(half) = 0 where w = 0
-    phase = cmath.exp(0.5j * delta * tau)
+    phase = np.exp(0.5j * delta * tau)
     return ((c - 1j * s_w * delta) * phase, -1j * s_w * omega * phase,
             (c + 1j * s_w * delta) * phase)
 
 
-def _frame_phases(phase_start: float, phase_end: float) -> np.ndarray:
-    """Elementwise factors taking a drive-frame 2x2 propagator to the storage
-    frame, diag(1, e^{-i phase_end}) U diag(1, e^{i phase_start})."""
-    e_start, e_end = cmath.exp(1j * phase_start), cmath.exp(-1j * phase_end)
-    return np.array(((1.0, e_start), (e_end, e_end * e_start)))
-
-
-def _pair_rotation(omega: float, delta: float, tau: float,
-                   phase_start: float, phase_end: float) -> np.ndarray:
-    """Two-level propagator, basis (lower, upper), in the storage frame.
-
-    ``delta`` is drive minus atom (rad/s); ``phase_*`` are the drive phase
-    theta(t) = 2*pi*detuning*t + phi at the pulse edges, which transform the
-    constant drive-frame solution back into the storage frame.
-    """
-    u00, u01, u11 = _rotation(omega, delta, tau)
-    return np.array(((u00, u01), (u01, u11))) * _frame_phases(phase_start, phase_end)
-
-
-def _standing_wave_average(average, a: float):
-    """Standing-wave average of one 1140 nm quantity, converged by node doubling.
+def _standing_wave_average(average, a: float, n_values: int):
+    """Standing-wave average of 1140 nm quantities, converged by node doubling.
 
     A back-reflection of amplitude ratio ``a`` modulates the Rabi frequency
-    as Omega(z) = Omega0*sqrt(1+a^2+a*cos 2kz).  ``average`` maps the node
-    scales Omega(z)/Omega0 at n midpoint nodes of one optical period to a
-    tuple of arrays, each already averaged over the nodes.  n doubles from 32
-    until no entry of the tuple moves by 1e-9 (at most 16384 nodes).
+    as Omega(z) = Omega0*sqrt(1+a^2+a*cos 2kz).  ``average(scale, rows)``
+    maps the node scales Omega(z)/Omega0 at n midpoint nodes of one optical
+    period to a tuple of arrays whose leading axis runs over the values
+    ``rows`` (indices into ``range(n_values)``), each already averaged over
+    the nodes.  n doubles from 32 until no entry of a value moves by 1e-9
+    (at most 16384 nodes).  Every value stops at its own n, so its average
+    does not depend on the other values.
     """
-    def evaluate(n_nodes: int):
+    def evaluate(n_nodes: int, rows: np.ndarray):
         u = 2 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes
-        return average(np.sqrt(np.clip(1.0 + a * a + a * np.cos(u), 0.0, None)))
+        return average(np.sqrt(np.clip(1.0 + a * a + a * np.cos(u), 0.0, None)), rows)
 
     n = 32
-    out = evaluate(n)
-    while n < 16384:
+    rows = np.arange(n_values)
+    out = evaluate(n, rows)
+    result = tuple(x.copy() for x in out)
+    while n < 16384 and len(rows):
         n *= 2
-        prev, out = out, evaluate(n)
-        if all(np.max(np.abs(new - old)) < 1e-9 for new, old in zip(out, prev)):
-            break
-    return out
+        prev, out = out, evaluate(n, rows)
+        for res, new in zip(result, out):
+            res[rows] = new
+        moved = np.max([np.abs(new - old).reshape(len(rows), -1).max(axis=1)
+                        for new, old in zip(out, prev)], axis=0)
+        going = moved >= 1e-9
+        rows, out = rows[going], tuple(x[going] for x in out)
+    return result
 
 
-@lru_cache(maxsize=512)
-def _clock_average_core(omega_tau: float, delta_tau: float, a: float) -> tuple:
+# s4[2i+k, 2j+l] = <U_ij conj(U_kl)>, U = [[u00, u01], [u01, u11]]: the column
+# of that product among the node means (u00, u01, u11, then e_a conj(e_b)
+# for e = (u00, u01, u11), a-major)
+_U_ENTRY = ((0, 1), (1, 2))
+_S4_COLUMNS = np.array([[3 + 3 * _U_ENTRY[i][j] + _U_ENTRY[k][m]
+                         for j in (0, 1) for m in (0, 1)]
+                        for i in (0, 1) for k in (0, 1)])
+
+
+def _clock_average_core(omega_tau: float, delta_tau, a: float) -> tuple:
     """Standing-wave average of the drive-frame rotation for one 1140 nm pulse.
 
     Returns (mean 2x2 matrix, 4x4 superoperator) of the mixture over the
-    reflection-modulated Rabi frequency (``_standing_wave_average``).
+    reflection-modulated Rabi frequency (``_standing_wave_average``) for
+    every entry of ``delta_tau`` (a number, or an array such as one value
+    per shot), shaped ``delta_tau``'s shape + (2, 2) and + (4, 4), read-only.
+    Each distinct value is averaged once, in one array evaluation.
     """
-    def average(scale):
-        u00, u01, u11 = _rotation(omega_tau * scale, delta_tau, 1.0)
-        nodes = np.stack((u00, u01, u01, u11), axis=-1).reshape(len(scale), 2, 2)
-        s4 = np.einsum("nij,nkl->ikjl", nodes, nodes.conj()).reshape(4, 4)
-        return nodes.mean(axis=0), s4 / len(scale)
+    delta_tau = np.asarray(delta_tau, dtype=float)
+    values, inverse = np.unique(delta_tau.ravel(), return_inverse=True)
 
-    m2, s4 = _standing_wave_average(average, a)
+    def average(scale, rows):
+        e = np.stack(_rotation(omega_tau * scale, values[rows, None], 1.0), axis=1)
+        products = e[:, :, None] * e[:, None].conj()
+        return e.mean(axis=-1), products.mean(axis=-1).reshape(len(rows), 9)
+
+    means = np.concatenate(_standing_wave_average(average, a, len(values)), axis=1)
+    shape = delta_tau.shape
+    m2 = means[:, [0, 1, 1, 2]][inverse].reshape(shape + (2, 2))
+    s4 = means[:, _S4_COLUMNS][inverse].reshape(shape + (4, 4))
     m2.setflags(write=False)
     s4.setflags(write=False)
     return m2, s4
@@ -560,12 +653,18 @@ def _metastable_decay(rho: np.ndarray, dt: float, model: AtomModel) -> None:
     c = model.constants
     if dt <= 0 or not math.isfinite(c.tau_c):
         return
+    rho = rho.reshape(-1, DIM, DIM)
+    diag = _diagonal(rho)
+    shelved = diag[:, _META_ROWS].real
+    if not shelved.any():
+        return   # empty metastable populations leave no coherences to decay
     surv = math.exp(-dt / c.tau_c)
     # a negative rounding residue on the diagonal frees nothing
-    freed = (1.0 - surv) * np.maximum(rho.diagonal()[_META_ROWS].real, 0.0)
+    freed = (1.0 - surv) * np.maximum(shelved, 0.0)
     _scale_states(rho, _META_ROWS, math.sqrt(surv))
-    if freed.any():
-        rho.flat[::DIM + 1] += _branching_matrix(c.metastable_branch_to_f4) @ freed
+    w = _branching_matrix(c.metastable_branch_to_f4)
+    for k in np.flatnonzero(freed.any(axis=0)):   # the populated metastable states
+        diag += w[:, k] * freed[:, k, None]
 
 
 def two_body_decay(n_init: float, t: float, tau: float,
@@ -573,15 +672,12 @@ def two_body_decay(n_init: float, t: float, tau: float,
     """Closed-form survival of a class population under single-atom loss and
     two-body collisions: n' = -n/tau - (beta/V) n^2.
 
-    ``beta_over_v`` is beta/V in 1/s per atom.
+    ``beta_over_v`` is beta/V in 1/s per atom.  The closed form is
+    ``fitting.model_two_body_loss``, which the loss channels use too.
     """
     if n_init <= 0 or t <= 0:
         return n_init
-    if not math.isfinite(tau):
-        return n_init / (1.0 + beta_over_v * n_init * t)
-    x = -math.expm1(-t / tau)           # 1 - e^{-t/tau}
-    b = beta_over_v * tau
-    return n_init * math.exp(-t / tau) / (1.0 + b * n_init * x)
+    return float(model_two_body_loss(t, n_init, tau, beta_over_v))
 
 
 def _apply_loss_channels(rho: np.ndarray, dt: float, n0: float,
@@ -589,48 +685,39 @@ def _apply_loss_channels(rho: np.ndarray, dt: float, n0: float,
     """Single-atom loss plus the per-class two-body channels over dt."""
     if dt <= 0 or not loss.active:
         return
-    if math.isfinite(loss.tau):
-        rho *= math.exp(-dt / loss.tau)
-    diag0 = rho.diagonal().real.copy()   # after tau factor; class split uses pre-step counts
-    redistribute = 0.0
-    for idx, beta, is_g40 in loss.loss_classes:
-        frac0 = diag0[idx] * (math.exp(dt / loss.tau) if math.isfinite(loss.tau) else 1.0)
-        n_init = n0 * frac0
-        if n_init <= 0.0:
-            continue
-        n_t = two_body_decay(n_init, dt, loss.tau, beta / loss.volume_cm3)
-        survival = n_t / n_init
-        tau_only = math.exp(-dt / loss.tau) if math.isfinite(loss.tau) else 1.0
-        factor = math.sqrt(max(survival / tau_only, 0.0))
-        if factor != 1.0:
-            _scale_states(rho, idx, factor)
-        if is_g40:
-            # dipolar spin flips keep the atoms trapped: route the two-body
-            # removal into the other F=4 sublevels.  Flipped atoms keep
-            # decaying with tau afterwards, so exactly n_init*e^{-dt/tau}
-            # of the class survives somewhere in F=4.
-            redistribute += max(n_init * tau_only - n_t, 0.0) / n0
-    if redistribute > 0.0:
-        per_state = redistribute / len(_G4_NONZERO)
-        for i in _G4_NONZERO:
-            rho[i, i] += per_state
+    tau_only = math.exp(-dt / loss.tau)           # 1 at tau = inf
+    indices, beta_over_v, g40 = loss.class_arrays
+    # class populations at the start of the step, in atoms
+    n_init = n0 * _diagonal(rho).real[:, indices]
+    alive = n_init > 0.0
+    n = np.where(alive, n_init, 1.0)
+    n_t = model_two_body_loss(dt, n, loss.tau, beta_over_v)
+    # state amplitudes scale by the two-body survival on top of the tau factor
+    factor = np.ones((len(rho), DIM))
+    factor[:, indices] = np.where(alive, np.sqrt(np.maximum(n_t / n / tau_only, 0.0)), 1.0)
+    rho *= tau_only * (factor[:, :, None] * factor[:, None, :])
+    if g40 is not None:
+        # dipolar spin flips keep the atoms trapped: route the two-body
+        # removal into the other F=4 sublevels.  Flipped atoms keep
+        # decaying with tau afterwards, so exactly n_init*e^{-dt/tau}
+        # of the class survives somewhere in F=4.
+        removed = np.where(alive[:, g40],
+                           np.maximum(n[:, g40] * tau_only - n_t[:, g40], 0.0), 0.0) / n0
+        _diagonal(rho)[:, _G4_NONZERO] += (removed / len(_G4_NONZERO))[:, None]
 
 
-def _remove_manifold(rho: np.ndarray, indices: np.ndarray) -> float:
-    """Destructively remove ground-manifold population (to lost); returns the
-    removed fraction."""
-    removed = float(rho[indices, indices].real.sum())
-    rho[indices, :] = 0.0
-    rho[:, indices] = 0.0
-    return removed
+def _remove_manifold(rho: np.ndarray, indices: np.ndarray) -> None:
+    """Destructively remove ground-manifold population (to lost)."""
+    rho[:, indices, :] = 0.0
+    rho[:, :, indices] = 0.0
 
 
 # --------------------------------------------------------------- event handlers
 
 
-def _decay_during(state: EnsembleState, dt: float, ctx: ShotContext) -> None:
-    _metastable_decay(state.rho, dt, ctx.model)
-    _apply_loss_channels(state.rho, dt, state.n0, ctx.loss)
+def _decay_during(rho: np.ndarray, n0: float, dt: float, ctx: ShotContext) -> None:
+    _metastable_decay(rho, dt, ctx.model)
+    _apply_loss_channels(rho, dt, n0, ctx.loss)
 
 
 def evolve_free(state: EnsembleState, T: float, ctx: ShotContext) -> None:
@@ -640,14 +727,20 @@ def evolve_free(state: EnsembleState, T: float, ctx: ShotContext) -> None:
         raise ValueError("free evolution time must be >= 0")
     if T == 0:
         return
-    _apply_state_phases(state.rho, ctx.zeeman_phases(ctx.t, ctx.t + T))
-    _decay_during(state, T, ctx)
+    rho = _batch(state)
+    _apply_state_phases(rho, ctx.zeeman_phases(ctx.t, ctx.t + T))
+    _decay_during(rho, state.n0, T, ctx)
     ctx.advance_laser_phase(T)
     ctx.t += T
 
 
+# Pulse substeps whose propagators are computed in one array evaluation;
+# bounds the memory of a long pulse's per-substep arrays.
+_SUBSTEP_CHUNK = 1024
+
+
 def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
-                    omega: float, detuning: float, phase: float, tau: float,
+                    omega: float, detuning: float, phase, tau: float,
                     averaged: bool) -> None:
     spec = ctx.model.find_transition(transition)
     i = STATE_INDEX[spec.lower]
@@ -655,38 +748,49 @@ def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
     t0 = ctx.t
     if tau <= 0.0:
         return
+    rho = _batch(state)
 
     n_sub = 1
     if ctx.loss.active and omega > 0:
         period = 2 * math.pi / omega
         n_sub = max(1, min(int(math.ceil(tau / (period / 16.0))), 200_000))
 
+    # The Zeeman phases are diagonal and equal on the pair once the pair-common
+    # part (the lower state's phase) is split off, so they commute with the
+    # pair propagators and the decay channels: that part applies once for the
+    # whole pulse, and the relative part enters each substep's rotation as
+    # detuning.
+    phases = ctx.zeeman_phases(t0, t0 + tau)
+    phases[..., j] = phases[..., i]
+    _apply_state_phases(rho, phases)
+
     delta_n = 2 * math.pi * detuning
     dt = tau / n_sub
-    for k in range(n_sub):
-        ta, tb = t0 + k * dt, t0 + (k + 1) * dt
-        phases = ctx.zeeman_phases(ta, tb)
-        # pair-common phase (the lower state's) applies to both pair states;
-        # the relative part is handled inside the rotation as detuning
-        rel_phase = phases[j] - phases[i]
-        phases[j] = phases[i]
-        _apply_state_phases(state.rho, phases)
-        delta = delta_n - rel_phase / dt
-        theta_a = delta_n * ta + phase
-        theta_b = delta_n * tb + phase
+    a = math.sqrt(ctx.model.constants.clock_reflection_intensity)
+    for start in range(0, n_sub, _SUBSTEP_CHUNK):
+        # substep edges, one row each, broadcasting against the shots
+        ks = np.arange(start, min(start + _SUBSTEP_CHUNK, n_sub))
+        ks = ks.reshape(ks.shape + (1,) * ctx.wall_t0.ndim)
+        ta, tb = t0 + ks * dt, t0 + (ks + 1) * dt
+        pair = ctx.zeeman_phases(ta, tb, [i, j])
+        delta = delta_n - (pair[..., 1] - pair[..., 0]) / dt
+        # drive phase theta(t) = delta_n*t + phase at the substep edges takes
+        # the drive-frame solution to the storage frame
+        e_start = np.exp(1j * (delta_n * ta + phase))
+        e_end = np.exp(-1j * (delta_n * tb + phase))
         if averaged:
-            a = math.sqrt(ctx.model.constants.clock_reflection_intensity)
-            m2_core, s4_core = _clock_average_core(omega * dt, delta * dt, a)
-            frame = _frame_phases(theta_a, theta_b)
-            # on the pair block the frame diagonals d = (1, e) act as kron(d, d*)
-            e_end, e_start = frame[1, 0], frame[0, 1]
-            s4 = (s4_core * np.array((1.0, e_end.conjugate(), e_end, 1.0))[:, None]
-                  * np.array((1.0, e_start.conjugate(), e_start, 1.0)))
-            _apply_pair_channel(state.rho, i, j, m2_core * frame, s4)
+            m2, s4 = _clock_average_core(omega * dt, delta * dt, a)
+            u00, u01, u11 = m2[..., 0, 0], m2[..., 0, 1], m2[..., 1, 1]
         else:
-            u2 = _pair_rotation(omega, delta, dt, theta_a, theta_b)
-            _apply_pair_unitary(state.rho, i, j, u2)
-        _decay_during(state, dt, ctx)
+            u00, u01, u11 = _rotation(omega, delta, dt)
+        u = np.stack(np.broadcast_arrays(u00, u01 * e_start, u01 * e_end,
+                                         u11 * (e_end * e_start)), axis=-1)
+        for k in range(len(ks)):
+            if averaged:
+                _apply_pair_channel(rho, i, j, u[k], s4[k], e_start[k], e_end[k])
+            else:
+                _apply_pair_unitary(rho, i, j, u[k])
+            _decay_during(rho, state.n0, dt, ctx)
     ctx.advance_laser_phase(tau)
     ctx.t = t0 + tau
 
@@ -701,6 +805,7 @@ def apply_mw_pulse(state: EnsembleState, ev: MwPulse, ctx: ShotContext) -> None:
         return
     # off-resonant excitation of the other catalog lines, at its oscillation
     # peak p = Omega_s^2 / (Omega_s^2 + (2 pi dnu)^2), scaled by strength
+    rho = _batch(state)
     b_mid = ctx.field_at(ctx.t - 0.5 * ev.duration)
     f_drive = ctx.model.transition_frequency(spec, ctx.B_nominal) + ev.detuning
     for other in ctx.model.transition_catalog():
@@ -709,8 +814,7 @@ def apply_mw_pulse(state: EnsembleState, ev: MwPulse, ctx: ShotContext) -> None:
         omega_s = ev.rabi_frequency * other.relative_strength / spec.relative_strength
         dnu = f_drive - ctx.model.transition_frequency(other, b_mid)
         p = omega_s**2 / (omega_s**2 + (2 * math.pi * dnu)**2)
-        _probabilistic_swap(state.rho, STATE_INDEX[other.lower],
-                            STATE_INDEX[other.upper], p)
+        _probabilistic_swap(rho, STATE_INDEX[other.lower], STATE_INDEX[other.upper], p)
 
 
 def apply_clock_pulse(state: EnsembleState, ev: ClockPulse, ctx: ShotContext) -> None:
@@ -723,6 +827,7 @@ def apply_clock_pulse(state: EnsembleState, ev: ClockPulse, ctx: ShotContext) ->
 
 def apply_rf_sweep(state: EnsembleState, ev: RfSweep, ctx: ShotContext) -> None:
     """Incoherent ladder transfer across the F=4 sublevels swept by the RF."""
+    rho = _batch(state)
     lo, hi = sorted((ev.f_start, ev.f_stop))
     eff = ctx.model.constants.rf_step_efficiency
     steps = [(SublevelRef(Manifold.GROUND, 4, mF), SublevelRef(Manifold.GROUND, 4, mF + 1))
@@ -732,8 +837,8 @@ def apply_rf_sweep(state: EnsembleState, ev: RfSweep, ctx: ShotContext) -> None:
         f_res = ctx.model.transition_frequency(name, ctx.B_nominal)
         if lo - 1.0 <= f_res <= hi + 1.0:
             e = eff[k] if isinstance(eff, (tuple, list)) else eff
-            _probabilistic_swap(state.rho, STATE_INDEX[src], STATE_INDEX[dst], e)
-    _decay_during(state, ev.duration, ctx)
+            _probabilistic_swap(rho, STATE_INDEX[src], STATE_INDEX[dst], e)
+    _decay_during(rho, state.n0, ev.duration, ctx)
     ctx.advance_laser_phase(ev.duration)
     ctx.t += ev.duration
 
@@ -742,8 +847,9 @@ def coherent_prep_transfer(state: EnsembleState, ctx: ShotContext,
                            efficiency: float = 0.98) -> None:
     """Four sequential pi rotations along the preparation ladder, each with
     the given transfer efficiency, leaving residuals behind."""
+    rho = _batch(state)
     for src, dst in ctx.model.prep_ladder:
-        _probabilistic_swap(state.rho, STATE_INDEX[src], STATE_INDEX[dst], efficiency)
+        _probabilistic_swap(rho, STATE_INDEX[src], STATE_INDEX[dst], efficiency)
 
 
 def apply_probe_410(state: EnsembleState, ev: Probe410, ctx: ShotContext) -> None:
@@ -751,12 +857,13 @@ def apply_probe_410(state: EnsembleState, ev: Probe410, ctx: ShotContext) -> Non
     the spectator manifold at the calibrated rate."""
     if ev.duration <= 0:
         return
+    rho = _batch(state)
     calib = ctx.calibration or CrosstalkCalibration()
-    _remove_manifold(state.rho, _GROUND_BY_F[ev.target_F])
+    _remove_manifold(rho, _GROUND_BY_F[ev.target_F])
     other = _GROUND_BY_F[3 if ev.target_F == 4 else 4]
     dep = pump_depletion(ev.duration, calib)
-    _scale_states(state.rho, other, math.sqrt(1.0 - dep))
-    _decay_during(state, ev.duration, ctx)
+    _scale_states(rho, other, math.sqrt(1.0 - dep))
+    _decay_during(rho, state.n0, ev.duration, ctx)
     ctx.advance_laser_phase(ev.duration)
     ctx.t += ev.duration
 
@@ -767,59 +874,60 @@ def apply_clean_530(state: EnsembleState, ev: Clean530, ctx: ShotContext) -> Non
     c = ctx.model.constants
     if ev.duration <= 0:
         return
+    rho = _batch(state)
     surv = math.exp(-ev.duration / c.tau_clean)
-    _scale_states(state.rho, _GROUND_BY_F[ev.target_F], math.sqrt(surv))
+    _scale_states(rho, _GROUND_BY_F[ev.target_F], math.sqrt(surv))
     # photon scattering on the other manifold, detuned by the upper-state
     # hyperfine splitting: p = Gamma s t / (2 (1 + s + (4 pi dnu / Gamma)^2))
     other = _GROUND_BY_F[3 if ev.target_F == 4 else 4]
     gamma = c.gamma_530
     p = gamma * ev.s * ev.duration / (2.0 * (1.0 + ev.s + (4 * math.pi * ev.detuning / gamma)**2))
     if p > 0.0:
-        scattered = p * state.rho[other, other].real.copy()
-        _scale_states(state.rho, other, math.sqrt(1.0 - p))
-        per_state = scattered.sum() / len(other)
-        for i in other:
-            state.rho[i, i] += per_state
-    _decay_during(state, ev.duration, ctx)
+        per_state = p * _population(rho, other) / len(other)
+        _scale_states(rho, other, math.sqrt(1.0 - p))
+        _diagonal(rho)[:, other] += per_state[:, None]
+    _decay_during(rho, state.n0, ev.duration, ctx)
     ctx.advance_laser_phase(ev.duration)
     ctx.t += ev.duration
 
 
 def apply_measure(state: EnsembleState, ev: Measure, ctx: ShotContext,
-                  record: ReadoutRecord | None = None) -> float:
-    """Detect one ground manifold: returns the raw count and applies the
+                  record=None) -> np.ndarray:
+    """Detect one ground manifold: returns the per-shot raw counts, adds them
+    to ``record`` (one ReadoutRecord, or one per shot) and applies the
     destructive back-action (probed atoms leave during the dead time)."""
     calib = ctx.calibration or CrosstalkCalibration()
-    rho = state.rho
+    rho = _batch(state)
     t_probe = ctx.t
     scale = probe_signal_scale(ev.probe_duration, calib)
     if ev.target_F == 3:
         # repump F=3 into F=4 (fast), then probe; anything already in the
         # F=4 ground manifold is detected along with it
-        signal_frac = scale * float(rho[_GROUND_F3, _GROUND_F3].real.sum()
-                                    + rho[_GROUND_F4, _GROUND_F4].real.sum())
+        signal_frac = scale * (_population(rho, _GROUND_F3) + _population(rho, _GROUND_F4))
         _remove_manifold(rho, _GROUND_F3)
         _remove_manifold(rho, _GROUND_F4)
     else:
         eps = crosstalk_fraction(ev.probe_duration, calib)
-        f3 = float(rho[_GROUND_F3, _GROUND_F3].real.sum())
-        signal_frac = scale * float(rho[_GROUND_F4, _GROUND_F4].real.sum()) + eps * f3
+        f3 = _population(rho, _GROUND_F3)
+        signal_frac = scale * _population(rho, _GROUND_F4) + eps * f3
         _remove_manifold(rho, _GROUND_F4)
         dep = pump_depletion(ev.probe_duration, calib)
         _scale_states(rho, _GROUND_F3, math.sqrt(1.0 - dep))
     raw = signal_frac * state.n0
     if calib.camera_floor > 0:
-        raw += ctx.rng.normal(0.0, calib.camera_floor)
-    if record is not None:
-        record.add(ev.label, raw, t_probe)
-    _decay_during(state, ev.duration, ctx)
+        raw = raw + ctx.draw_normal(calib.camera_floor)
+    records = (record,) if isinstance(record, ReadoutRecord) else record or ()
+    for rec, value in zip(records, raw):
+        rec.add(ev.label, value, t_probe)
+    _decay_during(rho, state.n0, ev.duration, ctx)
     ctx.advance_laser_phase(ev.duration)
     ctx.t += ev.duration
     return raw
 
 
-def apply_event(state: EnsembleState, ev, ctx: ShotContext,
-                record: ReadoutRecord | None = None) -> None:
+def apply_event(state: EnsembleState, ev, ctx: ShotContext, record=None) -> None:
+    """Apply one event to every shot of ``state``; ``record`` is the batch's
+    ReadoutRecord (batch of one) or list of them, or None."""
     if isinstance(ev, Wait):
         evolve_free(state, ev.duration, ctx)
     elif isinstance(ev, MwPulse):
@@ -839,6 +947,10 @@ def apply_event(state: EnsembleState, ev, ctx: ShotContext,
 
 
 # ------------------------------------------------------------------ run loop
+
+# Shots evolved together by run_schedule; bounds the memory of one batch
+# (its state and the node arrays of the 1140 nm average grow with it).
+_BATCH_SHOTS = 32
 
 
 def default_calibration(model: AtomModel, clock_pi_time: float = 1e-3,
@@ -861,20 +973,36 @@ def _initial_token(schedule: Schedule) -> str:
         return "g4m4"   # fresh from cooling: schedule performs its own prep
     return "g30"        # prepared central sublevel
 
+
+def _run_batch(schedule: Schedule, model: AtomModel, noise: NoiseModel,
+               loss: LossParameters, shots, n_atoms: float,
+               calibration: CrosstalkCalibration | None,
+               initial_state: str | None) -> tuple[EnsembleState, list[ReadoutRecord]]:
+    """Evolve the shots ``shots`` together: one (shots, DIM, DIM) state."""
+    ctx = ShotContext(model, noise, loss, schedule, shots, n_atoms, calibration)
+    idx = STATE_INDEX[SublevelRef.from_token(initial_state or _initial_token(schedule))]
+    rho = np.zeros((len(shots), DIM, DIM), dtype=complex)
+    rho[:, idx, idx] = 1.0
+    state = EnsembleState(rho, n_atoms, ctx.field_at(0.0))
+    records = [ReadoutRecord(shot_index=k, scan_vars=dict(schedule.metadata.scan_vars))
+               for k in shots]
+    for ev in schedule.events:
+        apply_event(state, ev, ctx, records)
+    if calibration is not None:
+        for record in records:
+            record.calibrate_with(calibration)
+    return state, records
+
+
 def run_shot(schedule: Schedule, model: AtomModel, noise: NoiseModel,
              loss: LossParameters, shot_index: int, n_atoms: float = 5000.0,
              calibration: CrosstalkCalibration | None = None,
              initial_state: str | None = None) -> tuple[EnsembleState, ReadoutRecord]:
-    ctx = ShotContext(model, noise, loss, schedule, shot_index, n_atoms,
-                      calibration)
-    token = initial_state or _initial_token(schedule)
-    state = EnsembleState.pure(token, n_atoms, ctx.field_at(0.0))
-    record = ReadoutRecord(shot_index=shot_index,
-                           scan_vars=dict(schedule.metadata.scan_vars))
-    for ev in schedule.events:
-        apply_event(state, ev, ctx, record)
-    if calibration is not None:
-        record.calibrate_with(calibration)
+    """Run one shot, the batch of one: its state (2-D ``rho``) and record."""
+    state, (record,) = _run_batch(schedule, model, noise, loss, [shot_index],
+                                  n_atoms, calibration, initial_state)
+    state.rho = state.rho[0]
+    state.B_actual = float(state.B_actual[0])
     return state, record
 
 
@@ -882,10 +1010,15 @@ def run_schedule(schedule: Schedule, model: AtomModel, noise: NoiseModel,
                  loss: LossParameters, n_shots: int, n_atoms: float = 5000.0,
                  calibration: CrosstalkCalibration | None = None,
                  initial_state: str | None = None) -> list[ReadoutRecord]:
-    """Run n_shots independent shots; deterministic under the noise seed."""
+    """Run n_shots independent shots, evolved in batches of up to
+    ``_BATCH_SHOTS``; deterministic under the noise seed, and a shot's
+    record equals ``run_shot`` of its index."""
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     schedule.validate(model)
-    return [run_shot(schedule, model, noise, loss, k, n_atoms, calibration,
-                     initial_state)[1]
-            for k in range(n_shots)]
+    records = []
+    for start in range(0, n_shots, _BATCH_SHOTS):
+        shots = range(start, min(start + _BATCH_SHOTS, n_shots))
+        records += _run_batch(schedule, model, noise, loss, shots, n_atoms,
+                              calibration, initial_state)[1]
+    return records

@@ -277,12 +277,13 @@ def least_squares(model, dataset: Dataset, init, param_names=None,
 
 def model_two_body_loss(t, n0, tau, beta_over_v):
     """Atom number under single-atom loss plus two-body collisions:
-    N(t) = N0 e^{-t/tau} / (1 + (beta/V) tau N0 (1 - e^{-t/tau}))."""
+    N(t) = N0 e^{-t/tau} / (1 + (beta/V) tau N0 (1 - e^{-t/tau})), and
+    N0 / (1 + (beta/V) N0 t) at tau = inf.  Every argument but tau may be
+    an array; this is also the engine's two-body channel (``two_body_decay``)."""
     t = np.asarray(t, dtype=float)
     if math.isinf(tau):
         return n0 / (1.0 + beta_over_v * n0 * t)
-    decay = np.exp(-t / tau)
-    return n0 * decay / (1.0 + beta_over_v * tau * n0 * (1.0 - decay))
+    return n0 * np.exp(-t / tau) / (1.0 + beta_over_v * tau * n0 * -np.expm1(-t / tau))
 
 
 model_two_body_loss.param_names = ("n0", "tau", "beta_over_v")
@@ -342,7 +343,8 @@ def model_rabi_reflection(t, omega0, a, tau_c):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     half = 0.5 * omega0 * np.maximum(t, 0.0)[:, None]
     (braket,) = _standing_wave_average(
-        lambda scale: (np.mean(np.sin(half * scale) ** 2, axis=1),), abs(a))
+        lambda scale, rows: (np.mean(np.sin(half[rows] * scale) ** 2, axis=1),),
+        abs(a), len(t))
     out = braket * np.exp(-t / (2.0 * tau_c))
     return out[0] if scalar else out
 

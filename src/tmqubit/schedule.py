@@ -184,13 +184,6 @@ class Schedule:
     def duration(self) -> float:
         return sum(ev.duration for ev in self.events)
 
-    def start_times(self) -> list[float]:
-        times, t = [], 0.0
-        for ev in self.events:
-            times.append(t)
-            t += ev.duration
-        return times
-
     def measure_events(self) -> list[Measure]:
         return [ev for ev in self.events if isinstance(ev, Measure)]
 
@@ -215,9 +208,6 @@ class Schedule:
             raise ScheduleError("bias field must be >= 0")
         if self.metadata.initial_state is not None:
             SublevelRef.from_token(self.metadata.initial_state)
-
-    def with_events(self, events) -> "Schedule":
-        return replace(self, events=tuple(events))
 
     def followed_by(self, other: "Schedule") -> "Schedule":
         return replace(self, events=self.events + other.events)

@@ -169,6 +169,23 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("config error: [scan] clock_pi_time = 0.0: clock_pi_time")
 
+    def test_negative_schedule_time_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(RAMSEY_INI.replace("t = 0.08", "t = -0.08"))
+        code = main(["simulate", "--config", str(path), "--shots", "1",
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: [schedule] t = -0.08: ")
+
+    def test_negative_scanned_time_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(RAMSEY_INI.split("[scan]")[0]
+                        + "[scan]\nparam = t\nvalues = 0.01, -0.5\n")
+        code = main(["simulate", "--config", str(path), "--shots", "1",
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: [scan] t = -0.5: ")
+
     def test_scan_over_readout_timing_calibrates_each_point(self, tmp_path):
         # noiseless, lossless g30 atoms: every point's calibrated count is the atom number
         path = tmp_path / "lifetime.ini"
@@ -394,6 +411,26 @@ class TestScriptConfig:
         rows = read_simulate_csv(out)
         assert len(rows) == 2 * 4
 
+    def test_script_readout_uses_schedule_timings(self, tmp_path):
+        # noiseless, lossless g30 atoms: the script's readout block is timed by
+        # [schedule] like the calibration, so it inverts to the atom number
+        shelve = "clock pi transition=g40-m30; clock pi transition=g30-m20\n"
+        seq = tmp_path / "readout.seq"
+        seq.write_text("@bias_field 100mG\n@initial_state g30\nwait 10ms\n" + shelve
+                       + "measure N4\nmeasure N3\n" + shelve
+                       + "measure N4_mf0\nmeasure N3_mf0\n")
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[run]\nseed = 1\nshots = 1\natoms = 5000\n"
+                       "[noise]\nsigma_b_shot = 0\n"
+                       "[loss]\ntau = inf\nbeta_g4m4 = 0\nbeta_g40 = 0\nbeta_g30 = 0\n"
+                       "[readout]\ncamera_floor = 0\n"
+                       f"[schedule]\nscript = {seq}\ndead_time = 8e-3\n")
+        out = str(tmp_path / "out.csv")
+        assert main(["simulate", "--config", str(ini), "--out", out]) == 0
+        calibrated = {r["measure"]: float(r["calibrated"]) for r in read_simulate_csv(out)}
+        assert calibrated["N3_mf0"] == pytest.approx(5000.0, rel=1e-9)
+        assert abs(calibrated["N4_mf0"]) < 1e-6
+
     def test_bad_script_reports_config_error(self, tmp_path):
         seq = tmp_path / "bad.seq"
         seq.write_text("wait -5ms\n")
@@ -401,6 +438,15 @@ class TestScriptConfig:
         ini.write_text(f"[schedule]\nscript = {seq}\n")
         assert main(["simulate", "--config", str(ini),
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_script_with_unknown_transition_exits_2(self, tmp_path, capsys):
+        seq = tmp_path / "bad.seq"
+        seq.write_text("mw pi/2 0deg transition=g44-g33\n")
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[schedule]\nscript = {seq}\n")
+        assert main(["simulate", "--config", str(ini),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "unknown transition 'g44-g33'" in capsys.readouterr().err
 
 
 class TestFitOptions:

@@ -236,6 +236,22 @@ class TestClockPulse:
         assert np.max(np.abs(s4 - s4_ref)) <= 1e-12
         assert not m2.flags.writeable and not s4.flags.writeable
 
+    @pytest.mark.parametrize("a2, omega_tau", [(0.015, math.pi), (0.3, 60.0)])
+    def test_batched_average_matches_each_value_alone(self, a2, omega_tau):
+        # one array call over zero and noisy detunings equals the per-value
+        # evaluation exactly, whatever else is in the batch; at a^2 = 0.3 the
+        # values converge at different node counts (128 for 0 and 5, 64 for
+        # 50 and 300)
+        a = math.sqrt(a2)
+        rng = np.random.default_rng(5)
+        delta_tau = np.concatenate([[0.0, 0.0], rng.normal(0.0, 0.05, 8),
+                                    [5.0, 50.0, 300.0]]).reshape(1, 13)
+        m2, s4 = engine._clock_average_core(omega_tau, delta_tau, a)
+        assert m2.shape == (1, 13, 2, 2) and s4.shape == (1, 13, 4, 4)
+        for k, d in enumerate(delta_tau[0]):
+            m2_one, s4_one = engine._clock_average_core(omega_tau, float(d), a)
+            assert np.array_equal(m2[0, k], m2_one) and np.array_equal(s4[0, k], s4_one)
+
     def test_vanishing_reflection_is_storage_frame_rotation(self):
         # without back-reflection the averaged channel is one rotation, drive
         # phases at both pulse edges included
@@ -567,6 +583,29 @@ class TestRunSchedule:
         records = run_schedule(sched, MODEL, noise, loss, 4, calibration=calib)
         for k in reversed(range(4)):
             _, alone = run_shot(sched, MODEL, noise, loss, k, calibration=calib)
+            assert alone.raw == records[k].raw
+            assert alone.calibrated == records[k].calibrated
+
+    def test_batch_equals_single_shots_on_every_event(self, monkeypatch):
+        # every event kind and every per-shot draw (field offset, drift, laser
+        # phase walk, camera noise, two-body loss): a shot's record does not
+        # depend on the batch it ran in, a ragged last batch included
+        monkeypatch.setattr(engine, "_BATCH_SHOTS", 4)
+        events = (list(build_state_prep(theta=math.pi / 3).events)
+                  + [Probe410(target_F=3, duration=0.2e-3),
+                     MwPulse(duration=1e-3, detuning=3.0, phase=0.4), Wait(0.05),
+                     ClockPulse(duration=1e-3), Wait(0.01), ClockPulse(duration=1e-3)]
+                  + list(build_shelving_readout().events))
+        sched = Schedule(tuple(events), _meta(bias=0.6, initial=None))
+        noise = NoiseModel(sigma_B_shot=150e-6, drift=SinusoidDrift(3e-4, 11.0),
+                           laser_phase_diffusion=5.0, seed=21)
+        loss = LossParameters.from_table(0.6)
+        calib = default_calibration(MODEL)
+        assert calib.camera_floor > 0
+        records = run_schedule(sched, MODEL, noise, loss, 6, calibration=calib)
+        for k in reversed(range(6)):
+            _, alone = run_shot(sched, MODEL, noise, loss, k, calibration=calib)
+            assert alone.shot_index == records[k].shot_index == k
             assert alone.raw == records[k].raw
             assert alone.calibrated == records[k].calibrated
 
