@@ -20,8 +20,8 @@ noise = NoiseModel.off()
 loss = LossParameters.off()
 
 schedule = build_state_prep(theta=0.0)
-ctx = ShotContext(model, noise, loss, schedule, 0, 5000.0)
-state = EnsembleState.pure("g4m4", 5000.0, ctx.field_at(0))
+ctx = ShotContext(model, noise, loss, schedule, 0)
+state = EnsembleState.pure("g4m4", 5000.0)
 
 print(f"{'step':28s} {'(4,0)':>8s} {'(3,0)':>8s} {'F=4 tot':>8s} {'trapped':>8s}")
 
@@ -47,7 +47,7 @@ print("leakage to spectator lines contributes at the 1e-5 level")
 
 print("\n=== coherent-ladder alternative ===")
 for eff in (1.0, 0.98, 0.95):
-    alt = EnsembleState.pure("g4m4", 5000.0, 0.6)
+    alt = EnsembleState.pure("g4m4", 5000.0)
     coherent_prep_transfer(alt, ctx, efficiency=eff)
     print(f"per-pulse efficiency {eff:.2f}: (4,0) population {alt.population('g40'):.4f}"
           + ("  (= eff^4)" if eff < 1 else ""))

@@ -48,8 +48,8 @@ def contrast(events, bias, noise, shots):
                                                      initial_state="g30"))
     total = 0.0j
     for shot in range(shots):
-        ctx = ShotContext(model, noise, loss, sched, shot, 100.0)
-        state = EnsembleState.pure("g30", 100.0, ctx.field_at(0))
+        ctx = ShotContext(model, noise, loss, sched, shot)
+        state = EnsembleState.pure("g30", 100.0)
         for ev in events:
             apply_event(state, ev, ctx)
         total += state.coherence("g40", "g30")

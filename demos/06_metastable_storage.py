@@ -39,8 +39,8 @@ clock3 = ClockPulse(duration=1e-3, transition="g30-m20")
 def run(events):
     sched = Schedule(tuple(events), ScheduleMetadata(bias_field=0.1,
                                                      initial_state="g30"))
-    ctx = ShotContext(model, noise, loss, sched, 0, 100.0)
-    state = EnsembleState.pure("g30", 100.0, ctx.field_at(0))
+    ctx = ShotContext(model, noise, loss, sched, 0)
+    state = EnsembleState.pure("g30", 100.0)
     for ev in events:
         apply_event(state, ev, ctx)
     return state

@@ -7,8 +7,7 @@ manifolds of the metastable level reached by the 1140 nm transition
 
 Units: frequencies in Hz, angular rates in rad/s, times in s.  Magnetic
 fields are expressed in gauss throughout the public API because every
-Zeeman coefficient used in the lab is quoted per gauss; volumes are SI
-(m^3) with converters where collision rates want cm^3.
+Zeeman coefficient used in the lab is quoted per gauss.
 """
 
 from __future__ import annotations
@@ -96,8 +95,6 @@ class TransitionKind(enum.Enum):
     MW_HYPERFINE = "mw"
     RF_INTRA_MANIFOLD = "rf"
     OPTICAL_1140 = "clock"
-    PROBE_410 = "probe"
-    CLEAN_530 = "clean"
 
 
 @dataclass(frozen=True)
@@ -151,18 +148,14 @@ class PhysicsConstants:
     constrained by two hard requirements (the RF sweep ladder span and
     >= 60 kHz spectator isolation of the hyperfine clock line at 0.6 G);
     only detunings built from them enter the dynamics, never absolute
-    g-factors.
+    g-factors.  Trap loss (lifetime, volume) is ``engine.LossParameters``
+    and the 530 nm detuning is a property of each cleaning pulse.
     """
 
     hyperfine_splitting_ground: float = 1.497e9   # Hz
     gamma_qz: float = 852.0                       # Hz/G^2, mF=0 -> mF=0 quadratic shift
     tau_c: float = 0.112                          # s, metastable lifetime
-    gamma_410: float = 2 * math.pi * 10e6         # rad/s
     gamma_530: float = 2 * math.pi * 350e3        # rad/s
-    i_sat_410: float = 180.0                      # W/m^2 (= 180 uW/mm^2)
-    delta_530_hyperfine: float = 614e6            # Hz
-    tau_single_atom: float = 16.4                 # s
-    trap_volume_mm3: float = 0.16                 # mm^3
     linear_zeeman_ground_f4: float = _K4_DEFAULT  # Hz/G per unit mF
     quad_zeeman_ground_f4: float = _Q4_DEFAULT    # Hz/G^2 per unit mF^2
     linear_zeeman_ground_f3: float = _K4_DEFAULT * 9.0 / 7.0  # Lande-ratio placeholder
@@ -173,18 +166,10 @@ class PhysicsConstants:
     tau_clean: float = 119e-6                     # s, 530 nm removal time constant
     clock_reflection_intensity: float = 0.015     # a^2 back-reflection of 1140 nm
     rf_step_efficiency: float = 0.40 ** 0.25      # per-step sweep transfer
-    # Lattice parameters; stored for configuration completeness, motional
-    # physics does not enter any propagator.
-    lattice_depth_recoils: float = 100.0
-    recoil_energy_hz: float = 1.0e3
 
     def __post_init__(self):
-        positive = (
-            "hyperfine_splitting_ground", "gamma_qz", "tau_c", "gamma_410",
-            "gamma_530", "i_sat_410", "delta_530_hyperfine", "tau_single_atom",
-            "trap_volume_mm3", "tau_clean",
-        )
-        for name in positive:
+        for name in ("hyperfine_splitting_ground", "gamma_qz", "tau_c", "gamma_530",
+                     "tau_clean"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
         if not 0.0 <= self.metastable_branch_to_f4 <= 1.0:
@@ -193,10 +178,6 @@ class PhysicsConstants:
             raise ValueError("clock_reflection_intensity must lie in [0, 1)")
         if not 0.0 <= self.rf_step_efficiency <= 1.0:
             raise ValueError("rf_step_efficiency must lie in [0, 1]")
-
-    @property
-    def trap_volume_cm3(self) -> float:
-        return self.trap_volume_mm3 * 1e-3
 
     def replace(self, **overrides) -> "PhysicsConstants":
         d = asdict(self)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import math
 import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, scan_grid
 from .engine import run_schedule
 from .figures import FIGURES, reproduce_figure
 from .fitting import (
@@ -26,8 +27,9 @@ from .fitting import (
     chi2_profile,
     least_squares,
 )
-from .protocols import QUANTITIES, build_protocol, builder_config_from_params, record_quantity
-from .readout import CrosstalkCalibration, fit_probe_scan, probe_parabola
+from .protocols import (QUANTITIES, build_protocol, builder_config_from_params, check_params,
+                        record_quantity)
+from .readout import CrosstalkCalibration, ReadoutRecord, fit_probe_scan, probe_parabola
 from .schedule import ParseError, ScheduleError, parse_sequence
 
 __all__ = ["main"]
@@ -41,23 +43,26 @@ EXIT_IO = 4
 # ----------------------------------------------------------------- simulate
 
 
-def _builds(name: str, params: dict, model) -> bool:
+def _builds(cfg: RunConfig, params: dict, model) -> bool:
     try:
-        build_protocol(name, params).validate(model)
+        if cfg.schedule_script:
+            check_params(None, params)
+        else:
+            build_protocol(cfg.schedule_name, params).validate(model)
     except ScheduleError:
         return False
     return True
 
 
 def _blamed_key(cfg: RunConfig, params: dict, scan_value, model) -> str:
-    """The config entry to name for a protocol that does not build: the scan
+    """The config entry to name for a schedule that does not build: the scan
     point when the ``[schedule]`` values alone build, else the first
     ``[schedule]`` key without which they do."""
     fixed = cfg.schedule_params
-    if scan_value is not None and _builds(cfg.schedule_name, fixed, model):
+    if scan_value is not None and _builds(cfg, fixed, model):
         return f"[scan] {cfg.scan_param} = {scan_value!r}"
     for key, value in fixed.items():
-        if _builds(cfg.schedule_name, {k: v for k, v in fixed.items() if k != key}, model):
+        if _builds(cfg, {k: v for k, v in fixed.items() if k != key}, model):
             return f"[schedule] {key} = {value!r}"
     return f"[schedule] name = {cfg.schedule_name}"
 
@@ -69,8 +74,11 @@ def _resolve_schedule(cfg: RunConfig, params: dict, scan_value, model):
         raise ConfigError(f"[scan] {cfg.scan_param} = {scan_value!r}: {exc}") from None
     if cfg.schedule_script:
         try:
+            check_params(None, params)
             with open(cfg.schedule_script) as fh:
                 text = fh.read()
+        except ScheduleError as exc:
+            raise ConfigError(f"{_blamed_key(cfg, params, scan_value, model)}: {exc}") from None
         except OSError as exc:
             raise ConfigError(f"[schedule] script: {exc}") from None
         return parse_sequence(text, builder, model)
@@ -100,7 +108,7 @@ def _simulate_rows(cfg: RunConfig):
         records = run_schedule(schedule, model, noise, cfg.loss, cfg.shots,
                                n_atoms=cfg.atoms, calibration=cfg.calibration(params))
         for rec in records:
-            for label in sorted(rec.raw, key=list(rec.raw).index):
+            for label in rec.raw:
                 rows.append((cfg.scan_param or "", value if value is not None else "",
                              rec.shot_index, label, rec.timings[label],
                              rec.raw[label],
@@ -154,11 +162,7 @@ def cmd_simulate(args) -> int:
         cfg.shots = args.shots
     if getattr(args, "param", None):
         cfg.scan_param = args.param
-        if args.points == 1:
-            cfg.scan_values = (args.start,)
-        else:
-            step = (args.stop - args.start) / (args.points - 1)
-            cfg.scan_values = tuple(args.start + k * step for k in range(args.points))
+        cfg.scan_values = scan_grid(args.start, args.stop, args.points, "--points")
     rows = _simulate_rows(cfg)
     write_simulate_csv(args.out, cfg, rows)
     n_scan = len(cfg.scan_values) if cfg.scan_param else 1
@@ -195,8 +199,6 @@ def _dataset_from_file(path, model_name, quantity=None):
         raise ValueError(f"{path}: empty file")
     header = [h.strip().lower() for h in first_data.split(",")]
     if "scan_value" in header:
-        from .readout import ReadoutRecord
-
         rows = read_simulate_csv(path)
         quantity = quantity or _DEFAULT_QUANTITY.get(model_name, "eta4")
         grouped: dict[float, dict[int, ReadoutRecord]] = {}
@@ -219,7 +221,9 @@ def _dataset_from_file(path, model_name, quantity=None):
         if np.all(sigma_arr > 0):
             return Dataset(np.array(xs), np.array(ys), sigma_arr), quantity
         return Dataset(np.array(xs), np.array(ys)), quantity
-    return Dataset.from_csv(path), quantity
+    if quantity is not None:
+        raise ConfigError(f"--quantity applies to simulate output, not the plain CSV {path}")
+    return Dataset.from_csv(path), None
 
 
 def cmd_fit(args) -> int:
@@ -297,6 +301,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    runner = FIGURES.get(args.figure)
+    if args.shots is not None and runner and "shots" not in inspect.signature(runner).parameters:
+        print(f"reproduce: --shots does not apply to {args.figure}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         files = reproduce_figure(args.figure, args.out, seed=args.seed or 0,
                                  shots=args.shots)

@@ -1,10 +1,15 @@
 """Run configuration: INI-style files resolving to model/noise/loss objects.
 
-Sections: ``[run]`` (seed, shots, atoms), ``[constants]`` (any
-physics-constant override), ``[noise]``, ``[loss]``, ``[readout]``
-(calibration overrides), ``[schedule]`` (built-in name plus parameters, or a
-script path) and ``[scan]`` (1-D parameter sweep).  Every default equals the
-apparatus value carried by the corresponding dataclass.
+Sections: ``[run]`` (seed, shots, atoms), ``[constants]`` (``PhysicsConstants``
+fields), ``[noise]`` (with a drift: its ``drift_*`` keys and
+``inter_shot_dead_time``), ``[loss]``, ``[readout]`` (``CrosstalkCalibration``
+fields), ``[schedule]`` (a protocol ``name`` or a ``script`` path, plus
+parameters) and ``[scan]`` (``param`` with ``values`` or
+``start``/``stop``/``points``).  Every default equals the apparatus value
+carried by the corresponding dataclass.  A section or key that nothing reads
+raises ConfigError naming it; ``[schedule]`` parameters are checked against
+the protocol when it is built (``protocols.check_params``), and ``[run]``
+keys are not checked.
 """
 
 from __future__ import annotations
@@ -25,15 +30,27 @@ from .engine import (
 from .protocols import builder_config_from_params
 from .readout import CrosstalkCalibration
 
-__all__ = ["ConfigError", "RunConfig", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "scan_grid"]
 
 
 class ConfigError(ValueError):
     pass
 
 
-_CONSTANT_FIELDS = {f.name for f in dataclasses.fields(PhysicsConstants)}
-_CALIB_FIELDS = set(CrosstalkCalibration._FIELDS)
+_GRID_KEYS = ("start", "stop", "points")
+# section -> the keys it reads (None: not checked); [noise] also reads the
+# drift_* keys of its drift kind and, with a drift (whose wall clock it sets),
+# inter_shot_dead_time
+_SECTION_KEYS = {
+    "run": None,
+    "constants": {f.name for f in dataclasses.fields(PhysicsConstants)},
+    "noise": {"sigma_b_shot", "laser_phase_diffusion", "drift"},
+    "loss": {"table_field", "tau", "volume_cm3",
+             *(f"beta_{token}" for token, _ in LossParameters().beta_by_state)},
+    "readout": set(CrosstalkCalibration._FIELDS),
+    "schedule": None,   # checked against the protocol when it is built
+    "scan": {"param", "values", *_GRID_KEYS},
+}
 # [schedule] parameters that also time the readout block
 _READOUT_TIMING = ("clock_pi_time", "probe_duration", "dead_time")
 # drift kind -> (class, {field: default}); each field is read from "drift_<field>"
@@ -117,6 +134,29 @@ def _float(section, key, raw):
     return value
 
 
+def _check_keys(parser, allowed: dict) -> None:
+    """Raise ConfigError naming the first section or key that is not in
+    ``allowed`` (section -> keys): nothing would read it."""
+    for section in parser.sections():
+        if section not in allowed:
+            raise ConfigError(f"[{section}]: unknown section; choose from {', '.join(allowed)}")
+        for key in parser[section] if allowed[section] is not None else ():
+            if key not in allowed[section]:
+                raise ConfigError(f"[{section}] {key}: not read; [{section}] reads "
+                                  f"{', '.join(sorted(allowed[section]))}")
+
+
+def scan_grid(start: float, stop: float, points: int, name: str) -> tuple:
+    """``points`` evenly spaced values from ``start`` to ``stop``; ``name``
+    is the setting to blame when ``points < 1``."""
+    if points < 1:
+        raise ConfigError(f"{name} must be >= 1, got {points}")
+    if points == 1:
+        return (start,)
+    step = (stop - start) / (points - 1)
+    return tuple(start + k * step for k in range(points))
+
+
 def load_config(path) -> RunConfig:
     """Parse an INI config file into a RunConfig; raises ConfigError naming
     the offending section/field."""
@@ -124,6 +164,12 @@ def load_config(path) -> RunConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    kind = parser.get("noise", "drift", fallback="none").strip().lower()
+    if kind != "none" and kind not in _DRIFT_KINDS:
+        raise ConfigError(f"[noise] unknown drift kind {kind!r}")
+    drift_keys = ({"inter_shot_dead_time", *(f"drift_{name}" for name in _DRIFT_KINDS[kind][1])}
+                  if kind != "none" else set())
+    _check_keys(parser, {**_SECTION_KEYS, "noise": _SECTION_KEYS["noise"] | drift_keys})
     cfg = RunConfig()
 
     if parser.has_section("run"):
@@ -134,15 +180,10 @@ def load_config(path) -> RunConfig:
         if cfg.shots < 1:
             raise ConfigError("[run] shots must be >= 1")
 
-    overrides = {}
-    if parser.has_section("constants"):
-        for key, raw in parser["constants"].items():
-            if key not in _CONSTANT_FIELDS:
-                raise ConfigError(f"[constants] unknown constant {key!r}")
-            overrides[key] = _float("constants", key, raw)
+    constants = parser["constants"] if parser.has_section("constants") else {}
+    overrides = {key: _float("constants", key, raw) for key, raw in constants.items()}
     try:
-        cfg.constants = PhysicsConstants(**{**dataclasses.asdict(PhysicsConstants()),
-                                            **overrides})
+        cfg.constants = PhysicsConstants(**overrides)
     except ValueError as exc:
         raise ConfigError(f"[constants] {exc}") from None
 
@@ -157,8 +198,7 @@ def load_config(path) -> RunConfig:
                        noise.get("laser_phase_diffusion", "0"))
         dead = _float("noise", "inter_shot_dead_time",
                       noise.get("inter_shot_dead_time", "0.6"))
-        kind = noise.get("drift", "none").strip().lower()
-        if kind in _DRIFT_KINDS:
+        if kind != "none":
             cls, defaults = _DRIFT_KINDS[kind]
             kwargs = {name: _float("noise", f"drift_{name}", noise.get(f"drift_{name}", default))
                       for name, default in defaults.items()}
@@ -166,8 +206,6 @@ def load_config(path) -> RunConfig:
                 drift = cls(**kwargs)
             except ValueError as exc:   # the message starts with the field name
                 raise ConfigError(f"[noise] drift_{exc}") from None
-        elif kind != "none":
-            raise ConfigError(f"[noise] unknown drift kind {kind!r}")
     try:
         cfg.noise = NoiseModel(sigma_B_shot=sigma, drift=drift, laser_phase_diffusion=laser,
                                seed=cfg.seed, inter_shot_dead_time=dead)
@@ -196,10 +234,8 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"[loss] {exc}") from None
 
     if parser.has_section("readout"):
-        for key, raw in parser["readout"].items():
-            if key not in _CALIB_FIELDS:
-                raise ConfigError(f"[readout] unknown calibration field {key!r}")
-            cfg.calibration_overrides[key] = _float("readout", key, raw)
+        cfg.calibration_overrides = {key: _float("readout", key, raw)
+                                     for key, raw in parser["readout"].items()}
         try:
             CrosstalkCalibration(**cfg.calibration_overrides)
         except ValueError as exc:
@@ -207,16 +243,15 @@ def load_config(path) -> RunConfig:
 
     if parser.has_section("schedule"):
         sched = parser["schedule"]
+        if "name" in sched and "script" in sched:
+            raise ConfigError("[schedule] name and script: give one, not both")
         cfg.schedule_name = sched.get("name", "").strip()
         cfg.schedule_script = sched.get("script", "").strip()
         for key, raw in sched.items():
-            if key in ("name", "script", "state", "mode"):
-                continue
-            cfg.schedule_params[key] = _float("schedule", key, raw)
-        if "state" in sched:
-            cfg.schedule_params["state"] = sched["state"].strip()
-        if "mode" in sched:
-            cfg.schedule_params["mode"] = sched["mode"].strip()
+            if key not in ("name", "script", "state", "mode"):
+                cfg.schedule_params[key] = _float("schedule", key, raw)
+        cfg.schedule_params.update({key: sched[key].strip() for key in ("state", "mode")
+                                    if key in sched})
         try:
             builder_config_from_params(cfg.schedule_params)
         except ValueError as exc:
@@ -228,17 +263,15 @@ def load_config(path) -> RunConfig:
         if not cfg.scan_param:
             raise ConfigError("[scan] param is required")
         if "values" in scan:
+            grid = [key for key in _GRID_KEYS if key in scan]
+            if grid:
+                raise ConfigError(f"[scan] values and {'/'.join(grid)}: give values "
+                                  "or start/stop/points, not both")
             cfg.scan_values = tuple(_float("scan", "values", v)
                                     for v in scan["values"].split(","))
         else:
-            start = _float("scan", "start", scan.get("start", "0"))
-            stop = _float("scan", "stop", scan.get("stop", "1"))
-            points = int(_float("scan", "points", scan.get("points", "10")))
-            if points < 1:
-                raise ConfigError("[scan] points must be >= 1")
-            if points == 1:
-                cfg.scan_values = (start,)
-            else:
-                step = (stop - start) / (points - 1)
-                cfg.scan_values = tuple(start + k * step for k in range(points))
+            cfg.scan_values = scan_grid(
+                _float("scan", "start", scan.get("start", "0")),
+                _float("scan", "stop", scan.get("stop", "1")),
+                int(_float("scan", "points", scan.get("points", "10"))), "[scan] points")
     return cfg

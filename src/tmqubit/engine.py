@@ -271,19 +271,18 @@ class EnsembleState:
     (shots, DIM, DIM); the accessors below read the 2-D ``rho`` of one shot.
     """
 
-    __slots__ = ("rho", "n0", "B_actual")
+    __slots__ = ("rho", "n0")
 
-    def __init__(self, rho: np.ndarray, n0: float, B_actual):
+    def __init__(self, rho: np.ndarray, n0: float):
         self.rho = rho
         self.n0 = float(n0)
-        self.B_actual = B_actual
 
     @classmethod
-    def pure(cls, token: str, n0: float = 5000.0, B_actual=0.0) -> "EnsembleState":
+    def pure(cls, token: str, n0: float = 5000.0) -> "EnsembleState":
         idx = STATE_INDEX[SublevelRef.from_token(token)]
         rho = np.zeros((DIM, DIM), dtype=complex)
         rho[idx, idx] = 1.0
-        return cls(rho, n0, B_actual)
+        return cls(rho, n0)
 
     @property
     def trace(self) -> float:
@@ -314,7 +313,7 @@ class EnsembleState:
         return complex(self.rho[i, j])
 
     def copy(self) -> "EnsembleState":
-        return EnsembleState(self.rho.copy(), self.n0, self.B_actual)
+        return EnsembleState(self.rho.copy(), self.n0)
 
 
 def _batch(state: EnsembleState) -> np.ndarray:
@@ -350,13 +349,11 @@ class ShotContext:
     """
 
     def __init__(self, model: AtomModel, noise: NoiseModel, loss: LossParameters,
-                 schedule: Schedule, shot_index, n_atoms: float,
+                 schedule: Schedule, shot_index,
                  calibration: CrosstalkCalibration | None = None):
         self.model = model
         self.noise = noise
         self.loss = loss
-        self.shot_index = shot_index
-        self.n_atoms = n_atoms
         self.calibration = calibration
         self.B_nominal = schedule.metadata.bias_field
         shots = np.asarray(shot_index)
@@ -832,12 +829,11 @@ def apply_rf_sweep(state: EnsembleState, ev: RfSweep, ctx: ShotContext) -> None:
     eff = ctx.model.constants.rf_step_efficiency
     steps = [(SublevelRef(Manifold.GROUND, 4, mF), SublevelRef(Manifold.GROUND, 4, mF + 1))
              for mF in range(-4, 0)]
-    for k, (src, dst) in enumerate(steps):
+    for src, dst in steps:
         name = f"{src.token}-{dst.token}"
         f_res = ctx.model.transition_frequency(name, ctx.B_nominal)
         if lo - 1.0 <= f_res <= hi + 1.0:
-            e = eff[k] if isinstance(eff, (tuple, list)) else eff
-            _probabilistic_swap(rho, STATE_INDEX[src], STATE_INDEX[dst], e)
+            _probabilistic_swap(rho, STATE_INDEX[src], STATE_INDEX[dst], eff)
     _decay_during(rho, state.n0, ev.duration, ctx)
     ctx.advance_laser_phase(ev.duration)
     ctx.t += ev.duration
@@ -918,7 +914,7 @@ def apply_measure(state: EnsembleState, ev: Measure, ctx: ShotContext,
         raw = raw + ctx.draw_normal(calib.camera_floor)
     records = (record,) if isinstance(record, ReadoutRecord) else record or ()
     for rec, value in zip(records, raw):
-        rec.add(ev.label, value, t_probe)
+        rec.add(ev.label, value, t_probe, calib.camera_floor)
     _decay_during(rho, state.n0, ev.duration, ctx)
     ctx.advance_laser_phase(ev.duration)
     ctx.t += ev.duration
@@ -979,13 +975,12 @@ def _run_batch(schedule: Schedule, model: AtomModel, noise: NoiseModel,
                calibration: CrosstalkCalibration | None,
                initial_state: str | None) -> tuple[EnsembleState, list[ReadoutRecord]]:
     """Evolve the shots ``shots`` together: one (shots, DIM, DIM) state."""
-    ctx = ShotContext(model, noise, loss, schedule, shots, n_atoms, calibration)
+    ctx = ShotContext(model, noise, loss, schedule, shots, calibration)
     idx = STATE_INDEX[SublevelRef.from_token(initial_state or _initial_token(schedule))]
     rho = np.zeros((len(shots), DIM, DIM), dtype=complex)
     rho[:, idx, idx] = 1.0
-    state = EnsembleState(rho, n_atoms, ctx.field_at(0.0))
-    records = [ReadoutRecord(shot_index=k, scan_vars=dict(schedule.metadata.scan_vars))
-               for k in shots]
+    state = EnsembleState(rho, n_atoms)
+    records = [ReadoutRecord(shot_index=k) for k in shots]
     for ev in schedule.events:
         apply_event(state, ev, ctx, records)
     if calibration is not None:
@@ -1002,7 +997,6 @@ def run_shot(schedule: Schedule, model: AtomModel, noise: NoiseModel,
     state, (record,) = _run_batch(schedule, model, noise, loss, [shot_index],
                                   n_atoms, calibration, initial_state)
     state.rho = state.rho[0]
-    state.B_actual = float(state.B_actual[0])
     return state, record
 
 

@@ -26,6 +26,7 @@ from .engine import (
 from .fitting import (
     Dataset,
     FitError,
+    _profile_chi2,
     chi2_profile,
     contrast_from_eta,
     least_squares,
@@ -37,7 +38,7 @@ from .fitting import (
 )
 from .protocols import build_protocol, record_quantity
 from .readout import fit_probe_scan, probe_parabola
-from .schedule import MwPulse, Schedule, build_clock_coherence
+from .schedule import MwPulse, Schedule, Wait, build_clock_coherence
 
 __all__ = ["FIGURES", "reproduce_figure"]
 
@@ -98,7 +99,7 @@ def _fringe_contrast(model, noise, loss, calib, t_free, bias, shots, seed,
     return abs(best.params["c"]), best.error("c"), ds, best
 
 
-def fig2e(outdir, seed=0, shots=1, n_atoms=5000.0):
+def fig2e(outdir, seed=0, n_atoms=5000.0):
     """Long microwave Rabi scan: 250 coherent periods with collision damping."""
     model = AtomModel()
     noise = NoiseModel.off(seed)
@@ -232,8 +233,6 @@ def _clock_phase_scan(model, noise, loss, calib, mode, t_store, shots, seed,
     idx = max(k for k, ev in enumerate(events) if isinstance(ev, MwPulse))
     if reference:
         # replace the optical storage pulses by an equal-duration wait
-        from .schedule import Wait
-
         first_mw = min(k for k, ev in enumerate(events) if isinstance(ev, MwPulse))
         optical = [ev for ev in events[first_mw + 1:idx]]
         span = sum(ev.duration for ev in optical)
@@ -336,7 +335,7 @@ def fig7(outdir, seed=0, shots=20, n_atoms=2000.0, taus=None):
     return [path]
 
 
-def fig8(outdir, seed=0, shots=1, n_atoms=5000.0, t_max=8e-3, points=60):
+def fig8(outdir, seed=0, n_atoms=5000.0, t_max=8e-3, points=60):
     """1140 nm excitation vs pulse length with parasitic-reflection beats."""
     model = AtomModel()
     noise = NoiseModel.off(seed)
@@ -405,8 +404,6 @@ def fig10(outdir, seed=0, shots=10, n_atoms=5000.0, t_grid=None):
     except FitError:
         lo = hi = float("nan")
     grid = np.linspace(0.7 * t2, 1.6 * t2, 25)
-    from .fitting import _profile_chi2
-
     prof = [(float(v), float(_profile_chi2(fit, 1, float(v)))) for v in grid]
     files.append(_write_csv(os.path.join(outdir, "fig10_chi2_profile.csv"),
                             ["t2_s", "chi2"], prof,
@@ -429,14 +426,11 @@ FIGURES = {
 
 def reproduce_figure(figure_id: str, outdir: str, seed: int = 0,
                      shots: int | None = None) -> list[str]:
+    """Run one figure into ``outdir``; fig2e and fig8 (one noise-off shot
+    per point) take no ``shots``."""
     if figure_id not in FIGURES:
         raise KeyError(f"unknown figure id {figure_id!r}; "
                        f"choose from {', '.join(sorted(FIGURES))}")
     os.makedirs(outdir, exist_ok=True)
-    kwargs = {"seed": seed}
-    if shots is not None:
-        kwargs["shots"] = shots
-    runner = FIGURES[figure_id]
-    if figure_id in ("fig2e", "fig8") and "shots" in kwargs:
-        kwargs.pop("shots")   # single deterministic trace per point
-    return runner(outdir, **kwargs)
+    kwargs = {"seed": seed} if shots is None else {"seed": seed, "shots": shots}
+    return FIGURES[figure_id](outdir, **kwargs)

@@ -442,10 +442,12 @@ def chi2_profile(fit: FitResult, param: str, max_expand: int = 60) -> tuple[floa
 
 @dataclass(frozen=True)
 class ModelSpec:
-    name: str
     func: object
-    param_names: tuple[str, ...]
     guess: object   # callable Dataset -> init sequence
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return self.func.param_names
 
 
 def _guess_two_body(ds: Dataset):
@@ -485,19 +487,10 @@ def _guess_rabi_reflection(ds: Dataset):
 
 
 MODELS = {
-    spec.name: spec
-    for spec in (
-        ModelSpec("two_body_loss", model_two_body_loss,
-                  model_two_body_loss.param_names, _guess_two_body),
-        ModelSpec("ramsey_fringe", model_ramsey_fringe,
-                  model_ramsey_fringe.param_names, _guess_fringe),
-        ModelSpec("gaussian_decay", model_gaussian_decay,
-                  model_gaussian_decay.param_names, _guess_gaussian),
-        ModelSpec("gaussian_decay_offset", model_gaussian_decay_offset,
-                  model_gaussian_decay_offset.param_names, _guess_gaussian_offset),
-        ModelSpec("exponential", model_exponential,
-                  model_exponential.param_names, _guess_exponential),
-        ModelSpec("rabi_reflection", model_rabi_reflection,
-                  model_rabi_reflection.param_names, _guess_rabi_reflection),
-    )
+    "two_body_loss": ModelSpec(model_two_body_loss, _guess_two_body),
+    "ramsey_fringe": ModelSpec(model_ramsey_fringe, _guess_fringe),
+    "gaussian_decay": ModelSpec(model_gaussian_decay, _guess_gaussian),
+    "gaussian_decay_offset": ModelSpec(model_gaussian_decay_offset, _guess_gaussian_offset),
+    "exponential": ModelSpec(model_exponential, _guess_exponential),
+    "rabi_reflection": ModelSpec(model_rabi_reflection, _guess_rabi_reflection),
 }

@@ -7,11 +7,15 @@ rebuilding the schedule per scan point.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 from .readout import READOUT_LABELS, ReadoutRecord
 from .schedule import (
     BuilderConfig,
     Measure,
     Schedule,
+    ScheduleError,
     ScheduleMetadata,
     Wait,
     build_clock_coherence,
@@ -23,44 +27,29 @@ from .schedule import (
 )
 
 __all__ = ["PROTOCOLS", "build_protocol", "builder_config_from_params",
-           "record_quantity", "QUANTITIES"]
+           "check_params", "record_quantity", "QUANTITIES"]
 
-_BUILDER_KEYS = (
-    "bias_field", "mw_pi_time", "clock_pi_time", "rf_sweep_time", "rf_f_start",
-    "rf_f_stop", "clean_time", "clean_s", "clean_detuning", "probe_duration",
-    "probe_s", "dead_time", "prep_theta",
-)
+_BUILDER_KEYS = tuple(f.name for f in dataclasses.fields(BuilderConfig))
 
 
 def builder_config_from_params(params: dict) -> BuilderConfig:
-    kwargs = {k: params[k] for k in _BUILDER_KEYS if k in params}
-    return BuilderConfig(**kwargs)
-
-
-def _with_readout(core: Schedule, cfg: BuilderConfig, initial: str) -> Schedule:
-    full = core.followed_by(build_shelving_readout(cfg))
-    meta = full.metadata
-    if meta.initial_state is None:
-        import dataclasses
-
-        meta = dataclasses.replace(meta, initial_state=initial)
-    return Schedule(full.events, meta)
+    return BuilderConfig(**{k: params[k] for k in _BUILDER_KEYS if k in params})
 
 
 def _ramsey(cfg: BuilderConfig, params: dict) -> Schedule:
     core = build_ramsey(params.get("t", 0.08), params.get("detuning", 0.0), cfg)
-    return _with_readout(core, cfg, "g30")
+    return core.followed_by(build_shelving_readout(cfg))
 
 
 def _cp(cfg: BuilderConfig, params: dict) -> Schedule:
     core = build_cp(int(params.get("n", 1)), params.get("t", 1.0),
                     params.get("detuning", 0.0), cfg)
-    return _with_readout(core, cfg, "g40")
+    return core.followed_by(build_shelving_readout(cfg))
 
 
 def _rabi(cfg: BuilderConfig, params: dict) -> Schedule:
     core = build_rabi_scan(params.get("t", 2e-3), params.get("detuning", 0.0), cfg)
-    return _with_readout(core, cfg, "g30")
+    return core.followed_by(build_shelving_readout(cfg))
 
 
 def _lifetime(cfg: BuilderConfig, params: dict) -> Schedule:
@@ -69,12 +58,12 @@ def _lifetime(cfg: BuilderConfig, params: dict) -> Schedule:
                     ScheduleMetadata(name="lifetime", bias_field=cfg.bias_field,
                                      initial_state=state,
                                      scan_vars=(("t", params.get("t", 1.0)),)))
-    return _with_readout(core, cfg, state)
+    return core.followed_by(build_shelving_readout(cfg))
 
 
 def _prep(cfg: BuilderConfig, params: dict) -> Schedule:
-    core = build_state_prep(cfg, theta=params.get("theta", cfg.prep_theta))
-    return _with_readout(core, cfg, "g4m4")
+    core = build_state_prep(cfg, theta=params.get("theta", math.pi))
+    return core.followed_by(build_shelving_readout(cfg))
 
 
 def _clock_coherence(cfg: BuilderConfig, params: dict) -> Schedule:
@@ -84,8 +73,6 @@ def _clock_coherence(cfg: BuilderConfig, params: dict) -> Schedule:
 
 def _clock_rabi(cfg: BuilderConfig, params: dict) -> Schedule:
     sched = build_shelving_readout(cfg, first_pulse_duration=params.get("t", 1e-3))
-    import dataclasses
-
     meta = dataclasses.replace(sched.metadata, name="clock_rabi",
                                initial_state="g40",
                                scan_vars=(("t", params.get("t", 1e-3)),))
@@ -97,10 +84,9 @@ def _probe_scan(cfg: BuilderConfig, params: dict) -> Schedule:
     # reference length so only the first pulse's back-action is measured
     tau = params.get("t", cfg.probe_duration)
     events = (
-        Measure(label="N4", target_F=4, probe_duration=tau,
-                dead_time=cfg.dead_time, s=cfg.probe_s),
+        Measure(label="N4", target_F=4, probe_duration=tau, dead_time=cfg.dead_time),
         Measure(label="N3", target_F=3, probe_duration=cfg.probe_duration,
-                dead_time=cfg.dead_time, s=cfg.probe_s),
+                dead_time=cfg.dead_time),
     )
     meta = ScheduleMetadata(name="probe_scan", bias_field=cfg.bias_field,
                             initial_state="g30",
@@ -108,26 +94,40 @@ def _probe_scan(cfg: BuilderConfig, params: dict) -> Schedule:
     return Schedule(events, meta)
 
 
+# name -> (builder, the parameters it reads besides the BuilderConfig fields)
 PROTOCOLS = {
-    "ramsey": _ramsey,
-    "cp": _cp,
-    "rabi": _rabi,
-    "lifetime": _lifetime,
-    "prep": _prep,
-    "clock_coherence": _clock_coherence,
-    "clock_rabi": _clock_rabi,
-    "probe_scan": _probe_scan,
+    "ramsey": (_ramsey, ("t", "detuning")),
+    "cp": (_cp, ("n", "t", "detuning")),
+    "rabi": (_rabi, ("t", "detuning")),
+    "lifetime": (_lifetime, ("t", "state")),
+    "prep": (_prep, ("theta",)),
+    "clock_coherence": (_clock_coherence, ("mode", "t")),
+    "clock_rabi": (_clock_rabi, ("t",)),
+    "probe_scan": (_probe_scan, ("t",)),
 }
 
 
+def check_params(name: str | None, params) -> None:
+    """Raise ScheduleError naming the first parameter that protocol ``name``
+    (None: a sequence script, which reads only the BuilderConfig fields)
+    does not read."""
+    reads = (PROTOCOLS[name][1] if name else ()) + _BUILDER_KEYS
+    for key in params:
+        if key not in reads:
+            raise ScheduleError(f"{key} is not read by {name or 'a sequence script'}; "
+                                f"it reads {', '.join(reads)}")
+
+
 def build_protocol(name: str, params: dict | None = None) -> Schedule:
-    """Build a named protocol; unknown names raise KeyError listing options."""
+    """Build a named protocol; unknown names raise KeyError listing options,
+    parameters the protocol does not read raise ScheduleError."""
     if name not in PROTOCOLS:
         raise KeyError(f"unknown schedule name {name!r}; "
                        f"choose from {', '.join(sorted(PROTOCOLS))}")
     params = dict(params or {})
-    cfg = builder_config_from_params(params)
-    return PROTOCOLS[name](cfg, params)
+    check_params(name, params)
+    build, _ = PROTOCOLS[name]
+    return build(builder_config_from_params(params), params)
 
 
 QUANTITIES = ("eta4", "eta3", "total", "N4", "N3", "N4_mf0", "N3_mf0")

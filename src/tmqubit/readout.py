@@ -77,7 +77,6 @@ class ReadoutRecord:
     timings: dict = field(default_factory=dict)
     calibrated: dict = field(default_factory=dict)
     low_confidence: set = field(default_factory=set)
-    scan_vars: dict = field(default_factory=dict)
 
     def add(self, label: str, value: float, t: float, floor: float = 0.0) -> None:
         self.raw[label] = float(value)
@@ -242,7 +241,7 @@ def forward_matrix(calib: CrosstalkCalibration) -> np.ndarray:
     exact = replace(calib, camera_floor=0.0)
     a = np.zeros((4, 4))
     for j, token in enumerate(("g4m4", "g40", "g3m3", "g30")):
-        ctx = ShotContext(model, noise, loss, schedule, 0, 1.0, exact)
+        ctx = ShotContext(model, noise, loss, schedule, 0, exact)
         state = EnsembleState.pure(token, 1.0)
         record = ReadoutRecord()
         for ev in events:

@@ -118,7 +118,6 @@ class Probe410:
 
     target_F: int = 4
     duration: float = 0.4e-3
-    s: float = 2.0    # I / I_sat
 
     kind = "probe"
 
@@ -129,7 +128,7 @@ class Clean530:
 
     target_F: int = 4
     duration: float = 3e-3
-    s: float = 1.0
+    s: float = 1.0            # I / I_sat
     detuning: float = 614e6   # Hz, detuning seen by the spectator manifold
 
     kind = "clean"
@@ -150,7 +149,6 @@ class Measure:
     target_F: int = 4
     probe_duration: float = 0.4e-3
     dead_time: float = 4e-3
-    s: float = 2.0
 
     kind = "measure"
 
@@ -160,8 +158,6 @@ class Measure:
 
 
 PulseEvent = MwPulse | ClockPulse | RfSweep | Probe410 | Clean530 | Wait | Measure
-
-_EVENT_TYPES = {cls.kind: cls for cls in (MwPulse, ClockPulse, RfSweep, Probe410, Clean530, Wait, Measure)}
 
 
 # ------------------------------------------------------------------- schedule
@@ -263,9 +259,7 @@ class BuilderConfig:
     clean_s: float = 1.0
     clean_detuning: float = 614e6
     probe_duration: float = 0.4e-3
-    probe_s: float = 2.0
     dead_time: float = 4e-3
-    prep_theta: float = math.pi      # final prep rotation; 0 omits the pulse
 
     def __post_init__(self):
         for name in ("mw_pi_time", "clock_pi_time"):
@@ -330,7 +324,6 @@ def _parse_event(kind: str, tokens, kwargs, cfg: BuilderConfig, line: int) -> Pu
         ev = Probe410(
             target_F=int(kwargs.pop("target_f", 4)),
             duration=float(kwargs.pop("duration", cfg.probe_duration)),
-            s=float(kwargs.pop("s", cfg.probe_s)),
         )
         rest = kwargs
     elif kind == "clean":
@@ -349,7 +342,6 @@ def _parse_event(kind: str, tokens, kwargs, cfg: BuilderConfig, line: int) -> Pu
             target_F=int(kwargs.pop("target_f", target_default)),
             probe_duration=float(kwargs.pop("probe_duration", cfg.probe_duration)),
             dead_time=float(kwargs.pop("dead_time", cfg.dead_time)),
-            s=float(kwargs.pop("s", cfg.probe_s)),
         )
         rest = kwargs
     else:
@@ -421,10 +413,10 @@ _SERIAL_FIELDS = {
     "mw": ("transition", "duration", "rabi_frequency", "detuning", "phase"),
     "clock": ("transition", "duration", "rabi_frequency", "detuning", "phase"),
     "rf_sweep": ("duration", "f_start", "f_stop"),
-    "probe": ("target_F", "duration", "s"),
+    "probe": ("target_F", "duration"),
     "clean": ("target_F", "duration", "s", "detuning"),
     "wait": ("duration",),
-    "measure": ("label", "target_F", "probe_duration", "dead_time", "s"),
+    "measure": ("label", "target_F", "probe_duration", "dead_time"),
 }
 
 _SERIAL_NAMES = {"rabi_frequency": "rabi", "target_F": "target_f"}
@@ -454,7 +446,7 @@ def serialize_sequence(schedule: Schedule) -> str:
 # -------------------------------------------------------------------- builders
 
 
-def build_state_prep(cfg: BuilderConfig | None = None, theta: float | None = None) -> Schedule:
+def build_state_prep(cfg: BuilderConfig | None = None, theta: float = math.pi) -> Schedule:
     """RF repump sweep, clock-line pi pulse, cleaning pulse, optional rotation.
 
     Walks population from the stretched post-cooling sublevel toward mF=0,
@@ -463,7 +455,6 @@ def build_state_prep(cfg: BuilderConfig | None = None, theta: float | None = Non
     (``theta=0`` omits the final pulse).
     """
     cfg = cfg or BuilderConfig()
-    theta = cfg.prep_theta if theta is None else theta
     events: list[PulseEvent] = [
         RfSweep(duration=cfg.rf_sweep_time, f_start=cfg.rf_f_start, f_stop=cfg.rf_f_stop),
         MwPulse(duration=cfg.mw_pi_time, rabi_frequency=cfg.mw_rabi),
@@ -558,7 +549,7 @@ def build_shelving_readout(cfg: BuilderConfig | None = None,
 
     def measure(label, target):
         return Measure(label=label, target_F=target, probe_duration=cfg.probe_duration,
-                       dead_time=cfg.dead_time, s=cfg.probe_s)
+                       dead_time=cfg.dead_time)
 
     events = (
         clock(CLOCK_TRANSITION_F4, t1),

@@ -78,8 +78,8 @@ def _coherence_contrast(events, bias, noise, shots, n_atoms=100.0,
     sched = Schedule(tuple(events), ScheduleMetadata(bias_field=bias,
                                                      initial_state=initial))
     for shot in range(shots):
-        ctx = ShotContext(model, noise, loss, sched, shot, n_atoms)
-        state = EnsembleState.pure(initial, n_atoms, ctx.field_at(0))
+        ctx = ShotContext(model, noise, loss, sched, shot)
+        state = EnsembleState.pure(initial, n_atoms)
         for ev in events:
             apply_event(state, ev, ctx)
         total += state.coherence("g40", "g30")
@@ -195,9 +195,9 @@ def test_05_echo_cancellation_and_drift_monotonicity():
         events = list(build_cp(1, 8.0, 0.0, cfg).events)[:-1]
         sched = Schedule(tuple(events), ScheduleMetadata(bias_field=0.6,
                                                          initial_state="g40"))
-        ctx = ShotContext(MODEL, NOISE_OFF, LOSS_OFF, sched, 0, 100.0)
+        ctx = ShotContext(MODEL, NOISE_OFF, LOSS_OFF, sched, 0)
         ctx.delta_B = db
-        state = EnsembleState.pure("g40", 100.0, ctx.field_at(0))
+        state = EnsembleState.pure("g40", 100.0)
         for ev in events:
             apply_event(state, ev, ctx)
         worst = max(worst, abs(2 * abs(state.coherence("g40", "g30")) - 1.0))
@@ -247,8 +247,8 @@ def test_06_clock_coherence_limits():
     def coherence_phase(events):
         sched = Schedule(tuple(events), ScheduleMetadata(bias_field=0.1,
                                                          initial_state="g30"))
-        ctx = ShotContext(MODEL, NOISE_OFF, LOSS_OFF, sched, 0, 100.0)
-        state = EnsembleState.pure("g30", 100.0, ctx.field_at(0))
+        ctx = ShotContext(MODEL, NOISE_OFF, LOSS_OFF, sched, 0)
+        state = EnsembleState.pure("g30", 100.0)
         for ev in events:
             apply_event(state, ev, ctx)
         return state.coherence("g40", "g30")
@@ -364,8 +364,8 @@ def test_09_state_prep_error_budget():
     impurity = 1.0 - state.population("g30") / state.trace
     ok_impurity = impurity <= 5e-4
 
-    ctx = ShotContext(MODEL, NOISE_OFF, LOSS_OFF, sched, 0, 100.0)
-    coherent = EnsembleState.pure("g4m4", 100.0, 0.6)
+    ctx = ShotContext(MODEL, NOISE_OFF, LOSS_OFF, sched, 0)
+    coherent = EnsembleState.pure("g4m4", 100.0)
     coherent_prep_transfer(coherent, ctx, efficiency=0.98)
     fidelity = coherent.population("g40")
     ok_fidelity = abs(fidelity - 0.922) <= 1e-3

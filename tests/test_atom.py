@@ -194,9 +194,6 @@ class TestConstants:
         with pytest.raises(ValueError):
             PhysicsConstants(gamma_qz=0.0)
 
-    def test_volume_conversion(self):
-        assert PhysicsConstants().trap_volume_cm3 == pytest.approx(0.16e-3)
-
     def test_replace(self):
         c = PhysicsConstants().replace(gamma_qz=900.0)
         assert c.gamma_qz == 900.0

@@ -1,12 +1,17 @@
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tmqubit.atom import AtomModel
 from tmqubit.cli import main, read_simulate_csv
 from tmqubit.config import ConfigError, load_config
+from tmqubit.protocols import PROTOCOLS, build_protocol
 from tmqubit.readout import CrosstalkCalibration
+from tmqubit.schedule import parse_sequence
 
 RAMSEY_INI = """
 [run]
@@ -534,3 +539,98 @@ points = 2
         # relaxes toward 1/2 as the stored coherence decays
         assert etas[0.0] < 0.1
         assert abs(etas[0.2] - 0.5) < abs(etas[0.0] - 0.5)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+SCRIPT = ("@bias_field 0.1\nmw pi/2 0deg\nwait 10ms\nmw pi/2 0deg\n"
+          "measure N4\nmeasure N3\nmeasure N4_mf0\nmeasure N3_mf0\n")
+SCRIPT_INI = "[run]\nshots = 1\n[schedule]\nscript = {tmp}/run.seq\n"
+SIMULATE = ["simulate", "--config", "{tmp}/run.ini", "--shots", "1", "--out", "{tmp}/out.csv"]
+SCAN = ["scan", "--config", "{tmp}/run.ini", "--shots", "1", "--out", "{tmp}/out.csv",
+        "--start", "-1", "--stop", "1"]
+
+
+def _ini(old="", new=""):
+    return {"run.ini": RAMSEY_INI.replace(old, new, 1), "run.seq": SCRIPT}
+
+
+# (files to write, command line, name the error must give); "{tmp}" is the
+# test's directory.  Each input was accepted, and did nothing, before it was
+# deleted or rejected.
+IGNORED_INPUTS = [
+    *[pytest.param(_ini("[run]", f"[constants]\n{key} = {value}\n[run]"), SIMULATE, key,
+                   id=f"constants_{key}")
+      for key, value in (("gamma_410", "1e7"), ("i_sat_410", "100"),
+                         ("delta_530_hyperfine", "6e8"), ("tau_single_atom", "0.001"),
+                         ("trap_volume_mm3", "0.2"), ("lattice_depth_recoils", "50"),
+                         ("recoil_energy_hz", "2e3"))],
+    pytest.param(_ini("t = 0.08", "t = 0.08\nprobe_s = 3"), SIMULATE, "probe_s",
+                 id="schedule_probe_s"),
+    pytest.param(_ini("t = 0.08", "t = 0.08\nprep_theta = 1"), SIMULATE, "prep_theta",
+                 id="schedule_prep_theta"),
+    pytest.param(_ini("t = 0.08", "tfree = 0.08"), SIMULATE, "tfree", id="schedule_typo"),
+    pytest.param(_ini("t = 0.08", "t = 0.08\ntheta = 1"), SIMULATE, "theta",
+                 id="schedule_key_of_another_protocol"),
+    pytest.param(_ini("name = ramsey", "name = ramsey\nscript = {tmp}/run.seq"), SIMULATE,
+                 "script", id="schedule_name_and_script"),
+    pytest.param({"run.ini": SCRIPT_INI + "detuning = 2\n", "run.seq": SCRIPT}, SIMULATE,
+                 "detuning", id="script_with_protocol_key"),
+    pytest.param({"run.ini": SCRIPT_INI, "run.seq": SCRIPT.replace("measure N4\n",
+                                                                  "measure N4 s=3\n")},
+                 SIMULATE, "'s'", id="script_measure_s"),
+    pytest.param(_ini("sigma_b_shot = 0", "sigma_B = 1e-4"), SIMULATE, "sigma_b",
+                 id="noise_typo"),
+    pytest.param(_ini("sigma_b_shot = 0", "sigma_b_shot = 0\ndrfit = sinusoid"), SIMULATE,
+                 "drfit", id="noise_drift_typo"),
+    pytest.param(_ini("sigma_b_shot = 0", "sigma_b_shot = 0\ndrift = sinusoid\n"
+                      "drift_step = 1e-4"), SIMULATE, "drift_step", id="noise_other_drift_key"),
+    pytest.param(_ini("sigma_b_shot = 0", "sigma_b_shot = 0\ndrift_amplitude = 3e-4"),
+                 SIMULATE, "drift_amplitude", id="noise_drift_key_without_drift"),
+    pytest.param(_ini("sigma_b_shot = 0", "sigma_b_shot = 0\ninter_shot_dead_time = 5"),
+                 SIMULATE, "inter_shot_dead_time", id="noise_dead_time_without_drift"),
+    pytest.param(_ini("beta_g30 = 0", "beta_g30 = 0\nbeta_g4m3 = 1e-9"), SIMULATE,
+                 "beta_g4m3", id="loss_unknown_beta"),
+    pytest.param(_ini("points = 30", "points = 30\nstpo = 5"), SIMULATE, "stpo",
+                 id="scan_typo"),
+    pytest.param(_ini("points = 30", "points = 30\nvalues = 1, 2"), SIMULATE, "values",
+                 id="scan_values_and_grid"),
+    pytest.param(_ini("[run]", "[noize]\nsigma_b_shot = 1\n[run]"), SIMULATE, "noize",
+                 id="unknown_section"),
+    pytest.param(_ini(), SCAN + ["--param", "tt", "--points", "3"], "tt",
+                 id="scan_param_not_read"),
+    pytest.param(_ini(), SCAN + ["--param", "detuning", "--points", "0"], "--points",
+                 id="scan_zero_points"),
+    pytest.param({}, ["reproduce", "--figure", "fig8", "--out", "{tmp}/f", "--shots", "7"],
+                 "--shots", id="reproduce_fig8_shots"),
+    pytest.param({}, ["reproduce", "--figure", "fig2e", "--out", "{tmp}/f", "--shots", "7"],
+                 "--shots", id="reproduce_fig2e_shots"),
+    pytest.param({"d.csv": "x,y\n0,1.0\n2,0.5\n4,0.3\n"},
+                 ["fit", "--model", "gaussian_decay", "--data", "{tmp}/d.csv",
+                  "--init", "1.0,3.0", "--quantity", "eta4"], "--quantity",
+                 id="fit_quantity_on_plain_csv"),
+]
+
+
+@pytest.mark.parametrize("files, argv, name", IGNORED_INPUTS)
+def test_input_that_would_not_act_exits_2(tmp_path, capsys, files, argv, name):
+    for filename, text in files.items():
+        (tmp_path / filename).write_text(text.replace("{tmp}", str(tmp_path)))
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
+    assert name in capsys.readouterr().err
+
+
+class TestReadme:
+    def test_examples_are_accepted(self, tmp_path):
+        text = README.read_text()
+        ini = tmp_path / "readme.ini"
+        ini.write_text(re.search(r"```ini\n(.*?)```", text, re.S).group(1))
+        cfg = load_config(ini)
+        build_protocol(cfg.schedule_name,
+                       {**cfg.schedule_params, cfg.scan_param: cfg.scan_values[0]})
+        parse_sequence(re.search(r"```\n(@name .*?)```", text, re.S).group(1),
+                       model=AtomModel())
+
+    def test_schedule_keys_table_matches_protocols(self):
+        rows = re.findall(r"^\| `(\w+)` \| ((?:`\w+`(?:, )?)+) \|$", README.read_text(), re.M)
+        assert {name: tuple(re.findall(r"`(\w+)`", keys)) for name, keys in rows} == \
+            {name: reads for name, (_, reads) in PROTOCOLS.items()}

@@ -51,9 +51,8 @@ LOSS_OFF = LossParameters.off()
 ISOLATED = AtomModel(PhysicsConstants(linear_zeeman_ground_f3=1e12))
 
 
-def _ctx(schedule, model=MODEL, noise=NOISE_OFF, loss=LOSS_OFF, shot=0, n=5000.0,
-         calib=None):
-    return ShotContext(model, noise, loss, schedule, shot, n, calib)
+def _ctx(schedule, model=MODEL, noise=NOISE_OFF, loss=LOSS_OFF, shot=0, calib=None):
+    return ShotContext(model, noise, loss, schedule, shot, calib)
 
 
 def _meta(bias=0.6, initial="g30"):
@@ -85,7 +84,7 @@ class TestMwPulse:
         # superposition inside the driven pair returns exactly
         sched = Schedule((MwPulse(duration=1e-3),), _meta())
         ctx = _ctx(sched, model=ISOLATED)
-        state = EnsembleState.pure("g30", 5000, ctx.field_at(0))
+        state = EnsembleState.pure("g30", 5000)
         apply_mw_pulse(state, MwPulse(duration=1e-3), ctx)   # make a superposition
         before = state.rho.copy()
         apply_mw_pulse(state, MwPulse(duration=4e-3), ctx)   # 2 pi
@@ -122,7 +121,7 @@ class TestMwPulse:
                              _meta(bias=0.6))
             ctx = _ctx(sched, model=ISOLATED, noise=noise)
             ctx.delta_B = db
-            state = EnsembleState.pure("g30", 1.0, ctx.field_at(0))
+            state = EnsembleState.pure("g30", 1.0)
             # random initial pair superposition
             psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
             psi0 /= np.linalg.norm(psi0)
@@ -273,7 +272,7 @@ class TestFreeEvolution:
     def test_zero_time_identity(self):
         sched = Schedule((Wait(0.0),), _meta())
         ctx = _ctx(sched)
-        state = EnsembleState.pure("g30", 5000, 0.6)
+        state = EnsembleState.pure("g30", 5000)
         before = state.rho.copy()
         evolve_free(state, 0.0, ctx)
         assert np.array_equal(state.rho, before)
@@ -315,7 +314,7 @@ class TestFreeEvolution:
     def test_ground_metastable_coherence_halves_rate(self):
         sched = Schedule((Wait(0.05),), _meta(initial="g40"))
         ctx = _ctx(sched)
-        state = EnsembleState.pure("g40", 5000, ctx.field_at(0))
+        state = EnsembleState.pure("g40", 5000)
         i, j = STATE_INDEX[SublevelRef.from_token("g40")], STATE_INDEX[SublevelRef.from_token("m30")]
         state.rho[:] = 0
         state.rho[i, i] = state.rho[j, j] = 0.5
@@ -426,7 +425,7 @@ class TestEchoAndCoherence:
                 sched = Schedule(tuple(events), _meta(bias=0.1, initial="g40"))
                 ctx = _ctx(sched, model=ISOLATED)
                 ctx.delta_B = db
-                state = EnsembleState.pure("g40", 5000, ctx.field_at(0))
+                state = EnsembleState.pure("g40", 5000)
                 for ev in events:
                     apply_event(state, ev, ctx)
                 coherence = 2 * abs(state.coherence("g40", "g30"))
@@ -441,7 +440,7 @@ class TestEchoAndCoherence:
             pre = events[:cut]
             sched = Schedule(tuple(pre), _meta(bias=0.1, initial="g30"))
             ctx = _ctx(sched)
-            state = EnsembleState.pure("g30", 5000, ctx.field_at(0))
+            state = EnsembleState.pure("g30", 5000)
             for ev in pre:
                 apply_event(state, ev, ctx)
             return 2 * abs(state.coherence("g40", "g30"))
@@ -456,7 +455,7 @@ class TestEchoAndCoherence:
         def coherence(events):
             sched = Schedule(tuple(events), _meta(bias=0.1, initial="g30"))
             ctx = _ctx(sched)
-            state = EnsembleState.pure("g30", 5000, ctx.field_at(0))
+            state = EnsembleState.pure("g30", 5000)
             for ev in events:
                 apply_event(state, ev, ctx)
             return state.coherence("g40", "g30")
@@ -479,14 +478,14 @@ class TestPrepOperations:
     def test_coherent_transfer_perfect(self):
         sched = Schedule((), _meta(initial="g4m4"))
         ctx = _ctx(sched)
-        state = EnsembleState.pure("g4m4", 5000, 0.6)
+        state = EnsembleState.pure("g4m4", 5000)
         coherent_prep_transfer(state, ctx, efficiency=1.0)
         assert state.population("g40") == pytest.approx(1.0)
 
     def test_coherent_transfer_092(self):
         sched = Schedule((), _meta(initial="g4m4"))
         ctx = _ctx(sched)
-        state = EnsembleState.pure("g4m4", 5000, 0.6)
+        state = EnsembleState.pure("g4m4", 5000)
         coherent_prep_transfer(state, ctx, efficiency=0.98)
         assert state.population("g40") == pytest.approx(0.98**4, abs=1e-12)
 
@@ -627,7 +626,7 @@ class TestRunSchedule:
         loss = LossParameters.from_table(0.6)
         calib = default_calibration(MODEL, camera_floor=0.0)
         ctx = _ctx(sched, noise=noise, loss=loss, calib=calib)
-        state = EnsembleState.pure("g4m4", 5000, ctx.field_at(0))
+        state = EnsembleState.pure("g4m4", 5000)
         for ev in sched.events:
             apply_event(state, ev, ctx)
             assert state.atom_number + state.lost == pytest.approx(5000, rel=1e-9)
@@ -648,7 +647,7 @@ class TestRunSchedule:
             rho /= rho.trace().real
             sched = Schedule(tuple(events), _meta(bias=0.6))
             ctx = _ctx(sched, noise=noise, loss=loss, shot=trial, calib=calib)
-            state = EnsembleState.pure("g30", 5000, ctx.field_at(0))
+            state = EnsembleState.pure("g30", 5000)
             state.rho = rho.astype(complex)
             for ev in events:
                 apply_event(state, ev, ctx)
@@ -697,8 +696,8 @@ class TestLaserPhaseNoise:
             sched = Schedule(tuple(events), _meta(bias=0.1, initial="g30"))
             total = 0.0j
             for shot in range(shots):
-                ctx = ShotContext(MODEL, noise, LOSS_OFF, sched, shot, 100.0)
-                state = EnsembleState.pure("g30", 100.0, ctx.field_at(0))
+                ctx = ShotContext(MODEL, noise, LOSS_OFF, sched, shot)
+                state = EnsembleState.pure("g30", 100.0)
                 for ev in events:
                     apply_event(state, ev, ctx)
                 total += state.coherence("g40", "g30")

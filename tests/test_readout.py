@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from tmqubit.atom import AtomModel
-from tmqubit.engine import LossParameters, NoiseModel, default_calibration, run_shot
+from tmqubit.engine import (
+    LossParameters,
+    NoiseModel,
+    default_calibration,
+    run_schedule,
+    run_shot,
+)
 from tmqubit.fitting import model_exponential
 from tmqubit.readout import (
     CalibrationError,
@@ -20,6 +26,7 @@ from tmqubit.readout import (
     pump_depletion,
     simulate_readout,
 )
+from tmqubit.protocols import build_protocol
 from tmqubit.schedule import build_shelving_readout
 
 MODEL = AtomModel()
@@ -114,7 +121,7 @@ class TestForwardModel:
         # feed the *initial* state instead: build one directly
         from tmqubit.engine import EnsembleState
 
-        st = EnsembleState.pure("g30", 1000.0, 0.6)
+        st = EnsembleState.pure("g30", 1000.0)
         raw = simulate_readout(st, CALIB)
         assert raw["N3_mf0"] > 700
 
@@ -176,6 +183,18 @@ class TestRecord:
         assert "N4" in rec.low_confidence
         assert "N3" not in rec.low_confidence
         assert rec.raw["N4"] == 5.0   # flagged, not clipped
+
+    def test_simulated_count_below_camera_floor_is_flagged(self):
+        # a 50 us F=4 probe on g30 atoms sees ~1 crosstalk count plus camera
+        # noise, so some counts land between 0 and the floor
+        calib = dataclasses.replace(CALIB, camera_floor=20.0)
+        records = run_schedule(build_protocol("probe_scan", {"t": 0.05e-3}), MODEL,
+                               NoiseModel.off(3), LossParameters.off(), 8,
+                               calibration=calib)
+        counts = [(rec, label, value) for rec in records for label, value in rec.raw.items()]
+        assert any(0.0 < value < 20.0 for _, _, value in counts)
+        for rec, label, value in counts:
+            assert (label in rec.low_confidence) == (value < 20.0)
 
     def test_eta4(self):
         rec = ReadoutRecord(raw={"N4_mf0": 300.0, "N3_mf0": 100.0})
