@@ -16,6 +16,7 @@ from .engine import (
     RandomWalkDrift,
     ShotContext,
     SinusoidDrift,
+    run_scan,
     run_schedule,
     run_shot,
 )

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, scan_grid
-from .engine import run_schedule
+from .engine import run_scan
 from .figures import FIGURES, reproduce_figure
 from .fitting import (
     Dataset,
@@ -96,17 +96,18 @@ def _resolve_schedule(cfg: RunConfig, params: dict, scan_value, model):
 
 def _simulate_rows(cfg: RunConfig):
     model = cfg.model()
-    rows = []
     scan_values = cfg.scan_values if cfg.scan_param else (None,)
+    points = []
     for k, value in enumerate(scan_values):
         params = dict(cfg.schedule_params)
         if value is not None:
             params[cfg.scan_param] = value
-        schedule = _resolve_schedule(cfg, params, value, model)
-        noise = dataclasses.replace(cfg.noise,
-                                    seed=cfg.noise.seed + 104729 * k)
-        records = run_schedule(schedule, model, noise, cfg.loss, cfg.shots,
-                               n_atoms=cfg.atoms, calibration=cfg.calibration(params))
+        points.append((_resolve_schedule(cfg, params, value, model),
+                       dataclasses.replace(cfg.noise, seed=cfg.noise.seed + 104729 * k),
+                       cfg.calibration(params)))
+    rows = []
+    for value, records in zip(scan_values,
+                              run_scan(points, model, cfg.loss, cfg.shots, n_atoms=cfg.atoms)):
         for rec in records:
             for label in rec.raw:
                 rows.append((cfg.scan_param or "", value if value is not None else "",

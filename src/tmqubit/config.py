@@ -104,6 +104,8 @@ class RunConfig:
             lines.append(f"noise.drift=random_walk({drift.step!r},{drift.interval!r})")
         else:
             lines.append("noise.drift=none")
+        if drift is not None:   # the dead time sets the drift's wall clock
+            lines.append(f"noise.inter_shot_dead_time={self.noise.inter_shot_dead_time!r}")
         lines.append(f"noise.laser_phase_diffusion={self.noise.laser_phase_diffusion!r}")
         lines.append(f"noise.seed={self.noise.seed}")
         lines.append(f"loss.tau={self.loss.tau!r}")

@@ -19,20 +19,26 @@ full basis, combined with multiplicative decay/loss factors:
 
 The state is held unnormalized: trace(rho) is the surviving fraction of the
 initial ensemble and the complement is the lost count.  The engine has one
-leading batch axis: ``run_schedule`` evolves its shots together as one
-(shots, 28, 28) state, with per-shot field offsets, wall clocks and laser
-phases, and every handler acts once per event on the whole batch.  A single
-shot (``run_shot``, or a 2-D ``rho`` passed to ``apply_event``) is the batch
-of one.  Shots are seeded individually from the master seed and every sum
-runs in a fixed order, so a shot's outcome depends only on its index, not
-on the batch it ran in.
+leading batch axis of rows, and one run loop, ``run_scan``: it evolves the
+(point x shot) rows of a scan in blocks of up to ``_BATCH_SHOTS`` rows, each
+block one (rows, 28, 28) state with per-row field offsets, wall clocks,
+laser phases, noise seeds and pulse detunings and phases, and every handler
+acts once per event on the whole block.  Scan points whose schedules differ
+only in the ``detuning`` and ``phase`` of their microwave and 1140 nm
+pulses, with equal calibrations and noise models equal but for the seed,
+share blocks; any other point runs alone.  ``run_schedule`` is the scan of
+one point, and a single shot (``run_shot``, or a 2-D ``rho`` passed to
+``apply_event``) is the batch of one.  Each row is seeded from its own
+point's seed and shot index, and every sum runs in a fixed order, so a
+shot's outcome depends only on its point and index, not on the block it
+ran in.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -85,6 +91,7 @@ __all__ = [
     "coherent_prep_transfer",
     "clock_rotation_transfer",
     "two_body_decay",
+    "run_scan",
     "run_schedule",
     "run_shot",
     "default_calibration",
@@ -164,12 +171,17 @@ class NoiseModel:
         _require("inter_shot_dead_time", self.inter_shot_dead_time, non_negative=True)
 
     def shot_rng(self, shot_index: int) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([self.seed & 0xFFFFFFFFFFFFFFFF, shot_index])))
+        return _shot_rng(self.seed, shot_index)
 
     @staticmethod
     def off(seed: int = 0) -> "NoiseModel":
         return NoiseModel(sigma_B_shot=0.0, drift=None, laser_phase_diffusion=0.0, seed=seed)
+
+
+def _shot_rng(seed: int, shot_index: int) -> np.random.Generator:
+    """The generator of shot ``shot_index`` under noise seed ``seed``."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, shot_index])))
 
 
 # Least recently used walks, one per noise seed; an evicted walk is
@@ -340,24 +352,31 @@ class ShotContext:
     """Sampled noise, elapsed time, and model/loss references of a batch of
     shots.
 
-    ``shot_index`` is one index (the batch of one) or a sequence of them.
-    Each shot draws from its own generator ``noise.shot_rng(k)`` in the
-    order of the schedule's events, so its numbers do not depend on the
-    other shots of the batch.  ``delta_B``, ``wall_t0``, ``laser_phase`` and
-    the field queries are arrays shaped like ``shot_index`` (0-d for one
-    index); schedule time ``t`` is common to all shots.
+    ``shot_index`` is one index (the batch of one) or a sequence of them;
+    ``seeds`` gives each shot its noise seed (default ``noise.seed`` for
+    every shot), and ``noise`` supplies everything else.  Each shot draws
+    from its own generator, ``noise.shot_rng(k)`` under its seed, in the
+    order of the schedule's events, and its random-walk drift follows the
+    walk of its seed, so its numbers do not depend on the other shots of the
+    batch.  ``delta_B``, ``wall_t0``, ``laser_phase`` and the field queries
+    are arrays shaped like ``shot_index`` (0-d for one index); schedule time
+    ``t`` is common to all shots.
     """
 
     def __init__(self, model: AtomModel, noise: NoiseModel, loss: LossParameters,
                  schedule: Schedule, shot_index,
-                 calibration: CrosstalkCalibration | None = None):
+                 calibration: CrosstalkCalibration | None = None, seeds=None):
         self.model = model
         self.noise = noise
         self.loss = loss
         self.calibration = calibration
         self.B_nominal = schedule.metadata.bias_field
         shots = np.asarray(shot_index)
-        self.rngs = [noise.shot_rng(int(k)) for k in shots.ravel()]
+        seeds = [noise.seed] * shots.size if seeds is None else [int(s) for s in seeds]
+        self.rngs = [_shot_rng(s, int(k)) for s, k in zip(seeds, shots.ravel())]
+        # noise seed -> mask of its shots, for the random-walk drift
+        self._walk_rows = {s: np.reshape([x == s for x in seeds], shots.shape)
+                           for s in dict.fromkeys(seeds)}
         self.wall_t0 = shots * (schedule.duration + noise.inter_shot_dead_time)
         self.delta_B = (self.draw_normal(noise.sigma_B_shot)
                         if noise.sigma_B_shot > 0 else 0.0)
@@ -381,6 +400,19 @@ class ShotContext:
 
     # ---- field sampling -----------------------------------------------------
 
+    def _walk_at(self, k: np.ndarray) -> np.ndarray:
+        """Standard random-walk values at interval indices ``k`` (an array
+        broadcasting against the shots), each shot reading its seed's walk."""
+        n = int(k.max()) + 1
+        if len(self._walk_rows) == 1:
+            (seed,) = self._walk_rows
+            return _walk_values(seed, n)[k]
+        out = np.empty(np.broadcast_shapes(k.shape, self.wall_t0.shape))
+        k = np.broadcast_to(k, out.shape)
+        for seed, rows in self._walk_rows.items():
+            out[..., rows] = _walk_values(seed, n)[k[..., rows]]
+        return out
+
     def _drift_value(self, wall_t: np.ndarray):
         d = self.noise.drift
         if d is None:
@@ -388,7 +420,7 @@ class ShotContext:
         if isinstance(d, SinusoidDrift):
             return d.amplitude * np.sin(2 * math.pi * wall_t / d.period)
         k = np.maximum(wall_t // d.interval, 0).astype(np.intp)
-        return d.step * _walk_values(self.noise.seed, int(k.max()) + 1)[k]
+        return d.step * self._walk_at(k)
 
     def field_offset(self, t: float) -> np.ndarray:
         """B(t) - B_nominal at schedule time t (G), per shot."""
@@ -419,13 +451,12 @@ class ShotContext:
         # has ended adds zero-length segments
         wa, wb = np.broadcast_arrays(self.wall_t0 + t0, self.wall_t0 + t1)
         k = (wa // d.interval).astype(np.intp)
-        values = _walk_values(self.noise.seed, int((wb // d.interval).max()) + 2)
         i1, i2 = np.zeros(wa.shape), np.zeros(wa.shape)
         t = wa
         while (active := t < wb).any():
             t_next = np.minimum(wb, (k + 1) * d.interval)
             seg = np.where(active, t_next - t, 0.0)
-            step = o + d.step * values[k]
+            step = o + d.step * self._walk_at(k)
             i1 += step * seg
             i2 += step * step * seg
             k = k + active
@@ -737,8 +768,9 @@ _SUBSTEP_CHUNK = 1024
 
 
 def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
-                    omega: float, detuning: float, phase, tau: float,
+                    omega: float, detuning, phase, tau: float,
                     averaged: bool) -> None:
+    # detuning and phase are numbers or per-shot arrays
     spec = ctx.model.find_transition(transition)
     i = STATE_INDEX[spec.lower]
     j = STATE_INDEX[spec.upper]
@@ -944,8 +976,8 @@ def apply_event(state: EnsembleState, ev, ctx: ShotContext, record=None) -> None
 
 # ------------------------------------------------------------------ run loop
 
-# Shots evolved together by run_schedule; bounds the memory of one batch
-# (its state and the node arrays of the 1140 nm average grow with it).
+# Rows (point x shot) evolved together by run_scan; bounds the memory of one
+# block (its state and the node arrays of the 1140 nm average grow with it).
 _BATCH_SHOTS = 32
 
 
@@ -970,13 +1002,22 @@ def _initial_token(schedule: Schedule) -> str:
     return "g30"        # prepared central sublevel
 
 
+def _starting_in(schedule: Schedule, initial_state: str | None) -> Schedule:
+    """``schedule`` with its initial sublevel set to ``initial_state``
+    (unchanged when that is None or empty)."""
+    if not initial_state:
+        return schedule
+    return replace(schedule, metadata=replace(schedule.metadata, initial_state=initial_state))
+
+
 def _run_batch(schedule: Schedule, model: AtomModel, noise: NoiseModel,
                loss: LossParameters, shots, n_atoms: float,
                calibration: CrosstalkCalibration | None,
-               initial_state: str | None) -> tuple[EnsembleState, list[ReadoutRecord]]:
-    """Evolve the shots ``shots`` together: one (shots, DIM, DIM) state."""
-    ctx = ShotContext(model, noise, loss, schedule, shots, calibration)
-    idx = STATE_INDEX[SublevelRef.from_token(initial_state or _initial_token(schedule))]
+               seeds=None) -> tuple[EnsembleState, list[ReadoutRecord]]:
+    """Evolve the shots ``shots`` together: one (shots, DIM, DIM) state; shot
+    r draws under noise seed ``seeds[r]`` (default ``noise.seed``)."""
+    ctx = ShotContext(model, noise, loss, schedule, shots, calibration, seeds)
+    idx = STATE_INDEX[SublevelRef.from_token(_initial_token(schedule))]
     rho = np.zeros((len(shots), DIM, DIM), dtype=complex)
     rho[:, idx, idx] = 1.0
     state = EnsembleState(rho, n_atoms)
@@ -994,25 +1035,84 @@ def run_shot(schedule: Schedule, model: AtomModel, noise: NoiseModel,
              calibration: CrosstalkCalibration | None = None,
              initial_state: str | None = None) -> tuple[EnsembleState, ReadoutRecord]:
     """Run one shot, the batch of one: its state (2-D ``rho``) and record."""
-    state, (record,) = _run_batch(schedule, model, noise, loss, [shot_index],
-                                  n_atoms, calibration, initial_state)
+    state, (record,) = _run_batch(_starting_in(schedule, initial_state), model, noise,
+                                  loss, [shot_index], n_atoms, calibration)
     state.rho = state.rho[0]
     return state, record
+
+
+_SCANNED = (MwPulse, ClockPulse)   # events whose detuning and phase may vary
+
+
+def _scan_key(schedule: Schedule) -> Schedule:
+    """``schedule`` without the fields a block runs per row."""
+    return replace(schedule, events=tuple(
+        replace(ev, detuning=0.0, phase=0.0) if isinstance(ev, _SCANNED) else ev
+        for ev in schedule.events))
+
+
+def _block_schedule(schedules: list[Schedule], point_of_row: list[int]) -> Schedule:
+    """The schedule of a block whose row r runs ``schedules[point_of_row[r]]``
+    (schedules equal up to ``_scan_key``): the detuning and phase of every
+    scanned pulse become per-row arrays."""
+    events = []
+    for i, ev in enumerate(schedules[0].events):
+        if isinstance(ev, _SCANNED):
+            per_point = [s.events[i] for s in schedules]
+            ev = replace(ev, **{name: np.array([getattr(e, name) for e in per_point])[point_of_row]
+                                for name in ("detuning", "phase")})
+        events.append(ev)
+    return replace(schedules[0], events=tuple(events))
+
+
+def run_scan(points, model: AtomModel, loss: LossParameters, n_shots: int,
+             n_atoms: float = 5000.0) -> list[list[ReadoutRecord]]:
+    """Run ``n_shots`` shots at every scan point: the records of each point,
+    in point order.
+
+    Each point is ``(schedule, noise, calibration)``.  Points form one group
+    when their schedules are equal except for the ``detuning`` and ``phase``
+    of ``MwPulse``/``ClockPulse`` events (metadata included), their
+    calibrations are equal and their noise models are equal except for the
+    seed; a point that matches no other is a group of one.  A group's
+    (point, shot) rows run in blocks of up to ``_BATCH_SHOTS`` rows, which
+    may span points; inside a block those pulse fields are per-row arrays.
+    Shot k of a point draws from ``noise.shot_rng(k)`` of that point's
+    noise, so its record equals ``run_shot`` of that point and index, in any
+    block.
+    """
+    if n_shots < 1:
+        raise ValueError("n_shots must be >= 1")
+    points = list(points)
+    groups: dict[tuple, list[int]] = {}
+    for p, (schedule, noise, calibration) in enumerate(points):
+        schedule.validate(model)
+        key = (_scan_key(schedule), replace(noise, seed=0), calibration)
+        groups.setdefault(key, []).append(p)
+    records: list[list[ReadoutRecord]] = [[] for _ in points]
+    for members in groups.values():
+        schedules = [points[p][0] for p in members]
+        _, noise, calibration = points[members[0]]
+        rows = [(m, k) for m in range(len(members)) for k in range(n_shots)]
+        for start in range(0, len(rows), _BATCH_SHOTS):
+            block = rows[start:start + _BATCH_SHOTS]
+            point_of_row = [m for m, _ in block]
+            schedule = (schedules[0] if len(members) == 1
+                        else _block_schedule(schedules, point_of_row))
+            _, batch = _run_batch(schedule, model, noise, loss, [k for _, k in block],
+                                  n_atoms, calibration,
+                                  [points[members[m]][1].seed for m in point_of_row])
+            for m, record in zip(point_of_row, batch):
+                records[members[m]].append(record)
+    return records
 
 
 def run_schedule(schedule: Schedule, model: AtomModel, noise: NoiseModel,
                  loss: LossParameters, n_shots: int, n_atoms: float = 5000.0,
                  calibration: CrosstalkCalibration | None = None,
                  initial_state: str | None = None) -> list[ReadoutRecord]:
-    """Run n_shots independent shots, evolved in batches of up to
-    ``_BATCH_SHOTS``; deterministic under the noise seed, and a shot's
-    record equals ``run_shot`` of its index."""
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
-    schedule.validate(model)
-    records = []
-    for start in range(0, n_shots, _BATCH_SHOTS):
-        shots = range(start, min(start + _BATCH_SHOTS, n_shots))
-        records += _run_batch(schedule, model, noise, loss, shots, n_atoms,
-                              calibration, initial_state)[1]
-    return records
+    """Run n_shots independent shots: the scan of one point, evolved in
+    blocks of up to ``_BATCH_SHOTS`` shots; deterministic under the noise
+    seed, and a shot's record equals ``run_shot`` of its index."""
+    point = (_starting_in(schedule, initial_state), noise, calibration)
+    return run_scan([point], model, loss, n_shots, n_atoms)[0]

@@ -20,6 +20,7 @@ from .engine import (
     NoiseModel,
     RandomWalkDrift,
     default_calibration,
+    run_scan,
     run_schedule,
     run_shot,
 )
@@ -73,13 +74,12 @@ def _fringe_contrast(model, noise, loss, calib, t_free, bias, shots, seed,
     exactly where the peak-to-peak estimate is the conservative choice).
     """
     dnus = np.linspace(-1.0 / (2 * t_free), 1.0 / (2 * t_free), 24)
+    points = [(build_protocol("ramsey", {"t": t_free, "detuning": float(dnu),
+                                         "bias_field": bias, "mw_pi_time": mw_pi_time}),
+               dataclasses.replace(noise, seed=seed + 1000 * k), calib)
+              for k, dnu in enumerate(dnus)]
     ys, sigmas = [], []
-    for k, dnu in enumerate(dnus):
-        sched = build_protocol("ramsey", {"t": t_free, "detuning": float(dnu),
-                                          "bias_field": bias,
-                                          "mw_pi_time": mw_pi_time})
-        records = run_schedule(sched, model, dataclasses.replace(noise, seed=seed + 1000 * k),
-                               loss, shots, n_atoms=n_atoms, calibration=calib)
+    for records in run_scan(points, model, loss, shots, n_atoms=n_atoms):
         mean, err = _mean_quantity(records, "eta4")
         ys.append(mean)
         sigmas.append(max(err, 5e-3))
@@ -239,13 +239,13 @@ def _clock_phase_scan(model, noise, loss, calib, mode, t_store, shots, seed,
         events[first_mw + 1:idx] = [Wait(span)]
         idx = max(k for k, ev in enumerate(events) if isinstance(ev, MwPulse))
     phases = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
-    ys, sigmas = [], []
+    points = []
     for k, phi in enumerate(phases):
         events[idx] = dataclasses.replace(events[idx], phase=float(phi))
-        sched = Schedule(tuple(events), base.metadata)
-        records = run_schedule(sched, model,
-                               dataclasses.replace(noise, seed=seed + 631 * k),
-                               loss, shots, n_atoms=n_atoms, calibration=calib)
+        points.append((Schedule(tuple(events), base.metadata),
+                       dataclasses.replace(noise, seed=seed + 631 * k), calib))
+    ys, sigmas = [], []
+    for records in run_scan(points, model, loss, shots, n_atoms=n_atoms):
         # decay from the metastable levels repopulates mF != 0 sublevels, so
         # the stored-coherence fringe uses the total manifold populations
         vals = []

@@ -56,8 +56,7 @@ def _lifetime(cfg: BuilderConfig, params: dict) -> Schedule:
     state = str(params.get("state", "g30"))
     core = Schedule((Wait(params.get("t", 1.0)),),
                     ScheduleMetadata(name="lifetime", bias_field=cfg.bias_field,
-                                     initial_state=state,
-                                     scan_vars=(("t", params.get("t", 1.0)),)))
+                                     initial_state=state))
     return core.followed_by(build_shelving_readout(cfg))
 
 
@@ -73,9 +72,7 @@ def _clock_coherence(cfg: BuilderConfig, params: dict) -> Schedule:
 
 def _clock_rabi(cfg: BuilderConfig, params: dict) -> Schedule:
     sched = build_shelving_readout(cfg, first_pulse_duration=params.get("t", 1e-3))
-    meta = dataclasses.replace(sched.metadata, name="clock_rabi",
-                               initial_state="g40",
-                               scan_vars=(("t", params.get("t", 1e-3)),))
+    meta = dataclasses.replace(sched.metadata, name="clock_rabi", initial_state="g40")
     return Schedule(sched.events, meta)
 
 
@@ -89,8 +86,7 @@ def _probe_scan(cfg: BuilderConfig, params: dict) -> Schedule:
                 dead_time=cfg.dead_time),
     )
     meta = ScheduleMetadata(name="probe_scan", bias_field=cfg.bias_field,
-                            initial_state="g30",
-                            scan_vars=(("t", tau),))
+                            initial_state="g30")
     return Schedule(events, meta)
 
 

@@ -168,7 +168,6 @@ class ScheduleMetadata:
     name: str = ""
     bias_field: float = 0.6            # G
     initial_state: str | None = None   # sublevel token; None = default rule
-    scan_vars: tuple[tuple[str, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -364,7 +363,6 @@ def parse_sequence(text: str, cfg: BuilderConfig | None = None,
     cfg = cfg or BuilderConfig()
     events: list[PulseEvent] = []
     meta_kwargs: dict = {"bias_field": cfg.bias_field}
-    scan_vars: list[tuple[str, float]] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -380,11 +378,6 @@ def parse_sequence(text: str, cfg: BuilderConfig | None = None,
                 meta_kwargs["bias_field"] = _parse_value(value, lineno, 2)
             elif key == "initial_state":
                 meta_kwargs["initial_state"] = value
-            elif key == "var":
-                var = value.split()
-                if len(var) != 2:
-                    raise ParseError("usage: '@var name value'", lineno)
-                scan_vars.append((var[0], _parse_value(var[1], lineno, 3)))
             else:
                 raise ParseError(f"unknown pragma {key!r}", lineno)
             continue
@@ -403,7 +396,7 @@ def parse_sequence(text: str, cfg: BuilderConfig | None = None,
                         raise ParseError(f"malformed argument {w!r}", lineno)
                     kwargs[k.lower()] = _parse_value(v, lineno, 2) if k.lower() != "label" and k.lower() != "transition" else v
             events.append(_parse_event(kind, tokens, kwargs, cfg, lineno))
-    schedule = Schedule(tuple(events), ScheduleMetadata(scan_vars=tuple(scan_vars), **meta_kwargs))
+    schedule = Schedule(tuple(events), ScheduleMetadata(**meta_kwargs))
     if model is not None:
         schedule.validate(model)
     return schedule
@@ -431,8 +424,6 @@ def serialize_sequence(schedule: Schedule) -> str:
     lines.append(f"@bias_field {md.bias_field!r}")
     if md.initial_state is not None:
         lines.append(f"@initial_state {md.initial_state}")
-    for key, value in md.scan_vars:
-        lines.append(f"@var {key} {value!r}")
     for ev in schedule.events:
         parts = [ev.kind]
         for fieldname in _SERIAL_FIELDS[ev.kind]:
@@ -482,10 +473,7 @@ def build_ramsey(T: float, detuning: float = 0.0, cfg: BuilderConfig | None = No
         raise ScheduleError("free evolution time must be >= 0")
     cfg = cfg or BuilderConfig()
     events = (_pi2(cfg, detuning), Wait(T), _pi2(cfg, detuning))
-    meta = ScheduleMetadata(
-        name="ramsey", bias_field=cfg.bias_field, initial_state="g30",
-        scan_vars=(("T", T), ("detuning", detuning)),
-    )
+    meta = ScheduleMetadata(name="ramsey", bias_field=cfg.bias_field, initial_state="g30")
     return Schedule(events, meta)
 
 
@@ -510,10 +498,7 @@ def build_cp(n: int, T: float, detuning: float = 0.0, cfg: BuilderConfig | None 
             events.append(_pi(cfg, detuning))
             events.append(Wait(T / n if k < n - 1 else T / (2 * n)))
     events.append(_pi2(cfg, detuning))
-    meta = ScheduleMetadata(
-        name="cp", bias_field=cfg.bias_field, initial_state="g40",
-        scan_vars=(("n", float(n)), ("T", T), ("detuning", detuning)),
-    )
+    meta = ScheduleMetadata(name="cp", bias_field=cfg.bias_field, initial_state="g40")
     return Schedule(tuple(events), meta)
 
 
@@ -523,10 +508,7 @@ def build_rabi_scan(t: float, detuning: float = 0.0, cfg: BuilderConfig | None =
         raise ScheduleError("pulse duration must be >= 0")
     cfg = cfg or BuilderConfig()
     events = (MwPulse(duration=t, rabi_frequency=cfg.mw_rabi, detuning=detuning),)
-    meta = ScheduleMetadata(
-        name="rabi", bias_field=cfg.bias_field, initial_state="g30",
-        scan_vars=(("t", t), ("detuning", detuning)),
-    )
+    meta = ScheduleMetadata(name="rabi", bias_field=cfg.bias_field, initial_state="g30")
     return Schedule(events, meta)
 
 
@@ -587,9 +569,7 @@ def build_clock_coherence(mode: str, T: float, cfg: BuilderConfig | None = None)
         down.append(clock(CLOCK_TRANSITION_F3))
     up = list(reversed(down))
     events = [_pi2(cfg, 0.0), *down, Wait(T), *up, _pi2(cfg, 0.0)]
-    meta = ScheduleMetadata(
-        name=f"clock_coherence_{mode}", bias_field=cfg.bias_field, initial_state="g30",
-        scan_vars=(("T", T),),
-    )
+    meta = ScheduleMetadata(name=f"clock_coherence_{mode}", bias_field=cfg.bias_field,
+                            initial_state="g30")
     core = Schedule(tuple(events), meta)
     return core.followed_by(build_shelving_readout(cfg))

@@ -75,6 +75,24 @@ class TestConfig:
         assert any(line.startswith("schedule.name=ramsey") for line in lines)
         assert any(line.startswith("scan.param=detuning") for line in lines)
 
+    def test_header_names_the_drift_dead_time(self, tmp_path):
+        # the dead time between shots sets the drift's wall clock, so two runs
+        # that differ only in it must have different headers
+        headers = []
+        for dead in ("0.6", "5"):
+            path = tmp_path / f"dead{dead}.ini"
+            path.write_text(RAMSEY_INI.replace(
+                "sigma_b_shot = 0", "sigma_b_shot = 0\ndrift = sinusoid\n"
+                "drift_amplitude = 3e-4\ndrift_period = 11\n"
+                f"inter_shot_dead_time = {dead}"))
+            out = tmp_path / f"dead{dead}.csv"
+            assert main(["simulate", "--config", str(path), "--shots", "1",
+                         "--out", str(out)]) == 0
+            headers.append([line for line in out.read_text().splitlines()
+                            if line.startswith("# config")])
+        assert headers[0] != headers[1]
+        assert "# config noise.inter_shot_dead_time=5.0" in headers[1]
+
 
 class TestSimulate:
     def test_row_count(self, ramsey_config, tmp_path):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,10 +21,13 @@ from tmqubit.engine import (
     coherent_prep_transfer,
     default_calibration,
     evolve_free,
+    run_scan,
     run_schedule,
     run_shot,
     two_body_decay,
 )
+from tmqubit.figures import _fringe_contrast
+from tmqubit.protocols import build_protocol
 from tmqubit.readout import CrosstalkCalibration
 from tmqubit.schedule import (
     BuilderConfig,
@@ -667,6 +671,105 @@ class TestRunSchedule:
         bad = Schedule((MwPulse(transition="g44-g33"),), _meta())
         with pytest.raises(Exception):
             run_schedule(bad, MODEL, NOISE_OFF, LOSS_OFF, 1)
+
+
+def _ramsey_points(detunings, noise, calib, seed_step=1000, t=0.01):
+    return [(build_protocol("ramsey", {"t": t, "detuning": float(dnu), "bias_field": 0.1}),
+             replace(noise, seed=noise.seed + seed_step * k), calib)
+            for k, dnu in enumerate(detunings)]
+
+
+def _phase_scan_points(noise, calib):
+    # final microwave phase and first 1140 nm pulse's phase and detuning vary
+    base = build_clock_coherence("single", 0.01)
+    events = list(base.events)
+    mw = max(k for k, ev in enumerate(events) if isinstance(ev, MwPulse))
+    clock = min(k for k, ev in enumerate(events) if isinstance(ev, ClockPulse))
+    points = []
+    for k, phi in enumerate(np.linspace(0.0, 2 * math.pi, 6, endpoint=False)):
+        events[mw] = replace(events[mw], phase=float(phi))
+        events[clock] = replace(events[clock], phase=0.3 * k, detuning=20.0 * k)
+        points.append((Schedule(tuple(events), base.metadata),
+                       replace(noise, seed=noise.seed + 631 * k), calib))
+    return points
+
+
+_CALIB = default_calibration(MODEL, camera_floor=0.0)
+
+# (points, loss, n_shots): each scan groups all its points
+_SCANS = {
+    "detuning_sinusoid_drift": (
+        _ramsey_points(np.linspace(-50, 50, 4),
+                       NoiseModel(sigma_B_shot=150e-6, drift=SinusoidDrift(3e-4, 11.0), seed=5),
+                       _CALIB), LOSS_OFF, 6),
+    "detuning_random_walk_seed_per_point": (
+        _ramsey_points(np.linspace(-50, 50, 4),
+                       NoiseModel(sigma_B_shot=60e-6, drift=RandomWalkDrift(5e-5, 0.3), seed=9),
+                       _CALIB, seed_step=1), LOSS_OFF, 6),
+    "phase_scan_laser_diffusion_1140nm": (
+        _phase_scan_points(NoiseModel(sigma_B_shot=60e-6, laser_phase_diffusion=60.0, seed=2),
+                           _CALIB), LOSS_OFF, 4),
+    "table_loss_camera_floor_20": (
+        _ramsey_points(np.linspace(-50, 50, 3), NoiseModel(sigma_B_shot=60e-6, seed=4),
+                       default_calibration(MODEL, camera_floor=20.0)),
+        LossParameters.from_table(0.1), 3),
+    "blocks_straddle_points": (
+        _ramsey_points(np.linspace(-50, 50, 9), NoiseModel(sigma_B_shot=150e-6, seed=1),
+                       _CALIB), LOSS_OFF, 5),
+}
+
+
+def _counting_batches(monkeypatch):
+    calls = []
+    run_batch = engine._run_batch
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[4]))
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_run_batch", counted)
+    return calls
+
+
+class TestRunScan:
+    @pytest.mark.parametrize("name", list(_SCANS))
+    def test_each_point_equals_its_own_run(self, name, monkeypatch):
+        points, loss, n_shots = _SCANS[name]
+        monkeypatch.setattr(engine, "_BATCH_SHOTS", 8)
+        calls = _counting_batches(monkeypatch)
+        scan = run_scan(points, MODEL, loss, n_shots)
+        # the points share blocks of 8 rows
+        rows = len(points) * n_shots
+        assert calls == [min(8, rows - start) for start in range(0, rows, 8)]
+        assert len(scan) == len(points)
+        for (schedule, noise, calib), records in zip(points, scan):
+            alone = run_schedule(schedule, MODEL, noise, loss, n_shots, calibration=calib)
+            assert [r.shot_index for r in records] == list(range(n_shots))
+            for a, b in zip(records, alone):
+                assert a.raw == b.raw
+                assert a.calibrated == b.calibrated
+                assert a.low_confidence == b.low_confidence
+
+    def test_unmatched_points_run_alone(self, monkeypatch):
+        # free times differ, so no two points group: one block per point
+        noise = NoiseModel(sigma_B_shot=150e-6, seed=3)
+        points = [(build_protocol("ramsey", {"t": t, "detuning": 5.0, "bias_field": 0.1}),
+                   replace(noise, seed=k), _CALIB)
+                  for k, t in enumerate((0.01, 0.02, 0.03))]
+        calls = _counting_batches(monkeypatch)
+        scan = run_scan(points, MODEL, LOSS_OFF, 3)
+        assert calls == [3, 3, 3]
+        for (schedule, noise_k, calib), records in zip(points, scan):
+            alone = run_schedule(schedule, MODEL, noise_k, LOSS_OFF, 3, calibration=calib)
+            assert [r.raw for r in records] == [r.raw for r in alone]
+            assert [r.calibrated for r in records] == [r.calibrated for r in alone]
+
+    def test_fringe_contrast_shares_blocks(self, monkeypatch):
+        # 24 detunings x 16 shots run as 12 blocks of 32 rows, not 24 of 16
+        calls = _counting_batches(monkeypatch)
+        _fringe_contrast(MODEL, NoiseModel(sigma_B_shot=60e-6, seed=0), LOSS_OFF, _CALIB,
+                         0.08, 0.1, 16, 0, 5000.0)
+        assert calls == [32] * 12
 
 
 class TestRabiVisibilityDamping:

@@ -77,10 +77,11 @@ class TestParser:
             parse_sequence("mw pi 0deg transition=g41-g31", model=model)
 
     def test_pragmas(self):
-        s = parse_sequence("@name demo\n@bias_field 100mG\n@var T 0.5\nwait 1ms\n")
+        s = parse_sequence("@name demo\n@bias_field 100mG\nwait 1ms\n")
         assert s.metadata.name == "demo"
         assert s.metadata.bias_field == pytest.approx(0.1)
-        assert dict(s.metadata.scan_vars)["T"] == 0.5
+        with pytest.raises(ParseError, match="unknown pragma"):
+            parse_sequence("@var x 1\nwait 1ms\n")
 
 
 class TestSerializer:
@@ -113,8 +114,7 @@ class TestSerializer:
                 events.append(Measure(label=str(rng.choice(["N4", "N3", "N4_mf0", "N3_mf0"])),
                                       target_F=int(rng.choice([3, 4]))))
         meta = ScheduleMetadata(name="random", bias_field=float(rng.uniform(0.05, 1.0)),
-                                initial_state="g30" if rng.random() < 0.5 else None,
-                                scan_vars=(("T", float(rng.uniform(0, 1))),))
+                                initial_state="g30" if rng.random() < 0.5 else None)
         return Schedule(tuple(events), meta)
 
     def test_roundtrip_property(self, model):
