@@ -503,8 +503,11 @@ def _population(rho: np.ndarray, indices) -> np.ndarray:
 
 
 def _apply_state_phases(rho: np.ndarray, phases: np.ndarray) -> None:
+    """rho -> D rho D^dagger, D = diag(e^{-i phases}), in place: rows, then
+    columns."""
     ph = np.exp(-1j * phases)
-    rho *= ph[..., :, None] * ph.conj()[..., None, :]
+    rho *= ph[..., :, None]
+    rho *= ph.conj()[..., None, :]
 
 
 def _scale_states(rho: np.ndarray, indices, f) -> None:
@@ -595,15 +598,17 @@ def _standing_wave_average(average, a: float, n_values: int):
 
     A back-reflection of amplitude ratio ``a`` modulates the Rabi frequency
     as Omega(z) = Omega0*sqrt(1+a^2+a*cos 2kz).  ``average(scale, rows)``
-    maps the node scales Omega(z)/Omega0 at n midpoint nodes of one optical
-    period to a tuple of arrays whose leading axis runs over the values
-    ``rows`` (indices into ``range(n_values)``), each already averaged over
-    the nodes.  n doubles from 32 until no entry of a value moves by 1e-9
-    (at most 16384 nodes).  Every value stops at its own n, so its average
-    does not depend on the other values.
+    maps node scales Omega(z)/Omega0 to a tuple of arrays whose leading axis
+    runs over the values ``rows`` (indices into ``range(n_values)``), each
+    already averaged over the nodes.  Of n midpoint nodes u of one optical
+    period, the nodes u and 2*pi - u have equal scales, so ``average`` sees
+    the n/2 scales of the first half period, whose mean is that of all n.
+    n doubles from 32 until no entry of a value moves by 1e-9 (at most 16384
+    nodes).  Every value stops at its own n, so its average does not depend
+    on the other values.
     """
     def evaluate(n_nodes: int, rows: np.ndarray):
-        u = 2 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes
+        u = 2 * math.pi * (np.arange(n_nodes // 2) + 0.5) / n_nodes
         return average(np.sqrt(np.clip(1.0 + a * a + a * np.cos(u), 0.0, None)), rows)
 
     n = 32
@@ -622,11 +627,17 @@ def _standing_wave_average(average, a: float, n_values: int):
     return result
 
 
+# The node products e_a conj(e_b), e = (u00, u01, u11), formed for a <= b;
+# the mean for a > b is the conjugate of that for (b, a).
+_PRODUCT_A, _PRODUCT_B = np.triu_indices(3)
 # s4[2i+k, 2j+l] = <U_ij conj(U_kl)>, U = [[u00, u01], [u01, u11]]: the column
-# of that product among the node means (u00, u01, u11, then e_a conj(e_b)
-# for e = (u00, u01, u11), a-major)
+# of that mean among (<u00>, <u01>, <u11>, the 6 product means, their
+# conjugates)
 _U_ENTRY = ((0, 1), (1, 2))
-_S4_COLUMNS = np.array([[3 + 3 * _U_ENTRY[i][j] + _U_ENTRY[k][m]
+_PRODUCT_COLUMN = np.empty((3, 3), dtype=np.intp)
+_PRODUCT_COLUMN[_PRODUCT_B, _PRODUCT_A] = 9 + np.arange(6)
+_PRODUCT_COLUMN[_PRODUCT_A, _PRODUCT_B] = 3 + np.arange(6)
+_S4_COLUMNS = np.array([[_PRODUCT_COLUMN[_U_ENTRY[i][j], _U_ENTRY[k][m]]
                          for j in (0, 1) for m in (0, 1)]
                         for i in (0, 1) for k in (0, 1)])
 
@@ -645,10 +656,11 @@ def _clock_average_core(omega_tau: float, delta_tau, a: float) -> tuple:
 
     def average(scale, rows):
         e = np.stack(_rotation(omega_tau * scale, values[rows, None], 1.0), axis=1)
-        products = e[:, :, None] * e[:, None].conj()
-        return e.mean(axis=-1), products.mean(axis=-1).reshape(len(rows), 9)
+        products = e[:, _PRODUCT_A] * e[:, _PRODUCT_B].conj()
+        return e.mean(axis=-1), products.mean(axis=-1)
 
-    means = np.concatenate(_standing_wave_average(average, a, len(values)), axis=1)
+    e_means, product_means = _standing_wave_average(average, a, len(values))
+    means = np.concatenate((e_means, product_means, product_means.conj()), axis=1)
     shape = delta_tau.shape
     m2 = means[:, [0, 1, 1, 2]][inverse].reshape(shape + (2, 2))
     s4 = means[:, _S4_COLUMNS][inverse].reshape(shape + (4, 4))
@@ -721,9 +733,9 @@ def _apply_loss_channels(rho: np.ndarray, dt: float, n0: float,
     n = np.where(alive, n_init, 1.0)
     n_t = model_two_body_loss(dt, n, loss.tau, beta_over_v)
     # state amplitudes scale by the two-body survival on top of the tau factor
-    factor = np.ones((len(rho), DIM))
-    factor[:, indices] = np.where(alive, np.sqrt(np.maximum(n_t / n / tau_only, 0.0)), 1.0)
-    rho *= tau_only * (factor[:, :, None] * factor[:, None, :])
+    rho *= tau_only
+    _scale_states(rho, indices,
+                  np.where(alive, np.sqrt(np.maximum(n_t / n / tau_only, 0.0)), 1.0))
     if g40 is not None:
         # dipolar spin flips keep the atoms trapped: route the two-body
         # removal into the other F=4 sublevels.  Flipped atoms keep
@@ -762,8 +774,10 @@ def evolve_free(state: EnsembleState, T: float, ctx: ShotContext) -> None:
     ctx.t += T
 
 
-# Pulse substeps whose propagators are computed in one array evaluation;
-# bounds the memory of a long pulse's per-substep arrays.
+# (substep, row) values whose propagators are computed in one array
+# evaluation: a chunk holds max(1, _SUBSTEP_CHUNK // rows) substeps, which
+# bounds the memory of a long pulse's per-substep arrays at any block size
+# (with drift every value is distinct, each with its own standing-wave nodes).
 _SUBSTEP_CHUNK = 1024
 
 
@@ -796,9 +810,10 @@ def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
     delta_n = 2 * math.pi * detuning
     dt = tau / n_sub
     a = math.sqrt(ctx.model.constants.clock_reflection_intensity)
-    for start in range(0, n_sub, _SUBSTEP_CHUNK):
+    chunk = max(1, _SUBSTEP_CHUNK // len(rho))
+    for start in range(0, n_sub, chunk):
         # substep edges, one row each, broadcasting against the shots
-        ks = np.arange(start, min(start + _SUBSTEP_CHUNK, n_sub))
+        ks = np.arange(start, min(start + chunk, n_sub))
         ks = ks.reshape(ks.shape + (1,) * ctx.wall_t0.ndim)
         ta, tb = t0 + ks * dt, t0 + (ks + 1) * dt
         pair = ctx.zeeman_phases(ta, tb, [i, j])
@@ -976,9 +991,12 @@ def apply_event(state: EnsembleState, ev, ctx: ShotContext, record=None) -> None
 
 # ------------------------------------------------------------------ run loop
 
-# Rows (point x shot) evolved together by run_scan; bounds the memory of one
-# block (its state and the node arrays of the 1140 nm average grow with it).
-_BATCH_SHOTS = 32
+# Rows (point x shot) evolved together by run_scan.  Every handler call
+# serves the whole block, so its fixed cost spreads over more rows as this
+# grows; the handlers update the state in place and the pulse chunks shrink
+# with the block, so the block's memory beyond its own state (rows x 12.5 kB)
+# stays bounded.
+_BATCH_SHOTS = 64
 
 
 def default_calibration(model: AtomModel, clock_pi_time: float = 1e-3,

@@ -139,15 +139,18 @@ def fig4(outdir, seed=0, shots=16, n_atoms=5000.0, t_grid=None):
     loss = LossParameters.off()
     calib = default_calibration(model, camera_floor=0.0)
     t_grid = t_grid if t_grid is not None else (0.08, 1.0, 2.0, 4.0, 7.0, 10.0, 14.0, 18.0)
+    noise = NoiseModel(sigma_B_shot=_SIGMA_B_COHERENCE, seed=seed)
     files = []
     rows = []
+    inset_scan = None   # (dataset, fit) of the 80 ms fringe at 0.1 G
     for bias in (0.1, 0.6):
-        noise = NoiseModel(sigma_B_shot=_SIGMA_B_COHERENCE, seed=seed)
         contrasts = []
         for t_free in t_grid:
-            c, c_err, _, _ = _fringe_contrast(model, noise, loss, calib, t_free,
-                                              bias, shots, seed, n_atoms)
+            c, c_err, *scan = _fringe_contrast(model, noise, loss, calib, t_free,
+                                               bias, shots, seed, n_atoms)
             contrasts.append((t_free, c, c_err))
+            if bias == 0.1 and t_free == 0.08:
+                inset_scan = scan
         ds = Dataset(np.array([r[0] for r in contrasts]),
                      np.array([r[1] for r in contrasts]),
                      np.array([max(r[2], 1e-3) for r in contrasts]))
@@ -165,9 +168,10 @@ def fig4(outdir, seed=0, shots=16, n_atoms=5000.0, t_grid=None):
                              "gaussian_overlay", "t2_star_fit"], rows,
                             ["Ramsey contrast vs free evolution time"]))
 
-    noise = NoiseModel(sigma_B_shot=_SIGMA_B_COHERENCE, seed=seed)
-    _, _, ds, fit = _fringe_contrast(model, noise, loss, calib, 0.08, 0.1,
-                                     shots, seed, n_atoms)
+    if inset_scan is None:
+        inset_scan = _fringe_contrast(model, noise, loss, calib, 0.08, 0.1,
+                                      shots, seed, n_atoms)[2:]
+    ds, fit = inset_scan
     inset = [(float(x), float(y), float(s),
               float(model_ramsey_fringe(x, *fit.values)) if fit is not None
               else float("nan"))

@@ -1,11 +1,13 @@
 import cmath
+import csv
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tmqubit import engine
+from tmqubit import engine, figures
 from tmqubit.atom import AtomModel, Manifold, PhysicsConstants, STATE_INDEX, SublevelRef
 from tmqubit.engine import (
     EnsembleState,
@@ -612,6 +614,37 @@ class TestRunSchedule:
             assert alone.raw == records[k].raw
             assert alone.calibrated == records[k].calibrated
 
+    def test_batch_equals_single_shots_across_pulse_chunks(self, monkeypatch):
+        # a block of 6 rows takes each 8-substep loss-on pulse in chunks of
+        # 16 // 6 = 2 substeps, a shot alone in one chunk of 8: the records
+        # agree bit for bit
+        monkeypatch.setattr(engine, "_BATCH_SHOTS", 8)
+        monkeypatch.setattr(engine, "_SUBSTEP_CHUNK", 16)
+        calib = default_calibration(MODEL)
+        chunks = []
+        average = engine._clock_average_core
+
+        def counted(omega_tau, delta_tau, a):
+            chunks.append(len(delta_tau))
+            return average(omega_tau, delta_tau, a)
+
+        monkeypatch.setattr(engine, "_clock_average_core", counted)
+        events = ([MwPulse(duration=1e-3, detuning=3.0, phase=0.4),
+                   ClockPulse(duration=1e-3), Wait(0.01), ClockPulse(duration=1e-3)]
+                  + list(build_shelving_readout().events))
+        sched = Schedule(tuple(events), _meta(bias=0.6))
+        noise = NoiseModel(sigma_B_shot=150e-6, drift=SinusoidDrift(3e-4, 11.0),
+                           laser_phase_diffusion=5.0, seed=17)
+        loss = LossParameters.from_table(0.6)
+        records = run_schedule(sched, MODEL, noise, loss, 6, calibration=calib)
+        assert chunks[:4] == [2, 2, 2, 2]
+        for k in range(6):
+            chunks.clear()
+            _, alone = run_shot(sched, MODEL, noise, loss, k, calibration=calib)
+            assert chunks[0] == 8
+            assert alone.raw == records[k].raw
+            assert alone.calibrated == records[k].calibrated
+
     def test_readout_record_assembly(self):
         sched = build_shelving_readout()
         calib = default_calibration(MODEL, camera_floor=0.0)
@@ -765,11 +798,74 @@ class TestRunScan:
             assert [r.calibrated for r in records] == [r.calibrated for r in alone]
 
     def test_fringe_contrast_shares_blocks(self, monkeypatch):
-        # 24 detunings x 16 shots run as 12 blocks of 32 rows, not 24 of 16
+        # 24 detunings x 16 shots run as 6 blocks of 64 rows, not 24 of 16
         calls = _counting_batches(monkeypatch)
         _fringe_contrast(MODEL, NoiseModel(sigma_B_shot=60e-6, seed=0), LOSS_OFF, _CALIB,
                          0.08, 0.1, 16, 0, 5000.0)
-        assert calls == [32] * 12
+        assert calls == [64] * 6
+
+    def _fig4_run_scans(self, monkeypatch, tmp_path, t_grid):
+        calls = []
+
+        def counted(points, *args, **kwargs):
+            calls.append(len(points))
+            return run_scan(points, *args, **kwargs)
+
+        monkeypatch.setattr(figures, "run_scan", counted)
+        files = figures.fig4(str(tmp_path), seed=4, shots=2, t_grid=t_grid)
+        return calls, files
+
+    def test_fig4_inset_reuses_the_80ms_scan(self, monkeypatch, tmp_path):
+        # the 0.1 G, 80 ms contrast scan is the inset: two biases x three
+        # free times and no seventh scan
+        calls, files = self._fig4_run_scans(monkeypatch, tmp_path, (0.08, 4.0, 10.0))
+        assert calls == [24] * 6
+        with open(files[1], newline="") as fh:
+            inset = [float(row["eta4"]) for row in
+                     csv.DictReader(line for line in fh if not line.startswith("#"))]
+        _, _, ds, _ = _fringe_contrast(
+            MODEL, NoiseModel(sigma_B_shot=figures._SIGMA_B_COHERENCE, seed=4), LOSS_OFF,
+            default_calibration(MODEL, camera_floor=0.0), 0.08, 0.1, 2, 4, 5000.0)
+        assert inset == list(ds.y)
+
+    def test_fig4_inset_runs_its_own_scan_without_80ms(self, monkeypatch, tmp_path):
+        calls, _ = self._fig4_run_scans(monkeypatch, tmp_path, (4.0, 10.0))
+        assert calls == [24] * 5
+
+
+class TestMemoryBounds:
+    """The shot path's working set beyond the state: tracemalloc peaks of
+    one call on a 64-row block."""
+
+    @staticmethod
+    def _peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_long_drifting_1140nm_pulse(self):
+        # loss on: 160 substeps, and with drift every (substep, row) value
+        # of the standing-wave average is distinct
+        ev = ClockPulse(duration=20e-3, transition="g30-m20")
+        sched = Schedule((ev,), _meta(bias=0.1))
+        noise = NoiseModel(sigma_B_shot=150e-6, drift=SinusoidDrift(3e-4, 11.0), seed=1)
+        ctx = ShotContext(MODEL, noise, LossParameters.from_table(0.1), sched, range(64))
+        rho = np.zeros((64, 28, 28), dtype=complex)
+        g30 = STATE_INDEX[SublevelRef.from_token("g30")]
+        rho[:, g30, g30] = 1.0
+        state = EnsembleState(rho, 5000.0)
+        assert self._peak(lambda: apply_event(state, ev, ctx)) < 16e6
+
+    def test_handlers_update_in_place(self):
+        rho = np.tile(np.eye(28, dtype=complex) / 28, (64, 1, 1))
+        phases = np.random.default_rng(0).normal(size=(64, 28))
+        assert self._peak(lambda: engine._apply_state_phases(rho, phases)) < rho.nbytes / 2
+        loss = LossParameters.from_table(0.1)
+        assert self._peak(lambda: engine._apply_loss_channels(rho, 0.1, 5000.0, loss)) \
+            < rho.nbytes / 2
 
 
 class TestRabiVisibilityDamping:
