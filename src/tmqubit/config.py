@@ -136,6 +136,18 @@ def _float(section, key, raw):
     return value
 
 
+def _int(section, key, raw):
+    """``raw`` as an integer: an integer literal, or a number with no
+    fractional part (``1e3``)."""
+    try:
+        return int(raw)
+    except ValueError:
+        value = _float(section, key, raw)
+    if not value.is_integer():
+        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}")
+    return int(value)
+
+
 def _check_keys(parser, allowed: dict) -> None:
     """Raise ConfigError naming the first section or key that is not in
     ``allowed`` (section -> keys): nothing would read it."""
@@ -176,11 +188,13 @@ def load_config(path) -> RunConfig:
 
     if parser.has_section("run"):
         run = parser["run"]
-        cfg.seed = int(_float("run", "seed", run.get("seed", "0")))
-        cfg.shots = int(_float("run", "shots", run.get("shots", "20")))
+        cfg.seed = _int("run", "seed", run.get("seed", "0"))
+        cfg.shots = _int("run", "shots", run.get("shots", "20"))
         cfg.atoms = _float("run", "atoms", run.get("atoms", "5000"))
         if cfg.shots < 1:
             raise ConfigError("[run] shots must be >= 1")
+        if not cfg.atoms > 0:
+            raise ConfigError("[run] atoms must be > 0")
 
     constants = parser["constants"] if parser.has_section("constants") else {}
     overrides = {key: _float("constants", key, raw) for key, raw in constants.items()}

@@ -21,9 +21,12 @@ The state is held unnormalized: trace(rho) is the surviving fraction of the
 initial ensemble and the complement is the lost count.  The engine has one
 leading batch axis of rows, and one run loop, ``run_scan``: it evolves the
 (point x shot) rows of a scan in blocks of up to ``_BATCH_SHOTS`` rows, each
-block one (rows, 28, 28) state with per-row field offsets, wall clocks,
+block one (rows, k, k) state with per-row field offsets, wall clocks,
 laser phases, noise seeds and pulse detunings and phases, and every handler
-acts once per event on the whole block.  Scan points whose schedules differ
+acts once per event on the whole block.  A block holds only the k sublevels
+its schedule can reach (its basis, ``_block_basis``; 9 of 28 for a Ramsey
+shot with readout), at rows x k^2 x 16 bytes; every other entry of its rho
+would stay exactly zero.  Scan points whose schedules differ
 only in the ``detuning`` and ``phase`` of their microwave and 1140 nm
 pulses, with equal calibrations and noise models equal but for the seed,
 share blocks; any other point runs alone.  ``run_schedule`` is the scan of
@@ -108,6 +111,7 @@ _META_ROWS = slice(int(_META[0]), int(_META[-1]) + 1)
 assert _META_ROWS.stop == DIM and len(_META) == DIM - _META_ROWS.start
 _GROUND_BY_F = {4: _GROUND_F4, 3: _GROUND_F3}
 _G4_NONZERO = np.array([i for i in _GROUND_F4 if BASIS[i].mF != 0])
+_G40 = STATE_INDEX[SublevelRef.from_token("g40")]
 
 
 # ----------------------------------------------------------------- noise model
@@ -274,20 +278,76 @@ class LossParameters:
 # -------------------------------------------------------------- ensemble state
 
 
+class _Basis:
+    """The sublevels a state holds, in ascending basis order, with the local
+    index sets of the handlers, each resolved once.
+
+    ``states`` are basis indices; a handler maps its indices through
+    ``local`` and skips any pair or state set with a member outside the
+    basis, whose entries are exactly zero at that event (``_block_basis``).
+    """
+
+    def __init__(self, states):
+        self.states = np.array(sorted(states), dtype=np.intp)
+        self.dim = len(self.states)
+        self.local = {int(s): k for k, s in enumerate(self.states)}
+        # the held states of each ground manifold, and the held metastable
+        # states: they close the basis, so a view slices them
+        self.ground = {F: self._subset(full) for F, full in _GROUND_BY_F.items()}
+        self.meta = slice(int(np.searchsorted(self.states, _META_ROWS.start)), self.dim)
+        g4_nonzero = self._subset(_G4_NONZERO)
+        self.g4_nonzero = g4_nonzero if len(g4_nonzero) == len(_G4_NONZERO) else None
+        for shared in (self.states, g4_nonzero, *self.ground.values()):   # memoized
+            shared.setflags(write=False)
+        self._loss = self._loss_arrays = None
+        self._branch_to_f4 = self._w = None
+
+    def _subset(self, full: np.ndarray) -> np.ndarray:
+        return np.array([self.local[i] for i in full.tolist() if i in self.local], dtype=np.intp)
+
+    def loss_arrays(self, loss: LossParameters) -> tuple[np.ndarray, np.ndarray, int | None]:
+        """``loss.class_arrays`` over the held classes, in local indices; the
+        g40 class redistributes only when F=4 mF != 0 is held whole.  Kept
+        for the last ``loss`` seen."""
+        if loss is not self._loss:
+            indices, beta_over_v, g40 = loss.class_arrays
+            keep = [k for k, i in enumerate(indices.tolist()) if i in self.local]
+            local = np.array([self.local[int(indices[k])] for k in keep], dtype=np.intp)
+            g40 = keep.index(g40) if g40 in keep and self.g4_nonzero is not None else None
+            self._loss, self._loss_arrays = loss, (local, beta_over_v[keep], g40)
+        return self._loss_arrays
+
+    def branching(self, branch_to_f4: float) -> np.ndarray:
+        """``_branching_matrix`` over the held states and held metastable
+        states.  Kept for the last ``branch_to_f4`` seen."""
+        if branch_to_f4 != self._branch_to_f4:
+            w = _branching_matrix(branch_to_f4)
+            cols = self.states[self.meta] - _META_ROWS.start
+            self._branch_to_f4, self._w = branch_to_f4, w[np.ix_(self.states, cols)]
+        return self._w
+
+
+_FULL = _Basis(range(DIM))
+
+
 class EnsembleState:
-    """Density matrix over the tracked basis plus atom-number bookkeeping.
+    """Density matrix over a basis of sublevels plus atom-number bookkeeping.
 
     ``rho`` is unnormalized: its trace is the fraction of the initial
     ``n0`` atoms still trapped, so ``atom_number + lost == n0`` holds
-    through every event.  A batch of shots holds ``rho`` as
-    (shots, DIM, DIM); the accessors below read the 2-D ``rho`` of one shot.
+    through every event.  ``basis`` lists the sublevels ``rho`` holds: all
+    28 by default, and in a ``run_scan`` block only those its schedule can
+    reach.  A batch of shots holds ``rho`` as (shots, k, k) over the k
+    sublevels of its basis; the accessors below read the 2-D ``rho`` of one
+    shot over the full basis.
     """
 
-    __slots__ = ("rho", "n0")
+    __slots__ = ("rho", "n0", "basis")
 
-    def __init__(self, rho: np.ndarray, n0: float):
+    def __init__(self, rho: np.ndarray, n0: float, basis: _Basis = _FULL):
         self.rho = rho
         self.n0 = float(n0)
+        self.basis = basis
 
     @classmethod
     def pure(cls, token: str, n0: float = 5000.0) -> "EnsembleState":
@@ -325,14 +385,15 @@ class EnsembleState:
         return complex(self.rho[i, j])
 
     def copy(self) -> "EnsembleState":
-        return EnsembleState(self.rho.copy(), self.n0)
+        return EnsembleState(self.rho.copy(), self.n0, self.basis)
 
 
 def _batch(state: EnsembleState) -> np.ndarray:
-    """``state.rho`` as a (shots, DIM, DIM) view; a 2-D rho is a batch of one."""
+    """``state.rho`` as a (shots, k, k) view; a 2-D rho is a batch of one."""
     if not state.rho.flags.c_contiguous:
         state.rho = np.ascontiguousarray(state.rho)
-    return state.rho.reshape(-1, DIM, DIM)
+    k = state.basis.dim
+    return state.rho.reshape(-1, k, k)
 
 
 # ---------------------------------------------------------------- shot context
@@ -483,18 +544,22 @@ class ShotContext:
 
 # --------------------------------------------------------- low-level channels
 #
-# Every channel acts on a (shots, DIM, DIM) batch.  Per-shot factors are
-# arrays over the batch, and every sum over states or matrix entries is
-# written out in a fixed order, so a shot rounds the same at any batch size.
+# Every channel acts on a (shots, k, k) batch over the k states of a basis,
+# and takes local indices.  Per-shot factors are arrays over the batch, and
+# every sum over states or matrix entries is written out in a fixed order, so
+# a shot rounds the same at any batch size and in any basis that holds it.
 
 
 def _diagonal(rho: np.ndarray) -> np.ndarray:
-    """Writable (shots, DIM) view of the diagonals of a batch."""
-    return rho.reshape(len(rho), DIM * DIM)[:, ::DIM + 1]
+    """Writable (shots, k) view of the diagonals of a batch."""
+    k = rho.shape[-1]
+    return rho.reshape(len(rho), k * k)[:, ::k + 1]
 
 
 def _population(rho: np.ndarray, indices) -> np.ndarray:
     """Per-shot population of the states ``indices``, added in index order."""
+    if not len(indices):
+        return np.zeros(len(rho))
     diag = _diagonal(rho).real
     total = diag[:, indices[0]].copy()
     for k in indices[1:]:
@@ -516,7 +581,7 @@ def _scale_states(rho: np.ndarray, indices, f) -> None:
     ``f`` is one factor, one per shot, or one per shot and index (shots,
     len(indices)); ``rho`` may be a single 2-D matrix.
     """
-    rho = rho.reshape(-1, DIM, DIM)
+    rho = rho.reshape((-1,) + rho.shape[-2:])
     if isinstance(indices, (int, np.integer)):
         indices = slice(indices, indices + 1)
     f = np.asarray(f, dtype=float)
@@ -689,20 +754,21 @@ def _branching_matrix(branch_to_f4: float) -> np.ndarray:
     return w
 
 
-def _metastable_decay(rho: np.ndarray, dt: float, model: AtomModel) -> None:
+def _metastable_decay(rho: np.ndarray, dt: float, model: AtomModel,
+                      basis: _Basis = _FULL) -> None:
     c = model.constants
     if dt <= 0 or not math.isfinite(c.tau_c):
         return
-    rho = rho.reshape(-1, DIM, DIM)
+    rho = rho.reshape(-1, basis.dim, basis.dim)
     diag = _diagonal(rho)
-    shelved = diag[:, _META_ROWS].real
+    shelved = diag[:, basis.meta].real
     if not shelved.any():
         return   # empty metastable populations leave no coherences to decay
     surv = math.exp(-dt / c.tau_c)
     # a negative rounding residue on the diagonal frees nothing
     freed = (1.0 - surv) * np.maximum(shelved, 0.0)
-    _scale_states(rho, _META_ROWS, math.sqrt(surv))
-    w = _branching_matrix(c.metastable_branch_to_f4)
+    _scale_states(rho, basis.meta, math.sqrt(surv))
+    w = basis.branching(c.metastable_branch_to_f4)
     for k in np.flatnonzero(freed.any(axis=0)):   # the populated metastable states
         diag += w[:, k] * freed[:, k, None]
 
@@ -721,14 +787,15 @@ def two_body_decay(n_init: float, t: float, tau: float,
 
 
 def _apply_loss_channels(rho: np.ndarray, dt: float, n0: float,
-                         loss: LossParameters) -> None:
+                         loss: LossParameters, basis: _Basis = _FULL) -> None:
     """Single-atom loss plus the per-class two-body channels over dt."""
     if dt <= 0 or not loss.active:
         return
     tau_only = math.exp(-dt / loss.tau)           # 1 at tau = inf
-    indices, beta_over_v, g40 = loss.class_arrays
+    indices, beta_over_v, g40 = basis.loss_arrays(loss)
+    diag = _diagonal(rho)
     # class populations at the start of the step, in atoms
-    n_init = n0 * _diagonal(rho).real[:, indices]
+    n_init = n0 * diag.real[:, indices]
     alive = n_init > 0.0
     n = np.where(alive, n_init, 1.0)
     n_t = model_two_body_loss(dt, n, loss.tau, beta_over_v)
@@ -743,7 +810,7 @@ def _apply_loss_channels(rho: np.ndarray, dt: float, n0: float,
         # of the class survives somewhere in F=4.
         removed = np.where(alive[:, g40],
                            np.maximum(n[:, g40] * tau_only - n_t[:, g40], 0.0), 0.0) / n0
-        _diagonal(rho)[:, _G4_NONZERO] += (removed / len(_G4_NONZERO))[:, None]
+        diag[:, basis.g4_nonzero] += (removed / len(_G4_NONZERO))[:, None]
 
 
 def _remove_manifold(rho: np.ndarray, indices: np.ndarray) -> None:
@@ -755,9 +822,10 @@ def _remove_manifold(rho: np.ndarray, indices: np.ndarray) -> None:
 # --------------------------------------------------------------- event handlers
 
 
-def _decay_during(rho: np.ndarray, n0: float, dt: float, ctx: ShotContext) -> None:
-    _metastable_decay(rho, dt, ctx.model)
-    _apply_loss_channels(rho, dt, n0, ctx.loss)
+def _decay_during(rho: np.ndarray, n0: float, dt: float, ctx: ShotContext,
+                  basis: _Basis) -> None:
+    _metastable_decay(rho, dt, ctx.model, basis)
+    _apply_loss_channels(rho, dt, n0, ctx.loss, basis)
 
 
 def evolve_free(state: EnsembleState, T: float, ctx: ShotContext) -> None:
@@ -768,8 +836,8 @@ def evolve_free(state: EnsembleState, T: float, ctx: ShotContext) -> None:
     if T == 0:
         return
     rho = _batch(state)
-    _apply_state_phases(rho, ctx.zeeman_phases(ctx.t, ctx.t + T))
-    _decay_during(rho, state.n0, T, ctx)
+    _apply_state_phases(rho, ctx.zeeman_phases(ctx.t, ctx.t + T, state.basis.states))
+    _decay_during(rho, state.n0, T, ctx, state.basis)
     ctx.advance_laser_phase(T)
     ctx.t += T
 
@@ -779,6 +847,14 @@ def evolve_free(state: EnsembleState, T: float, ctx: ShotContext) -> None:
 # bounds the memory of a long pulse's per-substep arrays at any block size
 # (with drift every value is distinct, each with its own standing-wave nodes).
 _SUBSTEP_CHUNK = 1024
+
+
+def _substeps(loss: LossParameters, omega: float, tau: float) -> int:
+    """Substeps of a pulse: active loss splits it into steps of period/16."""
+    if loss.active and omega > 0:
+        period = 2 * math.pi / omega
+        return max(1, min(int(math.ceil(tau / (period / 16.0))), 200_000))
+    return 1
 
 
 def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
@@ -792,23 +868,31 @@ def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
     if tau <= 0.0:
         return
     rho = _batch(state)
-
-    n_sub = 1
-    if ctx.loss.active and omega > 0:
-        period = 2 * math.pi / omega
-        n_sub = max(1, min(int(math.ceil(tau / (period / 16.0))), 200_000))
+    basis = state.basis
+    n_sub = _substeps(ctx.loss, omega, tau)
 
     # The Zeeman phases are diagonal and equal on the pair once the pair-common
     # part (the lower state's phase) is split off, so they commute with the
     # pair propagators and the decay channels: that part applies once for the
     # whole pulse, and the relative part enters each substep's rotation as
     # detuning.
-    phases = ctx.zeeman_phases(t0, t0 + tau)
-    phases[..., j] = phases[..., i]
-    _apply_state_phases(rho, phases)
+    li, lj = basis.local.get(i), basis.local.get(j)
+    states = basis.states
+    if lj is not None:
+        states = states.copy()
+        states[lj] = i
+    _apply_state_phases(rho, ctx.zeeman_phases(t0, t0 + tau, states))
 
-    delta_n = 2 * math.pi * detuning
     dt = tau / n_sub
+    if li is None or lj is None:
+        # one state of the pair is outside the basis, so both stay empty
+        # through the pulse: only the decay acts
+        for _ in range(n_sub):
+            _decay_during(rho, state.n0, dt, ctx, basis)
+        ctx.advance_laser_phase(tau)
+        ctx.t = t0 + tau
+        return
+    delta_n = 2 * math.pi * detuning
     a = math.sqrt(ctx.model.constants.clock_reflection_intensity)
     chunk = max(1, _SUBSTEP_CHUNK // len(rho))
     for start in range(0, n_sub, chunk):
@@ -831,12 +915,18 @@ def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
                                          u11 * (e_end * e_start)), axis=-1)
         for k in range(len(ks)):
             if averaged:
-                _apply_pair_channel(rho, i, j, u[k], s4[k], e_start[k], e_end[k])
+                _apply_pair_channel(rho, li, lj, u[k], s4[k], e_start[k], e_end[k])
             else:
-                _apply_pair_unitary(rho, i, j, u[k])
-            _decay_during(rho, state.n0, dt, ctx)
+                _apply_pair_unitary(rho, li, lj, u[k])
+            _decay_during(rho, state.n0, dt, ctx, basis)
     ctx.advance_laser_phase(tau)
     ctx.t = t0 + tau
+
+
+def _spectators(model: AtomModel, spec):
+    """The microwave catalog lines other than ``spec``, in catalog order."""
+    return [other for other in model.transition_catalog()
+            if other.kind is TransitionKind.MW_HYPERFINE and other is not spec]
 
 
 def apply_mw_pulse(state: EnsembleState, ev: MwPulse, ctx: ShotContext) -> None:
@@ -850,15 +940,17 @@ def apply_mw_pulse(state: EnsembleState, ev: MwPulse, ctx: ShotContext) -> None:
     # off-resonant excitation of the other catalog lines, at its oscillation
     # peak p = Omega_s^2 / (Omega_s^2 + (2 pi dnu)^2), scaled by strength
     rho = _batch(state)
+    local = state.basis.local
     b_mid = ctx.field_at(ctx.t - 0.5 * ev.duration)
     f_drive = ctx.model.transition_frequency(spec, ctx.B_nominal) + ev.detuning
-    for other in ctx.model.transition_catalog():
-        if other.kind is not TransitionKind.MW_HYPERFINE or other is spec:
+    for other in _spectators(ctx.model, spec):
+        i, j = local.get(STATE_INDEX[other.lower]), local.get(STATE_INDEX[other.upper])
+        if i is None or j is None:
             continue
         omega_s = ev.rabi_frequency * other.relative_strength / spec.relative_strength
         dnu = f_drive - ctx.model.transition_frequency(other, b_mid)
         p = omega_s**2 / (omega_s**2 + (2 * math.pi * dnu)**2)
-        _probabilistic_swap(rho, STATE_INDEX[other.lower], STATE_INDEX[other.upper], p)
+        _probabilistic_swap(rho, i, j, p)
 
 
 def apply_clock_pulse(state: EnsembleState, ev: ClockPulse, ctx: ShotContext) -> None:
@@ -869,19 +961,28 @@ def apply_clock_pulse(state: EnsembleState, ev: ClockPulse, ctx: ShotContext) ->
                     averaged=True)
 
 
+def _rf_steps(model: AtomModel, ev: RfSweep, B: float) -> list[tuple[int, int]]:
+    """(source, target) basis indices of the F=4 ladder steps the sweep
+    crosses at field B, in sweep order."""
+    lo, hi = sorted((ev.f_start, ev.f_stop))
+    steps = []
+    for mF in range(-4, 0):
+        src, dst = SublevelRef(Manifold.GROUND, 4, mF), SublevelRef(Manifold.GROUND, 4, mF + 1)
+        f_res = model.transition_frequency(f"{src.token}-{dst.token}", B)
+        if lo - 1.0 <= f_res <= hi + 1.0:
+            steps.append((STATE_INDEX[src], STATE_INDEX[dst]))
+    return steps
+
+
 def apply_rf_sweep(state: EnsembleState, ev: RfSweep, ctx: ShotContext) -> None:
     """Incoherent ladder transfer across the F=4 sublevels swept by the RF."""
     rho = _batch(state)
-    lo, hi = sorted((ev.f_start, ev.f_stop))
+    local = state.basis.local
     eff = ctx.model.constants.rf_step_efficiency
-    steps = [(SublevelRef(Manifold.GROUND, 4, mF), SublevelRef(Manifold.GROUND, 4, mF + 1))
-             for mF in range(-4, 0)]
-    for src, dst in steps:
-        name = f"{src.token}-{dst.token}"
-        f_res = ctx.model.transition_frequency(name, ctx.B_nominal)
-        if lo - 1.0 <= f_res <= hi + 1.0:
-            _probabilistic_swap(rho, STATE_INDEX[src], STATE_INDEX[dst], eff)
-    _decay_during(rho, state.n0, ev.duration, ctx)
+    for src, dst in _rf_steps(ctx.model, ev, ctx.B_nominal):
+        if src in local and dst in local:
+            _probabilistic_swap(rho, local[src], local[dst], eff)
+    _decay_during(rho, state.n0, ev.duration, ctx, state.basis)
     ctx.advance_laser_phase(ev.duration)
     ctx.t += ev.duration
 
@@ -891,8 +992,11 @@ def coherent_prep_transfer(state: EnsembleState, ctx: ShotContext,
     """Four sequential pi rotations along the preparation ladder, each with
     the given transfer efficiency, leaving residuals behind."""
     rho = _batch(state)
+    local = state.basis.local
     for src, dst in ctx.model.prep_ladder:
-        _probabilistic_swap(rho, STATE_INDEX[src], STATE_INDEX[dst], efficiency)
+        i, j = local.get(STATE_INDEX[src]), local.get(STATE_INDEX[dst])
+        if i is not None and j is not None:
+            _probabilistic_swap(rho, i, j, efficiency)
 
 
 def apply_probe_410(state: EnsembleState, ev: Probe410, ctx: ShotContext) -> None:
@@ -901,14 +1005,22 @@ def apply_probe_410(state: EnsembleState, ev: Probe410, ctx: ShotContext) -> Non
     if ev.duration <= 0:
         return
     rho = _batch(state)
+    ground = state.basis.ground
     calib = ctx.calibration or CrosstalkCalibration()
-    _remove_manifold(rho, _GROUND_BY_F[ev.target_F])
-    other = _GROUND_BY_F[3 if ev.target_F == 4 else 4]
+    _remove_manifold(rho, ground[ev.target_F])
     dep = pump_depletion(ev.duration, calib)
-    _scale_states(rho, other, math.sqrt(1.0 - dep))
-    _decay_during(rho, state.n0, ev.duration, ctx)
+    _scale_states(rho, ground[3 if ev.target_F == 4 else 4], math.sqrt(1.0 - dep))
+    _decay_during(rho, state.n0, ev.duration, ctx, state.basis)
     ctx.advance_laser_phase(ev.duration)
     ctx.t += ev.duration
+
+
+def _scatter_probability(c, ev: Clean530) -> float:
+    """Photon scattering probability of a 530 nm clean on the other manifold,
+    detuned by the upper-state hyperfine splitting:
+    p = Gamma s t / (2 (1 + s + (4 pi dnu / Gamma)^2))."""
+    gamma = c.gamma_530
+    return gamma * ev.s * ev.duration / (2.0 * (1.0 + ev.s + (4 * math.pi * ev.detuning / gamma)**2))
 
 
 def apply_clean_530(state: EnsembleState, ev: Clean530, ctx: ShotContext) -> None:
@@ -918,18 +1030,17 @@ def apply_clean_530(state: EnsembleState, ev: Clean530, ctx: ShotContext) -> Non
     if ev.duration <= 0:
         return
     rho = _batch(state)
+    basis = state.basis
     surv = math.exp(-ev.duration / c.tau_clean)
-    _scale_states(rho, _GROUND_BY_F[ev.target_F], math.sqrt(surv))
-    # photon scattering on the other manifold, detuned by the upper-state
-    # hyperfine splitting: p = Gamma s t / (2 (1 + s + (4 pi dnu / Gamma)^2))
-    other = _GROUND_BY_F[3 if ev.target_F == 4 else 4]
-    gamma = c.gamma_530
-    p = gamma * ev.s * ev.duration / (2.0 * (1.0 + ev.s + (4 * math.pi * ev.detuning / gamma)**2))
-    if p > 0.0:
+    _scale_states(rho, basis.ground[ev.target_F], math.sqrt(surv))
+    other_F = 3 if ev.target_F == 4 else 4
+    other = basis.ground[other_F]
+    p = _scatter_probability(c, ev)
+    if p > 0.0 and len(other) == len(_GROUND_BY_F[other_F]):   # the whole manifold is held
         per_state = p * _population(rho, other) / len(other)
         _scale_states(rho, other, math.sqrt(1.0 - p))
         _diagonal(rho)[:, other] += per_state[:, None]
-    _decay_during(rho, state.n0, ev.duration, ctx)
+    _decay_during(rho, state.n0, ev.duration, ctx, basis)
     ctx.advance_laser_phase(ev.duration)
     ctx.t += ev.duration
 
@@ -941,28 +1052,28 @@ def apply_measure(state: EnsembleState, ev: Measure, ctx: ShotContext,
     destructive back-action (probed atoms leave during the dead time)."""
     calib = ctx.calibration or CrosstalkCalibration()
     rho = _batch(state)
+    f3, f4 = state.basis.ground[3], state.basis.ground[4]
     t_probe = ctx.t
     scale = probe_signal_scale(ev.probe_duration, calib)
     if ev.target_F == 3:
         # repump F=3 into F=4 (fast), then probe; anything already in the
         # F=4 ground manifold is detected along with it
-        signal_frac = scale * (_population(rho, _GROUND_F3) + _population(rho, _GROUND_F4))
-        _remove_manifold(rho, _GROUND_F3)
-        _remove_manifold(rho, _GROUND_F4)
+        signal_frac = scale * (_population(rho, f3) + _population(rho, f4))
+        _remove_manifold(rho, f3)
+        _remove_manifold(rho, f4)
     else:
         eps = crosstalk_fraction(ev.probe_duration, calib)
-        f3 = _population(rho, _GROUND_F3)
-        signal_frac = scale * _population(rho, _GROUND_F4) + eps * f3
-        _remove_manifold(rho, _GROUND_F4)
+        signal_frac = scale * _population(rho, f4) + eps * _population(rho, f3)
+        _remove_manifold(rho, f4)
         dep = pump_depletion(ev.probe_duration, calib)
-        _scale_states(rho, _GROUND_F3, math.sqrt(1.0 - dep))
+        _scale_states(rho, f3, math.sqrt(1.0 - dep))
     raw = signal_frac * state.n0
     if calib.camera_floor > 0:
         raw = raw + ctx.draw_normal(calib.camera_floor)
     records = (record,) if isinstance(record, ReadoutRecord) else record or ()
     for rec, value in zip(records, raw):
         rec.add(ev.label, value, t_probe, calib.camera_floor)
-    _decay_during(rho, state.n0, ev.duration, ctx)
+    _decay_during(rho, state.n0, ev.duration, ctx, state.basis)
     ctx.advance_laser_phase(ev.duration)
     ctx.t += ev.duration
     return raw
@@ -994,8 +1105,8 @@ def apply_event(state: EnsembleState, ev, ctx: ShotContext, record=None) -> None
 # Rows (point x shot) evolved together by run_scan.  Every handler call
 # serves the whole block, so its fixed cost spreads over more rows as this
 # grows; the handlers update the state in place and the pulse chunks shrink
-# with the block, so the block's memory beyond its own state (rows x 12.5 kB)
-# stays bounded.
+# with the block, so the block's memory beyond its own state (rows x k^2 x
+# 16 B over its k reachable sublevels, at most rows x 12.5 kB) stays bounded.
 _BATCH_SHOTS = 64
 
 
@@ -1028,17 +1139,78 @@ def _starting_in(schedule: Schedule, initial_state: str | None) -> Schedule:
     return replace(schedule, metadata=replace(schedule.metadata, initial_state=initial_state))
 
 
+@lru_cache(maxsize=32)
+def _block_basis(schedule: Schedule, model: AtomModel, loss: LossParameters) -> _Basis:
+    """The sublevels a block running ``schedule`` can populate.
+
+    One walk over the events from the initial state, in the order of each
+    handler's own updates: a pulse adds its pair's other state when one is
+    held, once per substep together with the decay of that substep; decay
+    adds the branching targets of the held metastable states and then, when
+    g40 is held and active loss redistributes it, F=4 mF != 0; a microwave
+    pulse then adds its spectator lines in catalog order, an RF sweep its
+    ladder steps, a 530 nm clean with a held state in the other manifold
+    that whole manifold.  An entry of rho outside the basis is exactly zero
+    at every event.  The walk reads no ``detuning`` or ``phase``, so a
+    ``run_scan`` group shares one basis.
+    """
+    c = model.constants
+    branching = metastable_branching_table(c.metastable_branch_to_f4)
+    redistributes = loss.active and loss.class_arrays[2] is not None
+    held = {STATE_INDEX[SublevelRef.from_token(_initial_token(schedule))]}
+
+    def pair(i: int, j: int) -> None:
+        if i in held or j in held:
+            held.update((i, j))
+
+    def decay(dt: float) -> None:
+        if dt <= 0:
+            return
+        if math.isfinite(c.tau_c):
+            for m in [s for s in held if s >= _META_ROWS.start]:
+                held.update(dst for dst, _ in branching[m])
+        if redistributes and _G40 in held:
+            held.update(_G4_NONZERO.tolist())
+
+    for ev in schedule.events:
+        if isinstance(ev, (MwPulse, ClockPulse)):
+            if ev.duration <= 0:
+                continue
+            spec = model.find_transition(ev.transition)
+            n_sub = _substeps(loss, ev.rabi_frequency, ev.duration)
+            for _ in range(n_sub):
+                before = len(held)
+                pair(STATE_INDEX[spec.lower], STATE_INDEX[spec.upper])
+                decay(ev.duration / n_sub)
+                if len(held) == before:
+                    break   # later substeps repeat this one
+            if isinstance(ev, MwPulse):
+                for other in _spectators(model, spec):
+                    pair(STATE_INDEX[other.lower], STATE_INDEX[other.upper])
+            continue
+        if isinstance(ev, RfSweep):
+            for src, dst in _rf_steps(model, ev, schedule.metadata.bias_field):
+                pair(src, dst)
+        elif isinstance(ev, Clean530) and ev.duration > 0:
+            other = _GROUND_BY_F[3 if ev.target_F == 4 else 4].tolist()
+            if _scatter_probability(c, ev) > 0.0 and held.intersection(other):
+                held.update(other)
+        decay(ev.duration)
+    return _Basis(held)
+
+
 def _run_batch(schedule: Schedule, model: AtomModel, noise: NoiseModel,
                loss: LossParameters, shots, n_atoms: float,
-               calibration: CrosstalkCalibration | None,
+               calibration: CrosstalkCalibration | None, basis: _Basis,
                seeds=None) -> tuple[EnsembleState, list[ReadoutRecord]]:
-    """Evolve the shots ``shots`` together: one (shots, DIM, DIM) state; shot
-    r draws under noise seed ``seeds[r]`` (default ``noise.seed``)."""
+    """Evolve the shots ``shots`` together: one (shots, k, k) state over
+    ``basis``, the ``_block_basis`` of the schedule; shot r draws under noise
+    seed ``seeds[r]`` (default ``noise.seed``)."""
     ctx = ShotContext(model, noise, loss, schedule, shots, calibration, seeds)
-    idx = STATE_INDEX[SublevelRef.from_token(_initial_token(schedule))]
-    rho = np.zeros((len(shots), DIM, DIM), dtype=complex)
+    idx = basis.local[STATE_INDEX[SublevelRef.from_token(_initial_token(schedule))]]
+    rho = np.zeros((len(shots), basis.dim, basis.dim), dtype=complex)
     rho[:, idx, idx] = 1.0
-    state = EnsembleState(rho, n_atoms)
+    state = EnsembleState(rho, n_atoms, basis)
     records = [ReadoutRecord(shot_index=k) for k in shots]
     for ev in schedule.events:
         apply_event(state, ev, ctx, records)
@@ -1052,11 +1224,15 @@ def run_shot(schedule: Schedule, model: AtomModel, noise: NoiseModel,
              loss: LossParameters, shot_index: int, n_atoms: float = 5000.0,
              calibration: CrosstalkCalibration | None = None,
              initial_state: str | None = None) -> tuple[EnsembleState, ReadoutRecord]:
-    """Run one shot, the batch of one: its state (2-D ``rho``) and record."""
-    state, (record,) = _run_batch(_starting_in(schedule, initial_state), model, noise,
-                                  loss, [shot_index], n_atoms, calibration)
-    state.rho = state.rho[0]
-    return state, record
+    """Run one shot, the batch of one: its state (2-D ``rho`` over the full
+    basis) and record."""
+    schedule = _starting_in(schedule, initial_state)
+    state, (record,) = _run_batch(schedule, model, noise, loss, [shot_index], n_atoms,
+                                  calibration, _block_basis(_scan_key(schedule), model, loss))
+    held = state.basis.states
+    rho = np.zeros((DIM, DIM), dtype=complex)
+    rho[np.ix_(held, held)] = state.rho[0]
+    return EnsembleState(rho, n_atoms), record
 
 
 _SCANNED = (MwPulse, ClockPulse)   # events whose detuning and phase may vary
@@ -1101,6 +1277,7 @@ def run_scan(points, model: AtomModel, loss: LossParameters, n_shots: int,
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
+    _require("n_atoms", n_atoms, positive=True)
     points = list(points)
     groups: dict[tuple, list[int]] = {}
     for p, (schedule, noise, calibration) in enumerate(points):
@@ -1108,9 +1285,10 @@ def run_scan(points, model: AtomModel, loss: LossParameters, n_shots: int,
         key = (_scan_key(schedule), replace(noise, seed=0), calibration)
         groups.setdefault(key, []).append(p)
     records: list[list[ReadoutRecord]] = [[] for _ in points]
-    for members in groups.values():
+    for (key, _, _), members in groups.items():
         schedules = [points[p][0] for p in members]
         _, noise, calibration = points[members[0]]
+        basis = _block_basis(key, model, loss)
         rows = [(m, k) for m in range(len(members)) for k in range(n_shots)]
         for start in range(0, len(rows), _BATCH_SHOTS):
             block = rows[start:start + _BATCH_SHOTS]
@@ -1118,7 +1296,7 @@ def run_scan(points, model: AtomModel, loss: LossParameters, n_shots: int,
             schedule = (schedules[0] if len(members) == 1
                         else _block_schedule(schedules, point_of_row))
             _, batch = _run_batch(schedule, model, noise, loss, [k for _, k in block],
-                                  n_atoms, calibration,
+                                  n_atoms, calibration, basis,
                                   [points[members[m]][1].seed for m in point_of_row])
             for m, record in zip(point_of_row, batch):
                 records[members[m]].append(record)

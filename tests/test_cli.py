@@ -629,6 +629,33 @@ IGNORED_INPUTS = [
 ]
 
 
+# [run] values the run cannot honour: no atoms (NaN rows), negative counts,
+# and a shot count or seed that would be truncated
+BAD_RUN_VALUES = [
+    pytest.param("atoms = 5000", "atoms = 0", "[run] atoms must be > 0", id="atoms_zero"),
+    pytest.param("atoms = 5000", "atoms = -5", "[run] atoms must be > 0", id="atoms_negative"),
+    pytest.param("shots = 20", "shots = 2.9", "[run] shots", id="shots_fraction"),
+    pytest.param("seed = 7", "seed = 1.5", "[run] seed", id="seed_fraction"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", BAD_RUN_VALUES)
+def test_bad_run_value_exits_2(tmp_path, capsys, old, new, message):
+    path = tmp_path / "run.ini"
+    path.write_text(RAMSEY_INI.replace(old, new, 1))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_integral_run_values_load(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(RAMSEY_INI.replace("shots = 20", "shots = 1e1", 1)
+                    .replace("seed = 7", "seed = 18446744073709551615", 1))
+    cfg = load_config(str(path))
+    assert (cfg.shots, cfg.seed) == (10, 2**64 - 1)
+
+
 @pytest.mark.parametrize("files, argv, name", IGNORED_INPUTS)
 def test_input_that_would_not_act_exits_2(tmp_path, capsys, files, argv, name):
     for filename, text in files.items():

@@ -6,9 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tmqubit import engine, figures
-from tmqubit.atom import AtomModel, Manifold, PhysicsConstants, STATE_INDEX, SublevelRef
+from tmqubit.atom import (
+    BASIS, AtomModel, Manifold, PhysicsConstants, STATE_INDEX, SublevelRef, TransitionKind,
+)
 from tmqubit.engine import (
     EnsembleState,
     LossParameters,
@@ -29,12 +32,13 @@ from tmqubit.engine import (
     two_body_decay,
 )
 from tmqubit.figures import _fringe_contrast
-from tmqubit.protocols import build_protocol
-from tmqubit.readout import CrosstalkCalibration
+from tmqubit.protocols import PROTOCOLS, build_protocol
+from tmqubit.readout import READOUT_LABELS, CrosstalkCalibration, ReadoutRecord
 from tmqubit.schedule import (
     BuilderConfig,
     Clean530,
     ClockPulse,
+    Measure,
     MwPulse,
     Probe410,
     RfSweep,
@@ -833,6 +837,158 @@ class TestRunScan:
         assert calls == [24] * 5
 
 
+def _bits(records):
+    """Every number of the records as its exact bit pattern."""
+    return [(r.shot_index, {k: v.hex() for k, v in r.raw.items()},
+             {k: v.hex() for k, v in r.calibrated.items()}, sorted(r.low_confidence))
+            for r in records]
+
+
+def _compact_and_full(schedule, noise, loss, calib, shots=(0, 1, 2)):
+    """The block basis of ``schedule``, the records of ``_run_batch`` over it,
+    and those of the same rows driven through ``apply_event`` on a full
+    (rows, 28, 28) state, which must stay exactly zero outside the basis
+    after every event."""
+    shots = list(shots)
+    basis = engine._block_basis(engine._scan_key(schedule), MODEL, loss)
+    _, compact = engine._run_batch(schedule, MODEL, noise, loss, shots, 5000.0, calib, basis)
+    ctx = ShotContext(MODEL, noise, loss, schedule, shots, calib)
+    start = STATE_INDEX[SublevelRef.from_token(engine._initial_token(schedule))]
+    rho = np.zeros((len(shots), 28, 28), dtype=complex)
+    rho[:, start, start] = 1.0
+    state = EnsembleState(rho, 5000.0)
+    full = [ReadoutRecord(shot_index=k) for k in shots]
+    outside = np.ones(28, dtype=bool)
+    outside[basis.states] = False
+    for k, ev in enumerate(schedule.events):
+        apply_event(state, ev, ctx, full)
+        assert not state.rho[:, outside].any(), f"event {k} {ev!r}"
+        assert not state.rho[:, :, outside].any(), f"event {k} {ev!r}"
+    if calib is not None:
+        for record in full:
+            record.calibrate_with(calib)
+    return basis, compact, full
+
+
+def _every_event_schedule():
+    # the schedule of test_batch_equals_single_shots_on_every_event
+    events = (list(build_state_prep(theta=math.pi / 3).events)
+              + [Probe410(target_F=3, duration=0.2e-3),
+                 MwPulse(duration=1e-3, detuning=3.0, phase=0.4), Wait(0.05),
+                 ClockPulse(duration=1e-3), Wait(0.01), ClockPulse(duration=1e-3)]
+              + list(build_shelving_readout().events))
+    return Schedule(tuple(events), _meta(bias=0.6, initial=None))
+
+
+_BASIS_NOISE = NoiseModel(sigma_B_shot=150e-6, drift=SinusoidDrift(3e-4, 11.0),
+                          laser_phase_diffusion=5.0, seed=21)
+_INERT_LOSS = LossParameters(tau=math.inf, beta_by_state=(("g4m4", 0.0), ("g40", 0.0),
+                                                          ("g30", 0.0)))
+
+
+class TestBlockBasis:
+    """A block evolves only the sublevels its schedule can reach: its records
+    are bit-equal to the full 28-level evolution, which never populates a
+    state outside the block's basis."""
+
+    @pytest.mark.parametrize("loss", [LossParameters.from_table(0.6), LOSS_OFF],
+                             ids=["table_loss", "loss_off"])
+    @pytest.mark.parametrize("name", [*PROTOCOLS, "every_event"])
+    def test_compact_equals_full(self, name, loss):
+        schedule = _every_event_schedule() if name == "every_event" else build_protocol(name)
+        calib = default_calibration(MODEL)
+        assert calib.camera_floor > 0
+        basis, compact, full = _compact_and_full(schedule, _BASIS_NOISE, loss, calib)
+        assert basis.dim < 28
+        assert any(r.raw for r in full)
+        assert _bits(compact) == _bits(full)
+
+    def test_decay_feeds_the_pulse_pair(self):
+        # m31 decays into g40 during the first substep of a loss-on g40-m30
+        # pulse, whose later substeps shelve that population into m30
+        schedule = Schedule((ClockPulse(duration=1e-3), Measure(label="N4", target_F=4)),
+                            _meta(initial="m31"))
+        loss = LossParameters.from_table(0.6)
+        basis, compact, full = _compact_and_full(schedule, _BASIS_NOISE, loss,
+                                                 default_calibration(MODEL))
+        assert STATE_INDEX[SublevelRef.from_token("m30")] in basis.local
+        assert _bits(compact) == _bits(full)
+
+    def test_run_shot_embeds_the_full_state(self):
+        schedule = build_protocol("ramsey", {"t": 0.01, "detuning": 20.0})
+        state, _ = run_shot(schedule, MODEL, _BASIS_NOISE, LOSS_OFF, 0)
+        ctx = ShotContext(MODEL, _BASIS_NOISE, LOSS_OFF, schedule, 0)
+        full = EnsembleState.pure("g30", 5000.0)
+        for ev in schedule.events:
+            apply_event(full, ev, ctx)
+        assert state.rho.shape == (28, 28)
+        assert np.array_equal(state.rho, full.rho)
+
+    @pytest.mark.parametrize("name, params, loss, size", [
+        # a fig4 Ramsey point: loss off, 2 ms pi/2 pulses at 0.1 G
+        ("ramsey", {"t": 0.08, "detuning": 1.0, "bias_field": 0.1}, LOSS_OFF, 9),
+        # the lifetime scan of the README workflow: g30, table loss at 0.1 G
+        ("lifetime", {"t": 1.0, "state": "g30", "bias_field": 0.1},
+         LossParameters.from_table(0.1), 4),
+        # its probe scan, with every loss channel off but loss.active unset
+        ("probe_scan", {"t": 0.4e-3, "bias_field": 0.6}, _INERT_LOSS, 1),
+        # loss on: two-body redistribution fills F=4
+        ("ramsey", {"t": 0.08, "bias_field": 0.1}, LossParameters.from_table(0.1), 15),
+    ])
+    def test_basis_sizes(self, name, params, loss, size):
+        schedule = build_protocol(name, params)
+        assert engine._block_basis(engine._scan_key(schedule), MODEL, loss).dim == size
+
+    def test_run_scan_group_walks_once(self, monkeypatch):
+        calls = []
+        walk = engine._block_basis.__wrapped__
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(engine, "_block_basis", counted)
+        points = _ramsey_points(np.linspace(-50, 50, 4), NoiseModel(seed=3), _CALIB)
+        monkeypatch.setattr(engine, "_BATCH_SHOTS", 4)
+        run_scan(points, MODEL, LOSS_OFF, 3)
+        assert len(calls) == 1
+
+
+_MW_LINES = [t.name for t in MODEL.transition_catalog()
+             if t.kind is TransitionKind.MW_HYPERFINE]
+_CLOCK_LINES = [t.name for t in MODEL.transition_catalog()
+                if t.kind is TransitionKind.OPTICAL_1140]
+_DURATION = st.floats(0.0, 2e-3)
+_TARGET_F = st.sampled_from((3, 4))
+_EVENTS = st.one_of(
+    st.builds(Wait, duration=st.floats(0.0, 0.05)),
+    st.builds(MwPulse, transition=st.sampled_from(_MW_LINES), duration=_DURATION,
+              rabi_frequency=st.floats(200.0, 5e3), detuning=st.floats(-100.0, 100.0),
+              phase=st.floats(0.0, 2 * math.pi)),
+    st.builds(ClockPulse, transition=st.sampled_from(_CLOCK_LINES), duration=_DURATION,
+              rabi_frequency=st.floats(500.0, 5e3), detuning=st.floats(-100.0, 100.0),
+              phase=st.floats(0.0, 2 * math.pi)),
+    st.builds(RfSweep, duration=st.floats(0.0, 5e-3), f_start=st.floats(0.0, 2e6),
+              f_stop=st.floats(0.0, 2e6)),
+    st.builds(Probe410, target_F=_TARGET_F, duration=_DURATION),
+    st.builds(Clean530, target_F=_TARGET_F, duration=st.floats(0.0, 5e-3),
+              s=st.floats(0.0, 5.0), detuning=st.floats(1e8, 1e9)),
+    st.builds(Measure, label=st.sampled_from(READOUT_LABELS), target_F=_TARGET_F,
+              probe_duration=_DURATION, dead_time=st.floats(0.0, 5e-3)),
+)
+
+
+@given(events=st.lists(_EVENTS, min_size=1, max_size=6),
+       initial=st.sampled_from([s.token for s in BASIS]),
+       bias=st.sampled_from((0.1, 0.6)), loss_on=st.booleans())
+def test_random_schedules_compact_equals_full(events, initial, bias, loss_on):
+    schedule = Schedule(tuple(events), _meta(bias=bias, initial=initial))
+    loss = LossParameters.from_table(bias) if loss_on else LOSS_OFF
+    _, compact, full = _compact_and_full(schedule, _BASIS_NOISE, loss,
+                                         default_calibration(MODEL), shots=(0, 1))
+    assert _bits(compact) == _bits(full)
+
+
 class TestMemoryBounds:
     """The shot path's working set beyond the state: tracemalloc peaks of
     one call on a 64-row block."""
@@ -858,6 +1014,22 @@ class TestMemoryBounds:
         rho[:, g30, g30] = 1.0
         state = EnsembleState(rho, 5000.0)
         assert self._peak(lambda: apply_event(state, ev, ctx)) < 16e6
+
+    def test_fig4_block_holds_nine_sublevels(self, monkeypatch):
+        # a fig4 block of 64 Ramsey rows: (64, 9, 9), 83 kB, not (64, 28, 28), 803 kB
+        states = []
+        run_batch = engine._run_batch
+
+        def kept(*args, **kwargs):
+            state, records = run_batch(*args, **kwargs)
+            states.append(state.rho)
+            return state, records
+
+        monkeypatch.setattr(engine, "_run_batch", kept)
+        _fringe_contrast(MODEL, NoiseModel(sigma_B_shot=60e-6, seed=0), LOSS_OFF, _CALIB,
+                         0.08, 0.1, 16, 0, 5000.0)
+        assert [rho.shape for rho in states] == [(64, 9, 9)] * 6
+        assert states[0].nbytes == 64 * 81 * 16 == 82944
 
     def test_handlers_update_in_place(self):
         rho = np.tile(np.eye(28, dtype=complex) / 28, (64, 1, 1))
@@ -947,6 +1119,12 @@ class TestParameterValidation:
     def test_noise_parameters_ranges(self, make):
         with pytest.raises(ValueError):
             make()
+
+    @pytest.mark.parametrize("n_atoms", [0.0, -5.0, float("nan")])
+    def test_run_scan_needs_atoms(self, n_atoms):
+        point = (build_protocol("lifetime", {"t": 0.1}), NOISE_OFF, _CALIB)
+        with pytest.raises(ValueError, match="n_atoms"):
+            run_scan([point], MODEL, LOSS_OFF, 1, n_atoms=n_atoms)
 
     def test_from_table_picks_nearest_field(self):
         low = LossParameters.from_table(0.15)
