@@ -13,7 +13,6 @@ Zeeman coefficient used in the lab is quoted per gauss.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, asdict
 from functools import lru_cache
@@ -109,23 +108,6 @@ class TransitionSpec:
     @property
     def name(self) -> str:
         return f"{self.lower.token}-{self.upper.token}"
-
-    def to_dict(self) -> dict:
-        return {
-            "lower": self.lower.token,
-            "upper": self.upper.token,
-            "kind": self.kind.value,
-            "relative_strength": self.relative_strength,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TransitionSpec":
-        return cls(
-            lower=SublevelRef.from_token(d["lower"]),
-            upper=SublevelRef.from_token(d["upper"]),
-            kind=TransitionKind(d["kind"]),
-            relative_strength=float(d["relative_strength"]),
-        )
 
 
 # Coefficients of the ground F=4 intra-manifold shift
@@ -250,6 +232,11 @@ def metastable_branching_table(branch_to_f4: float) -> dict[int, tuple[tuple[int
     return table
 
 
+def _shift(linear, quadratic, B):
+    """Zeeman shift linear*B + quadratic*B^2 of ``AtomModel._shift_terms``."""
+    return linear * B + quadratic * B * B
+
+
 class AtomModel:
     """Level energies, transition catalog and decay branching for one atom.
 
@@ -282,12 +269,31 @@ class AtomModel:
             return c.linear_zeeman_meta_f3, 0.0
         return c.linear_zeeman_meta_f2, 0.0
 
-    def sublevel_shift(self, s: SublevelRef, B: float) -> float:
-        """Intra-manifold Zeeman shift of sublevel s at field B, in Hz."""
+    def _shift_terms(self, s: SublevelRef) -> tuple[float, float]:
+        """(mF k, mF^2 q): the shift of s is mF k B + mF^2 q B^2."""
         if s not in STATE_INDEX:
             raise ValueError(f"untracked sublevel {s!r}")
         k, q = self._manifold_coeffs(s)
-        return s.mF * k * B + s.mF * s.mF * q * B * B
+        return s.mF * k, s.mF * s.mF * q
+
+    def sublevel_shift(self, s: SublevelRef, B: float) -> float:
+        """Intra-manifold Zeeman shift of sublevel s at field B, in Hz."""
+        return _shift(*self._shift_terms(s), B)
+
+    @lru_cache(maxsize=64)
+    def _line_terms(self, names: tuple[str, ...]) -> tuple:
+        """The kind of the transitions ``names`` and the ``_shift_terms`` of
+        their lower and upper states, as read-only (2, lines, 1) arrays."""
+        # imported on first use: importing numpy ahead of the rest of the
+        # package raised a process's peak RSS by ~0.8 MB
+        import numpy as np
+
+        lines = [self.find_transition(name) for name in names]
+        lower = np.array([self._shift_terms(t.lower) for t in lines]).T[..., None]
+        upper = np.array([self._shift_terms(t.upper) for t in lines]).T[..., None]
+        lower.setflags(write=False)
+        upper.setflags(write=False)
+        return lines[0].kind, lower, upper
 
     def state_zeeman_coeffs(self, s: SublevelRef) -> tuple[float, float]:
         """(linear, quadratic) field coefficients of the state's energy offset.
@@ -302,22 +308,28 @@ class AtomModel:
             quad += self.constants.gamma_qz
         return s.mF * k, quad
 
-    def transition_frequency(self, t: TransitionSpec | str, B: float) -> float:
+    def transition_frequency(self, t: TransitionSpec | str | tuple[str, ...],
+                             B: float) -> float:
         """Transition frequency at field B.
 
         MW transitions: absolute frequency including the hyperfine splitting.
         RF transitions: adjacent-sublevel splitting (positive).
         Optical transitions: Zeeman offset relative to the zero-field line
         (the absolute optical frequency never enters the model).
+        A tuple of names of transitions of one kind, with B a number or a
+        1-D array, gives one row of frequencies per transition.
         """
         if isinstance(t, str):
             t = self.find_transition(t)
-        lo = self.sublevel_shift(t.lower, B)
-        hi = self.sublevel_shift(t.upper, B)
-        if t.kind is TransitionKind.MW_HYPERFINE:
+        if isinstance(t, tuple):
+            kind, lower, upper = self._line_terms(t)
+        else:
+            kind, lower, upper = t.kind, self._shift_terms(t.lower), self._shift_terms(t.upper)
+        lo, hi = _shift(*lower, B), _shift(*upper, B)
+        if kind is TransitionKind.MW_HYPERFINE:
             c = self.constants
             return c.hyperfine_splitting_ground + c.gamma_qz * B * B + hi - lo
-        if t.kind is TransitionKind.RF_INTRA_MANIFOLD:
+        if kind is TransitionKind.RF_INTRA_MANIFOLD:
             return abs(hi - lo)
         return hi - lo
 
@@ -370,13 +382,6 @@ class AtomModel:
             (g(4, -2), g(3, -1)),
             (g(3, -1), g(4, 0)),
         )
-
-    def catalog_to_json(self) -> str:
-        return json.dumps([t.to_dict() for t in self._catalog], indent=0, sort_keys=True)
-
-    @staticmethod
-    def catalog_from_json(text: str) -> tuple[TransitionSpec, ...]:
-        return tuple(TransitionSpec.from_dict(d) for d in json.loads(text))
 
     # --------------------------------------------------------------- branching
 

@@ -30,11 +30,12 @@ would stay exactly zero.  Scan points whose schedules differ
 only in the ``detuning`` and ``phase`` of their microwave and 1140 nm
 pulses, with equal calibrations and noise models equal but for the seed,
 share blocks; any other point runs alone.  ``run_schedule`` is the scan of
-one point, and a single shot (``run_shot``, or a 2-D ``rho`` passed to
-``apply_event``) is the batch of one.  Each row is seeded from its own
-point's seed and shot index, and every sum runs in a fixed order, so a
-shot's outcome depends only on its point and index, not on the block it
-ran in.
+one point.  The state has this one shape everywhere: a single shot
+(``run_shot``, ``EnsembleState.pure``, a ``ShotContext`` of one index) is a
+block of one row, and every per-row quantity is a 1-D array over the rows.
+Each row is seeded from its own point's seed and shot index, and every sum
+runs in a fixed order, so a shot's outcome depends only on its point and
+index, not on the block it ran in.
 """
 
 from __future__ import annotations
@@ -173,9 +174,6 @@ class NoiseModel:
         _require("sigma_B_shot", self.sigma_B_shot, non_negative=True)
         _require("laser_phase_diffusion", self.laser_phase_diffusion, non_negative=True)
         _require("inter_shot_dead_time", self.inter_shot_dead_time, non_negative=True)
-
-    def shot_rng(self, shot_index: int) -> np.random.Generator:
-        return _shot_rng(self.seed, shot_index)
 
     @staticmethod
     def off(seed: int = 0) -> "NoiseModel":
@@ -331,34 +329,58 @@ _FULL = _Basis(range(DIM))
 
 
 class EnsembleState:
-    """Density matrix over a basis of sublevels plus atom-number bookkeeping.
+    """Density matrices of a block of rows over a basis of sublevels, plus
+    atom-number bookkeeping.
 
-    ``rho`` is unnormalized: its trace is the fraction of the initial
-    ``n0`` atoms still trapped, so ``atom_number + lost == n0`` holds
-    through every event.  ``basis`` lists the sublevels ``rho`` holds: all
-    28 by default, and in a ``run_scan`` block only those its schedule can
-    reach.  A batch of shots holds ``rho`` as (shots, k, k) over the k
-    sublevels of its basis; the accessors below read the 2-D ``rho`` of one
-    shot over the full basis.
+    ``rho`` is (rows, k, k) over the k sublevels of ``basis``: all 28 by
+    default, and in a ``run_scan`` block only those its schedule can reach.
+    It is unnormalized: a row's trace is the fraction of the initial ``n0``
+    atoms still trapped, so ``atom_number + lost == n0`` holds through
+    every event.  ``rho`` is held C-contiguous, so the handlers can update
+    its diagonal through a view.  The accessors below read a one-row state
+    (a single shot) and raise on more rows; a sublevel outside the basis
+    reads 0.
     """
 
-    __slots__ = ("rho", "n0", "basis")
+    __slots__ = ("_rho", "n0", "basis")
 
     def __init__(self, rho: np.ndarray, n0: float, basis: _Basis = _FULL):
+        self.basis = basis
         self.rho = rho
         self.n0 = float(n0)
-        self.basis = basis
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self._rho
+
+    @rho.setter
+    def rho(self, rho: np.ndarray) -> None:
+        rho = np.ascontiguousarray(rho)
+        k = self.basis.dim
+        if rho.ndim != 3 or rho.shape[1:] != (k, k):
+            raise ValueError(f"rho must be (rows, {k}, {k}) over the basis, got {rho.shape}")
+        self._rho = rho
 
     @classmethod
     def pure(cls, token: str, n0: float = 5000.0) -> "EnsembleState":
+        """One row, every atom in sublevel ``token``, over the full basis."""
         idx = STATE_INDEX[SublevelRef.from_token(token)]
-        rho = np.zeros((DIM, DIM), dtype=complex)
-        rho[idx, idx] = 1.0
+        rho = np.zeros((1, DIM, DIM), dtype=complex)
+        rho[0, idx, idx] = 1.0
         return cls(rho, n0)
+
+    def _row(self) -> np.ndarray:
+        if len(self.rho) != 1:
+            raise ValueError(f"the accessors read a one-row state, not {len(self.rho)} rows")
+        return self.rho[0]
+
+    def _local(self, token: str) -> int | None:
+        return self.basis.local.get(STATE_INDEX[SublevelRef.from_token(token)])
 
     @property
     def trace(self) -> float:
-        return float(self.rho.trace().real)
+        # added in basis order, so a compact basis reads as the full one
+        return float(sum(self._row().diagonal().real.tolist()))
 
     @property
     def atom_number(self) -> float:
@@ -369,31 +391,17 @@ class EnsembleState:
         return self.n0 - self.atom_number
 
     def population(self, token: str) -> float:
-        idx = STATE_INDEX[SublevelRef.from_token(token)]
-        return float(self.rho[idx, idx].real)
+        row, i = self._row(), self._local(token)
+        return 0.0 if i is None else float(row[i, i].real)
 
     def manifold_population(self, manifold: Manifold, F: int | None = None) -> float:
-        total = 0.0
-        for s, i in STATE_INDEX.items():
-            if s.manifold is manifold and (F is None or s.F == F):
-                total += self.rho[i, i].real
-        return float(total)
+        row = self._row()
+        return float(sum(row[k, k].real for k, i in enumerate(self.basis.states.tolist())
+                         if BASIS[i].manifold is manifold and (F is None or BASIS[i].F == F)))
 
     def coherence(self, token_a: str, token_b: str) -> complex:
-        i = STATE_INDEX[SublevelRef.from_token(token_a)]
-        j = STATE_INDEX[SublevelRef.from_token(token_b)]
-        return complex(self.rho[i, j])
-
-    def copy(self) -> "EnsembleState":
-        return EnsembleState(self.rho.copy(), self.n0, self.basis)
-
-
-def _batch(state: EnsembleState) -> np.ndarray:
-    """``state.rho`` as a (shots, k, k) view; a 2-D rho is a batch of one."""
-    if not state.rho.flags.c_contiguous:
-        state.rho = np.ascontiguousarray(state.rho)
-    k = state.basis.dim
-    return state.rho.reshape(-1, k, k)
+        row, i, j = self._row(), self._local(token_a), self._local(token_b)
+        return 0j if i is None or j is None else complex(row[i, j])
 
 
 # ---------------------------------------------------------------- shot context
@@ -410,18 +418,17 @@ def _zeeman_coeffs(model: AtomModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ShotContext:
-    """Sampled noise, elapsed time, and model/loss references of a batch of
-    shots.
+    """Sampled noise, elapsed time, and model/loss references of a block of
+    rows, one shot each.
 
-    ``shot_index`` is one index (the batch of one) or a sequence of them;
-    ``seeds`` gives each shot its noise seed (default ``noise.seed`` for
-    every shot), and ``noise`` supplies everything else.  Each shot draws
-    from its own generator, ``noise.shot_rng(k)`` under its seed, in the
+    ``shot_index`` is a sequence of shot indices, one per row, or one index
+    (a block of one row); ``seeds`` gives each row its noise seed (default
+    ``noise.seed`` for every row), and ``noise`` supplies everything else.
+    Each row draws from its own generator, ``_shot_rng(seed, k)``, in the
     order of the schedule's events, and its random-walk drift follows the
-    walk of its seed, so its numbers do not depend on the other shots of the
-    batch.  ``delta_B``, ``wall_t0``, ``laser_phase`` and the field queries
-    are arrays shaped like ``shot_index`` (0-d for one index); schedule time
-    ``t`` is common to all shots.
+    walk of its seed, so its numbers do not depend on the other rows of the
+    block.  ``delta_B``, ``wall_t0``, ``laser_phase`` and the field queries
+    are 1-D arrays over the rows; schedule time ``t`` is common to all rows.
     """
 
     def __init__(self, model: AtomModel, noise: NoiseModel, loss: LossParameters,
@@ -432,32 +439,31 @@ class ShotContext:
         self.loss = loss
         self.calibration = calibration
         self.B_nominal = schedule.metadata.bias_field
-        shots = np.asarray(shot_index)
-        seeds = [noise.seed] * shots.size if seeds is None else [int(s) for s in seeds]
-        self.rngs = [_shot_rng(s, int(k)) for s, k in zip(seeds, shots.ravel())]
-        # noise seed -> mask of its shots, for the random-walk drift
-        self._walk_rows = {s: np.reshape([x == s for x in seeds], shots.shape)
-                           for s in dict.fromkeys(seeds)}
+        shots = np.atleast_1d(shot_index)
+        seeds = [noise.seed] * len(shots) if seeds is None else [int(s) for s in seeds]
+        self.rngs = [_shot_rng(s, int(k)) for s, k in zip(seeds, shots)]
+        # noise seed -> mask of its rows, for the random-walk drift
+        self._walk_rows = {s: np.array([x == s for x in seeds]) for s in dict.fromkeys(seeds)}
         self.wall_t0 = shots * (schedule.duration + noise.inter_shot_dead_time)
         self.delta_B = (self.draw_normal(noise.sigma_B_shot)
                         if noise.sigma_B_shot > 0 else 0.0)
         self.t = 0.0
-        self.laser_phase = np.zeros(shots.shape)
+        self.laser_phase = np.zeros(len(shots))
         self._zeeman_k, self._zeeman_q = _zeeman_coeffs(model)
 
     @property
     def delta_B(self) -> np.ndarray:
-        """Per-shot quasi-static field offset (G); setting a number sets it
-        for every shot."""
+        """Per-row quasi-static field offset (G); setting a number sets it
+        for every row."""
         return self._delta_B
 
     @delta_B.setter
     def delta_B(self, value) -> None:
-        self._delta_B = np.zeros(self.wall_t0.shape) + value
+        self._delta_B = np.zeros(len(self.rngs)) + value
 
     def draw_normal(self, sd: float) -> np.ndarray:
-        """One N(0, sd) draw from each shot's generator."""
-        return np.reshape([rng.normal(0.0, sd) for rng in self.rngs], self.wall_t0.shape)
+        """One N(0, sd) draw from each row's generator."""
+        return np.array([rng.normal(0.0, sd) for rng in self.rngs])
 
     # ---- field sampling -----------------------------------------------------
 
@@ -551,7 +557,7 @@ class ShotContext:
 
 
 def _diagonal(rho: np.ndarray) -> np.ndarray:
-    """Writable (shots, k) view of the diagonals of a batch."""
+    """Writable (shots, k) view of the diagonals of a C-contiguous batch."""
     k = rho.shape[-1]
     return rho.reshape(len(rho), k * k)[:, ::k + 1]
 
@@ -579,9 +585,8 @@ def _scale_states(rho: np.ndarray, indices, f) -> None:
     """rho -> D rho D in place, D = diag(f on ``indices``, 1 elsewhere).
 
     ``f`` is one factor, one per shot, or one per shot and index (shots,
-    len(indices)); ``rho`` may be a single 2-D matrix.
+    len(indices)).
     """
-    rho = rho.reshape((-1,) + rho.shape[-2:])
     if isinstance(indices, (int, np.integer)):
         indices = slice(indices, indices + 1)
     f = np.asarray(f, dtype=float)
@@ -635,14 +640,15 @@ def _probabilistic_swap(rho: np.ndarray, i: int, j: int, p) -> None:
     p = np.asarray(p, dtype=float)[..., None]
     if not (p > 0.0).any():
         return
-    pair = ([[i], [j]], [i, j])
-    block = rho[:, pair[0], pair[1]]
+    i, j = min(i, j), max(i, j)   # the exchange is symmetric in i and j
+    pair = slice(i, j + 1, j - i)
+    block = rho[:, pair, pair].copy()
     for ri, rj in ((rho[:, i], rho[:, j]), (rho[:, :, i], rho[:, :, j])):
         moved = p * (rj - ri)
         ri += moved
         rj -= moved
     p = p[..., None]
-    rho[:, pair[0], pair[1]] = (1.0 - p) * block + p * block[:, ::-1, ::-1]
+    rho[:, pair, pair] = (1.0 - p) * block + p * block[:, ::-1, ::-1]
 
 
 def _rotation(omega, delta, tau: float):
@@ -759,7 +765,6 @@ def _metastable_decay(rho: np.ndarray, dt: float, model: AtomModel,
     c = model.constants
     if dt <= 0 or not math.isfinite(c.tau_c):
         return
-    rho = rho.reshape(-1, basis.dim, basis.dim)
     diag = _diagonal(rho)
     shelved = diag[:, basis.meta].real
     if not shelved.any():
@@ -835,7 +840,7 @@ def evolve_free(state: EnsembleState, T: float, ctx: ShotContext) -> None:
         raise ValueError("free evolution time must be >= 0")
     if T == 0:
         return
-    rho = _batch(state)
+    rho = state.rho
     _apply_state_phases(rho, ctx.zeeman_phases(ctx.t, ctx.t + T, state.basis.states))
     _decay_during(rho, state.n0, T, ctx, state.basis)
     ctx.advance_laser_phase(T)
@@ -867,7 +872,7 @@ def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
     t0 = ctx.t
     if tau <= 0.0:
         return
-    rho = _batch(state)
+    rho = state.rho
     basis = state.basis
     n_sub = _substeps(ctx.loss, omega, tau)
 
@@ -897,8 +902,7 @@ def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
     chunk = max(1, _SUBSTEP_CHUNK // len(rho))
     for start in range(0, n_sub, chunk):
         # substep edges, one row each, broadcasting against the shots
-        ks = np.arange(start, min(start + chunk, n_sub))
-        ks = ks.reshape(ks.shape + (1,) * ctx.wall_t0.ndim)
+        ks = np.arange(start, min(start + chunk, n_sub))[:, None]
         ta, tb = t0 + ks * dt, t0 + (ks + 1) * dt
         pair = ctx.zeeman_phases(ta, tb, [i, j])
         delta = delta_n - (pair[..., 1] - pair[..., 0]) / dt
@@ -923,10 +927,14 @@ def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
     ctx.t = t0 + tau
 
 
-def _spectators(model: AtomModel, spec):
-    """The microwave catalog lines other than ``spec``, in catalog order."""
-    return [other for other in model.transition_catalog()
-            if other.kind is TransitionKind.MW_HYPERFINE and other is not spec]
+@lru_cache(maxsize=32)
+def _spectators(model: AtomModel, transition: str) -> tuple:
+    """The microwave catalog lines other than ``transition``, in catalog
+    order, each as (line, lower basis index, upper basis index)."""
+    spec = model.find_transition(transition)
+    return tuple((other, STATE_INDEX[other.lower], STATE_INDEX[other.upper])
+                 for other in model.transition_catalog()
+                 if other.kind is TransitionKind.MW_HYPERFINE and other is not spec)
 
 
 def apply_mw_pulse(state: EnsembleState, ev: MwPulse, ctx: ShotContext) -> None:
@@ -939,18 +947,19 @@ def apply_mw_pulse(state: EnsembleState, ev: MwPulse, ctx: ShotContext) -> None:
         return
     # off-resonant excitation of the other catalog lines, at its oscillation
     # peak p = Omega_s^2 / (Omega_s^2 + (2 pi dnu)^2), scaled by strength
-    rho = _batch(state)
     local = state.basis.local
+    held = [(other, local[i], local[j]) for other, i, j in _spectators(ctx.model, ev.transition)
+            if i in local and j in local]
+    if not held:
+        return
     b_mid = ctx.field_at(ctx.t - 0.5 * ev.duration)
     f_drive = ctx.model.transition_frequency(spec, ctx.B_nominal) + ev.detuning
-    for other in _spectators(ctx.model, spec):
-        i, j = local.get(STATE_INDEX[other.lower]), local.get(STATE_INDEX[other.upper])
-        if i is None or j is None:
-            continue
-        omega_s = ev.rabi_frequency * other.relative_strength / spec.relative_strength
-        dnu = f_drive - ctx.model.transition_frequency(other, b_mid)
-        p = omega_s**2 / (omega_s**2 + (2 * math.pi * dnu)**2)
-        _probabilistic_swap(rho, i, j, p)
+    # one row per held line, one column per row of the block
+    dnu = f_drive - ctx.model.transition_frequency(tuple(other.name for other, _, _ in held), b_mid)
+    omega_s2 = np.array([(ev.rabi_frequency * other.relative_strength / spec.relative_strength)**2
+                         for other, _, _ in held])[:, None]
+    for (_, i, j), p in zip(held, omega_s2 / (omega_s2 + (2 * math.pi * dnu)**2)):
+        _probabilistic_swap(state.rho, i, j, p)
 
 
 def apply_clock_pulse(state: EnsembleState, ev: ClockPulse, ctx: ShotContext) -> None:
@@ -976,7 +985,7 @@ def _rf_steps(model: AtomModel, ev: RfSweep, B: float) -> list[tuple[int, int]]:
 
 def apply_rf_sweep(state: EnsembleState, ev: RfSweep, ctx: ShotContext) -> None:
     """Incoherent ladder transfer across the F=4 sublevels swept by the RF."""
-    rho = _batch(state)
+    rho = state.rho
     local = state.basis.local
     eff = ctx.model.constants.rf_step_efficiency
     for src, dst in _rf_steps(ctx.model, ev, ctx.B_nominal):
@@ -991,7 +1000,7 @@ def coherent_prep_transfer(state: EnsembleState, ctx: ShotContext,
                            efficiency: float = 0.98) -> None:
     """Four sequential pi rotations along the preparation ladder, each with
     the given transfer efficiency, leaving residuals behind."""
-    rho = _batch(state)
+    rho = state.rho
     local = state.basis.local
     for src, dst in ctx.model.prep_ladder:
         i, j = local.get(STATE_INDEX[src]), local.get(STATE_INDEX[dst])
@@ -1004,7 +1013,7 @@ def apply_probe_410(state: EnsembleState, ev: Probe410, ctx: ShotContext) -> Non
     the spectator manifold at the calibrated rate."""
     if ev.duration <= 0:
         return
-    rho = _batch(state)
+    rho = state.rho
     ground = state.basis.ground
     calib = ctx.calibration or CrosstalkCalibration()
     _remove_manifold(rho, ground[ev.target_F])
@@ -1017,10 +1026,12 @@ def apply_probe_410(state: EnsembleState, ev: Probe410, ctx: ShotContext) -> Non
 
 def _scatter_probability(c, ev: Clean530) -> float:
     """Photon scattering probability of a 530 nm clean on the other manifold,
-    detuned by the upper-state hyperfine splitting:
-    p = Gamma s t / (2 (1 + s + (4 pi dnu / Gamma)^2))."""
+    detuned by the upper-state hyperfine splitting: p = 1 - e^{-R t}, with
+    R t = Gamma s t / (2 (1 + s + (4 pi dnu / Gamma)^2)), which saturates at
+    1 near resonance."""
     gamma = c.gamma_530
-    return gamma * ev.s * ev.duration / (2.0 * (1.0 + ev.s + (4 * math.pi * ev.detuning / gamma)**2))
+    rate_t = gamma * ev.s * ev.duration / (2.0 * (1.0 + ev.s + (4 * math.pi * ev.detuning / gamma)**2))
+    return -math.expm1(-rate_t)
 
 
 def apply_clean_530(state: EnsembleState, ev: Clean530, ctx: ShotContext) -> None:
@@ -1029,7 +1040,7 @@ def apply_clean_530(state: EnsembleState, ev: Clean530, ctx: ShotContext) -> Non
     c = ctx.model.constants
     if ev.duration <= 0:
         return
-    rho = _batch(state)
+    rho = state.rho
     basis = state.basis
     surv = math.exp(-ev.duration / c.tau_clean)
     _scale_states(rho, basis.ground[ev.target_F], math.sqrt(surv))
@@ -1046,12 +1057,12 @@ def apply_clean_530(state: EnsembleState, ev: Clean530, ctx: ShotContext) -> Non
 
 
 def apply_measure(state: EnsembleState, ev: Measure, ctx: ShotContext,
-                  record=None) -> np.ndarray:
-    """Detect one ground manifold: returns the per-shot raw counts, adds them
-    to ``record`` (one ReadoutRecord, or one per shot) and applies the
+                  records: list[ReadoutRecord] | None = None) -> np.ndarray:
+    """Detect one ground manifold: returns the per-row raw counts, adds them
+    to ``records`` (one ReadoutRecord per row, or None) and applies the
     destructive back-action (probed atoms leave during the dead time)."""
     calib = ctx.calibration or CrosstalkCalibration()
-    rho = _batch(state)
+    rho = state.rho
     f3, f4 = state.basis.ground[3], state.basis.ground[4]
     t_probe = ctx.t
     scale = probe_signal_scale(ev.probe_duration, calib)
@@ -1070,8 +1081,7 @@ def apply_measure(state: EnsembleState, ev: Measure, ctx: ShotContext,
     raw = signal_frac * state.n0
     if calib.camera_floor > 0:
         raw = raw + ctx.draw_normal(calib.camera_floor)
-    records = (record,) if isinstance(record, ReadoutRecord) else record or ()
-    for rec, value in zip(records, raw):
+    for rec, value in zip(records or (), raw):
         rec.add(ev.label, value, t_probe, calib.camera_floor)
     _decay_during(rho, state.n0, ev.duration, ctx, state.basis)
     ctx.advance_laser_phase(ev.duration)
@@ -1079,9 +1089,10 @@ def apply_measure(state: EnsembleState, ev: Measure, ctx: ShotContext,
     return raw
 
 
-def apply_event(state: EnsembleState, ev, ctx: ShotContext, record=None) -> None:
-    """Apply one event to every shot of ``state``; ``record`` is the batch's
-    ReadoutRecord (batch of one) or list of them, or None."""
+def apply_event(state: EnsembleState, ev, ctx: ShotContext,
+                records: list[ReadoutRecord] | None = None) -> None:
+    """Apply one event to every row of ``state``; ``records`` holds one
+    ReadoutRecord per row, or is None."""
     if isinstance(ev, Wait):
         evolve_free(state, ev.duration, ctx)
     elif isinstance(ev, MwPulse):
@@ -1095,7 +1106,7 @@ def apply_event(state: EnsembleState, ev, ctx: ShotContext, record=None) -> None
     elif isinstance(ev, Clean530):
         apply_clean_530(state, ev, ctx)
     elif isinstance(ev, Measure):
-        apply_measure(state, ev, ctx, record)
+        apply_measure(state, ev, ctx, records)
     else:
         raise TypeError(f"unknown event {ev!r}")
 
@@ -1185,8 +1196,8 @@ def _block_basis(schedule: Schedule, model: AtomModel, loss: LossParameters) -> 
                 if len(held) == before:
                     break   # later substeps repeat this one
             if isinstance(ev, MwPulse):
-                for other in _spectators(model, spec):
-                    pair(STATE_INDEX[other.lower], STATE_INDEX[other.upper])
+                for _, i, j in _spectators(model, ev.transition):
+                    pair(i, j)
             continue
         if isinstance(ev, RfSweep):
             for src, dst in _rf_steps(model, ev, schedule.metadata.bias_field):
@@ -1224,15 +1235,12 @@ def run_shot(schedule: Schedule, model: AtomModel, noise: NoiseModel,
              loss: LossParameters, shot_index: int, n_atoms: float = 5000.0,
              calibration: CrosstalkCalibration | None = None,
              initial_state: str | None = None) -> tuple[EnsembleState, ReadoutRecord]:
-    """Run one shot, the batch of one: its state (2-D ``rho`` over the full
-    basis) and record."""
+    """Run one shot, a block of one row: its state, over the sublevels the
+    schedule can reach (the accessors read any other as 0), and its record."""
     schedule = _starting_in(schedule, initial_state)
     state, (record,) = _run_batch(schedule, model, noise, loss, [shot_index], n_atoms,
                                   calibration, _block_basis(_scan_key(schedule), model, loss))
-    held = state.basis.states
-    rho = np.zeros((DIM, DIM), dtype=complex)
-    rho[np.ix_(held, held)] = state.rho[0]
-    return EnsembleState(rho, n_atoms), record
+    return state, record
 
 
 _SCANNED = (MwPulse, ClockPulse)   # events whose detuning and phase may vary
@@ -1271,9 +1279,9 @@ def run_scan(points, model: AtomModel, loss: LossParameters, n_shots: int,
     seed; a point that matches no other is a group of one.  A group's
     (point, shot) rows run in blocks of up to ``_BATCH_SHOTS`` rows, which
     may span points; inside a block those pulse fields are per-row arrays.
-    Shot k of a point draws from ``noise.shot_rng(k)`` of that point's
-    noise, so its record equals ``run_shot`` of that point and index, in any
-    block.
+    Shot k of a point draws from ``_shot_rng(noise.seed, k)`` of that
+    point's noise, so its record equals ``run_shot`` of that point and
+    index, in any block.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")

@@ -89,16 +89,6 @@ class Dataset:
             return np.ones(len(self.x))
         return 1.0 / self.sigma
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if self.sigma is None:
-                writer.writerow(["x", "y"])
-                writer.writerows(zip(self.x, self.y))
-            else:
-                writer.writerow(["x", "y", "sigma"])
-                writer.writerows(zip(self.x, self.y, self.sigma))
-
     @classmethod
     def from_csv(cls, path) -> "Dataset":
         with open(path, newline="") as fh:

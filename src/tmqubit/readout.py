@@ -30,14 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .atom import (
-    AtomModel,
-    BASIS,
-    Manifold,
-    PhysicsConstants,
-    STATE_INDEX,
-    SublevelRef,
-)
+from .atom import AtomModel, PhysicsConstants
 from .fitting import Dataset, FitResult, least_squares, model_exponential
 
 __all__ = [
@@ -57,11 +50,6 @@ __all__ = [
 ]
 
 READOUT_LABELS = ("N4", "N3", "N4_mf0", "N3_mf0")
-
-_G4 = [STATE_INDEX[s] for s in BASIS if s.manifold is Manifold.GROUND and s.F == 4]
-_G3 = [STATE_INDEX[s] for s in BASIS if s.manifold is Manifold.GROUND and s.F == 3]
-_I_G40 = STATE_INDEX[SublevelRef.from_token("g40")]
-_I_G30 = STATE_INDEX[SublevelRef.from_token("g30")]
 
 
 class CalibrationError(ValueError):
@@ -245,7 +233,7 @@ def forward_matrix(calib: CrosstalkCalibration) -> np.ndarray:
         state = EnsembleState.pure(token, 1.0)
         record = ReadoutRecord()
         for ev in events:
-            apply_event(state, ev, ctx, record)
+            apply_event(state, ev, ctx, [record])
         a[:, j] = [record.raw[label] for label in READOUT_LABELS]
     a.setflags(write=False)
     return a
@@ -253,24 +241,10 @@ def forward_matrix(calib: CrosstalkCalibration) -> np.ndarray:
 
 def simulate_readout(populations, calib: CrosstalkCalibration,
                      rng: np.random.Generator | None = None) -> dict:
-    """Forward model: raw counts from true populations at readout start.
-
-    ``populations`` is either a 4-sequence [n4x, n40, n3x, n30] in atoms or
-    an object with ``rho``/``n0`` attributes (an ensemble state), whose
-    metastable content is assumed empty at this point.
-    """
-    if hasattr(populations, "rho"):
-        rho, n0 = populations.rho, populations.n0
-        diag = rho.diagonal().real
-        vec = np.array([
-            diag[[i for i in _G4 if i != _I_G40]].sum(),
-            diag[_I_G40],
-            diag[[i for i in _G3 if i != _I_G30]].sum(),
-            diag[_I_G30],
-        ]) * n0
-    else:
-        vec = np.asarray(populations, dtype=float)
-    raw = forward_matrix(calib) @ vec
+    """Forward model: raw counts from the true populations [n4x, n40, n3x,
+    n30] at readout start, in atoms.  An ensemble state's counts come from
+    running the readout block on it (``engine.apply_measure``)."""
+    raw = forward_matrix(calib) @ np.asarray(populations, dtype=float)
     if rng is not None and calib.camera_floor > 0:
         raw = raw + rng.normal(0.0, calib.camera_floor, size=4)
     return dict(zip(READOUT_LABELS, raw))

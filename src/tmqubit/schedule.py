@@ -79,10 +79,6 @@ class MwPulse:
 
     kind = "mw"
 
-    @property
-    def pulse_area(self) -> float:
-        return self.rabi_frequency * self.duration
-
 
 @dataclass(frozen=True)
 class ClockPulse:
@@ -95,10 +91,6 @@ class ClockPulse:
     phase: float = 0.0
 
     kind = "clock"
-
-    @property
-    def pulse_area(self) -> float:
-        return self.rabi_frequency * self.duration
 
 
 @dataclass(frozen=True)
@@ -178,9 +170,6 @@ class Schedule:
     @property
     def duration(self) -> float:
         return sum(ev.duration for ev in self.events)
-
-    def measure_events(self) -> list[Measure]:
-        return [ev for ev in self.events if isinstance(ev, Measure)]
 
     def validate(self, model: AtomModel) -> None:
         """Raise ScheduleError on any violated invariant."""

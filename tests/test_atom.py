@@ -123,10 +123,6 @@ class TestCatalog:
                      if t.kind is TransitionKind.MW_HYPERFINE]
         assert strengths == [1.32, 0.25, 0.96, 0.61, 1.0]
 
-    def test_serialization_roundtrip(self, model):
-        text = model.catalog_to_json()
-        assert AtomModel.catalog_from_json(text) == model.transition_catalog()
-
     def test_unknown_transition(self, model):
         with pytest.raises(KeyError):
             model.find_transition("g44-g33")

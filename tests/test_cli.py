@@ -109,6 +109,18 @@ class TestSimulate:
         main(["simulate", "--config", ramsey_config, "--shots", "3", "--out", out2])
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
+    def test_resonant_clean_saturates(self, tmp_path):
+        # a 530 nm clean on resonance scatters every spectator atom at most
+        # once: the run completes instead of taking the root of 1 - p < 0
+        path = tmp_path / "prep.ini"
+        path.write_text("[run]\nseed = 1\nshots = 2\n[schedule]\nname = prep\n"
+                        "clean_detuning = 0\n")
+        out = str(tmp_path / "out.csv")
+        assert main(["simulate", "--config", str(path), "--out", out]) == 0
+        rows = read_simulate_csv(out)
+        assert len(rows) == 2 * 4
+        assert all(math.isfinite(float(r["raw"])) for r in rows)
+
     def test_invalid_schedule_name(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[schedule]\nname = frobnicate\n")

@@ -138,7 +138,7 @@ class TestMwPulse:
             i, j = STATE_INDEX[SublevelRef.from_token("g40")], STATE_INDEX[SublevelRef.from_token("g30")]
             state.rho[:] = 0
             block = np.outer(np.array(psi0), np.array(psi0).conj())
-            state.rho[np.ix_([i, j], [i, j])] = block
+            state.rho[0][np.ix_([i, j], [i, j])] = block
             for ev in sched.events:
                 apply_event(state, ev, ctx)
 
@@ -165,7 +165,7 @@ class TestMwPulse:
                 psi = psi + h_step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
                 t += h_step
             want = np.outer(psi, psi.conj())
-            got = state.rho[np.ix_([i, j], [i, j])]
+            got = state.rho[0][np.ix_([i, j], [i, j])]
             assert np.max(np.abs(got - want)) < 1e-7
 
 
@@ -274,8 +274,8 @@ class TestClockPulse:
         for k in range(2):   # drive phase theta(t) = delta*t + phi at each edge
             psi = (np.diag([1.0, cmath.exp(-1j * (delta * (k + 1) * tau + phi))]) @ u0
                    @ np.diag([1.0, cmath.exp(1j * (delta * k * tau + phi))]) @ psi)
-        idx = [STATE_INDEX[SublevelRef.from_token(t)] for t in ("g40", "m30")]
-        assert np.allclose(state.rho[np.ix_(idx, idx)], np.outer(psi, psi.conj()), atol=1e-9)
+        got = [[state.coherence(a, b) for b in ("g40", "m30")] for a in ("g40", "m30")]
+        assert np.allclose(got, np.outer(psi, psi.conj()), atol=1e-9)
 
 
 class TestFreeEvolution:
@@ -327,10 +327,10 @@ class TestFreeEvolution:
         state = EnsembleState.pure("g40", 5000)
         i, j = STATE_INDEX[SublevelRef.from_token("g40")], STATE_INDEX[SublevelRef.from_token("m30")]
         state.rho[:] = 0
-        state.rho[i, i] = state.rho[j, j] = 0.5
-        state.rho[i, j] = state.rho[j, i] = 0.5
+        state.rho[0, i, i] = state.rho[0, j, j] = 0.5
+        state.rho[0, i, j] = state.rho[0, j, i] = 0.5
         evolve_free(state, 0.05, ctx)
-        assert abs(state.rho[i, j]) == pytest.approx(0.5 * math.exp(-0.05 / (2 * 0.112)),
+        assert abs(state.rho[0, i, j]) == pytest.approx(0.5 * math.exp(-0.05 / (2 * 0.112)),
                                                      rel=1e-9)
 
 
@@ -345,11 +345,11 @@ class TestMetastableDecay:
         model = AtomModel(PhysicsConstants(tau_c=TestMetastableDecay.TAU_C,
                                            metastable_branch_to_f4=branch_to_f4))
         pops = np.random.default_rng(4).uniform(0.1, 1.0, engine.DIM)
-        rho = np.diag(pops).astype(complex)
+        rho = np.diag(pops).astype(complex)[None]
         for dt in dts:
             engine._metastable_decay(rho, dt, model)
-        assert np.count_nonzero(rho - np.diag(rho.diagonal())) == 0
-        return pops, rho.diagonal().real
+        assert np.count_nonzero(rho[0] - np.diag(rho[0].diagonal())) == 0
+        return pops, rho[0].diagonal().real
 
     def test_identity_at_zero(self):
         pops, after = self._decayed([0.0])
@@ -385,7 +385,7 @@ class TestDriftIntegrals:
         for (t0, t1) in ((0.0, 2.0), (0.5, 7.7), (3.1, 3.9)):
             i1, i2 = ctx.field_integrals(t0, t1)
             ts = np.linspace(t0, t1, 200_001)
-            o = np.array([ctx.field_offset(t) for t in ts])
+            o = ctx.field_offset(ts[:, None])[:, 0]
             i1_num = self._trapezoid(o, ts)
             i2_num = self._trapezoid((0.1 + o) ** 2 - 0.01, ts)
             assert i1 == pytest.approx(i1_num, abs=1e-10)
@@ -398,7 +398,7 @@ class TestDriftIntegrals:
         ctx = _ctx(sched, noise=noise, shot=2)
         i1, i2 = ctx.field_integrals(0.3, 4.2)
         ts = np.linspace(0.3, 4.2, 400_001)
-        o = np.array([ctx.field_offset(t) for t in ts])
+        o = ctx.field_offset(ts[:, None])[:, 0]
         assert i1 == pytest.approx(self._trapezoid(o, ts), abs=1e-9)
 
     def test_walk_continues_across_shots(self):
@@ -543,9 +543,9 @@ class TestProbeAndClean:
         for indices in (np.array([2, 5, 11]), slice(20, 28), 7):
             d = np.ones(28)
             d[indices] = 0.6
-            rho = rho0.copy()
+            rho = rho0.copy()[None]
             engine._scale_states(rho, indices, 0.6)
-            assert np.allclose(rho, np.diag(d) @ rho0 @ np.diag(d), rtol=1e-15, atol=1e-13)
+            assert np.allclose(rho[0], np.diag(d) @ rho0 @ np.diag(d), rtol=1e-15, atol=1e-13)
 
 
 class TestRunSchedule:
@@ -689,7 +689,7 @@ class TestRunSchedule:
             sched = Schedule(tuple(events), _meta(bias=0.6))
             ctx = _ctx(sched, noise=noise, loss=loss, shot=trial, calib=calib)
             state = EnsembleState.pure("g30", 5000)
-            state.rho = rho.astype(complex)
+            state.rho = rho[None].astype(complex)
             for ev in events:
                 apply_event(state, ev, ctx)
                 eigs = np.linalg.eigvalsh(state.rho)
@@ -886,6 +886,19 @@ _INERT_LOSS = LossParameters(tau=math.inf, beta_by_state=(("g4m4", 0.0), ("g40",
                                                           ("g30", 0.0)))
 
 
+def _readings(state):
+    """Every accessor of a one-row state.  Compared with ``==``, equal
+    nonzero floats are equal bit for bit; a zero may differ in sign (an
+    entry outside a block's basis reads 0.0 where the full state holds
+    -0.0)."""
+    tokens = [s.token for s in BASIS]
+    values = [state.trace, state.atom_number, state.lost]
+    values += [state.population(t) for t in tokens]
+    values += [state.manifold_population(m, F) for m in Manifold for F in (None, 2, 3, 4)]
+    values += [state.coherence(a, b) for a in tokens for b in tokens]
+    return values
+
+
 class TestBlockBasis:
     """A block evolves only the sublevels its schedule can reach: its records
     are bit-equal to the full 28-level evolution, which never populates a
@@ -914,15 +927,20 @@ class TestBlockBasis:
         assert STATE_INDEX[SublevelRef.from_token("m30")] in basis.local
         assert _bits(compact) == _bits(full)
 
-    def test_run_shot_embeds_the_full_state(self):
-        schedule = build_protocol("ramsey", {"t": 0.01, "detuning": 20.0})
-        state, _ = run_shot(schedule, MODEL, _BASIS_NOISE, LOSS_OFF, 0)
-        ctx = ShotContext(MODEL, _BASIS_NOISE, LOSS_OFF, schedule, 0)
+    @pytest.mark.parametrize("loss", [LOSS_OFF, LossParameters.from_table(0.6)],
+                             ids=["loss_off", "table_loss"])
+    def test_run_shot_block_reads_as_the_full_state(self, loss):
+        # stop before the readout, with populated metastable and F=4 states
+        schedule = Schedule(build_protocol("ramsey", {"t": 0.01, "detuning": 20.0}).events[:3]
+                            + (ClockPulse(duration=0.6e-3), Wait(0.02)), _meta(bias=0.6))
+        state, _ = run_shot(schedule, MODEL, _BASIS_NOISE, loss, 0)
+        ctx = ShotContext(MODEL, _BASIS_NOISE, loss, schedule, 0)
         full = EnsembleState.pure("g30", 5000.0)
         for ev in schedule.events:
             apply_event(full, ev, ctx)
-        assert state.rho.shape == (28, 28)
-        assert np.array_equal(state.rho, full.rho)
+        assert state.rho.shape[0] == 1 and state.basis.dim < 28
+        assert state.manifold_population(Manifold.METASTABLE_1140) > 0.01
+        assert _readings(state) == _readings(full)
 
     @pytest.mark.parametrize("name, params, loss, size", [
         # a fig4 Ramsey point: loss off, 2 ms pi/2 pulses at 0.1 G
@@ -954,6 +972,67 @@ class TestBlockBasis:
         assert len(calls) == 1
 
 
+class TestOneStateShape:
+    """A state is (rows, k, k) over its basis and a single shot is one row."""
+
+    def test_accessors_read_one_row(self):
+        state = EnsembleState(np.zeros((3, 28, 28), dtype=complex), 5000.0)
+        reads = [lambda: state.trace, lambda: state.atom_number, lambda: state.lost,
+                 lambda: state.population("g30"),
+                 lambda: state.manifold_population(Manifold.GROUND, 4),
+                 lambda: state.coherence("g40", "g30")]
+        for read in reads:
+            with pytest.raises(ValueError, match="one-row"):
+                read()
+
+    @pytest.mark.parametrize("shape", [(28, 28), (1, 9, 9), (1, 28)])
+    def test_other_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match="rows, 28, 28"):
+            EnsembleState(np.zeros(shape, dtype=complex), 5000.0)
+
+    def test_one_index_is_a_block_of_one_row(self):
+        schedule = build_protocol("ramsey", {"t": 0.01, "detuning": 20.0, "bias_field": 0.1})
+        noise = NoiseModel(sigma_B_shot=150e-6, drift=RandomWalkDrift(5e-5, 0.003),
+                           laser_phase_diffusion=5.0, seed=13)
+        calib = default_calibration(MODEL)
+        runs = []
+        for shot in (5, [5]):
+            ctx = ShotContext(MODEL, noise, LOSS_OFF, schedule, shot, calib)
+            state = EnsembleState.pure("g30", 5000.0)
+            records = [ReadoutRecord(shot_index=5)]
+            for ev in schedule.events:
+                apply_event(state, ev, ctx, records)
+            runs.append((ctx.delta_B, ctx.wall_t0, ctx.laser_phase,
+                         ctx.field_offset(0.004), ctx.draw_normal(1.0), state.rho))
+            runs.append(_bits(records))
+        assert runs[1] == runs[3] and runs[1][0][1]
+        for one, listed in zip(runs[0], runs[2]):
+            assert one.shape == listed.shape == (1,) + listed.shape[1:]
+            assert one.tobytes() == listed.tobytes()
+
+    def test_non_contiguous_rho_evolves_as_contiguous(self):
+        schedule = _every_event_schedule()
+        loss = LossParameters.from_table(0.6)
+        calib = default_calibration(MODEL)
+        states = []
+        for layout in ("C", "F", "strided"):
+            state = EnsembleState.pure("g4m4", 5000.0)
+            rho = state.rho
+            if layout == "F":
+                rho = np.asfortranarray(rho)
+            elif layout == "strided":
+                rho = np.repeat(rho, 2, axis=2)[:, :, ::2]
+            assert rho.flags.c_contiguous == (layout == "C")
+            state.rho = rho
+            ctx = ShotContext(MODEL, _BASIS_NOISE, loss, schedule, 2, calib)
+            records = [ReadoutRecord(shot_index=2)]
+            for ev in schedule.events:
+                apply_event(state, ev, ctx, records)
+            states.append((state.rho.tobytes(), _bits(records)))
+        assert states[0][1][0][1]
+        assert states[1] == states[0] and states[2] == states[0]
+
+
 _MW_LINES = [t.name for t in MODEL.transition_catalog()
              if t.kind is TransitionKind.MW_HYPERFINE]
 _CLOCK_LINES = [t.name for t in MODEL.transition_catalog()
@@ -972,7 +1051,7 @@ _EVENTS = st.one_of(
               f_stop=st.floats(0.0, 2e6)),
     st.builds(Probe410, target_F=_TARGET_F, duration=_DURATION),
     st.builds(Clean530, target_F=_TARGET_F, duration=st.floats(0.0, 5e-3),
-              s=st.floats(0.0, 5.0), detuning=st.floats(1e8, 1e9)),
+              s=st.floats(0.0, 5.0), detuning=st.floats(0.0, 1e9)),
     st.builds(Measure, label=st.sampled_from(READOUT_LABELS), target_F=_TARGET_F,
               probe_duration=_DURATION, dead_time=st.floats(0.0, 5e-3)),
 )

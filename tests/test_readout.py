@@ -115,16 +115,6 @@ class TestForwardModel:
         with pytest.raises(CalibrationError):
             calibrate({label: 1.0 for label in READOUT_LABELS}, broken)
 
-    def test_accepts_ensemble_state(self):
-        state, _ = run_shot(build_shelving_readout(), MODEL, NoiseModel.off(),
-                            LossParameters.off(), 0, n_atoms=1000, initial_state="g30")
-        # feed the *initial* state instead: build one directly
-        from tmqubit.engine import EnsembleState
-
-        st = EnsembleState.pure("g30", 1000.0)
-        raw = simulate_readout(st, CALIB)
-        assert raw["N3_mf0"] > 700
-
 
 class TestEngineReadoutModel:
     """forward_matrix is the engine's own shelving block run on basis states."""

@@ -38,10 +38,10 @@ class TestParser:
         s = parse_sequence("mw pi 0deg; wait 80ms; mw pi/2 0deg")
         assert len(s.events) == 3
         assert isinstance(s.events[0], MwPulse)
-        assert s.events[0].pulse_area == pytest.approx(math.pi)
+        assert s.events[0].rabi_frequency * s.events[0].duration == pytest.approx(math.pi)
         assert isinstance(s.events[1], Wait)
         assert s.events[1].duration == pytest.approx(0.08)
-        assert s.events[2].pulse_area == pytest.approx(math.pi / 2)
+        assert s.events[2].rabi_frequency * s.events[2].duration == pytest.approx(math.pi / 2)
 
     def test_empty_input_valid(self, model):
         s = parse_sequence("")
@@ -155,7 +155,7 @@ class TestBuilders:
         assert s.duration == pytest.approx(10e-3 + 2e-3)
         assert isinstance(s.events[0], RfSweep)
         assert isinstance(s.events[1], MwPulse)
-        assert s.events[1].pulse_area == pytest.approx(math.pi)
+        assert s.events[1].rabi_frequency * s.events[1].duration == pytest.approx(math.pi)
         assert isinstance(s.events[2], Clean530)
         assert s.events[2].duration == pytest.approx(3e-3)
 
@@ -173,8 +173,8 @@ class TestBuilders:
         s = build_cp(1, 1.0)
         kinds = [type(ev).__name__ for ev in s.events]
         assert kinds == ["MwPulse", "Wait", "MwPulse", "Wait", "MwPulse"]
-        assert s.events[0].pulse_area == pytest.approx(math.pi / 2)
-        assert s.events[2].pulse_area == pytest.approx(math.pi)
+        assert s.events[0].rabi_frequency * s.events[0].duration == pytest.approx(math.pi / 2)
+        assert s.events[2].rabi_frequency * s.events[2].duration == pytest.approx(math.pi)
         assert s.events[1].duration == pytest.approx(0.5)
         assert s.events[3].duration == pytest.approx(0.5)
 
@@ -189,7 +189,7 @@ class TestBuilders:
 
     def test_ramsey_zero_time_is_back_to_back(self):
         s = build_ramsey(0.0, 0.0)
-        areas = [ev.pulse_area for ev in s.events if isinstance(ev, MwPulse)]
+        areas = [ev.rabi_frequency * ev.duration for ev in s.events if isinstance(ev, MwPulse)]
         assert sum(areas) == pytest.approx(math.pi)
 
     def test_negative_rejected(self):
@@ -202,7 +202,7 @@ class TestBuilders:
 
     def test_readout_has_four_measures(self):
         s = build_shelving_readout()
-        measures = s.measure_events()
+        measures = [ev for ev in s.events if isinstance(ev, Measure)]
         assert len(measures) == 4
         assert [m.label for m in measures] == ["N4", "N3", "N4_mf0", "N3_mf0"]
         for m in measures:
