@@ -188,9 +188,9 @@ def load_config(path) -> RunConfig:
 
     if parser.has_section("run"):
         run = parser["run"]
-        cfg.seed = _int("run", "seed", run.get("seed", "0"))
-        cfg.shots = _int("run", "shots", run.get("shots", "20"))
-        cfg.atoms = _float("run", "atoms", run.get("atoms", "5000"))
+        cfg.seed = _int("run", "seed", run.get("seed", cfg.seed))
+        cfg.shots = _int("run", "shots", run.get("shots", cfg.shots))
+        cfg.atoms = _float("run", "atoms", run.get("atoms", cfg.atoms))
         if cfg.shots < 1:
             raise ConfigError("[run] shots must be >= 1")
         if not cfg.atoms > 0:
@@ -203,28 +203,22 @@ def load_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"[constants] {exc}") from None
 
-    sigma = 150e-6
-    drift = None
-    laser = 0.0
-    dead = 0.6
+    fields = {"seed": cfg.seed}   # the others default to NoiseModel's
     if parser.has_section("noise"):
         noise = parser["noise"]
-        sigma = _float("noise", "sigma_b_shot", noise.get("sigma_b_shot", "150e-6"))
-        laser = _float("noise", "laser_phase_diffusion",
-                       noise.get("laser_phase_diffusion", "0"))
-        dead = _float("noise", "inter_shot_dead_time",
-                      noise.get("inter_shot_dead_time", "0.6"))
+        for name in ("sigma_B_shot", "laser_phase_diffusion", "inter_shot_dead_time"):
+            if name.lower() in noise:
+                fields[name] = _float("noise", name.lower(), noise[name.lower()])
         if kind != "none":
             cls, defaults = _DRIFT_KINDS[kind]
             kwargs = {name: _float("noise", f"drift_{name}", noise.get(f"drift_{name}", default))
                       for name, default in defaults.items()}
             try:
-                drift = cls(**kwargs)
+                fields["drift"] = cls(**kwargs)
             except ValueError as exc:   # the message starts with the field name
                 raise ConfigError(f"[noise] drift_{exc}") from None
     try:
-        cfg.noise = NoiseModel(sigma_B_shot=sigma, drift=drift, laser_phase_diffusion=laser,
-                               seed=cfg.seed, inter_shot_dead_time=dead)
+        cfg.noise = dataclasses.replace(cfg.noise, **fields)
     except ValueError as exc:
         raise ConfigError(f"[noise] {exc}") from None
 

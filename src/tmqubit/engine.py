@@ -23,14 +23,14 @@ leading batch axis of rows, and one run loop, ``run_scan``: it evolves the
 (point x shot) rows of a scan in blocks of up to ``_BATCH_SHOTS`` rows, each
 block one (rows, k, k) state with per-row field offsets, wall clocks,
 laser phases, noise seeds and pulse detunings and phases, and every handler
-acts once per event on the whole block.  A block holds only the k sublevels
-its schedule can reach (its basis, ``_block_basis``; 9 of 28 for a Ramsey
-shot with readout), at rows x k^2 x 16 bytes; every other entry of its rho
-would stay exactly zero.  Scan points whose schedules differ
-only in the ``detuning`` and ``phase`` of their microwave and 1140 nm
-pulses, with equal calibrations and noise models equal but for the seed,
-share blocks; any other point runs alone.  ``run_schedule`` is the scan of
-one point.  The state has this one shape everywhere: a single shot
+acts once per event on the whole block.  A state starts at its initial
+sublevel and each handler, before it acts, holds the sublevels it can reach
+(``EnsembleState.hold``; 9 of 28 for a Ramsey shot with readout), at rows x
+k^2 x 16 bytes; every other entry would stay exactly zero.  Scan points whose
+schedules differ only in the ``detuning`` and ``phase`` of their microwave
+and 1140 nm pulses, with equal calibrations and noise models equal but for
+the seed, share blocks; any other point runs alone.  ``run_schedule`` is the
+scan of one point.  The state has this one shape everywhere: a single shot
 (``run_shot``, ``EnsembleState.pure``, a ``ShotContext`` of one index) is a
 block of one row, and every per-row quantity is a 1-D array over the rows.
 Each row is seeded from its own point's seed and shot index, and every sum
@@ -281,8 +281,9 @@ class _Basis:
     index sets of the handlers, each resolved once.
 
     ``states`` are basis indices; a handler maps its indices through
-    ``local`` and skips any pair or state set with a member outside the
-    basis, whose entries are exactly zero at that event (``_block_basis``).
+    ``local`` and skips any pair with a member outside the basis, whose
+    entries are exactly zero (``EnsembleState.hold``).  Equal sets share
+    one instance (``_basis_of``).
     """
 
     def __init__(self, states):
@@ -293,25 +294,24 @@ class _Basis:
         # states: they close the basis, so a view slices them
         self.ground = {F: self._subset(full) for F, full in _GROUND_BY_F.items()}
         self.meta = slice(int(np.searchsorted(self.states, _META_ROWS.start)), self.dim)
-        g4_nonzero = self._subset(_G4_NONZERO)
-        self.g4_nonzero = g4_nonzero if len(g4_nonzero) == len(_G4_NONZERO) else None
-        for shared in (self.states, g4_nonzero, *self.ground.values()):   # memoized
+        self.g4_nonzero = self._subset(_G4_NONZERO)
+        for shared in (self.states, self.g4_nonzero, *self.ground.values()):   # memoized
             shared.setflags(write=False)
         self._loss = self._loss_arrays = None
         self._branch_to_f4 = self._w = None
+        self.grown = {}   # reach key -> the basis a handler grows this one to (_grow)
 
     def _subset(self, full: np.ndarray) -> np.ndarray:
         return np.array([self.local[i] for i in full.tolist() if i in self.local], dtype=np.intp)
 
     def loss_arrays(self, loss: LossParameters) -> tuple[np.ndarray, np.ndarray, int | None]:
-        """``loss.class_arrays`` over the held classes, in local indices; the
-        g40 class redistributes only when F=4 mF != 0 is held whole.  Kept
-        for the last ``loss`` seen."""
+        """``loss.class_arrays`` over the held classes, in local indices.
+        Kept for the last ``loss`` seen."""
         if loss is not self._loss:
             indices, beta_over_v, g40 = loss.class_arrays
             keep = [k for k, i in enumerate(indices.tolist()) if i in self.local]
             local = np.array([self.local[int(indices[k])] for k in keep], dtype=np.intp)
-            g40 = keep.index(g40) if g40 in keep and self.g4_nonzero is not None else None
+            g40 = keep.index(g40) if g40 in keep else None
             self._loss, self._loss_arrays = loss, (local, beta_over_v[keep], g40)
         return self._loss_arrays
 
@@ -325,7 +325,13 @@ class _Basis:
         return self._w
 
 
-_FULL = _Basis(range(DIM))
+@lru_cache(maxsize=256)
+def _basis_of(states: frozenset[int]) -> _Basis:
+    """The one ``_Basis`` of the basis indices ``states``."""
+    return _Basis(states)
+
+
+_FULL = _basis_of(frozenset(range(DIM)))
 
 
 class EnsembleState:
@@ -333,7 +339,7 @@ class EnsembleState:
     atom-number bookkeeping.
 
     ``rho`` is (rows, k, k) over the k sublevels of ``basis``: all 28 by
-    default, and in a ``run_scan`` block only those its schedule can reach.
+    default, and from ``pure`` on those its events have reached (``hold``).
     It is unnormalized: a row's trace is the fraction of the initial ``n0``
     atoms still trapped, so ``atom_number + lost == n0`` holds through
     every event.  ``rho`` is held C-contiguous, so the handlers can update
@@ -363,11 +369,25 @@ class EnsembleState:
 
     @classmethod
     def pure(cls, token: str, n0: float = 5000.0) -> "EnsembleState":
-        """One row, every atom in sublevel ``token``, over the full basis."""
+        """One row, every atom in sublevel ``token``, the one held sublevel."""
         idx = STATE_INDEX[SublevelRef.from_token(token)]
-        rho = np.zeros((1, DIM, DIM), dtype=complex)
-        rho[0, idx, idx] = 1.0
-        return cls(rho, n0)
+        rho = np.zeros((1, 1, 1), dtype=complex)
+        rho[0, 0, 0] = 1.0
+        return cls(rho, n0, _basis_of(frozenset((idx,))))
+
+    def hold(self, indices) -> None:
+        """Hold the basis indices ``indices`` too: each new one enters as a
+        zero row and column, and every held entry keeps its value."""
+        new = set(indices).difference(self.basis.local)
+        if new:
+            self._embed(_basis_of(frozenset(self.basis.local).union(new)))
+
+    def _embed(self, basis: _Basis) -> None:
+        """Move rho into ``basis``, which holds every held sublevel."""
+        rho = np.zeros((len(self._rho), basis.dim, basis.dim), dtype=self._rho.dtype)
+        at = basis.states.searchsorted(self.basis.states)
+        rho[:, at[:, None], at] = self._rho
+        self.basis, self._rho = basis, rho
 
     def _row(self) -> np.ndarray:
         if len(self.rho) != 1:
@@ -827,6 +847,52 @@ def _remove_manifold(rho: np.ndarray, indices: np.ndarray) -> None:
 # --------------------------------------------------------------- event handlers
 
 
+def _reach_decay(held: set[int], dt: float, ctx: ShotContext) -> set[int]:
+    """``held`` grown by decay over ``dt``: the branching targets of held
+    metastable states, then F=4 mF != 0 if active loss redistributes a held g40."""
+    if dt <= 0:
+        return held
+    if math.isfinite(ctx.model.constants.tau_c):
+        branching = ctx.model.metastable_branching()
+        for m in [s for s in held if s >= _META_ROWS.start]:
+            held.update(dst for dst, _ in branching[m])
+    if _G40 in held and ctx.loss.active and ctx.loss.class_arrays[2] is not None:
+        held.update(_G4_NONZERO.tolist())
+    return held
+
+
+def _reach_sets(held: set[int], sets, dt: float, ctx: ShotContext) -> set[int]:
+    """``held`` grown by exchanges within each of ``sets`` in order, each
+    reaching all of its states from any held one, then by decay over dt."""
+    for states in sets:
+        if not held.isdisjoint(states):
+            held.update(states)
+    return _reach_decay(held, dt, ctx)
+
+
+def _reach_pulse(held: set[int], dt: float, ctx: ShotContext, i: int, j: int,
+                 spectators) -> set[int]:
+    """``held`` grown by a pulse on (i, j) in substeps of dt, each repeating the
+    first: decay, the pair, the pair's decay; then by the ``spectators`` (line, i, j)."""
+    _reach_sets(_reach_decay(held, dt, ctx), [(i, j)], dt, ctx)
+    return _reach_sets(held, [(a, b) for _, a, b in spectators], 0.0, ctx)
+
+
+def _grow(state: EnsembleState, key: tuple, reach, *args) -> None:
+    """Hold ``reach(held, *args)``, the held set ``held`` grown by what the
+    calling handler can reach.  The grown basis is kept on the basis under
+    ``key``, which must fix it (at most 64 keys per basis), and reused."""
+    basis = state.basis
+    grown = basis.grown.get(key)
+    if grown is None:
+        if len(basis.grown) >= 64:
+            basis.grown.clear()
+        state.hold(reach(set(basis.local), *args))
+        basis.grown[key] = state.basis
+    elif grown is not basis:
+        state._embed(grown)
+
+
 def _decay_during(rho: np.ndarray, n0: float, dt: float, ctx: ShotContext,
                   basis: _Basis) -> None:
     _metastable_decay(rho, dt, ctx.model, basis)
@@ -840,6 +906,7 @@ def evolve_free(state: EnsembleState, T: float, ctx: ShotContext) -> None:
         raise ValueError("free evolution time must be >= 0")
     if T == 0:
         return
+    _grow(state, (ctx.model, ctx.loss, True), _reach_decay, T, ctx)
     rho = state.rho
     _apply_state_phases(rho, ctx.zeeman_phases(ctx.t, ctx.t + T, state.basis.states))
     _decay_during(rho, state.n0, T, ctx, state.basis)
@@ -864,7 +931,7 @@ def _substeps(loss: LossParameters, omega: float, tau: float) -> int:
 
 def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
                     omega: float, detuning, phase, tau: float,
-                    averaged: bool) -> None:
+                    averaged: bool, spectators=()) -> None:
     # detuning and phase are numbers or per-shot arrays
     spec = ctx.model.find_transition(transition)
     i = STATE_INDEX[spec.lower]
@@ -872,9 +939,13 @@ def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
     t0 = ctx.t
     if tau <= 0.0:
         return
+    n_sub = _substeps(ctx.loss, omega, tau)
+    dt = tau / n_sub
+    # the model, transition and kind fix the spectators; dt > 0
+    _grow(state, (ctx.model, ctx.loss, transition, averaged), _reach_pulse,
+          dt, ctx, i, j, spectators)
     rho = state.rho
     basis = state.basis
-    n_sub = _substeps(ctx.loss, omega, tau)
 
     # The Zeeman phases are diagonal and equal on the pair once the pair-common
     # part (the lower state's phase) is split off, so they commute with the
@@ -888,10 +959,9 @@ def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
         states[lj] = i
     _apply_state_phases(rho, ctx.zeeman_phases(t0, t0 + tau, states))
 
-    dt = tau / n_sub
     if li is None or lj is None:
-        # one state of the pair is outside the basis, so both stay empty
-        # through the pulse: only the decay acts
+        # one state of the pair is outside the basis (a held one is reached only
+        # by the exchanges after it), so both stay empty: only the decay acts
         for _ in range(n_sub):
             _decay_during(rho, state.n0, dt, ctx, basis)
         ctx.advance_laser_phase(tau)
@@ -941,14 +1011,15 @@ def apply_mw_pulse(state: EnsembleState, ev: MwPulse, ctx: ShotContext) -> None:
     """Exact two-level rotation on the addressed hyperfine pair plus
     incoherent off-resonant leakage on every spectator line."""
     spec = ctx.model.find_transition(ev.transition)
+    spectators = _spectators(ctx.model, ev.transition)
     _coherent_pulse(state, ctx, ev.transition, ev.rabi_frequency,
-                    ev.detuning, ev.phase, ev.duration, averaged=False)
+                    ev.detuning, ev.phase, ev.duration, averaged=False, spectators=spectators)
     if ev.duration <= 0.0:
         return
     # off-resonant excitation of the other catalog lines, at its oscillation
     # peak p = Omega_s^2 / (Omega_s^2 + (2 pi dnu)^2), scaled by strength
     local = state.basis.local
-    held = [(other, local[i], local[j]) for other, i, j in _spectators(ctx.model, ev.transition)
+    held = [(other, local[i], local[j]) for other, i, j in spectators
             if i in local and j in local]
     if not held:
         return
@@ -970,7 +1041,7 @@ def apply_clock_pulse(state: EnsembleState, ev: ClockPulse, ctx: ShotContext) ->
                     averaged=True)
 
 
-def _rf_steps(model: AtomModel, ev: RfSweep, B: float) -> list[tuple[int, int]]:
+def _rf_steps(model: AtomModel, ev: RfSweep, B: float) -> tuple[tuple[int, int], ...]:
     """(source, target) basis indices of the F=4 ladder steps the sweep
     crosses at field B, in sweep order."""
     lo, hi = sorted((ev.f_start, ev.f_stop))
@@ -980,15 +1051,18 @@ def _rf_steps(model: AtomModel, ev: RfSweep, B: float) -> list[tuple[int, int]]:
         f_res = model.transition_frequency(f"{src.token}-{dst.token}", B)
         if lo - 1.0 <= f_res <= hi + 1.0:
             steps.append((STATE_INDEX[src], STATE_INDEX[dst]))
-    return steps
+    return tuple(steps)
 
 
 def apply_rf_sweep(state: EnsembleState, ev: RfSweep, ctx: ShotContext) -> None:
     """Incoherent ladder transfer across the F=4 sublevels swept by the RF."""
+    steps = _rf_steps(ctx.model, ev, ctx.B_nominal)
+    _grow(state, (ctx.model, ctx.loss, steps, ev.duration > 0), _reach_sets, steps,
+          ev.duration, ctx)
     rho = state.rho
     local = state.basis.local
     eff = ctx.model.constants.rf_step_efficiency
-    for src, dst in _rf_steps(ctx.model, ev, ctx.B_nominal):
+    for src, dst in steps:
         if src in local and dst in local:
             _probabilistic_swap(rho, local[src], local[dst], eff)
     _decay_during(rho, state.n0, ev.duration, ctx, state.basis)
@@ -1000,12 +1074,13 @@ def coherent_prep_transfer(state: EnsembleState, ctx: ShotContext,
                            efficiency: float = 0.98) -> None:
     """Four sequential pi rotations along the preparation ladder, each with
     the given transfer efficiency, leaving residuals behind."""
+    hops = [(STATE_INDEX[src], STATE_INDEX[dst]) for src, dst in ctx.model.prep_ladder]
+    _grow(state, (ctx.model, "prep"), _reach_sets, hops, 0.0, ctx)
     rho = state.rho
     local = state.basis.local
-    for src, dst in ctx.model.prep_ladder:
-        i, j = local.get(STATE_INDEX[src]), local.get(STATE_INDEX[dst])
-        if i is not None and j is not None:
-            _probabilistic_swap(rho, i, j, efficiency)
+    for src, dst in hops:
+        if src in local and dst in local:
+            _probabilistic_swap(rho, local[src], local[dst], efficiency)
 
 
 def apply_probe_410(state: EnsembleState, ev: Probe410, ctx: ShotContext) -> None:
@@ -1013,6 +1088,7 @@ def apply_probe_410(state: EnsembleState, ev: Probe410, ctx: ShotContext) -> Non
     the spectator manifold at the calibrated rate."""
     if ev.duration <= 0:
         return
+    _grow(state, (ctx.model, ctx.loss, True), _reach_decay, ev.duration, ctx)
     rho = state.rho
     ground = state.basis.ground
     calib = ctx.calibration or CrosstalkCalibration()
@@ -1040,14 +1116,17 @@ def apply_clean_530(state: EnsembleState, ev: Clean530, ctx: ShotContext) -> Non
     c = ctx.model.constants
     if ev.duration <= 0:
         return
+    other_F = 3 if ev.target_F == 4 else 4
+    p = _scatter_probability(c, ev)
+    # the scatter spreads each held state over the whole manifold
+    whole = (tuple(_GROUND_BY_F[other_F].tolist()),) if p > 0.0 else ()
+    _grow(state, (ctx.model, ctx.loss, whole, True), _reach_sets, whole, ev.duration, ctx)
     rho = state.rho
     basis = state.basis
     surv = math.exp(-ev.duration / c.tau_clean)
     _scale_states(rho, basis.ground[ev.target_F], math.sqrt(surv))
-    other_F = 3 if ev.target_F == 4 else 4
     other = basis.ground[other_F]
-    p = _scatter_probability(c, ev)
-    if p > 0.0 and len(other) == len(_GROUND_BY_F[other_F]):   # the whole manifold is held
+    if p > 0.0 and len(other):
         per_state = p * _population(rho, other) / len(other)
         _scale_states(rho, other, math.sqrt(1.0 - p))
         _diagonal(rho)[:, other] += per_state[:, None]
@@ -1062,6 +1141,7 @@ def apply_measure(state: EnsembleState, ev: Measure, ctx: ShotContext,
     to ``records`` (one ReadoutRecord per row, or None) and applies the
     destructive back-action (probed atoms leave during the dead time)."""
     calib = ctx.calibration or CrosstalkCalibration()
+    _grow(state, (ctx.model, ctx.loss, ev.duration > 0), _reach_decay, ev.duration, ctx)
     rho = state.rho
     f3, f4 = state.basis.ground[3], state.basis.ground[4]
     t_probe = ctx.t
@@ -1142,86 +1222,17 @@ def _initial_token(schedule: Schedule) -> str:
     return "g30"        # prepared central sublevel
 
 
-def _starting_in(schedule: Schedule, initial_state: str | None) -> Schedule:
-    """``schedule`` with its initial sublevel set to ``initial_state``
-    (unchanged when that is None or empty)."""
-    if not initial_state:
-        return schedule
-    return replace(schedule, metadata=replace(schedule.metadata, initial_state=initial_state))
-
-
-@lru_cache(maxsize=32)
-def _block_basis(schedule: Schedule, model: AtomModel, loss: LossParameters) -> _Basis:
-    """The sublevels a block running ``schedule`` can populate.
-
-    One walk over the events from the initial state, in the order of each
-    handler's own updates: a pulse adds its pair's other state when one is
-    held, once per substep together with the decay of that substep; decay
-    adds the branching targets of the held metastable states and then, when
-    g40 is held and active loss redistributes it, F=4 mF != 0; a microwave
-    pulse then adds its spectator lines in catalog order, an RF sweep its
-    ladder steps, a 530 nm clean with a held state in the other manifold
-    that whole manifold.  An entry of rho outside the basis is exactly zero
-    at every event.  The walk reads no ``detuning`` or ``phase``, so a
-    ``run_scan`` group shares one basis.
-    """
-    c = model.constants
-    branching = metastable_branching_table(c.metastable_branch_to_f4)
-    redistributes = loss.active and loss.class_arrays[2] is not None
-    held = {STATE_INDEX[SublevelRef.from_token(_initial_token(schedule))]}
-
-    def pair(i: int, j: int) -> None:
-        if i in held or j in held:
-            held.update((i, j))
-
-    def decay(dt: float) -> None:
-        if dt <= 0:
-            return
-        if math.isfinite(c.tau_c):
-            for m in [s for s in held if s >= _META_ROWS.start]:
-                held.update(dst for dst, _ in branching[m])
-        if redistributes and _G40 in held:
-            held.update(_G4_NONZERO.tolist())
-
-    for ev in schedule.events:
-        if isinstance(ev, (MwPulse, ClockPulse)):
-            if ev.duration <= 0:
-                continue
-            spec = model.find_transition(ev.transition)
-            n_sub = _substeps(loss, ev.rabi_frequency, ev.duration)
-            for _ in range(n_sub):
-                before = len(held)
-                pair(STATE_INDEX[spec.lower], STATE_INDEX[spec.upper])
-                decay(ev.duration / n_sub)
-                if len(held) == before:
-                    break   # later substeps repeat this one
-            if isinstance(ev, MwPulse):
-                for _, i, j in _spectators(model, ev.transition):
-                    pair(i, j)
-            continue
-        if isinstance(ev, RfSweep):
-            for src, dst in _rf_steps(model, ev, schedule.metadata.bias_field):
-                pair(src, dst)
-        elif isinstance(ev, Clean530) and ev.duration > 0:
-            other = _GROUND_BY_F[3 if ev.target_F == 4 else 4].tolist()
-            if _scatter_probability(c, ev) > 0.0 and held.intersection(other):
-                held.update(other)
-        decay(ev.duration)
-    return _Basis(held)
-
-
 def _run_batch(schedule: Schedule, model: AtomModel, noise: NoiseModel,
                loss: LossParameters, shots, n_atoms: float,
-               calibration: CrosstalkCalibration | None, basis: _Basis,
+               calibration: CrosstalkCalibration | None,
                seeds=None) -> tuple[EnsembleState, list[ReadoutRecord]]:
-    """Evolve the shots ``shots`` together: one (shots, k, k) state over
-    ``basis``, the ``_block_basis`` of the schedule; shot r draws under noise
-    seed ``seeds[r]`` (default ``noise.seed``)."""
+    """Evolve the shots ``shots`` together: one (shots, k, k) state that
+    starts at the schedule's initial sublevel, k = 1, and grows as the events
+    reach sublevels; shot r draws under noise seed ``seeds[r]`` (default
+    ``noise.seed``)."""
     ctx = ShotContext(model, noise, loss, schedule, shots, calibration, seeds)
-    idx = basis.local[STATE_INDEX[SublevelRef.from_token(_initial_token(schedule))]]
-    rho = np.zeros((len(shots), basis.dim, basis.dim), dtype=complex)
-    rho[:, idx, idx] = 1.0
-    state = EnsembleState(rho, n_atoms, basis)
+    state = EnsembleState.pure(_initial_token(schedule), n_atoms)
+    state.rho = np.repeat(state.rho, len(shots), axis=0)
     records = [ReadoutRecord(shot_index=k) for k in shots]
     for ev in schedule.events:
         apply_event(state, ev, ctx, records)
@@ -1233,13 +1244,11 @@ def _run_batch(schedule: Schedule, model: AtomModel, noise: NoiseModel,
 
 def run_shot(schedule: Schedule, model: AtomModel, noise: NoiseModel,
              loss: LossParameters, shot_index: int, n_atoms: float = 5000.0,
-             calibration: CrosstalkCalibration | None = None,
-             initial_state: str | None = None) -> tuple[EnsembleState, ReadoutRecord]:
-    """Run one shot, a block of one row: its state, over the sublevels the
-    schedule can reach (the accessors read any other as 0), and its record."""
-    schedule = _starting_in(schedule, initial_state)
-    state, (record,) = _run_batch(schedule, model, noise, loss, [shot_index], n_atoms,
-                                  calibration, _block_basis(_scan_key(schedule), model, loss))
+             calibration: CrosstalkCalibration | None = None
+             ) -> tuple[EnsembleState, ReadoutRecord]:
+    """Run one shot, a block of one row: its state, over the sublevels its
+    events reached (the accessors read any other as 0), and its record."""
+    state, (record,) = _run_batch(schedule, model, noise, loss, [shot_index], n_atoms, calibration)
     return state, record
 
 
@@ -1293,10 +1302,9 @@ def run_scan(points, model: AtomModel, loss: LossParameters, n_shots: int,
         key = (_scan_key(schedule), replace(noise, seed=0), calibration)
         groups.setdefault(key, []).append(p)
     records: list[list[ReadoutRecord]] = [[] for _ in points]
-    for (key, _, _), members in groups.items():
+    for members in groups.values():
         schedules = [points[p][0] for p in members]
         _, noise, calibration = points[members[0]]
-        basis = _block_basis(key, model, loss)
         rows = [(m, k) for m in range(len(members)) for k in range(n_shots)]
         for start in range(0, len(rows), _BATCH_SHOTS):
             block = rows[start:start + _BATCH_SHOTS]
@@ -1304,7 +1312,7 @@ def run_scan(points, model: AtomModel, loss: LossParameters, n_shots: int,
             schedule = (schedules[0] if len(members) == 1
                         else _block_schedule(schedules, point_of_row))
             _, batch = _run_batch(schedule, model, noise, loss, [k for _, k in block],
-                                  n_atoms, calibration, basis,
+                                  n_atoms, calibration,
                                   [points[members[m]][1].seed for m in point_of_row])
             for m, record in zip(point_of_row, batch):
                 records[members[m]].append(record)
@@ -1313,10 +1321,9 @@ def run_scan(points, model: AtomModel, loss: LossParameters, n_shots: int,
 
 def run_schedule(schedule: Schedule, model: AtomModel, noise: NoiseModel,
                  loss: LossParameters, n_shots: int, n_atoms: float = 5000.0,
-                 calibration: CrosstalkCalibration | None = None,
-                 initial_state: str | None = None) -> list[ReadoutRecord]:
+                 calibration: CrosstalkCalibration | None = None) -> list[ReadoutRecord]:
     """Run n_shots independent shots: the scan of one point, evolved in
     blocks of up to ``_BATCH_SHOTS`` shots; deterministic under the noise
     seed, and a shot's record equals ``run_shot`` of its index."""
-    point = (_starting_in(schedule, initial_state), noise, calibration)
+    point = (schedule, noise, calibration)
     return run_scan([point], model, loss, n_shots, n_atoms)[0]

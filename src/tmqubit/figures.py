@@ -47,6 +47,9 @@ __all__ = ["FIGURES", "reproduce_figure"]
 # tuned so the simulated free-induction decay at 0.1 G sits near 22 s.
 _SIGMA_B_COHERENCE = 6.0e-5
 
+# Atoms per shot: the apparatus default; fig7's readout scan loads fewer.
+_N_ATOMS = 5000.0
+
 
 def _write_csv(path, header, rows, comments=()):
     with open(path, "w") as fh:
@@ -99,7 +102,7 @@ def _fringe_contrast(model, noise, loss, calib, t_free, bias, shots, seed,
     return abs(best.params["c"]), best.error("c"), ds, best
 
 
-def fig2e(outdir, seed=0, n_atoms=5000.0):
+def fig2e(outdir, seed=0):
     """Long microwave Rabi scan: 250 coherent periods with collision damping."""
     model = AtomModel()
     noise = NoiseModel.off(seed)
@@ -115,7 +118,7 @@ def fig2e(outdir, seed=0, n_atoms=5000.0):
     rows = []
     for t in ts:
         sched = build_protocol("rabi", {"t": float(t), "bias_field": 0.6})
-        state, rec = run_shot(sched, model, noise, loss, 0, n_atoms=n_atoms,
+        state, rec = run_shot(sched, model, noise, loss, 0, n_atoms=_N_ATOMS,
                               calibration=calib)
         eta3 = record_quantity(rec, "eta3")
         ideal = math.cos(0.5 * (math.pi / 2e-3) * t) ** 2
@@ -127,7 +130,7 @@ def fig2e(outdir, seed=0, n_atoms=5000.0):
     return [path]
 
 
-def fig4(outdir, seed=0, shots=16, n_atoms=5000.0, t_grid=None):
+def fig4(outdir, seed=0, shots=16, t_grid=None):
     """Ramsey contrast decay at 0.1 and 0.6 G plus the 80 ms fringe inset.
 
     The fringe-fit contrast acquires a positive bias once the shot-to-shot
@@ -147,7 +150,7 @@ def fig4(outdir, seed=0, shots=16, n_atoms=5000.0, t_grid=None):
         contrasts = []
         for t_free in t_grid:
             c, c_err, *scan = _fringe_contrast(model, noise, loss, calib, t_free,
-                                               bias, shots, seed, n_atoms)
+                                               bias, shots, seed, _N_ATOMS)
             contrasts.append((t_free, c, c_err))
             if bias == 0.1 and t_free == 0.08:
                 inset_scan = scan
@@ -170,7 +173,7 @@ def fig4(outdir, seed=0, shots=16, n_atoms=5000.0, t_grid=None):
 
     if inset_scan is None:
         inset_scan = _fringe_contrast(model, noise, loss, calib, 0.08, 0.1,
-                                      shots, seed, n_atoms)[2:]
+                                      shots, seed, _N_ATOMS)[2:]
     ds, fit = inset_scan
     inset = [(float(x), float(y), float(s),
               float(model_ramsey_fringe(x, *fit.values)) if fit is not None
@@ -190,21 +193,19 @@ def _cp_eta_max(model, noise, loss, calib, n, t_free, bias, shots, seed, n_atoms
     return _mean_quantity(records, target)
 
 
-def fig5(outdir, seed=0, shots=10, n_atoms=5000.0, t_grid=None,
-         pulse_counts=(0, 1, 2, 4, 8)):
+def fig5(outdir, seed=0, shots=10):
     """Dynamical decoupling: contrast vs time for n = 0, 1, 2, 4, 8 pulses."""
     model = AtomModel()
     loss = LossParameters.off()
     calib = default_calibration(model, camera_floor=0.0)
     noise = NoiseModel(sigma_B_shot=_SIGMA_B_COHERENCE,
                        drift=RandomWalkDrift(step=5e-5, interval=1.0), seed=seed)
-    t_grid = t_grid if t_grid is not None else (0.5, 2.0, 4.0, 8.0, 12.0, 18.0)
     rows = []
-    for n in pulse_counts:
+    for n in (0, 1, 2, 4, 8):
         etas = []
-        for t_free in t_grid:
+        for t_free in (0.5, 2.0, 4.0, 8.0, 12.0, 18.0):
             eta, err = _cp_eta_max(model, noise, loss, calib, n, t_free, 0.1,
-                                   shots, seed + 17 * n, n_atoms)
+                                   shots, seed + 17 * n, _N_ATOMS)
             etas.append((t_free, eta, err))
         ds = Dataset(np.array([r[0] for r in etas]),
                      np.array([r[1] for r in etas]),
@@ -275,25 +276,24 @@ def _clock_phase_scan(model, noise, loss, calib, mode, t_store, shots, seed,
     return c, (phi0 + math.pi) % (2 * math.pi) - math.pi
 
 
-def fig6(outdir, seed=0, shots=8, n_atoms=5000.0, t_grid=None):
+def fig6(outdir, seed=0, shots=8):
     """Ground-metastable storage: contrast and phase vs storage time for the
     single- and double-transition schemes."""
     model = AtomModel()
     loss = LossParameters.off()
     calib = default_calibration(model, camera_floor=0.0)
-    t_grid = t_grid if t_grid is not None else (0.0, 0.03, 0.06, 0.09, 0.12, 0.18)
     tau_c = model.constants.tau_c
     files = []
     for mode, rate in (("single", 1.0 / (2 * tau_c)), ("double", 1.0 / tau_c)):
         noise = NoiseModel(sigma_B_shot=_SIGMA_B_COHERENCE,
                            laser_phase_diffusion=60.0, seed=seed)
         ref_c, ref_phi = _clock_phase_scan(model, noise, loss, calib, mode, 0.0,
-                                           shots, seed, n_atoms, reference=True)
+                                           shots, seed, _N_ATOMS, reference=True)
         rows = []
         c0 = None
-        for t_store in t_grid:
+        for t_store in (0.0, 0.03, 0.06, 0.09, 0.12, 0.18):
             c, phi = _clock_phase_scan(model, noise, loss, calib, mode,
-                                       float(t_store), shots, seed + 97, n_atoms)
+                                       float(t_store), shots, seed + 97, _N_ATOMS)
             if c0 is None:
                 c0 = c
             dphi = (phi - ref_phi + math.pi) % (2 * math.pi) - math.pi
@@ -307,17 +307,16 @@ def fig6(outdir, seed=0, shots=8, n_atoms=5000.0, t_grid=None):
     return files
 
 
-def fig7(outdir, seed=0, shots=20, n_atoms=2000.0, taus=None):
+def fig7(outdir, seed=0, shots=20):
     """Readout crosstalk calibration scan: raw counts vs first probe length."""
     model = AtomModel()
     noise = NoiseModel.off(seed)
     loss = LossParameters.off()
-    taus = taus if taus is not None else np.linspace(0.05e-3, 1.2e-3, 12)
     rows = []
-    for tau in taus:
+    for tau in np.linspace(0.05e-3, 1.2e-3, 12):
         sched = build_protocol("probe_scan", {"t": float(tau)})
         records = run_schedule(sched, model, dataclasses.replace(noise, seed=seed),
-                               loss, shots, n_atoms=n_atoms, calibration=None)
+                               loss, shots, n_atoms=2000.0, calibration=None)
         n4 = float(np.mean([r.raw["N4"] for r in records]))
         n4_err = float(np.std([r.raw["N4"] for r in records]) / math.sqrt(shots))
         n3 = float(np.mean([r.raw["N3"] for r in records]))
@@ -339,18 +338,18 @@ def fig7(outdir, seed=0, shots=20, n_atoms=2000.0, taus=None):
     return [path]
 
 
-def fig8(outdir, seed=0, n_atoms=5000.0, t_max=8e-3, points=60):
+def fig8(outdir, seed=0):
     """1140 nm excitation vs pulse length with parasitic-reflection beats."""
     model = AtomModel()
     noise = NoiseModel.off(seed)
     loss = LossParameters.off()
-    ts = np.linspace(0.05e-3, t_max, points)
+    ts = np.linspace(0.05e-3, 8e-3, 60)
     etas = []
     for t in ts:
         sched = build_protocol("clock_rabi", {"t": float(t)})
         # state-level excitation: run the first pulse only
         state, _ = run_shot(Schedule(sched.events[:1], sched.metadata), model,
-                            noise, loss, 0, n_atoms=n_atoms)
+                            noise, loss, 0, n_atoms=_N_ATOMS)
         etas.append(state.population("m30"))
     tau_c = model.constants.tau_c
 
@@ -372,7 +371,7 @@ def fig8(outdir, seed=0, n_atoms=5000.0, t_max=8e-3, points=60):
     return [path]
 
 
-def fig10(outdir, seed=0, shots=10, n_atoms=5000.0, t_grid=None):
+def fig10(outdir, seed=0, shots=10):
     """Decoupling processing example (n=8): peak-probability fit, contrast,
     and the chi-square profile of the decay time."""
     model = AtomModel()
@@ -380,11 +379,10 @@ def fig10(outdir, seed=0, shots=10, n_atoms=5000.0, t_grid=None):
     calib = default_calibration(model, camera_floor=0.0)
     noise = NoiseModel(sigma_B_shot=_SIGMA_B_COHERENCE,
                        drift=RandomWalkDrift(step=5e-5, interval=1.0), seed=seed)
-    t_grid = t_grid if t_grid is not None else (0.5, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0)
     etas = []
-    for t_free in t_grid:
+    for t_free in (0.5, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0):
         eta, err = _cp_eta_max(model, noise, loss, calib, 8, float(t_free), 0.1,
-                               shots, seed, n_atoms)
+                               shots, seed, _N_ATOMS)
         etas.append((float(t_free), eta, max(err, 1e-3)))
     ds = Dataset(np.array([r[0] for r in etas]),
                  np.array([r[1] for r in etas]),

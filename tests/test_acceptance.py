@@ -4,6 +4,7 @@ tolerance, printing one pass/fail line (run with ``pytest -s`` to see them).
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -342,7 +343,7 @@ points = 12
                  "--out", str(tmp_path / "calib.txt"),
                  "--report", report_path]) == 0
     values = {}
-    for line in open(report_path):
+    for line in Path(report_path).read_text().splitlines(keepends=True):
         if " = " in line and not line.startswith("#"):
             key, _, rest = line.partition(" = ")
             parts = rest.split(" +- ")

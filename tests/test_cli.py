@@ -1,5 +1,4 @@
 import math
-import os
 import re
 from pathlib import Path
 
@@ -8,7 +7,7 @@ import pytest
 
 from tmqubit.atom import AtomModel
 from tmqubit.cli import main, read_simulate_csv
-from tmqubit.config import ConfigError, load_config
+from tmqubit.config import ConfigError, RunConfig, load_config
 from tmqubit.protocols import PROTOCOLS, build_protocol
 from tmqubit.readout import CrosstalkCalibration
 from tmqubit.schedule import parse_sequence
@@ -61,6 +60,14 @@ class TestConfig:
         assert math.isinf(cfg.loss.tau)
         cfg.model()
 
+    def test_empty_sections_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "empty.ini"
+        path.write_text("[run]\n[noise]\n")
+        cfg = load_config(path)
+        default = RunConfig()
+        assert (cfg.seed, cfg.shots, cfg.atoms) == (default.seed, default.shots, default.atoms)
+        assert cfg.noise == default.noise
+
     def test_unknown_constant_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[constants]\nbogus_constant = 1\n")
@@ -107,7 +114,7 @@ class TestSimulate:
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         main(["simulate", "--config", ramsey_config, "--shots", "3", "--out", out1])
         main(["simulate", "--config", ramsey_config, "--shots", "3", "--out", out2])
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_resonant_clean_saturates(self, tmp_path):
         # a 530 nm clean on resonance scatters every spectator atom at most
@@ -247,7 +254,7 @@ class TestSimulate:
     def test_config_embedded_for_provenance(self, ramsey_config, tmp_path):
         out = str(tmp_path / "out.csv")
         main(["simulate", "--config", ramsey_config, "--shots", "2", "--out", out])
-        header = open(out).read().split("\n", 40)
+        header = Path(out).read_text().split("\n", 40)
         text = "\n".join(header)
         assert "# schema=1" in text
         assert "# config run.seed=7" in text
@@ -269,7 +276,7 @@ class TestFit:
         report = str(tmp_path / "report.txt")
         assert main(["fit", "--model", "ramsey_fringe", "--data", out,
                      "--quantity", "eta4", "--out", report]) == 0
-        text = open(report).read()
+        text = Path(report).read_text()
         assert "# model=ramsey_fringe" in text
         values = dict(line.split(" = ") for line in text.splitlines()
                       if " = " in line and not line.startswith("#"))
@@ -306,7 +313,7 @@ points = 15
         assert main(["fit", "--model", "two_body_loss", "--data", out,
                      "--init", "5000,16.4,1e-5", "--out", report]) == 0
         values = {}
-        for line in open(report):
+        for line in Path(report).read_text().splitlines(keepends=True):
             if " = " in line and not line.startswith("#"):
                 key, _, rest = line.partition(" = ")
                 values[key] = rest
@@ -358,7 +365,8 @@ class TestReproduce:
         outdir = str(tmp_path / "figs")
         assert main(["reproduce", "--figure", "fig6", "--out", outdir,
                      "--shots", "2", "--seed", "1"]) == 0
-        rows = [line.split(",") for line in open(os.path.join(outdir, "fig6_double.csv"))
+        rows = [line.split(",") for line in
+                Path(outdir, "fig6_double.csv").read_text().splitlines(keepends=True)
                 if not line.startswith("#") and line.strip()][1:]
         t = np.array([float(r[0]) for r in rows])
         overlay = np.array([float(r[3]) for r in rows])
@@ -368,7 +376,8 @@ class TestReproduce:
     def test_fig2e_spans_250_periods(self, tmp_path):
         outdir = str(tmp_path / "figs")
         assert main(["reproduce", "--figure", "fig2e", "--out", outdir]) == 0
-        rows = [line.split(",") for line in open(os.path.join(outdir, "fig2e_rabi.csv"))
+        rows = [line.split(",") for line in
+                Path(outdir, "fig2e_rabi.csv").read_text().splitlines(keepends=True)
                 if not line.startswith("#") and line.strip()][1:]
         t_max = max(float(r[0]) for r in rows)
         assert t_max >= 250 * 4e-3
@@ -377,7 +386,7 @@ class TestReproduce:
         outdir = str(tmp_path / "figs")
         assert main(["reproduce", "--figure", "fig10", "--out", outdir,
                      "--shots", "4"]) == 0
-        text = open(os.path.join(outdir, "fig10_chi2_profile.csv")).read()
+        text = Path(outdir, "fig10_chi2_profile.csv").read_text()
         assert "chi2" in text.splitlines()[-2] or "t2_s,chi2" in text
         assert "interval_lo" in text
 
@@ -427,7 +436,7 @@ points = 12
         report = str(tmp_path / "report.txt")
         assert main(["calibrate-readout", "--data", out, "--out", calib_path,
                      "--report", report]) == 0
-        text = open(report).read()
+        text = Path(report).read_text()
         eps_line = [l for l in text.splitlines() if l.startswith("eps_43")][0]
         value, err = (float(v) for v in eps_line.split(" = ")[1].split(" +- "))
         assert abs(value) <= max(3 * err, 1e-3)
@@ -496,7 +505,8 @@ class TestFitOptions:
         assert main(["fit", "--model", "ramsey_fringe", "--data", str(data),
                      "--init", "0.5,0.5,0.05,0", "--multistart", "12",
                      "--seed", "4", "--out", report]) == 0
-        values = dict(line.split(" = ") for line in open(report)
+        values = dict(line.split(" = ")
+                      for line in Path(report).read_text().splitlines(keepends=True)
                       if " = " in line and not line.startswith("#"))
         t_fit = float(values["t"].split(" +- ")[0])
         assert abs(abs(t_fit) - 0.16) < 0.005
@@ -512,7 +522,7 @@ class TestFitOptions:
         assert main(["fit", "--model", "exponential", "--data", str(data),
                      "--init", "700,5", "--profile", "tau",
                      "--out", report]) == 0
-        text = open(report).read()
+        text = Path(report).read_text()
         assert "profile.tau = " in text
         lo, hi = (float(v) for v in
                   [l for l in text.splitlines() if l.startswith("profile.tau")][0]

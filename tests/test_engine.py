@@ -69,6 +69,15 @@ def _meta(bias=0.6, initial="g30"):
     return ScheduleMetadata(bias_field=bias, initial_state=initial)
 
 
+def _full_state(token, n0=5000.0):
+    """One row over all 28 sublevels, every atom in ``token``: a state whose
+    entries a test writes by basis index."""
+    rho = np.zeros((1, 28, 28), dtype=complex)
+    i = STATE_INDEX[SublevelRef.from_token(token)]
+    rho[0, i, i] = 1.0
+    return EnsembleState(rho, n0)
+
+
 def _drive(events, meta, **kwargs):
     sched = Schedule(tuple(events), meta)
     return run_shot(sched, kwargs.pop("model", MODEL), kwargs.pop("noise", NOISE_OFF),
@@ -94,7 +103,7 @@ class TestMwPulse:
         # superposition inside the driven pair returns exactly
         sched = Schedule((MwPulse(duration=1e-3),), _meta())
         ctx = _ctx(sched, model=ISOLATED)
-        state = EnsembleState.pure("g30", 5000)
+        state = _full_state("g30")
         apply_mw_pulse(state, MwPulse(duration=1e-3), ctx)   # make a superposition
         before = state.rho.copy()
         apply_mw_pulse(state, MwPulse(duration=4e-3), ctx)   # 2 pi
@@ -115,8 +124,11 @@ class TestMwPulse:
     def test_against_time_dependent_schroedinger_oracle(self):
         # RK4 integration of the storage-frame Hamiltonian
         #   H = dW |u><u| + Omega/2 (e^{-i(dn t + phi)} |u><l| + h.c.)
-        # fixes every sign and frame convention of the pulse propagator
+        # fixes every sign and frame convention of the pulse propagator;
+        # the six random cases integrate together, one row each
         rng = np.random.default_rng(77)
+        i, j = STATE_INDEX[SublevelRef.from_token("g40")], STATE_INDEX[SublevelRef.from_token("g30")]
+        cases, psi0, got = [], [], []
         for _ in range(6):
             omega = float(rng.uniform(500, 4000))
             detuning = float(rng.uniform(-300, 300))
@@ -124,6 +136,7 @@ class TestMwPulse:
             tau = float(rng.uniform(0.5e-3, 3e-3))
             t_start = float(rng.uniform(0, 2e-3))
             db = float(rng.uniform(-0.05, 0.05))
+            cases.append((omega, detuning, phase, tau, t_start, db))
 
             noise = NoiseModel(sigma_B_shot=0.0, seed=1)
             sched = Schedule((Wait(t_start), MwPulse(duration=tau, rabi_frequency=omega,
@@ -131,42 +144,44 @@ class TestMwPulse:
                              _meta(bias=0.6))
             ctx = _ctx(sched, model=ISOLATED, noise=noise)
             ctx.delta_B = db
-            state = EnsembleState.pure("g30", 1.0)
+            state = _full_state("g30", 1.0)
             # random initial pair superposition
-            psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
-            psi0 /= np.linalg.norm(psi0)
-            i, j = STATE_INDEX[SublevelRef.from_token("g40")], STATE_INDEX[SublevelRef.from_token("g30")]
+            psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+            psi /= np.linalg.norm(psi)
+            psi0.append(psi)
             state.rho[:] = 0
-            block = np.outer(np.array(psi0), np.array(psi0).conj())
-            state.rho[0][np.ix_([i, j], [i, j])] = block
+            state.rho[0][np.ix_([i, j], [i, j])] = np.outer(psi, psi.conj())
             for ev in sched.events:
                 apply_event(state, ev, ctx)
+            got.append(state.rho[0][np.ix_([i, j], [i, j])])
 
-            dw = 2 * math.pi * 852.0 * ((0.6 + db) ** 2 - 0.36)
-            dn = 2 * math.pi * detuning
+        omega, detuning, phase, tau, t_start, db = np.array(cases).T
+        dw = 2 * math.pi * 852.0 * ((0.6 + db) ** 2 - 0.36)
+        dn = 2 * math.pi * detuning
 
-            def deriv(t, psi):
-                coupling = 0.5 * omega * np.exp(-1j * (dn * t + phase))
-                h = np.array([[0.0, np.conj(coupling)],
-                              [coupling, dw]])
-                return -1j * (h @ psi)
+        def deriv(t, psi):
+            coupling = 0.5 * omega * np.exp(-1j * (dn * t + phase))
+            h = np.zeros((len(t), 2, 2), dtype=complex)
+            h[:, 0, 1] = np.conj(coupling)
+            h[:, 1, 0] = coupling
+            h[:, 1, 1] = dw
+            return -1j * (h @ psi[..., None])[..., 0]
 
-            steps = 40000
-            h_step = tau / steps
-            psi = psi0.astype(complex)
-            t = t_start
-            # free evolution before the pulse (upper state accrues dw phase)
-            psi[1] *= np.exp(-1j * dw * t_start)
-            for _ in range(steps):
-                k1 = deriv(t, psi)
-                k2 = deriv(t + h_step / 2, psi + h_step / 2 * k1)
-                k3 = deriv(t + h_step / 2, psi + h_step / 2 * k2)
-                k4 = deriv(t + h_step, psi + h_step * k3)
-                psi = psi + h_step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                t += h_step
-            want = np.outer(psi, psi.conj())
-            got = state.rho[0][np.ix_([i, j], [i, j])]
-            assert np.max(np.abs(got - want)) < 1e-7
+        steps = 40000
+        h_step = (tau / steps)[:, None]
+        psi = np.array(psi0)
+        t = t_start.copy()
+        # free evolution before the pulse (upper state accrues dw phase)
+        psi[:, 1] *= np.exp(-1j * dw * t_start)
+        for _ in range(steps):
+            k1 = deriv(t, psi)
+            k2 = deriv(t + h_step[:, 0] / 2, psi + h_step / 2 * k1)
+            k3 = deriv(t + h_step[:, 0] / 2, psi + h_step / 2 * k2)
+            k4 = deriv(t + h_step[:, 0], psi + h_step * k3)
+            psi = psi + h_step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h_step[:, 0]
+        for case, want in enumerate(psi):
+            assert np.max(np.abs(got[case] - np.outer(want, want.conj()))) < 1e-7
 
 
 class TestClockPulse:
@@ -324,7 +339,7 @@ class TestFreeEvolution:
     def test_ground_metastable_coherence_halves_rate(self):
         sched = Schedule((Wait(0.05),), _meta(initial="g40"))
         ctx = _ctx(sched)
-        state = EnsembleState.pure("g40", 5000)
+        state = _full_state("g40")
         i, j = STATE_INDEX[SublevelRef.from_token("g40")], STATE_INDEX[SublevelRef.from_token("m30")]
         state.rho[:] = 0
         state.rho[0, i, i] = state.rho[0, j, j] = 0.5
@@ -652,8 +667,9 @@ class TestRunSchedule:
     def test_readout_record_assembly(self):
         sched = build_shelving_readout()
         calib = default_calibration(MODEL, camera_floor=0.0)
+        sched = replace(sched, metadata=replace(sched.metadata, initial_state="g30"))
         _, rec = run_shot(sched, MODEL, NOISE_OFF, LOSS_OFF, 0, n_atoms=4000,
-                          calibration=calib, initial_state="g30")
+                          calibration=calib)
         assert rec.complete
         assert rec.calibrated["N3_mf0"] == pytest.approx(4000, rel=1e-6)
         assert abs(rec.calibrated["N4_mf0"]) < 1.0
@@ -688,8 +704,7 @@ class TestRunSchedule:
             rho /= rho.trace().real
             sched = Schedule(tuple(events), _meta(bias=0.6))
             ctx = _ctx(sched, noise=noise, loss=loss, shot=trial, calib=calib)
-            state = EnsembleState.pure("g30", 5000)
-            state.rho = rho[None].astype(complex)
+            state = EnsembleState(rho[None].astype(complex), 5000)
             for ev in events:
                 apply_event(state, ev, ctx)
                 eigs = np.linalg.eigvalsh(state.rho)
@@ -845,13 +860,13 @@ def _bits(records):
 
 
 def _compact_and_full(schedule, noise, loss, calib, shots=(0, 1, 2)):
-    """The block basis of ``schedule``, the records of ``_run_batch`` over it,
-    and those of the same rows driven through ``apply_event`` on a full
-    (rows, 28, 28) state, which must stay exactly zero outside the basis
-    after every event."""
+    """The basis a ``_run_batch`` block of ``schedule`` grew to, its
+    records, and those of the same rows driven through ``apply_event`` on a
+    full (rows, 28, 28) state, which must stay exactly zero outside that
+    basis after every event."""
     shots = list(shots)
-    basis = engine._block_basis(engine._scan_key(schedule), MODEL, loss)
-    _, compact = engine._run_batch(schedule, MODEL, noise, loss, shots, 5000.0, calib, basis)
+    state, compact = engine._run_batch(schedule, MODEL, noise, loss, shots, 5000.0, calib)
+    basis = state.basis
     ctx = ShotContext(MODEL, noise, loss, schedule, shots, calib)
     start = STATE_INDEX[SublevelRef.from_token(engine._initial_token(schedule))]
     rho = np.zeros((len(shots), 28, 28), dtype=complex)
@@ -900,9 +915,9 @@ def _readings(state):
 
 
 class TestBlockBasis:
-    """A block evolves only the sublevels its schedule can reach: its records
-    are bit-equal to the full 28-level evolution, which never populates a
-    state outside the block's basis."""
+    """A state evolves only the sublevels its events have reached: its
+    records are bit-equal to the full 28-level evolution, which never
+    populates a state outside that basis."""
 
     @pytest.mark.parametrize("loss", [LossParameters.from_table(0.6), LOSS_OFF],
                              ids=["table_loss", "loss_off"])
@@ -935,7 +950,7 @@ class TestBlockBasis:
                             + (ClockPulse(duration=0.6e-3), Wait(0.02)), _meta(bias=0.6))
         state, _ = run_shot(schedule, MODEL, _BASIS_NOISE, loss, 0)
         ctx = ShotContext(MODEL, _BASIS_NOISE, loss, schedule, 0)
-        full = EnsembleState.pure("g30", 5000.0)
+        full = _full_state("g30")
         for ev in schedule.events:
             apply_event(full, ev, ctx)
         assert state.rho.shape[0] == 1 and state.basis.dim < 28
@@ -955,21 +970,61 @@ class TestBlockBasis:
     ])
     def test_basis_sizes(self, name, params, loss, size):
         schedule = build_protocol(name, params)
-        assert engine._block_basis(engine._scan_key(schedule), MODEL, loss).dim == size
+        state, _ = run_shot(schedule, MODEL, NOISE_OFF, loss, 0)
+        assert state.basis.dim == size
 
-    def test_run_scan_group_walks_once(self, monkeypatch):
-        calls = []
-        walk = engine._block_basis.__wrapped__
+    def test_hold_keeps_every_entry(self):
+        rng = np.random.default_rng(3)
+        held = [STATE_INDEX[SublevelRef.from_token(t)] for t in ("g4m1", "g30", "m31")]
+        rho = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+        state = EnsembleState(rho.copy(), 5000.0, engine._basis_of(frozenset(held)))
+        basis, before = state.basis, state.rho
+        state.hold([held[2], held[0]])
+        assert state.basis is basis and state.rho is before
+        grown = held + [STATE_INDEX[SublevelRef.from_token(t)] for t in ("g4m4", "g40", "m2m2")]
+        state.hold(grown[3:])
+        assert state.basis is engine._basis_of(frozenset(grown))
+        assert state.rho.shape == (2, 6, 6) and state.rho.flags.c_contiguous
+        at = [state.basis.local[i] for i in held]
+        assert state.rho[:, at][:, :, at].tobytes() == rho.tobytes()
+        new = [state.basis.local[i] for i in grown[3:]]
+        assert not state.rho[:, new].any() and not state.rho[:, :, new].any()
 
-        def counted(*args):
-            calls.append(args)
-            return walk(*args)
+    def test_growth_is_kept_per_loss_and_pulse_kind(self):
+        # equal bases grow alike only under equal loss and handler: a loss-off
+        # wait leaves g40 alone, a table-loss one holds F=4; a clock-averaged
+        # pulse holds no spectator line, a microwave pulse on the same pair does
+        schedule = Schedule((Wait(0.01),), _meta(initial="g40"))
+        grown = []
+        for loss in (LOSS_OFF, LossParameters.from_table(0.6), LOSS_OFF):
+            state = EnsembleState.pure("g40")
+            evolve_free(state, 0.01, ShotContext(MODEL, NOISE_OFF, loss, schedule, 0))
+            grown.append(state.basis.dim)
+        assert grown == [1, 9, 1]
+        grown = []
+        for ev in (ClockPulse(transition="g40-g30"), MwPulse(), ClockPulse(transition="g40-g30")):
+            state = EnsembleState.pure("g40")
+            apply_event(state, ev, ShotContext(MODEL, NOISE_OFF, LOSS_OFF, schedule, 0))
+            grown.append(state.basis.dim)
+        assert grown[0] == grown[2] == 2 < grown[1]
 
-        monkeypatch.setattr(engine, "_block_basis", counted)
-        points = _ramsey_points(np.linspace(-50, 50, 4), NoiseModel(seed=3), _CALIB)
-        monkeypatch.setattr(engine, "_BATCH_SHOTS", 4)
-        run_scan(points, MODEL, LOSS_OFF, 3)
-        assert len(calls) == 1
+    @pytest.mark.parametrize("loss", [LossParameters.from_table(0.6), LOSS_OFF],
+                             ids=["table_loss", "loss_off"])
+    def test_pure_state_grows_to_the_full_evolution(self, loss):
+        # after every event, a pure() state holds every sublevel the
+        # full-basis evolution has populated, and reads as that evolution
+        schedule = _every_event_schedule()
+        token = engine._initial_token(schedule)
+        states = [EnsembleState.pure(token), _full_state(token)]
+        contexts = [ShotContext(MODEL, _BASIS_NOISE, loss, schedule, 2) for _ in states]
+        for k, ev in enumerate(schedule.events):
+            for state, ctx in zip(states, contexts):
+                apply_event(state, ev, ctx)
+            grown, full = states
+            populated = np.flatnonzero(full.rho[0].any(axis=0) | full.rho[0].any(axis=1))
+            assert set(populated.tolist()) <= set(grown.basis.local), f"event {k} {ev!r}"
+            assert _readings(grown) == _readings(full), f"event {k} {ev!r}"
+        assert 1 < grown.basis.dim < 28
 
 
 class TestOneStateShape:
@@ -1016,7 +1071,7 @@ class TestOneStateShape:
         calib = default_calibration(MODEL)
         states = []
         for layout in ("C", "F", "strided"):
-            state = EnsembleState.pure("g4m4", 5000.0)
+            state = _full_state("g4m4")
             rho = state.rho
             if layout == "F":
                 rho = np.asfortranarray(rho)

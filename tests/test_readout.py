@@ -116,6 +116,13 @@ class TestForwardModel:
             calibrate({label: 1.0 for label in READOUT_LABELS}, broken)
 
 
+def _readout_from(token):
+    """The default shelving readout block, started in sublevel ``token``."""
+    schedule = build_shelving_readout()
+    return dataclasses.replace(
+        schedule, metadata=dataclasses.replace(schedule.metadata, initial_state=token))
+
+
 class TestEngineReadoutModel:
     """forward_matrix is the engine's own shelving block run on basis states."""
 
@@ -125,9 +132,8 @@ class TestEngineReadoutModel:
         exact = dataclasses.replace(CALIB, camera_floor=0.0)
         engine = np.zeros((4, 4))
         for j, token in enumerate(self.BASIS_TOKENS):
-            _, rec = run_shot(build_shelving_readout(), MODEL, NoiseModel.off(),
-                              LossParameters.off(), 0, n_atoms=1.0,
-                              calibration=exact, initial_state=token)
+            _, rec = run_shot(_readout_from(token), MODEL, NoiseModel.off(),
+                              LossParameters.off(), 0, n_atoms=1.0, calibration=exact)
             engine[:, j] = [rec.raw[label] for label in READOUT_LABELS]
         assert np.max(np.abs(engine - forward_matrix(CALIB))) <= 1e-12
 
@@ -144,9 +150,8 @@ class TestEngineReadoutModel:
         # inversion must undo that scale, not report 4/3 of the atoms
         calib = default_calibration(MODEL, probe_reference=0.3e-3, camera_floor=0.0)
         assert calib.probe_duration != calib.probe_reference
-        _, rec = run_shot(build_shelving_readout(), MODEL, NoiseModel.off(),
-                          LossParameters.off(), 0, n_atoms=5000.0,
-                          calibration=calib, initial_state="g30")
+        _, rec = run_shot(_readout_from("g30"), MODEL, NoiseModel.off(),
+                          LossParameters.off(), 0, n_atoms=5000.0, calibration=calib)
         assert rec.calibrated["N3_mf0"] == pytest.approx(5000.0, rel=1e-9)
         for label in ("N4", "N3", "N4_mf0"):
             assert rec.calibrated[label] == pytest.approx(0.0, abs=1e-6)
@@ -193,10 +198,9 @@ class TestRecord:
 
     def test_dead_time_residual_exactly_zero(self):
         # atoms probed away never contribute to later detections
-        state, rec = run_shot(build_shelving_readout(), MODEL, NoiseModel.off(),
+        state, rec = run_shot(_readout_from("g4m4"), MODEL, NoiseModel.off(),
                               LossParameters.off(), 0, n_atoms=5000,
-                              calibration=dataclasses.replace(CALIB, camera_floor=0.0),
-                              initial_state="g4m4")
+                              calibration=dataclasses.replace(CALIB, camera_floor=0.0))
         # the stretched state is entirely background: both mf0 detections see
         # only what decayed out of the (empty) metastable states: exactly 0
         assert rec.raw["N4"] == pytest.approx(5000.0)
