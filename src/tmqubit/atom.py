@@ -26,6 +26,7 @@ __all__ = [
     "AtomModel",
     "BASIS",
     "STATE_INDEX",
+    "state_index",
     "DIM",
     "wigner_3j",
     "clebsch_gordan",
@@ -87,6 +88,13 @@ def _build_basis() -> tuple[SublevelRef, ...]:
 BASIS: tuple[SublevelRef, ...] = _build_basis()
 STATE_INDEX: dict[SublevelRef, int] = {s: i for i, s in enumerate(BASIS)}
 DIM = len(BASIS)
+
+
+@lru_cache(maxsize=256)
+def state_index(token: str) -> int:
+    """Basis index of the sublevel named by ``token``, in any spelling
+    ``SublevelRef.from_token`` accepts; raises its ValueError otherwise."""
+    return STATE_INDEX[SublevelRef.from_token(token)]
 assert DIM == 28
 
 

@@ -20,16 +20,22 @@ from .config import ConfigError, RunConfig, load_config, scan_grid
 from .engine import run_scan
 from .figures import FIGURES, reproduce_figure
 from .fitting import (
+    DataError,
     Dataset,
     FitError,
     FitNonConvergence,
     MODELS,
     chi2_profile,
-    least_squares,
+    csv_column,
+    mean_and_error,
+    multistart,
+    read_csv,
+    write_csv,
 )
 from .protocols import (QUANTITIES, build_protocol, builder_config_from_params, check_params,
                         record_quantity)
-from .readout import CrosstalkCalibration, ReadoutRecord, fit_probe_scan, probe_parabola
+from .readout import (CrosstalkCalibration, ReadoutRecord, fit_probe_scan, probe_parabola,
+                      probe_scan_points)
 from .schedule import ParseError, ScheduleError, parse_sequence
 
 __all__ = ["main"]
@@ -119,41 +125,6 @@ def _simulate_rows(cfg: RunConfig):
     return rows
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
-def write_simulate_csv(path, cfg: RunConfig, rows):
-    with open(path, "w") as fh:
-        fh.write("# schema=1\n")
-        for line in cfg.describe():
-            fh.write(f"# config {line}\n")
-        fh.write("scan_param,scan_value,shot,measure,t,raw,calibrated,low_confidence\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def read_simulate_csv(path):
-    """Rows of a schema=1 simulate file as dicts."""
-    rows = []
-    with open(path) as fh:
-        header = None
-        for raw_line in fh:
-            line = raw_line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if header is None:
-                header = parts
-                continue
-            rows.append(dict(zip(header, parts)))
-    if header is None:
-        raise ValueError(f"{path}: empty file")
-    return rows
-
-
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -165,7 +136,9 @@ def cmd_simulate(args) -> int:
         cfg.scan_param = args.param
         cfg.scan_values = scan_grid(args.start, args.stop, args.points, "--points")
     rows = _simulate_rows(cfg)
-    write_simulate_csv(args.out, cfg, rows)
+    write_csv(args.out, ("scan_param", "scan_value", "shot", "measure", "t", "raw",
+                         "calibrated", "low_confidence"), rows,
+              [f"config {line}" for line in cfg.describe()])
     n_scan = len(cfg.scan_values) if cfg.scan_param else 1
     print(f"simulate: {cfg.schedule_name or cfg.schedule_script}: "
           f"{n_scan} scan points x {cfg.shots} shots -> {len(rows)} rows -> {args.out}",
@@ -186,45 +159,36 @@ _DEFAULT_QUANTITY = {
 }
 
 
+def _scan_records(rows) -> dict[float, list[ReadoutRecord]]:
+    """The shots of simulate output rows, per scan value: one record per
+    shot, holding its raw counts and its calibrated counts when it has
+    them."""
+    grouped: dict[float, dict[int, ReadoutRecord]] = {}
+    for x, shot, label, raw, calibrated in zip(
+            csv_column(rows, "scan_value"), csv_column(rows, "shot", int),
+            csv_column(rows, "measure", str), csv_column(rows, "raw"),
+            csv_column(rows, "calibrated")):
+        rec = grouped.setdefault(x, {}).setdefault(shot, ReadoutRecord(shot_index=shot))
+        rec.raw[label] = raw
+        if not math.isnan(calibrated):
+            rec.calibrated[label] = calibrated
+    return {x: list(shots.values()) for x, shots in grouped.items()}
+
+
 def _dataset_from_file(path, model_name, quantity=None):
     """Build a Dataset from either a plain x,y[,sigma] CSV or a schema=1
     simulate file (aggregated over shots per scan value)."""
-    with open(path) as fh:
-        first_data = None
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            first_data = line
-            break
-    if first_data is None:
-        raise ValueError(f"{path}: empty file")
-    header = [h.strip().lower() for h in first_data.split(",")]
-    if "scan_value" in header:
-        rows = read_simulate_csv(path)
-        quantity = quantity or _DEFAULT_QUANTITY.get(model_name, "eta4")
-        grouped: dict[float, dict[int, ReadoutRecord]] = {}
-        for row in rows:
-            x = float(row["scan_value"])
-            shot = int(row["shot"])
-            rec = grouped.setdefault(x, {}).setdefault(shot, ReadoutRecord(shot_index=shot))
-            rec.raw[row["measure"]] = float(row["raw"])
-            calibrated = float(row["calibrated"])
-            if not math.isnan(calibrated):
-                rec.calibrated[row["measure"]] = calibrated
-        xs, ys, sigmas = [], [], []
-        for x in sorted(grouped):
-            vals = [record_quantity(rec, quantity) for rec in grouped[x].values()]
-            xs.append(x)
-            ys.append(float(np.mean(vals)))
-            err = float(np.std(vals) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-            sigmas.append(err)
-        sigma_arr = np.array(sigmas)
-        if np.all(sigma_arr > 0):
-            return Dataset(np.array(xs), np.array(ys), sigma_arr), quantity
-        return Dataset(np.array(xs), np.array(ys)), quantity
-    if quantity is not None:
-        raise ConfigError(f"--quantity applies to simulate output, not the plain CSV {path}")
-    return Dataset.from_csv(path), None
+    rows = read_csv(path)
+    if "scan_value" not in rows[0]:
+        if quantity is not None:
+            raise ConfigError(f"--quantity applies to simulate output, not the plain CSV {path}")
+        return Dataset.from_rows(rows), None
+    quantity = quantity or _DEFAULT_QUANTITY.get(model_name, "eta4")
+    scan = _scan_records(rows)
+    xs = sorted(scan)
+    ys, sigmas = zip(*(mean_and_error([record_quantity(rec, quantity) for rec in scan[x]])
+                       for x in xs))
+    return Dataset(xs, ys, sigmas if all(s > 0 for s in sigmas) else None), quantity
 
 
 def cmd_fit(args) -> int:
@@ -238,6 +202,9 @@ def cmd_fit(args) -> int:
     except OSError as exc:
         print(f"fit: {exc}", file=sys.stderr)
         return EXIT_IO
+    except DataError as exc:
+        print(f"fit: {args.data}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.init:
         init = [float(v) for v in args.init.split(",")]
         if len(init) != len(spec.param_names):
@@ -247,23 +214,14 @@ def cmd_fit(args) -> int:
     else:
         init = spec.guess(dataset)
 
-    best = None
     rng = np.random.default_rng(args.seed or 0)
-    attempts = max(1, args.multistart)
-    last_error = None
-    for attempt in range(attempts):
-        trial = list(init) if attempt == 0 else [
-            v * float(rng.uniform(0.5, 2.0)) + (0.0 if v != 0 else rng.normal(0, 1e-3))
-            for v in init]
-        try:
-            fit = least_squares(spec.func, dataset, trial, spec.param_names)
-        except FitError as exc:
-            last_error = exc
-            continue
-        if best is None or fit.chi2 < best.chi2:
-            best = fit
-    if best is None:
-        print(f"fit: did not converge: {last_error}", file=sys.stderr)
+    starts = (list(init) if attempt == 0 else [
+        v * float(rng.uniform(0.5, 2.0)) + (0.0 if v != 0 else rng.normal(0, 1e-3))
+        for v in init] for attempt in range(args.multistart))
+    try:
+        best = multistart(spec.func, dataset, starts, spec.param_names)
+    except FitError as exc:
+        print(f"fit: did not converge: {exc}", file=sys.stderr)
         return EXIT_FIT
 
     if args.profile:
@@ -322,28 +280,23 @@ def cmd_reproduce(args) -> int:
 
 def cmd_calibrate_readout(args) -> int:
     try:
-        rows = read_simulate_csv(args.data)
+        points = probe_scan_points(_scan_records(read_csv(args.data)))
     except OSError as exc:
         print(f"calibrate-readout: {exc}", file=sys.stderr)
         return EXIT_IO
-    by_tau: dict[float, dict[str, list[float]]] = {}
-    for row in rows:
-        tau = float(row["scan_value"])
-        by_tau.setdefault(tau, {}).setdefault(row["measure"], []).append(float(row["raw"]))
-    taus = np.array(sorted(by_tau))
-    if len(taus) < 4:
+    except DataError as exc:
+        print(f"calibrate-readout: {args.data}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except KeyError as exc:
+        print(f"calibrate-readout: {args.data}: column 'measure' has no {exc.args[0]} rows",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    if len(points[0]) < 4:
         print("calibrate-readout: need a probe-duration scan with >= 4 points",
               file=sys.stderr)
         return EXIT_CONFIG
-    n4 = np.array([float(np.mean(by_tau[t]["N4"])) for t in taus])
-    n4_err = np.array([max(float(np.std(by_tau[t]["N4"]) / math.sqrt(len(by_tau[t]["N4"]))), 1e-3)
-                       for t in taus])
-    n3 = np.array([float(np.mean(by_tau[t]["N3"])) for t in taus])
-    n3_err = np.array([max(float(np.std(by_tau[t]["N3"]) / math.sqrt(len(by_tau[t]["N3"]))), 1e-3)
-                       for t in taus])
-
     try:
-        fit4, fit3 = fit_probe_scan(taus, n4, n4_err, n3, n3_err)
+        fit4, fit3 = fit_probe_scan(*points)
     except FitNonConvergence as exc:
         print(f"calibrate-readout: {exc}", file=sys.stderr)
         return EXIT_FIT
@@ -437,6 +390,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("shots", "multistart"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ConfigError(f"--{flag} must be >= 1, got {value}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

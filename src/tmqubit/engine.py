@@ -56,6 +56,7 @@ from .atom import (
     SublevelRef,
     TransitionKind,
     metastable_branching_table,
+    state_index,
 )
 from .fitting import model_two_body_loss
 from .readout import (
@@ -112,7 +113,7 @@ _META_ROWS = slice(int(_META[0]), int(_META[-1]) + 1)
 assert _META_ROWS.stop == DIM and len(_META) == DIM - _META_ROWS.start
 _GROUND_BY_F = {4: _GROUND_F4, 3: _GROUND_F3}
 _G4_NONZERO = np.array([i for i in _GROUND_F4 if BASIS[i].mF != 0])
-_G40 = STATE_INDEX[SublevelRef.from_token("g40")]
+_G40 = state_index("g40")
 
 
 # ----------------------------------------------------------------- noise model
@@ -235,7 +236,7 @@ class LossParameters:
         for token, beta in self.beta_by_state:
             if beta < 0:
                 raise ValueError(f"beta for {token} must be >= 0")
-            SublevelRef.from_token(token)
+            state_index(token)
 
     @property
     def beta(self) -> dict[str, float]:
@@ -245,7 +246,7 @@ class LossParameters:
     def loss_classes(self) -> tuple[tuple[int, float, bool], ...]:
         """(basis index, beta, is the redistributing g40 class) of every
         two-body class with beta > 0, resolved once."""
-        return tuple((STATE_INDEX[SublevelRef.from_token(token)], beta, token == "g40")
+        return tuple((state_index(token), beta, token == "g40")
                      for token, beta in self.beta.items() if beta > 0.0)
 
     @cached_property
@@ -370,7 +371,7 @@ class EnsembleState:
     @classmethod
     def pure(cls, token: str, n0: float = 5000.0) -> "EnsembleState":
         """One row, every atom in sublevel ``token``, the one held sublevel."""
-        idx = STATE_INDEX[SublevelRef.from_token(token)]
+        idx = state_index(token)
         rho = np.zeros((1, 1, 1), dtype=complex)
         rho[0, 0, 0] = 1.0
         return cls(rho, n0, _basis_of(frozenset((idx,))))
@@ -395,7 +396,7 @@ class EnsembleState:
         return self.rho[0]
 
     def _local(self, token: str) -> int | None:
-        return self.basis.local.get(STATE_INDEX[SublevelRef.from_token(token)])
+        return self.basis.local.get(state_index(token))
 
     @property
     def trace(self) -> float:
@@ -491,9 +492,6 @@ class ShotContext:
         """Standard random-walk values at interval indices ``k`` (an array
         broadcasting against the shots), each shot reading its seed's walk."""
         n = int(k.max()) + 1
-        if len(self._walk_rows) == 1:
-            (seed,) = self._walk_rows
-            return _walk_values(seed, n)[k]
         out = np.empty(np.broadcast_shapes(k.shape, self.wall_t0.shape))
         k = np.broadcast_to(k, out.shape)
         for seed, rows in self._walk_rows.items():

@@ -31,14 +31,18 @@ from .fitting import (
     chi2_profile,
     contrast_from_eta,
     least_squares,
+    mean_and_error,
     model_exponential,
     model_gaussian_decay,
     model_gaussian_decay_offset,
     model_rabi_reflection,
     model_ramsey_fringe,
+    multistart,
+    peak_to_peak_contrast,
+    write_csv,
 )
 from .protocols import build_protocol, record_quantity
-from .readout import fit_probe_scan, probe_parabola
+from .readout import fit_probe_scan, probe_parabola, probe_scan_points
 from .schedule import MwPulse, Schedule, Wait, build_clock_coherence
 
 __all__ = ["FIGURES", "reproduce_figure"]
@@ -51,25 +55,18 @@ _SIGMA_B_COHERENCE = 6.0e-5
 _N_ATOMS = 5000.0
 
 
-def _write_csv(path, header, rows, comments=()):
-    with open(path, "w") as fh:
-        fh.write("# schema=1\n")
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row) + "\n")
-    return path
+def _t2_or_nan(model, points, init) -> float:
+    """Fitted ``t2`` of ``model`` over (T, value, error) points, each error
+    floored at 1e-3; NaN when the fit fails."""
+    t, value, err = zip(*points)
+    ds = Dataset(t, value, [max(e, 1e-3) for e in err])
+    try:
+        return least_squares(model, ds, init).params["t2"]
+    except FitError:
+        return float("nan")
 
 
-def _mean_quantity(records, quantity):
-    values = [record_quantity(r, quantity) for r in records]
-    return float(np.mean(values)), float(np.std(values) / math.sqrt(len(values)) or 1e-4)
-
-
-def _fringe_contrast(model, noise, loss, calib, t_free, bias, shots, seed,
-                     n_atoms, mw_pi_time=2e-3):
+def _fringe_contrast(model, noise, loss, calib, t_free, bias, shots, seed):
     """Scan the Ramsey detuning over one fringe and fit the cosine model.
 
     Falls back to the peak-to-peak spread when no fit start converges (deep
@@ -78,26 +75,18 @@ def _fringe_contrast(model, noise, loss, calib, t_free, bias, shots, seed,
     """
     dnus = np.linspace(-1.0 / (2 * t_free), 1.0 / (2 * t_free), 24)
     points = [(build_protocol("ramsey", {"t": t_free, "detuning": float(dnu),
-                                         "bias_field": bias, "mw_pi_time": mw_pi_time}),
+                                         "bias_field": bias}),
                dataclasses.replace(noise, seed=seed + 1000 * k), calib)
               for k, dnu in enumerate(dnus)]
-    ys, sigmas = [], []
-    for records in run_scan(points, model, loss, shots, n_atoms=n_atoms):
-        mean, err = _mean_quantity(records, "eta4")
-        ys.append(mean)
-        sigmas.append(max(err, 5e-3))
-    ds = Dataset(np.array(dnus), np.array(ys), np.array(sigmas))
-    spread = float(max(ds.y) - min(ds.y))
-    best = None
-    for phi0 in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
-        try:
-            fit = least_squares(model_ramsey_fringe, ds,
-                                [0.5, spread, 2 * t_free, phi0])
-        except FitError:
-            continue
-        if best is None or fit.chi2 < best.chi2:
-            best = fit
-    if best is None:
+    stats = [mean_and_error([record_quantity(r, "eta4") for r in records])
+             for records in run_scan(points, model, loss, shots, n_atoms=_N_ATOMS)]
+    ds = Dataset(dnus, [mean for mean, _ in stats], [max(err, 5e-3) for _, err in stats])
+    spread = peak_to_peak_contrast(ds)
+    try:
+        best = multistart(model_ramsey_fringe, ds,
+                          ([0.5, spread, 2 * t_free, phi0]
+                           for phi0 in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)))
+    except FitError:
         return spread, spread, ds, None
     return abs(best.params["c"]), best.error("c"), ds, best
 
@@ -123,10 +112,10 @@ def fig2e(outdir, seed=0):
         eta3 = record_quantity(rec, "eta3")
         ideal = math.cos(0.5 * (math.pi / 2e-3) * t) ** 2
         rows.append((float(t), eta3, ideal))
-    path = _write_csv(os.path.join(outdir, "fig2e_rabi.csv"),
-                      ["t_s", "eta3", "eta3_ideal"], rows,
-                      ["microwave Rabi scan, B=0.6 G, collision channels on",
-                       f"x axis spans {ts.max() / period:.0f} Rabi periods"])
+    path = write_csv(os.path.join(outdir, "fig2e_rabi.csv"),
+                     ["t_s", "eta3", "eta3_ideal"], rows,
+                     ["microwave Rabi scan, B=0.6 G, collision channels on",
+                      f"x axis spans {ts.max() / period:.0f} Rabi periods"])
     return [path]
 
 
@@ -150,47 +139,40 @@ def fig4(outdir, seed=0, shots=16, t_grid=None):
         contrasts = []
         for t_free in t_grid:
             c, c_err, *scan = _fringe_contrast(model, noise, loss, calib, t_free,
-                                               bias, shots, seed, _N_ATOMS)
+                                               bias, shots, seed)
             contrasts.append((t_free, c, c_err))
             if bias == 0.1 and t_free == 0.08:
                 inset_scan = scan
-        ds = Dataset(np.array([r[0] for r in contrasts]),
-                     np.array([r[1] for r in contrasts]),
-                     np.array([max(r[2], 1e-3) for r in contrasts]))
-        try:
-            fit = least_squares(model_gaussian_decay, ds, [1.0, 15.0 * 0.1 / bias])
-            t2 = fit.params["t2"]
-        except FitError:
-            t2 = float("nan")
+        t2 = _t2_or_nan(model_gaussian_decay, contrasts, [1.0, 15.0 * 0.1 / bias])
         for t_free, c, c_err in contrasts:
-            overlay = (model_gaussian_decay(t_free, 1.0, t2)
-                       if math.isfinite(t2) else float("nan"))
-            rows.append((bias, t_free, c, c_err, float(overlay), t2))
-    files.append(_write_csv(os.path.join(outdir, "fig4_contrast.csv"),
-                            ["bias_G", "T_s", "contrast", "contrast_err",
-                             "gaussian_overlay", "t2_star_fit"], rows,
-                            ["Ramsey contrast vs free evolution time"]))
+            overlay = float(model_gaussian_decay(t_free, 1.0, t2))
+            rows.append((bias, t_free, c, c_err, overlay, t2))
+    files.append(write_csv(os.path.join(outdir, "fig4_contrast.csv"),
+                           ["bias_G", "T_s", "contrast", "contrast_err",
+                            "gaussian_overlay", "t2_star_fit"], rows,
+                           ["Ramsey contrast vs free evolution time"]))
 
     if inset_scan is None:
         inset_scan = _fringe_contrast(model, noise, loss, calib, 0.08, 0.1,
-                                      shots, seed, _N_ATOMS)[2:]
+                                      shots, seed)[2:]
     ds, fit = inset_scan
     inset = [(float(x), float(y), float(s),
               float(model_ramsey_fringe(x, *fit.values)) if fit is not None
               else float("nan"))
              for x, y, s in zip(ds.x, ds.y, ds.sigma)]
-    files.append(_write_csv(os.path.join(outdir, "fig4_fringe_inset.csv"),
-                            ["detuning_Hz", "eta4", "eta4_err", "fringe_fit"],
-                            inset, ["T = 80 ms fringe at B = 0.1 G"]))
+    files.append(write_csv(os.path.join(outdir, "fig4_fringe_inset.csv"),
+                           ["detuning_Hz", "eta4", "eta4_err", "fringe_fit"],
+                           inset, ["T = 80 ms fringe at B = 0.1 G"]))
     return files
 
 
-def _cp_eta_max(model, noise, loss, calib, n, t_free, bias, shots, seed, n_atoms):
+def _cp_eta_max(model, noise, loss, calib, n, t_free, bias, shots, seed):
     target = "eta3" if n % 2 == 0 else "eta4"
     sched = build_protocol("cp", {"n": n, "t": t_free, "bias_field": bias})
     records = run_schedule(sched, model, dataclasses.replace(noise, seed=seed),
-                           loss, shots, n_atoms=n_atoms, calibration=calib)
-    return _mean_quantity(records, target)
+                           loss, shots, n_atoms=_N_ATOMS, calibration=calib)
+    mean, err = mean_and_error([record_quantity(r, target) for r in records])
+    return mean, err or 1e-4
 
 
 def fig5(outdir, seed=0, shots=10):
@@ -205,31 +187,22 @@ def fig5(outdir, seed=0, shots=10):
         etas = []
         for t_free in (0.5, 2.0, 4.0, 8.0, 12.0, 18.0):
             eta, err = _cp_eta_max(model, noise, loss, calib, n, t_free, 0.1,
-                                   shots, seed + 17 * n, _N_ATOMS)
+                                   shots, seed + 17 * n)
             etas.append((t_free, eta, err))
-        ds = Dataset(np.array([r[0] for r in etas]),
-                     np.array([r[1] for r in etas]),
-                     np.array([max(r[2], 1e-3) for r in etas]))
-        try:
-            fit = least_squares(model_gaussian_decay_offset, ds, [1.0, 20.0])
-            t2 = fit.params["t2"]
-        except FitError:
-            t2 = float("nan")
+        t2 = _t2_or_nan(model_gaussian_decay_offset, etas, [1.0, 20.0])
         for t_free, eta, err in etas:
             contrast = float(contrast_from_eta(eta))
-            overlay = (float(contrast_from_eta(
-                model_gaussian_decay_offset(t_free, 1.0, t2)))
-                if math.isfinite(t2) else float("nan"))
+            overlay = float(contrast_from_eta(model_gaussian_decay_offset(t_free, 1.0, t2)))
             rows.append((n, t_free, eta, err, contrast, overlay, t2))
-    path = _write_csv(os.path.join(outdir, "fig5_decoupling.csv"),
-                      ["n_pulses", "T_s", "eta_max", "eta_err", "contrast",
-                       "gaussian_overlay", "t2_fit"], rows,
-                      ["Carr-Purcell contrast vs total free evolution time, B=0.1 G"])
+    path = write_csv(os.path.join(outdir, "fig5_decoupling.csv"),
+                     ["n_pulses", "T_s", "eta_max", "eta_err", "contrast",
+                      "gaussian_overlay", "t2_fit"], rows,
+                     ["Carr-Purcell contrast vs total free evolution time, B=0.1 G"])
     return [path]
 
 
 def _clock_phase_scan(model, noise, loss, calib, mode, t_store, shots, seed,
-                      n_atoms, reference=False):
+                      reference=False):
     """Contrast and phase of the stored-qubit Ramsey fringe via a phase scan
     of the final pi/2 pulse."""
     base = build_clock_coherence(mode, t_store)
@@ -250,24 +223,20 @@ def _clock_phase_scan(model, noise, loss, calib, mode, t_store, shots, seed,
         points.append((Schedule(tuple(events), base.metadata),
                        dataclasses.replace(noise, seed=seed + 631 * k), calib))
     ys, sigmas = [], []
-    for records in run_scan(points, model, loss, shots, n_atoms=n_atoms):
+    for records in run_scan(points, model, loss, shots, n_atoms=_N_ATOMS):
         # decay from the metastable levels repopulates mF != 0 sublevels, so
         # the stored-coherence fringe uses the total manifold populations
-        vals = []
-        for rec in records:
-            src = rec.calibrated if rec.calibrated else rec.raw
-            n4 = src["N4"] + src["N4_mf0"]
-            n3 = src["N3"] + src["N3_mf0"]
-            vals.append(n4 / (n4 + n3))
-        ys.append(float(np.mean(vals)))
-        sigmas.append(max(float(np.std(vals) / math.sqrt(len(vals))), 5e-3))
+        n4 = np.array([r.counts["N4"] + r.counts["N4_mf0"] for r in records])
+        n3 = np.array([r.counts["N3"] + r.counts["N3_mf0"] for r in records])
+        mean, err = mean_and_error(n4 / (n4 + n3))
+        ys.append(mean)
+        sigmas.append(max(err, 5e-3))
 
     def cosine(x, a, c, phi0):
         return a + 0.5 * c * np.cos(x - phi0)
 
-    ds = Dataset(phases, np.array(ys), np.array(sigmas))
-    fit = least_squares(cosine, ds, [float(np.mean(ys)),
-                                     float(max(ys) - min(ys)), 0.0],
+    ds = Dataset(phases, ys, sigmas)
+    fit = least_squares(cosine, ds, [float(np.mean(ys)), peak_to_peak_contrast(ds), 0.0],
                         ("a", "c", "phi0"))
     c = fit.params["c"]
     phi0 = fit.params["phi0"]
@@ -288,18 +257,18 @@ def fig6(outdir, seed=0, shots=8):
         noise = NoiseModel(sigma_B_shot=_SIGMA_B_COHERENCE,
                            laser_phase_diffusion=60.0, seed=seed)
         ref_c, ref_phi = _clock_phase_scan(model, noise, loss, calib, mode, 0.0,
-                                           shots, seed, _N_ATOMS, reference=True)
+                                           shots, seed, reference=True)
         rows = []
         c0 = None
         for t_store in (0.0, 0.03, 0.06, 0.09, 0.12, 0.18):
             c, phi = _clock_phase_scan(model, noise, loss, calib, mode,
-                                       float(t_store), shots, seed + 97, _N_ATOMS)
+                                       float(t_store), shots, seed + 97)
             if c0 is None:
                 c0 = c
             dphi = (phi - ref_phi + math.pi) % (2 * math.pi) - math.pi
             overlay = c0 * math.exp(-rate * float(t_store))
             rows.append((float(t_store), c, dphi, overlay))
-        files.append(_write_csv(
+        files.append(write_csv(
             os.path.join(outdir, f"fig6_{mode}.csv"),
             ["T_s", "contrast", "phase_shift_rad", "overlay"], rows,
             [f"{mode}-transition storage; overlay decays with "
@@ -312,29 +281,21 @@ def fig7(outdir, seed=0, shots=20):
     model = AtomModel()
     noise = NoiseModel.off(seed)
     loss = LossParameters.off()
-    rows = []
-    for tau in np.linspace(0.05e-3, 1.2e-3, 12):
-        sched = build_protocol("probe_scan", {"t": float(tau)})
-        records = run_schedule(sched, model, dataclasses.replace(noise, seed=seed),
-                               loss, shots, n_atoms=2000.0, calibration=None)
-        n4 = float(np.mean([r.raw["N4"] for r in records]))
-        n4_err = float(np.std([r.raw["N4"] for r in records]) / math.sqrt(shots))
-        n3 = float(np.mean([r.raw["N3"] for r in records]))
-        n3_err = float(np.std([r.raw["N3"] for r in records]) / math.sqrt(shots))
-        rows.append([float(tau), n4, max(n4_err, 1e-3), n3, max(n3_err, 1e-3)])
-
-    arr = np.array(rows)
-    fit4, fit3 = fit_probe_scan(*arr.T)
-    out = []
-    for row in rows:
-        out.append(tuple(row) + (float(probe_parabola(row[0], *fit4.values)),
-                                 float(model_exponential(row[0], *fit3.values))))
-    path = _write_csv(os.path.join(outdir, "fig7_readout_scan.csv"),
-                      ["probe_s", "n4_raw", "n4_err", "n3_raw", "n3_err",
-                       "parabola_fit", "exponential_fit"], out,
-                      ["first-probe duration scan, atoms prepared in F=3",
-                       f"parabola c={float(fit4.params['c'])!r}",
-                       f"exponential tau={float(fit3.params['tau'])!r}"])
+    scan = {tau: run_schedule(build_protocol("probe_scan", {"t": float(tau)}), model,
+                              dataclasses.replace(noise, seed=seed), loss, shots,
+                              n_atoms=2000.0, calibration=None)
+            for tau in np.linspace(0.05e-3, 1.2e-3, 12)}
+    points = probe_scan_points(scan)
+    fit4, fit3 = fit_probe_scan(*points)
+    rows = [(*row, float(probe_parabola(row[0], *fit4.values)),
+             float(model_exponential(row[0], *fit3.values)))
+            for row in zip(*points)]
+    path = write_csv(os.path.join(outdir, "fig7_readout_scan.csv"),
+                     ["probe_s", "n4_raw", "n4_err", "n3_raw", "n3_err",
+                      "parabola_fit", "exponential_fit"], rows,
+                     ["first-probe duration scan, atoms prepared in F=3",
+                      f"parabola c={float(fit4.params['c'])!r}",
+                      f"exponential tau={float(fit3.params['tau'])!r}"])
     return [path]
 
 
@@ -364,10 +325,10 @@ def fig8(outdir, seed=0):
              float(model_rabi_reflection(t, omega0, a, tau_c)),
              float(model_rabi_reflection(t, omega0, 0.0, tau_c)))
             for t, eta in zip(ts, etas)]
-    path = _write_csv(os.path.join(outdir, "fig8_clock_rabi.csv"),
-                      ["t_s", "eta", "fit", "no_reflection"], rows,
-                      [f"fitted intensity reflection a^2 = {float(a * a)!r}",
-                       f"fitted omega0 = {float(omega0)!r}"])
+    path = write_csv(os.path.join(outdir, "fig8_clock_rabi.csv"),
+                     ["t_s", "eta", "fit", "no_reflection"], rows,
+                     [f"fitted intensity reflection a^2 = {float(a * a)!r}",
+                      f"fitted omega0 = {float(omega0)!r}"])
     return [path]
 
 
@@ -382,24 +343,22 @@ def fig10(outdir, seed=0, shots=10):
     etas = []
     for t_free in (0.5, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0):
         eta, err = _cp_eta_max(model, noise, loss, calib, 8, float(t_free), 0.1,
-                               shots, seed, _N_ATOMS)
+                               shots, seed)
         etas.append((float(t_free), eta, max(err, 1e-3)))
-    ds = Dataset(np.array([r[0] for r in etas]),
-                 np.array([r[1] for r in etas]),
-                 np.array([r[2] for r in etas]))
+    ds = Dataset(*(np.array(column) for column in zip(*etas)))
     fit = least_squares(model_gaussian_decay_offset, ds, [1.0, 30.0])
     t2 = fit.params["t2"]
     files = []
     rows = [(t, eta, err, float(model_gaussian_decay_offset(t, *fit.values)))
             for t, eta, err in etas]
-    files.append(_write_csv(os.path.join(outdir, "fig10_eta.csv"),
-                            ["T_s", "eta_target", "eta_err", "fit"], rows,
-                            ["n=8 decoupling, B=0.1 G"]))
+    files.append(write_csv(os.path.join(outdir, "fig10_eta.csv"),
+                           ["T_s", "eta_target", "eta_err", "fit"], rows,
+                           ["n=8 decoupling, B=0.1 G"]))
     rows = [(t, float(contrast_from_eta(eta)),
              float(contrast_from_eta(model_gaussian_decay_offset(t, *fit.values))))
             for t, eta, err in etas]
-    files.append(_write_csv(os.path.join(outdir, "fig10_contrast.csv"),
-                            ["T_s", "contrast", "fit"], rows))
+    files.append(write_csv(os.path.join(outdir, "fig10_contrast.csv"),
+                           ["T_s", "contrast", "fit"], rows))
     # chi-square profile of the decay time
     try:
         lo, hi = chi2_profile(fit, "t2")
@@ -407,11 +366,11 @@ def fig10(outdir, seed=0, shots=10):
         lo = hi = float("nan")
     grid = np.linspace(0.7 * t2, 1.6 * t2, 25)
     prof = [(float(v), float(_profile_chi2(fit, 1, float(v)))) for v in grid]
-    files.append(_write_csv(os.path.join(outdir, "fig10_chi2_profile.csv"),
-                            ["t2_s", "chi2"], prof,
-                            [f"t2 = {float(t2)!r}",
-                             f"interval_lo = {float(lo)!r}", f"interval_hi = {float(hi)!r}",
-                             f"chi2_min = {float(fit.chi2)!r}"]))
+    files.append(write_csv(os.path.join(outdir, "fig10_chi2_profile.csv"),
+                           ["t2_s", "chi2"], prof,
+                           [f"t2 = {float(t2)!r}",
+                            f"interval_lo = {float(lo)!r}", f"interval_hi = {float(hi)!r}",
+                            f"chi2_min = {float(fit.chi2)!r}"]))
     return files
 
 

@@ -20,12 +20,18 @@ import numpy as np
 
 __all__ = [
     "Dataset",
+    "DataError",
+    "read_csv",
+    "csv_column",
+    "write_csv",
+    "mean_and_error",
     "FitResult",
     "FitError",
     "FitNonConvergence",
     "SingularNormalMatrix",
     "DegenerateProfile",
     "least_squares",
+    "multistart",
     "finite_difference_jacobian",
     "chi2_profile",
     "peak_to_peak_contrast",
@@ -57,7 +63,57 @@ class DegenerateProfile(FitError):
     pass
 
 
+class DataError(ValueError):
+    """A data file or dataset that cannot be fitted; the message names the
+    column at fault."""
+
+
 # -------------------------------------------------------------------- dataset
+
+
+def write_csv(path, header, rows, comments=()):
+    """Write a ``# schema=1`` table: one ``# `` line per comment, the header,
+    then the rows; floats as ``repr``, so they read back exactly."""
+    with open(path, "w") as fh:
+        fh.write("# schema=1\n")
+        for line in comments:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
+                              else str(v) for v in row) + "\n")
+    return path
+
+
+def read_csv(path) -> list[dict]:
+    """Rows of a CSV table as dicts keyed by the lower-cased header; blank
+    and ``#`` lines are skipped.  Raises DataError when there is no header
+    or no row."""
+    with open(path, newline="") as fh:
+        lines = csv.reader(line for line in fh
+                           if line.strip() and not line.lstrip().startswith("#"))
+        header = [h.strip().lower() for h in next(lines, [])]
+        rows = [dict(zip(header, cells)) for cells in lines]
+    if not rows:
+        raise DataError("no data rows" if header else "empty file")
+    return rows
+
+
+def csv_column(rows, name: str, kind=float) -> list:
+    """Column ``name`` of ``read_csv`` rows, each cell converted by ``kind``;
+    raises DataError naming the column when a row lacks it or a cell does
+    not convert."""
+    try:
+        return [kind(row[name]) for row in rows]
+    except KeyError:
+        raise DataError(f"column {name!r} is missing") from None
+    except ValueError as exc:
+        raise DataError(f"column {name!r}: {exc}") from None
+
+
+def mean_and_error(values) -> tuple[float, float]:
+    """Mean of per-shot ``values`` and its standard error std / sqrt(n)."""
+    return float(np.mean(values)), float(np.std(values) / math.sqrt(len(values)))
 
 
 @dataclass
@@ -72,13 +128,13 @@ class Dataset:
         self.x = np.asarray(self.x, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
         if len(self.x) != len(self.y):
-            raise ValueError("x and y lengths differ")
+            raise DataError("x and y lengths differ")
         if self.sigma is not None:
             self.sigma = np.asarray(self.sigma, dtype=float)
             if len(self.sigma) != len(self.x):
-                raise ValueError("sigma length differs from x")
+                raise DataError("sigma length differs from x")
             if np.any(self.sigma <= 0):
-                raise ValueError("sigma must be strictly positive")
+                raise DataError("column 'sigma' must be strictly positive")
 
     def __len__(self):
         return len(self.x)
@@ -90,22 +146,11 @@ class Dataset:
         return 1.0 / self.sigma
 
     @classmethod
-    def from_csv(cls, path) -> "Dataset":
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh)
-                    if r and not r[0].lstrip().startswith("#")]
-        header = [h.strip().lower() for h in rows[0]]
-        if "x" not in header or "y" not in header:
-            raise ValueError("CSV needs 'x' and 'y' columns")
-        ix, iy = header.index("x"), header.index("y")
-        isig = header.index("sigma") if "sigma" in header else None
-        data = rows[1:]
-        x = np.array([float(r[ix]) for r in data])
-        y = np.array([float(r[iy]) for r in data])
-        sigma = None
-        if isig is not None:
-            sigma = np.array([float(r[isig]) for r in data])
-        return cls(x, y, sigma)
+    def from_rows(cls, rows) -> "Dataset":
+        """The ``x``, ``y`` and optional ``sigma`` columns of ``read_csv``
+        rows."""
+        sigma = csv_column(rows, "sigma") if "sigma" in rows[0] else None
+        return cls(csv_column(rows, "x"), csv_column(rows, "y"), sigma)
 
 
 # ------------------------------------------------------------------ fit engine
@@ -137,9 +182,6 @@ class FitResult:
 
     def error(self, name: str) -> float:
         return float(self.errors[self.param_names.index(name)])
-
-    def value(self, name: str) -> float:
-        return float(self.values[self.param_names.index(name)])
 
     @property
     def reduced_chi2(self) -> float:
@@ -260,6 +302,24 @@ def least_squares(model, dataset: Dataset, init, param_names=None,
         _model=model,
         _dataset=dataset,
     )
+
+
+def multistart(model, dataset: Dataset, starts, param_names=None) -> FitResult:
+    """The lowest-chi2 ``least_squares`` fit over the initial values
+    ``starts`` (at least one).  A start whose fit raises FitError is
+    skipped; when every start fails, the last error is raised."""
+    best = last_error = None
+    for init in starts:
+        try:
+            fit = least_squares(model, dataset, init, param_names)
+        except FitError as exc:
+            last_error = exc
+            continue
+        if best is None or fit.chi2 < best.chi2:
+            best = fit
+    if best is None:
+        raise last_error
+    return best
 
 
 # ------------------------------------------------------------------ model zoo
@@ -400,7 +460,7 @@ def chi2_profile(fit: FitResult, param: str, max_expand: int = 60) -> tuple[floa
         scale = 0.1 * abs(center) + 1e-8
 
     def crossing(direction: int) -> float:
-        lo_v, lo_c = center, fit.chi2
+        lo_v = center
         step = scale
         for _ in range(max_expand):
             v = lo_v + direction * step
@@ -408,18 +468,14 @@ def chi2_profile(fit: FitResult, param: str, max_expand: int = 60) -> tuple[floa
             if c >= target:
                 # bisect between lo_v and v
                 a, b = lo_v, v
-                fa, fb = lo_c, c
                 for _ in range(80):
                     mid = 0.5 * (a + b)
                     fm = _profile_chi2(fit, index, mid)
                     if abs(fm - target) < 1e-9 or abs(b - a) < 1e-14 * max(1.0, abs(mid)):
                         return mid
-                    if fm < target:
-                        a, fa = mid, fm
-                    else:
-                        b, fb = mid, fm
+                    a, b = (mid, b) if fm < target else (a, mid)
                 return 0.5 * (a + b)
-            lo_v, lo_c = v, c
+            lo_v = v
             step *= 1.6
         raise DegenerateProfile(
             f"chi2 profile of {param!r} never reaches min+1 (flat direction)")

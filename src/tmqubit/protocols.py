@@ -135,9 +135,9 @@ def record_quantity(record: ReadoutRecord, quantity: str) -> float:
         return record.eta4()
     if quantity == "eta3":
         return record.eta3()
-    src = record.calibrated if record.calibrated else record.raw
+    counts = record.counts
     if quantity == "total":
-        return float(sum(src[label] for label in READOUT_LABELS if label in src))
-    if quantity in src:
-        return float(src[quantity])
-    raise KeyError(f"quantity {quantity!r} not available; have {sorted(src)}")
+        return float(sum(counts[label] for label in READOUT_LABELS if label in counts))
+    if quantity in counts:
+        return float(counts[quantity])
+    raise KeyError(f"quantity {quantity!r} not available; have {sorted(counts)}")

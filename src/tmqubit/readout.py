@@ -19,7 +19,8 @@ the four basis populations with the calibration's durations, lifetime,
 branching and (believed) shelving efficiency.  Camera noise is additive
 Gaussian with a configurable floor; counts below the floor are flagged, not
 clipped.  The probe-duration scan that measures the crosstalk pair is
-fitted here too (``fit_probe_scan``).
+averaged over shots (``probe_scan_points``) and fitted (``fit_probe_scan``)
+here too.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .atom import AtomModel, PhysicsConstants
-from .fitting import Dataset, FitResult, least_squares, model_exponential
+from .fitting import Dataset, FitResult, least_squares, mean_and_error, model_exponential
 
 __all__ = [
     "READOUT_LABELS",
@@ -46,6 +47,7 @@ __all__ = [
     "forward_matrix",
     "calibrate",
     "probe_parabola",
+    "probe_scan_points",
     "fit_probe_scan",
 ]
 
@@ -80,10 +82,15 @@ class ReadoutRecord:
         if self.complete:
             self.calibrated = calibrate(self.raw, calib)
 
+    @property
+    def counts(self) -> dict:
+        """The counts to read: calibrated when the shot was calibrated, else
+        raw."""
+        return self.calibrated if self.calibrated else self.raw
+
     def eta4(self) -> float:
         """Relative central-sublevel population N40 / (N40 + N30)."""
-        src = self.calibrated if self.calibrated else self.raw
-        n40, n30 = src["N4_mf0"], src["N3_mf0"]
+        n40, n30 = self.counts["N4_mf0"], self.counts["N3_mf0"]
         return n40 / (n40 + n30)
 
     def eta3(self) -> float:
@@ -284,6 +291,19 @@ def calibrate(raw, calib: CrosstalkCalibration) -> dict:
 def probe_parabola(tau, c):
     """Crosstalk signal c*tau^2 of a short F=4 probe on F=3 atoms."""
     return c * tau * tau
+
+
+def probe_scan_points(scan: dict) -> tuple[np.ndarray, ...]:
+    """(taus, n4, n4_err, n3, n3_err) of a first-probe duration scan
+    ``{tau: records}``, ascending in tau: the shot means of the raw N4 and N3
+    counts, each with its standard error floored at 1e-3 counts."""
+    taus = np.array(sorted(scan))
+    columns = []
+    for label in ("N4", "N3"):
+        mean, err = np.array([mean_and_error([r.raw[label] for r in scan[tau]])
+                              for tau in taus]).T
+        columns += [mean, np.maximum(err, 1e-3)]
+    return (taus, *columns)
 
 
 def fit_probe_scan(taus, n4, n4_err, n3, n3_err) -> tuple[FitResult, FitResult]:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tmqubit.atom import (
     SublevelRef,
     TransitionKind,
     metastable_branching_table,
+    state_index,
     wigner_3j,
 )
 
@@ -44,6 +46,21 @@ class TestBasis:
     def test_token_roundtrip(self):
         for s in BASIS:
             assert SublevelRef.from_token(s.token) == s
+
+    @pytest.mark.parametrize("token", [s.token for s in BASIS]
+                             + ["g4+0", "g4 0", "g40 ", "m2m02", "", "x40", "g50", "g4m5",
+                                "g4", "M20", "g4mx"])
+    def test_state_index_reads_like_from_token(self, token):
+        # the cached lookup takes the spellings from_token takes, and raises
+        # its error for the others (twice: a failure is not cached)
+        try:
+            expected = STATE_INDEX[SublevelRef.from_token(token)]
+        except ValueError as exc:
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    state_index(token)
+        else:
+            assert state_index(token) == state_index(token) == expected
 
 
 class TestQubitFrequency:

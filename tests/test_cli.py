@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from tmqubit.atom import AtomModel
-from tmqubit.cli import main, read_simulate_csv
+from tmqubit.cli import main
 from tmqubit.config import ConfigError, RunConfig, load_config
+from tmqubit import figures
+from tmqubit.fitting import read_csv, write_csv
 from tmqubit.protocols import PROTOCOLS, build_protocol
 from tmqubit.readout import CrosstalkCalibration
 from tmqubit.schedule import parse_sequence
@@ -106,7 +108,7 @@ class TestSimulate:
         out = str(tmp_path / "out.csv")
         assert main(["simulate", "--config", ramsey_config, "--shots", "20",
                      "--out", out]) == 0
-        rows = read_simulate_csv(out)
+        rows = read_csv(out)
         # 30 detunings x 20 shots x 4 measures
         assert len(rows) == 30 * 20 * 4
 
@@ -124,7 +126,7 @@ class TestSimulate:
                         "clean_detuning = 0\n")
         out = str(tmp_path / "out.csv")
         assert main(["simulate", "--config", str(path), "--out", out]) == 0
-        rows = read_simulate_csv(out)
+        rows = read_csv(out)
         assert len(rows) == 2 * 4
         assert all(math.isfinite(float(r["raw"])) for r in rows)
 
@@ -189,7 +191,7 @@ class TestSimulate:
                         .replace("t = 0.08", "t = 0.01").split("[scan]")[0])
         out = str(tmp_path / "out.csv")
         assert main(["simulate", "--config", str(path), "--shots", "1", "--out", out]) == 0
-        calibrated = {r["measure"]: float(r["calibrated"]) for r in read_simulate_csv(out)}
+        calibrated = {r["measure"]: float(r["calibrated"]) for r in read_csv(out)}
         assert calibrated["N3_mf0"] == pytest.approx(5000.0, rel=1e-9)
         assert abs(calibrated["N4_mf0"]) < 1e-6
 
@@ -237,7 +239,7 @@ class TestSimulate:
         out = str(tmp_path / "out.csv")
         assert main(["simulate", "--config", str(path), "--shots", "1", "--out", out]) == 0
         n3 = {r["scan_value"]: float(r["calibrated"])
-              for r in read_simulate_csv(out) if r["measure"] == "N3_mf0"}
+              for r in read_csv(out) if r["measure"] == "N3_mf0"}
         assert sorted(n3) == ["0.004", "0.008"]
         for value in n3.values():
             assert value == pytest.approx(5000.0, rel=1e-9)
@@ -265,7 +267,7 @@ class TestSimulate:
         assert main(["scan", "--config", ramsey_config, "--param", "detuning",
                      "--start", "-5", "--stop", "5", "--points", "3",
                      "--shots", "2", "--out", out]) == 0
-        rows = read_simulate_csv(out)
+        rows = read_csv(out)
         assert len({r["scan_value"] for r in rows}) == 3
 
 
@@ -382,6 +384,25 @@ class TestReproduce:
         t_max = max(float(r[0]) for r in rows)
         assert t_max >= 250 * 4e-3
 
+    @pytest.mark.parametrize("figure, argv, columns, rows, fitted", [
+        ("fig5_decoupling", ["--figure", "fig5", "--shots", "2"],
+         ["n_pulses", "T_s", "eta_max", "eta_err", "contrast", "gaussian_overlay", "t2_fit"],
+         30, ["gaussian_overlay", "t2_fit"]),
+        ("fig7_readout_scan", ["--figure", "fig7", "--shots", "2"],
+         ["probe_s", "n4_raw", "n4_err", "n3_raw", "n3_err", "parabola_fit",
+          "exponential_fit"], 12, ["parabola_fit", "exponential_fit"]),
+        ("fig8_clock_rabi", ["--figure", "fig8"], ["t_s", "eta", "fit", "no_reflection"],
+         60, ["fit"]),
+    ])
+    def test_figure_table(self, tmp_path, figure, argv, columns, rows, fitted):
+        outdir = tmp_path / "figs"
+        assert main(["reproduce", "--out", str(outdir), *argv]) == 0
+        table = read_csv(outdir / f"{figure}.csv")
+        assert list(table[0]) == [c.lower() for c in columns]   # read_csv lower-cases
+        assert len(table) == rows
+        for name in fitted:
+            assert all(math.isfinite(float(row[name])) for row in table)
+
     def test_fig10_includes_chi2_profile(self, tmp_path):
         outdir = str(tmp_path / "figs")
         assert main(["reproduce", "--figure", "fig10", "--out", outdir,
@@ -430,6 +451,38 @@ points = 12
         assert calib.eps_43 == pytest.approx(0.015, abs=0.003)
         assert calib.dep_3 == pytest.approx(0.085, abs=0.01)
 
+    def test_fig7_and_calibrate_readout_aggregate_alike(self, tmp_path, monkeypatch):
+        # fig7's per-shot counts, written as simulate output, calibrate to
+        # the very fits fig7 reports
+        scan = {}
+        run_schedule = figures.run_schedule
+
+        def scattered(schedule, *args, **kwargs):
+            records = run_schedule(schedule, *args, **kwargs)
+            for rec in records:   # shot-to-shot scatter above the 1e-3 error floor
+                rec.raw["N4"] += 3.0 * rec.shot_index
+                rec.raw["N3"] -= 5.0 * rec.shot_index
+            scan[schedule.events[0].probe_duration] = records
+            return records
+
+        monkeypatch.setattr(figures, "run_schedule", scattered)
+        (fig7,) = figures.fig7(str(tmp_path), seed=1, shots=4)
+        rows = [("t", tau, rec.shot_index, label, 0.0, rec.raw[label], float("nan"), 0)
+                for tau, records in scan.items() for rec in records for label in ("N4", "N3")]
+        data = write_csv(tmp_path / "probe.csv", ("scan_param", "scan_value", "shot", "measure",
+                                                  "t", "raw", "calibrated", "low_confidence"),
+                         rows)
+        report = tmp_path / "report.txt"
+        assert main(["calibrate-readout", "--data", str(data), "--out",
+                     str(tmp_path / "calib.txt"), "--report", str(report)]) == 0
+        assert min(float(row["n4_err"]) for row in read_csv(fig7)) > 1e-3
+        comments = Path(fig7).read_text()
+        fits = Path(report).read_text()
+        c = re.search(r"# parabola c=(\S+)", comments).group(1)
+        tau = re.search(r"# exponential tau=(\S+)", comments).group(1)
+        assert f"parabola_c = {c} +- " in fits
+        assert f"tau_depletion = {tau} +- " in fits
+
     def test_zero_crosstalk_consistent_with_zero(self, tmp_path):
         out = self._scan_csv(tmp_path, eps=1e-12, dep=0.085)
         calib_path = str(tmp_path / "calib.txt")
@@ -452,7 +505,7 @@ class TestScriptConfig:
         ini.write_text(f"[run]\nseed = 1\nshots = 2\n[schedule]\nscript = {seq}\n")
         out = str(tmp_path / "out.csv")
         assert main(["simulate", "--config", str(ini), "--out", out]) == 0
-        rows = read_simulate_csv(out)
+        rows = read_csv(out)
         assert len(rows) == 2 * 4
 
     def test_script_readout_uses_schedule_timings(self, tmp_path):
@@ -471,7 +524,7 @@ class TestScriptConfig:
                        f"[schedule]\nscript = {seq}\ndead_time = 8e-3\n")
         out = str(tmp_path / "out.csv")
         assert main(["simulate", "--config", str(ini), "--out", out]) == 0
-        calibrated = {r["measure"]: float(r["calibrated"]) for r in read_simulate_csv(out)}
+        calibrated = {r["measure"]: float(r["calibrated"]) for r in read_csv(out)}
         assert calibrated["N3_mf0"] == pytest.approx(5000.0, rel=1e-9)
         assert abs(calibrated["N4_mf0"]) < 1e-6
 
@@ -534,7 +587,7 @@ class TestFitOptions:
         assert main(["scan", "--config", ramsey_config, "--param", "detuning",
                      "--start", "2.0", "--stop", "2.0", "--points", "1",
                      "--shots", "2", "--out", out]) == 0
-        rows = read_simulate_csv(out)
+        rows = read_csv(out)
         assert {r["scan_value"] for r in rows} == {"2.0"}
 
 
@@ -570,7 +623,7 @@ points = 2
         assert main(["simulate", "--config", str(ini), "--out", out]) == 0
         from tmqubit.readout import ReadoutRecord
 
-        for row in read_simulate_csv(out):
+        for row in read_csv(out):
             t = float(row["scan_value"])
             rec = rows_by_t.setdefault(t, ReadoutRecord())
             rec.raw[row["measure"]] = float(row["raw"])
@@ -594,9 +647,12 @@ def _ini(old="", new=""):
     return {"run.ini": RAMSEY_INI.replace(old, new, 1), "run.seq": SCRIPT}
 
 
+FIT_D = ["fit", "--model", "exponential", "--data", "{tmp}/d.csv"]
+CALIBRATE_D = ["calibrate-readout", "--data", "{tmp}/d.csv", "--out", "{tmp}/c.txt"]
+
 # (files to write, command line, name the error must give); "{tmp}" is the
-# test's directory.  Each input was accepted, and did nothing, before it was
-# deleted or rejected.
+# test's directory.  Each input was accepted and did nothing, or ended in a
+# traceback, before it was deleted or rejected.
 IGNORED_INPUTS = [
     *[pytest.param(_ini("[run]", f"[constants]\n{key} = {value}\n[run]"), SIMULATE, key,
                    id=f"constants_{key}")
@@ -648,6 +704,30 @@ IGNORED_INPUTS = [
                  ["fit", "--model", "gaussian_decay", "--data", "{tmp}/d.csv",
                   "--init", "1.0,3.0", "--quantity", "eta4"], "--quantity",
                  id="fit_quantity_on_plain_csv"),
+    pytest.param({"d.csv": ""}, FIT_D, "d.csv: empty file", id="fit_empty_file"),
+    pytest.param({"d.csv": "# schema=1\nt,n\n0,1\n1,2\n2,3\n"}, FIT_D,
+                 "d.csv: column 'x'", id="fit_no_x_column"),
+    pytest.param({"d.csv": "x,y\n0,1\n1,abc\n2,3\n"}, FIT_D, "d.csv: column 'y'",
+                 id="fit_non_numeric_cell"),
+    pytest.param({"d.csv": "x,y,sigma\n0,1,0.1\n1,2,0\n2,3,0.1\n"}, FIT_D,
+                 "d.csv: column 'sigma'", id="fit_zero_sigma"),
+    pytest.param({"d.csv": "x,y\n0,1\n1,2\n2,3\n3,4\n"}, CALIBRATE_D,
+                 "d.csv: column 'scan_value'", id="calibrate_plain_csv"),
+    pytest.param({"d.csv": "# schema=1\n"}, CALIBRATE_D, "d.csv: empty file",
+                 id="calibrate_empty_file"),
+    pytest.param({"d.csv": "scan_param,scan_value,shot,measure,t,raw,calibrated,low_confidence\n"
+                           + "".join(f"t,{tau},0,N4_mf0,0.0,1.0,nan,0\n" for tau in range(4))},
+                 CALIBRATE_D, "d.csv: column 'measure' has no N4 rows",
+                 id="calibrate_without_probe_counts"),
+    pytest.param(_ini(), SIMULATE[:-2] + ["--shots", "0"] + SIMULATE[-2:], "--shots",
+                 id="simulate_zero_shots"),
+    pytest.param(_ini(), SCAN + ["--param", "detuning", "--points", "3", "--shots", "0"],
+                 "--shots", id="scan_zero_shots"),
+    pytest.param({}, ["reproduce", "--figure", "fig4", "--out", "{tmp}/f", "--shots", "0"],
+                 "--shots", id="reproduce_zero_shots"),
+    *[pytest.param({"d.csv": "x,y\n0,1.0\n2,0.5\n4,0.3\n"},
+                   FIT_D + ["--multistart", value], "--multistart",
+                   id=f"fit_multistart_{value}") for value in ("0", "-5")],
 ]
 
 

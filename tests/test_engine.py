@@ -820,7 +820,7 @@ class TestRunScan:
         # 24 detunings x 16 shots run as 6 blocks of 64 rows, not 24 of 16
         calls = _counting_batches(monkeypatch)
         _fringe_contrast(MODEL, NoiseModel(sigma_B_shot=60e-6, seed=0), LOSS_OFF, _CALIB,
-                         0.08, 0.1, 16, 0, 5000.0)
+                         0.08, 0.1, 16, 0)
         assert calls == [64] * 6
 
     def _fig4_run_scans(self, monkeypatch, tmp_path, t_grid):
@@ -844,7 +844,7 @@ class TestRunScan:
                      csv.DictReader(line for line in fh if not line.startswith("#"))]
         _, _, ds, _ = _fringe_contrast(
             MODEL, NoiseModel(sigma_B_shot=figures._SIGMA_B_COHERENCE, seed=4), LOSS_OFF,
-            default_calibration(MODEL, camera_floor=0.0), 0.08, 0.1, 2, 4, 5000.0)
+            default_calibration(MODEL, camera_floor=0.0), 0.08, 0.1, 2, 4)
         assert inset == list(ds.y)
 
     def test_fig4_inset_runs_its_own_scan_without_80ms(self, monkeypatch, tmp_path):
@@ -1161,7 +1161,7 @@ class TestMemoryBounds:
 
         monkeypatch.setattr(engine, "_run_batch", kept)
         _fringe_contrast(MODEL, NoiseModel(sigma_B_shot=60e-6, seed=0), LOSS_OFF, _CALIB,
-                         0.08, 0.1, 16, 0, 5000.0)
+                         0.08, 0.1, 16, 0)
         assert [rho.shape for rho in states] == [(64, 9, 9)] * 6
         assert states[0].nbytes == 64 * 81 * 16 == 82944
 

@@ -12,6 +12,7 @@ from tmqubit.fitting import (
     Dataset,
     DegenerateProfile,
     FitError,
+    FitNonConvergence,
     MODELS,
     chi2_profile,
     contrast_from_eta,
@@ -23,7 +24,9 @@ from tmqubit.fitting import (
     model_rabi_reflection,
     model_ramsey_fringe,
     model_two_body_loss,
+    multistart,
     peak_to_peak_contrast,
+    read_csv,
 )
 
 
@@ -343,12 +346,42 @@ class TestChi2Profile:
             chi2_profile(fit, "d", max_expand=25)
 
 
+class TestMultistart:
+    x = np.linspace(0.0, 4.0, 9)
+
+    @staticmethod
+    def cosine(x, w):
+        if w < 0:   # a start the fitter cannot use
+            raise FitNonConvergence(f"negative start {w}")
+        return np.cos(w * x)
+
+    def test_lowest_chi2_wins(self):
+        ds = Dataset(self.x, np.cos(1.9 * self.x), np.full(9, 0.01))
+        starts = ([0.4], [1.8], [3.0])
+        chi2 = [least_squares(self.cosine, ds, s).chi2 for s in starts]
+        assert chi2[0] > 1e3   # 0.4 settles in a side minimum
+        for order in (starts, starts[::-1]):
+            assert multistart(self.cosine, ds, order).chi2 == min(chi2)
+
+    def test_failing_starts_are_skipped(self):
+        ds = Dataset(self.x, np.cos(1.9 * self.x), np.full(9, 0.01))
+        fit = multistart(self.cosine, ds, ([-1.0], [1.8], [-2.0]))
+        assert fit.values[0] == pytest.approx(1.9)
+
+    def test_last_error_is_raised_when_every_start_fails(self):
+        ds = Dataset(self.x, np.cos(1.9 * self.x), np.full(9, 0.01))
+        with pytest.raises(FitNonConvergence, match="negative start -2.0"):
+            multistart(self.cosine, ds, ([-1.0], [-2.0]))
+        with pytest.raises(FitError, match="dof"):
+            multistart(self.cosine, Dataset([1.0], [1.0]), ([1.0], [2.0]))
+
+
 class TestDataset:
     def test_csv_roundtrip(self, tmp_path):
         ds = Dataset(np.array([1.0, 2.0]), np.array([3.5, -1.0]), np.array([0.1, 0.2]))
         path = tmp_path / "d.csv"
         path.write_text("x,y,sigma\n1.0,3.5,0.1\n2.0,-1.0,0.2\n")
-        back = Dataset.from_csv(path)
+        back = Dataset.from_rows(read_csv(path))
         assert back.x == pytest.approx(ds.x)
         assert back.y == pytest.approx(ds.y)
         assert back.sigma == pytest.approx(ds.sigma)
@@ -356,7 +389,7 @@ class TestDataset:
     def test_missing_sigma_allowed(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y\n1,2\n3,4\n")
-        ds = Dataset.from_csv(path)
+        ds = Dataset.from_rows(read_csv(path))
         assert ds.sigma is None
 
     def test_sigma_positive_enforced(self):
