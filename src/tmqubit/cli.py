@@ -13,6 +13,7 @@ import dataclasses
 import inspect
 import math
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -112,16 +113,16 @@ def _simulate_rows(cfg: RunConfig):
                        dataclasses.replace(cfg.noise, seed=cfg.noise.seed + 104729 * k),
                        cfg.calibration(params)))
     rows = []
-    for value, records in zip(scan_values,
-                              run_scan(points, model, cfg.loss, cfg.shots, n_atoms=cfg.atoms)):
-        for rec in records:
-            for label in rec.raw:
-                rows.append((cfg.scan_param or "", value if value is not None else "",
-                             rec.shot_index, label, rec.timings[label],
-                             rec.raw[label],
-                             rec.calibrated.get(label, float("nan")) if rec.calibrated
-                             else float("nan"),
-                             int(label in rec.low_confidence)))
+    for value, record in zip(scan_values,
+                             run_scan(points, model, cfg.loss, cfg.shots, n_atoms=cfg.atoms)):
+        point = (cfg.scan_param or "", "" if value is None else value)
+        nan, low = np.full(len(record), math.nan), record.low_confidence
+        # each label's cells, one per shot; the rows take them shot by shot
+        columns = [zip(record.shot_index.tolist(), repeat(label), repeat(record.timings[label]),
+                       column.tolist(), record.calibrated.get(label, nan).tolist(),
+                       low[label].astype(int).tolist())
+                   for label, column in record.raw.items()]
+        rows += [point + cells for shot in zip(*columns) for cells in shot]
     return rows
 
 
@@ -159,20 +160,26 @@ _DEFAULT_QUANTITY = {
 }
 
 
-def _scan_records(rows) -> dict[float, list[ReadoutRecord]]:
-    """The shots of simulate output rows, per scan value: one record per
-    shot, holding its raw counts and its calibrated counts when it has
-    them."""
-    grouped: dict[float, dict[int, ReadoutRecord]] = {}
-    for x, shot, label, raw, calibrated in zip(
-            csv_column(rows, "scan_value"), csv_column(rows, "shot", int),
-            csv_column(rows, "measure", str), csv_column(rows, "raw"),
-            csv_column(rows, "calibrated")):
-        rec = grouped.setdefault(x, {}).setdefault(shot, ReadoutRecord(shot_index=shot))
-        rec.raw[label] = raw
-        if not math.isnan(calibrated):
-            rec.calibrated[label] = calibrated
-    return {x: list(shots.values()) for x, shots in grouped.items()}
+def _scan_records(rows) -> dict[float, ReadoutRecord]:
+    """The shots of simulate output rows, one record per scan value: per
+    measurement label a column over the shots of raw counts and, when no
+    shot lacks them, of calibrated counts."""
+    x, shot, label, raw, calibrated = (np.array(csv_column(rows, name, kind)) for name, kind in (
+        ("scan_value", float), ("shot", int), ("measure", str), ("raw", float),
+        ("calibrated", float)))
+    scan = {}
+    for value in dict.fromkeys(x.tolist()):
+        at = {name: (x == value) & (label == name)
+              for name in dict.fromkeys(label[x == value].tolist())}
+        shots = {tuple(shot[rows_of].tolist()) for rows_of in at.values()}
+        if len(shots) != 1:
+            raise DataError(f"column 'shot': scan value {value!r} lists other shots "
+                            "for some measure")
+        scan[value] = ReadoutRecord(
+            np.array(shots.pop()), {name: raw[rows_of] for name, rows_of in at.items()},
+            calibrated={name: calibrated[rows_of] for name, rows_of in at.items()
+                        if not np.isnan(calibrated[rows_of]).any()})
+    return scan
 
 
 def _dataset_from_file(path, model_name, quantity=None):
@@ -186,8 +193,7 @@ def _dataset_from_file(path, model_name, quantity=None):
     quantity = quantity or _DEFAULT_QUANTITY.get(model_name, "eta4")
     scan = _scan_records(rows)
     xs = sorted(scan)
-    ys, sigmas = zip(*(mean_and_error([record_quantity(rec, quantity) for rec in scan[x]])
-                       for x in xs))
+    ys, sigmas = zip(*(mean_and_error(record_quantity(scan[x], quantity)) for x in xs))
     return Dataset(xs, ys, sigmas if all(s > 0 for s in sigmas) else None), quantity
 
 
@@ -206,10 +212,13 @@ def cmd_fit(args) -> int:
         print(f"fit: {args.data}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.init:
-        init = [float(v) for v in args.init.split(",")]
+        try:
+            init = [float(v) for v in args.init.split(",")]
+        except ValueError:
+            init = []
         if len(init) != len(spec.param_names):
-            print(f"fit: model {args.model} needs {len(spec.param_names)} initial "
-                  f"values ({', '.join(spec.param_names)})", file=sys.stderr)
+            print(f"fit: --init {args.init!r}: model {args.model} needs {len(spec.param_names)} "
+                  f"initial values ({', '.join(spec.param_names)})", file=sys.stderr)
             return EXIT_CONFIG
     else:
         init = spec.guess(dataset)
@@ -279,6 +288,9 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_calibrate_readout(args) -> int:
+    if not (math.isfinite(args.probe_reference) and args.probe_reference > 0):
+        raise ConfigError(f"--probe-reference must be finite and > 0, "
+                          f"got {args.probe_reference}")
     try:
         points = probe_scan_points(_scan_records(read_csv(args.data)))
     except OSError as exc:

@@ -35,7 +35,10 @@ scan of one point.  The state has this one shape everywhere: a single shot
 block of one row, and every per-row quantity is a 1-D array over the rows.
 Each row is seeded from its own point's seed and shot index, and every sum
 runs in a fixed order, so a shot's outcome depends only on its point and
-index, not on the block it ran in.
+index, not on the block it ran in.  Readout counts are columns: a
+measurement returns one column over the rows, ``_run_batch`` collects them by
+label into the block's record and calibrates it in one call, and
+``run_scan`` gives one record per point, with a row per shot.
 """
 
 from __future__ import annotations
@@ -61,8 +64,9 @@ from .atom import (
 from .fitting import model_two_body_loss
 from .readout import (
     CrosstalkCalibration,
-    ReadoutRecord,
+    block_record,
     crosstalk_fraction,
+    join_records,
     probe_signal_scale,
     pump_depletion,
 )
@@ -458,7 +462,7 @@ class ShotContext:
         self.model = model
         self.noise = noise
         self.loss = loss
-        self.calibration = calibration
+        self.calibration = calibration or CrosstalkCalibration()
         self.B_nominal = schedule.metadata.bias_field
         shots = np.atleast_1d(shot_index)
         seeds = [noise.seed] * len(shots) if seeds is None else [int(s) for s in seeds]
@@ -1089,7 +1093,7 @@ def apply_probe_410(state: EnsembleState, ev: Probe410, ctx: ShotContext) -> Non
     _grow(state, (ctx.model, ctx.loss, True), _reach_decay, ev.duration, ctx)
     rho = state.rho
     ground = state.basis.ground
-    calib = ctx.calibration or CrosstalkCalibration()
+    calib = ctx.calibration
     _remove_manifold(rho, ground[ev.target_F])
     dep = pump_depletion(ev.duration, calib)
     _scale_states(rho, ground[3 if ev.target_F == 4 else 4], math.sqrt(1.0 - dep))
@@ -1133,16 +1137,14 @@ def apply_clean_530(state: EnsembleState, ev: Clean530, ctx: ShotContext) -> Non
     ctx.t += ev.duration
 
 
-def apply_measure(state: EnsembleState, ev: Measure, ctx: ShotContext,
-                  records: list[ReadoutRecord] | None = None) -> np.ndarray:
-    """Detect one ground manifold: returns the per-row raw counts, adds them
-    to ``records`` (one ReadoutRecord per row, or None) and applies the
-    destructive back-action (probed atoms leave during the dead time)."""
-    calib = ctx.calibration or CrosstalkCalibration()
+def apply_measure(state: EnsembleState, ev: Measure, ctx: ShotContext) -> np.ndarray:
+    """Detect one ground manifold: returns the raw counts, a column over the
+    rows, and applies the destructive back-action (probed atoms leave during
+    the dead time)."""
+    calib = ctx.calibration
     _grow(state, (ctx.model, ctx.loss, ev.duration > 0), _reach_decay, ev.duration, ctx)
     rho = state.rho
     f3, f4 = state.basis.ground[3], state.basis.ground[4]
-    t_probe = ctx.t
     scale = probe_signal_scale(ev.probe_duration, calib)
     if ev.target_F == 3:
         # repump F=3 into F=4 (fast), then probe; anything already in the
@@ -1159,18 +1161,15 @@ def apply_measure(state: EnsembleState, ev: Measure, ctx: ShotContext,
     raw = signal_frac * state.n0
     if calib.camera_floor > 0:
         raw = raw + ctx.draw_normal(calib.camera_floor)
-    for rec, value in zip(records or (), raw):
-        rec.add(ev.label, value, t_probe, calib.camera_floor)
     _decay_during(rho, state.n0, ev.duration, ctx, state.basis)
     ctx.advance_laser_phase(ev.duration)
     ctx.t += ev.duration
     return raw
 
 
-def apply_event(state: EnsembleState, ev, ctx: ShotContext,
-                records: list[ReadoutRecord] | None = None) -> None:
-    """Apply one event to every row of ``state``; ``records`` holds one
-    ReadoutRecord per row, or is None."""
+def apply_event(state: EnsembleState, ev, ctx: ShotContext) -> np.ndarray | None:
+    """Apply one event to every row of ``state``: a measurement's raw counts
+    (``apply_measure``), else None."""
     if isinstance(ev, Wait):
         evolve_free(state, ev.duration, ctx)
     elif isinstance(ev, MwPulse):
@@ -1184,7 +1183,7 @@ def apply_event(state: EnsembleState, ev, ctx: ShotContext,
     elif isinstance(ev, Clean530):
         apply_clean_530(state, ev, ctx)
     elif isinstance(ev, Measure):
-        apply_measure(state, ev, ctx, records)
+        return apply_measure(state, ev, ctx)
     else:
         raise TypeError(f"unknown event {ev!r}")
 
@@ -1223,31 +1222,31 @@ def _initial_token(schedule: Schedule) -> str:
 def _run_batch(schedule: Schedule, model: AtomModel, noise: NoiseModel,
                loss: LossParameters, shots, n_atoms: float,
                calibration: CrosstalkCalibration | None,
-               seeds=None) -> tuple[EnsembleState, list[ReadoutRecord]]:
+               seeds=None) -> tuple:
     """Evolve the shots ``shots`` together: one (shots, k, k) state that
     starts at the schedule's initial sublevel, k = 1, and grows as the events
     reach sublevels; shot r draws under noise seed ``seeds[r]`` (default
-    ``noise.seed``)."""
+    ``noise.seed``).  Returns the state and the block's record, calibrated
+    as one block."""
     ctx = ShotContext(model, noise, loss, schedule, shots, calibration, seeds)
     state = EnsembleState.pure(_initial_token(schedule), n_atoms)
     state.rho = np.repeat(state.rho, len(shots), axis=0)
-    records = [ReadoutRecord(shot_index=k) for k in shots]
+    raw, timings = {}, {}
     for ev in schedule.events:
-        apply_event(state, ev, ctx, records)
-    if calibration is not None:
-        for record in records:
-            record.calibrate_with(calibration)
-    return state, records
+        t = ctx.t
+        column = apply_event(state, ev, ctx)
+        if column is not None:
+            raw[ev.label], timings[ev.label] = column, t
+    return state, block_record(shots, raw, timings, calibration, ctx.calibration.camera_floor)
 
 
 def run_shot(schedule: Schedule, model: AtomModel, noise: NoiseModel,
              loss: LossParameters, shot_index: int, n_atoms: float = 5000.0,
-             calibration: CrosstalkCalibration | None = None
-             ) -> tuple[EnsembleState, ReadoutRecord]:
+             calibration: CrosstalkCalibration | None = None) -> tuple:
     """Run one shot, a block of one row: its state, over the sublevels its
-    events reached (the accessors read any other as 0), and its record."""
-    state, (record,) = _run_batch(schedule, model, noise, loss, [shot_index], n_atoms, calibration)
-    return state, record
+    events reached (the accessors read any other as 0), and its record row."""
+    state, record = _run_batch(schedule, model, noise, loss, [shot_index], n_atoms, calibration)
+    return state, record[0]
 
 
 _SCANNED = (MwPulse, ClockPulse)   # events whose detuning and phase may vary
@@ -1275,9 +1274,9 @@ def _block_schedule(schedules: list[Schedule], point_of_row: list[int]) -> Sched
 
 
 def run_scan(points, model: AtomModel, loss: LossParameters, n_shots: int,
-             n_atoms: float = 5000.0) -> list[list[ReadoutRecord]]:
-    """Run ``n_shots`` shots at every scan point: the records of each point,
-    in point order.
+             n_atoms: float = 5000.0) -> list:
+    """Run ``n_shots`` shots at every scan point: one record per point, in
+    point order, with a row per shot in shot order.
 
     Each point is ``(schedule, noise, calibration)``.  Points form one group
     when their schedules are equal except for the ``detuning`` and ``phase``
@@ -1287,8 +1286,8 @@ def run_scan(points, model: AtomModel, loss: LossParameters, n_shots: int,
     (point, shot) rows run in blocks of up to ``_BATCH_SHOTS`` rows, which
     may span points; inside a block those pulse fields are per-row arrays.
     Shot k of a point draws from ``_shot_rng(noise.seed, k)`` of that
-    point's noise, so its record equals ``run_shot`` of that point and
-    index, in any block.
+    point's noise, so its row equals ``run_shot`` of that point and index,
+    in any block.  Each block is calibrated as a whole (``_run_batch``).
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
@@ -1299,29 +1298,31 @@ def run_scan(points, model: AtomModel, loss: LossParameters, n_shots: int,
         schedule.validate(model)
         key = (_scan_key(schedule), replace(noise, seed=0), calibration)
         groups.setdefault(key, []).append(p)
-    records: list[list[ReadoutRecord]] = [[] for _ in points]
+    records = [None] * len(points)
     for members in groups.values():
         schedules = [points[p][0] for p in members]
         _, noise, calibration = points[members[0]]
         rows = [(m, k) for m in range(len(members)) for k in range(n_shots)]
+        blocks = []
         for start in range(0, len(rows), _BATCH_SHOTS):
             block = rows[start:start + _BATCH_SHOTS]
             point_of_row = [m for m, _ in block]
             schedule = (schedules[0] if len(members) == 1
                         else _block_schedule(schedules, point_of_row))
-            _, batch = _run_batch(schedule, model, noise, loss, [k for _, k in block],
-                                  n_atoms, calibration,
-                                  [points[members[m]][1].seed for m in point_of_row])
-            for m, record in zip(point_of_row, batch):
-                records[members[m]].append(record)
+            blocks.append(_run_batch(schedule, model, noise, loss, [k for _, k in block],
+                                     n_atoms, calibration,
+                                     [points[members[m]][1].seed for m in point_of_row])[1])
+        group = join_records(blocks)
+        for m, p in enumerate(members):
+            records[p] = group[m * n_shots:(m + 1) * n_shots]
     return records
 
 
 def run_schedule(schedule: Schedule, model: AtomModel, noise: NoiseModel,
                  loss: LossParameters, n_shots: int, n_atoms: float = 5000.0,
-                 calibration: CrosstalkCalibration | None = None) -> list[ReadoutRecord]:
+                 calibration: CrosstalkCalibration | None = None):
     """Run n_shots independent shots: the scan of one point, evolved in
-    blocks of up to ``_BATCH_SHOTS`` shots; deterministic under the noise
-    seed, and a shot's record equals ``run_shot`` of its index."""
+    blocks of up to ``_BATCH_SHOTS`` shots; its record, deterministic under
+    the noise seed, whose row k equals ``run_shot`` of index k."""
     point = (schedule, noise, calibration)
     return run_scan([point], model, loss, n_shots, n_atoms)[0]

@@ -78,8 +78,8 @@ def _fringe_contrast(model, noise, loss, calib, t_free, bias, shots, seed):
                                          "bias_field": bias}),
                dataclasses.replace(noise, seed=seed + 1000 * k), calib)
               for k, dnu in enumerate(dnus)]
-    stats = [mean_and_error([record_quantity(r, "eta4") for r in records])
-             for records in run_scan(points, model, loss, shots, n_atoms=_N_ATOMS)]
+    stats = [mean_and_error(record_quantity(record, "eta4"))
+             for record in run_scan(points, model, loss, shots, n_atoms=_N_ATOMS)]
     ds = Dataset(dnus, [mean for mean, _ in stats], [max(err, 5e-3) for _, err in stats])
     spread = peak_to_peak_contrast(ds)
     try:
@@ -169,9 +169,9 @@ def fig4(outdir, seed=0, shots=16, t_grid=None):
 def _cp_eta_max(model, noise, loss, calib, n, t_free, bias, shots, seed):
     target = "eta3" if n % 2 == 0 else "eta4"
     sched = build_protocol("cp", {"n": n, "t": t_free, "bias_field": bias})
-    records = run_schedule(sched, model, dataclasses.replace(noise, seed=seed),
-                           loss, shots, n_atoms=_N_ATOMS, calibration=calib)
-    mean, err = mean_and_error([record_quantity(r, target) for r in records])
+    record = run_schedule(sched, model, dataclasses.replace(noise, seed=seed),
+                          loss, shots, n_atoms=_N_ATOMS, calibration=calib)
+    mean, err = mean_and_error(record_quantity(record, target))
     return mean, err or 1e-4
 
 
@@ -223,11 +223,12 @@ def _clock_phase_scan(model, noise, loss, calib, mode, t_store, shots, seed,
         points.append((Schedule(tuple(events), base.metadata),
                        dataclasses.replace(noise, seed=seed + 631 * k), calib))
     ys, sigmas = [], []
-    for records in run_scan(points, model, loss, shots, n_atoms=_N_ATOMS):
+    for record in run_scan(points, model, loss, shots, n_atoms=_N_ATOMS):
         # decay from the metastable levels repopulates mF != 0 sublevels, so
         # the stored-coherence fringe uses the total manifold populations
-        n4 = np.array([r.counts["N4"] + r.counts["N4_mf0"] for r in records])
-        n3 = np.array([r.counts["N3"] + r.counts["N3_mf0"] for r in records])
+        counts = record.counts
+        n4 = counts["N4"] + counts["N4_mf0"]
+        n3 = counts["N3"] + counts["N3_mf0"]
         mean, err = mean_and_error(n4 / (n4 + n3))
         ys.append(mean)
         sigmas.append(max(err, 5e-3))

@@ -129,15 +129,16 @@ def build_protocol(name: str, params: dict | None = None) -> Schedule:
 QUANTITIES = ("eta4", "eta3", "total", "N4", "N3", "N4_mf0", "N3_mf0")
 
 
-def record_quantity(record: ReadoutRecord, quantity: str) -> float:
-    """Scalar observable of one shot, from calibrated counts when available."""
+def record_quantity(record: ReadoutRecord, quantity: str):
+    """An observable of a record's shots, from calibrated counts when
+    available: a column over its rows, or a number for a one-row view."""
     if quantity == "eta4":
         return record.eta4()
     if quantity == "eta3":
         return record.eta3()
     counts = record.counts
     if quantity == "total":
-        return float(sum(counts[label] for label in READOUT_LABELS if label in counts))
+        return sum(counts[label] for label in READOUT_LABELS if label in counts)
     if quantity in counts:
-        return float(counts[quantity])
+        return counts[quantity]
     raise KeyError(f"quantity {quantity!r} not available; have {sorted(counts)}")

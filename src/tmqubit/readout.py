@@ -18,9 +18,11 @@ second model of the block: it is the engine's own shelving readout run on
 the four basis populations with the calibration's durations, lifetime,
 branching and (believed) shelving efficiency.  Camera noise is additive
 Gaussian with a configurable floor; counts below the floor are flagged, not
-clipped.  The probe-duration scan that measures the crosstalk pair is
-averaged over shots (``probe_scan_points``) and fitted (``fit_probe_scan``)
-here too.
+clipped.  A block of shots keeps its counts as columns, one per measurement
+label (``ReadoutRecord``), and a block is calibrated in one call, each row
+inverted on its own.  The probe-duration scan that measures the crosstalk
+pair is averaged over shots (``probe_scan_points``) and fitted
+(``fit_probe_scan``) here too.
 """
 
 from __future__ import annotations
@@ -60,41 +62,65 @@ class CalibrationError(ValueError):
 
 @dataclass
 class ReadoutRecord:
-    """Raw and calibrated counts of one shot, keyed by measurement label."""
+    """Counts of a block of shots: per measurement label, in schedule order,
+    a column over the rows of ``raw`` and (when the block was calibrated)
+    ``calibrated`` counts, and the probe time all rows share.  Counts below
+    ``floor`` are flagged low confidence, not clipped.  Indexing selects
+    rows; an index gives the one-row view of a shot, whose columns are
+    numbers."""
 
-    shot_index: int = 0
+    shot_index: np.ndarray
     raw: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     calibrated: dict = field(default_factory=dict)
-    low_confidence: set = field(default_factory=set)
+    floor: float = 0.0
 
-    def add(self, label: str, value: float, t: float, floor: float = 0.0) -> None:
-        self.raw[label] = float(value)
-        self.timings[label] = float(t)
-        if value < floor:
-            self.low_confidence.add(label)
+    def __len__(self) -> int:
+        return len(self.shot_index)
+
+    def __getitem__(self, rows) -> "ReadoutRecord":
+        return ReadoutRecord(self.shot_index[rows], {k: v[rows] for k, v in self.raw.items()},
+                             self.timings, {k: v[rows] for k, v in self.calibrated.items()},
+                             self.floor)
 
     @property
-    def complete(self) -> bool:
-        return all(label in self.raw for label in READOUT_LABELS)
-
-    def calibrate_with(self, calib: "CrosstalkCalibration") -> None:
-        if self.complete:
-            self.calibrated = calibrate(self.raw, calib)
+    def low_confidence(self) -> dict:
+        """Per label, which rows counted below ``floor``."""
+        return {label: column < self.floor for label, column in self.raw.items()}
 
     @property
     def counts(self) -> dict:
-        """The counts to read: calibrated when the shot was calibrated, else
+        """The counts to read: calibrated when the block was calibrated, else
         raw."""
         return self.calibrated if self.calibrated else self.raw
 
-    def eta4(self) -> float:
+    def eta4(self):
         """Relative central-sublevel population N40 / (N40 + N30)."""
         n40, n30 = self.counts["N4_mf0"], self.counts["N3_mf0"]
         return n40 / (n40 + n30)
 
-    def eta3(self) -> float:
+    def eta3(self):
         return 1.0 - self.eta4()
+
+
+def block_record(shots, raw: dict, timings: dict, calib: CrosstalkCalibration | None,
+                 floor: float) -> ReadoutRecord:
+    """The record of a block from its columns of raw counts, calibrated in
+    one ``calibrate`` call when ``calib`` is given and the block measured
+    every readout label."""
+    complete = all(label in raw for label in READOUT_LABELS)
+    calibrated = calibrate(raw, calib) if calib is not None and complete else {}
+    return ReadoutRecord(np.asarray(shots), raw, timings, calibrated, floor)
+
+
+def join_records(blocks) -> ReadoutRecord:
+    """The rows of ``blocks``, records of one schedule, in order."""
+    def join(columns: str) -> dict:
+        return {label: np.concatenate([getattr(b, columns)[label] for b in blocks])
+                for label in getattr(blocks[0], columns)}
+
+    return ReadoutRecord(np.concatenate([b.shot_index for b in blocks]), join("raw"),
+                         blocks[0].timings, join("calibrated"), blocks[0].floor)
 
 
 @dataclass(frozen=True)
@@ -238,10 +264,12 @@ def forward_matrix(calib: CrosstalkCalibration) -> np.ndarray:
     for j, token in enumerate(("g4m4", "g40", "g3m3", "g30")):
         ctx = ShotContext(model, noise, loss, schedule, 0, exact)
         state = EnsembleState.pure(token, 1.0)
-        record = ReadoutRecord()
+        raw = {}
         for ev in events:
-            apply_event(state, ev, ctx, [record])
-        a[:, j] = [record.raw[label] for label in READOUT_LABELS]
+            column = apply_event(state, ev, ctx)
+            if column is not None:
+                raw[ev.label] = column[0]
+        a[:, j] = [raw[label] for label in READOUT_LABELS]
     a.setflags(write=False)
     return a
 
@@ -272,17 +300,17 @@ def _inverse_matrix(calib: CrosstalkCalibration) -> np.ndarray:
 def calibrate(raw, calib: CrosstalkCalibration) -> dict:
     """Invert the linear readout model.
 
-    Returns the recovered true populations keyed like the raw counts:
-    ``N4``/``N3`` are the mF != 0 backgrounds, ``N4_mf0``/``N3_mf0`` the
-    central sublevels, all referred to the start of the readout block.
+    ``raw`` maps each of ``READOUT_LABELS`` to its counts: a column over a
+    block's rows, or one number.  Returns the recovered true populations
+    keyed and shaped like them: ``N4``/``N3`` are the mF != 0 backgrounds,
+    ``N4_mf0``/``N3_mf0`` the central sublevels, all referred to the start
+    of the readout block.  Each row is inverted on its own, so a row's
+    result does not depend on the block it came in.
     """
-    if isinstance(raw, dict):
-        vec = np.array([raw[label] for label in READOUT_LABELS], dtype=float)
-    else:
-        vec = np.asarray(raw, dtype=float)
-    n4x, n40, n3x, n30 = _inverse_matrix(calib) @ vec
-    return {"N4": float(n4x), "N3": float(n3x),
-            "N4_mf0": float(n40), "N3_mf0": float(n30)}
+    counts = np.stack([np.asarray(raw[label], dtype=float) for label in READOUT_LABELS],
+                      axis=-1)
+    n4x, n40, n3x, n30 = np.einsum("ij,...j->...i", _inverse_matrix(calib), counts).T
+    return {"N4": n4x, "N3": n3x, "N4_mf0": n40, "N3_mf0": n30}
 
 
 # ---------------------------------------------------------- probe-scan fit
@@ -295,13 +323,12 @@ def probe_parabola(tau, c):
 
 def probe_scan_points(scan: dict) -> tuple[np.ndarray, ...]:
     """(taus, n4, n4_err, n3, n3_err) of a first-probe duration scan
-    ``{tau: records}``, ascending in tau: the shot means of the raw N4 and N3
+    ``{tau: record}``, ascending in tau: the shot means of the raw N4 and N3
     counts, each with its standard error floored at 1e-3 counts."""
     taus = np.array(sorted(scan))
     columns = []
     for label in ("N4", "N3"):
-        mean, err = np.array([mean_and_error([r.raw[label] for r in scan[tau]])
-                              for tau in taus]).T
+        mean, err = np.array([mean_and_error(scan[tau].raw[label]) for tau in taus]).T
         columns += [mean, np.maximum(err, 1e-3)]
     return (taus, *columns)
 

@@ -195,6 +195,18 @@ class TestSimulate:
         assert calibrated["N3_mf0"] == pytest.approx(5000.0, rel=1e-9)
         assert abs(calibrated["N4_mf0"]) < 1e-6
 
+    def test_counts_below_camera_floor_are_flagged(self, tmp_path):
+        # background N4 counts sit near zero, so camera noise of sd 20 puts
+        # some between 0 and the floor: every row flags exactly raw < 20
+        path = tmp_path / "floor.ini"
+        path.write_text(RAMSEY_INI.replace("camera_floor = 0", "camera_floor = 20"))
+        out = str(tmp_path / "out.csv")
+        assert main(["simulate", "--config", str(path), "--shots", "4", "--out", out]) == 0
+        rows = [(float(r["raw"]), int(r["low_confidence"])) for r in read_csv(out)]
+        assert len(rows) == 30 * 4 * 4
+        assert any(0.0 <= raw < 20.0 for raw, _ in rows)
+        assert [low for _, low in rows] == [int(raw < 20.0) for raw, _ in rows]
+
     def test_zero_mw_pi_time_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(RAMSEY_INI.replace("t = 0.08", "t = 0.08\nmw_pi_time = 0"))
@@ -459,9 +471,9 @@ points = 12
 
         def scattered(schedule, *args, **kwargs):
             records = run_schedule(schedule, *args, **kwargs)
-            for rec in records:   # shot-to-shot scatter above the 1e-3 error floor
-                rec.raw["N4"] += 3.0 * rec.shot_index
-                rec.raw["N3"] -= 5.0 * rec.shot_index
+            # shot-to-shot scatter above the 1e-3 error floor
+            records.raw["N4"] += 3.0 * records.shot_index
+            records.raw["N3"] -= 5.0 * records.shot_index
             scan[schedule.events[0].probe_duration] = records
             return records
 
@@ -625,7 +637,7 @@ points = 2
 
         for row in read_csv(out):
             t = float(row["scan_value"])
-            rec = rows_by_t.setdefault(t, ReadoutRecord())
+            rec = rows_by_t.setdefault(t, ReadoutRecord(shot_index=0))
             rec.raw[row["measure"]] = float(row["raw"])
         etas = {t: rec.eta4() for t, rec in rows_by_t.items()}
         # the optical 2 pi pulse flips the fringe: eta4 starts near 0 and
@@ -649,6 +661,11 @@ def _ini(old="", new=""):
 
 FIT_D = ["fit", "--model", "exponential", "--data", "{tmp}/d.csv"]
 CALIBRATE_D = ["calibrate-readout", "--data", "{tmp}/d.csv", "--out", "{tmp}/c.txt"]
+# a noiseless probe-duration scan that both crosstalk fits accept
+PROBE_SCAN_CSV = ("scan_param,scan_value,shot,measure,t,raw,calibrated,low_confidence\n" + "".join(
+    f"t,{tau!r},0,N4,0.0,{3e7 * tau * tau!r},nan,0\n"
+    f"t,{tau!r},0,N3,0.0,{2000 * math.exp(-tau / 4.5e-3)!r},nan,0\n"
+    for tau in (0.1e-3, 0.3e-3, 0.6e-3, 0.9e-3)))
 
 # (files to write, command line, name the error must give); "{tmp}" is the
 # test's directory.  Each input was accepted and did nothing, or ended in a
@@ -719,6 +736,13 @@ IGNORED_INPUTS = [
                            + "".join(f"t,{tau},0,N4_mf0,0.0,1.0,nan,0\n" for tau in range(4))},
                  CALIBRATE_D, "d.csv: column 'measure' has no N4 rows",
                  id="calibrate_without_probe_counts"),
+    pytest.param({"d.csv": PROBE_SCAN_CSV + "t,0.0001,1,N4,0.0,0.3,nan,0\n"}, CALIBRATE_D,
+                 "d.csv: column 'shot'", id="calibrate_shot_without_every_measure"),
+    *[pytest.param({"d.csv": PROBE_SCAN_CSV}, CALIBRATE_D + ["--probe-reference", value],
+                   "--probe-reference", id=f"calibrate_probe_reference_{value}")
+      for value in ("0", "-0.0004", "nan", "inf")],
+    pytest.param({"d.csv": "x,y\n0,1.0\n2,0.5\n4,0.3\n"}, FIT_D + ["--init", "1,abc"],
+                 "--init", id="fit_init_not_numbers"),
     pytest.param(_ini(), SIMULATE[:-2] + ["--shots", "0"] + SIMULATE[-2:], "--shots",
                  id="simulate_zero_shots"),
     pytest.param(_ini(), SCAN + ["--param", "detuning", "--points", "3", "--shots", "0"],

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tmqubit import engine, figures
+from tmqubit import engine, figures, readout
 from tmqubit.atom import (
     BASIS, AtomModel, Manifold, PhysicsConstants, STATE_INDEX, SublevelRef, TransitionKind,
 )
@@ -33,7 +33,7 @@ from tmqubit.engine import (
 )
 from tmqubit.figures import _fringe_contrast
 from tmqubit.protocols import PROTOCOLS, build_protocol
-from tmqubit.readout import READOUT_LABELS, CrosstalkCalibration, ReadoutRecord
+from tmqubit.readout import READOUT_LABELS, CrosstalkCalibration, block_record
 from tmqubit.schedule import (
     BuilderConfig,
     Clean530,
@@ -670,7 +670,7 @@ class TestRunSchedule:
         sched = replace(sched, metadata=replace(sched.metadata, initial_state="g30"))
         _, rec = run_shot(sched, MODEL, NOISE_OFF, LOSS_OFF, 0, n_atoms=4000,
                           calibration=calib)
-        assert rec.complete
+        assert set(rec.raw) == set(READOUT_LABELS)
         assert rec.calibrated["N3_mf0"] == pytest.approx(4000, rel=1e-6)
         assert abs(rec.calibrated["N4_mf0"]) < 1.0
 
@@ -802,6 +802,24 @@ class TestRunScan:
                 assert a.calibrated == b.calibrated
                 assert a.low_confidence == b.low_confidence
 
+    def test_each_block_calibrates_once(self, monkeypatch):
+        # 71 shots run as blocks of 64 and 7 rows: one readout.calibrate call
+        # each, on the block's columns, and the record keeps shot order
+        calls = []
+        calibrate = readout.calibrate
+
+        def counted(raw, calib):
+            calls.append({label: len(column) for label, column in raw.items()})
+            return calibrate(raw, calib)
+
+        monkeypatch.setattr(readout, "calibrate", counted)
+        sched = build_protocol("ramsey", {"t": 0.01, "detuning": 5.0, "bias_field": 0.1})
+        record = run_schedule(sched, MODEL, NoiseModel(sigma_B_shot=150e-6, seed=2), LOSS_OFF,
+                              71, calibration=_CALIB)
+        assert calls == [dict.fromkeys(READOUT_LABELS, 64), dict.fromkeys(READOUT_LABELS, 7)]
+        assert record.shot_index.tolist() == list(range(71))
+        assert [len(column) for column in record.calibrated.values()] == [71] * 4
+
     def test_unmatched_points_run_alone(self, monkeypatch):
         # free times differ, so no two points group: one block per point
         noise = NoiseModel(sigma_B_shot=150e-6, seed=3)
@@ -852,11 +870,27 @@ class TestRunScan:
         assert calls == [24] * 5
 
 
-def _bits(records):
-    """Every number of the records as its exact bit pattern."""
+def _bits(record):
+    """Every number of a block's record as its exact bit pattern, row by
+    row, with the labels each row flags low confidence."""
     return [(r.shot_index, {k: v.hex() for k, v in r.raw.items()},
-             {k: v.hex() for k, v in r.calibrated.items()}, sorted(r.low_confidence))
-            for r in records]
+             {k: v.hex() for k, v in r.calibrated.items()},
+             sorted(k for k, low in r.low_confidence.items() if low))
+            for r in (record[i] for i in range(len(record)))]
+
+
+def _driven_record(state, events, ctx, shots, calib, check=lambda k, ev: None):
+    """The record of ``state`` driven through ``events`` with ``apply_event``,
+    its columns collected as ``_run_batch`` collects them; ``check(k, ev)``
+    runs after every event."""
+    raw, timings = {}, {}
+    for k, ev in enumerate(events):
+        t = ctx.t
+        column = apply_event(state, ev, ctx)
+        if column is not None:
+            raw[ev.label], timings[ev.label] = column, t
+        check(k, ev)
+    return block_record(shots, raw, timings, calib, ctx.calibration.camera_floor)
 
 
 def _compact_and_full(schedule, noise, loss, calib, shots=(0, 1, 2)):
@@ -872,16 +906,14 @@ def _compact_and_full(schedule, noise, loss, calib, shots=(0, 1, 2)):
     rho = np.zeros((len(shots), 28, 28), dtype=complex)
     rho[:, start, start] = 1.0
     state = EnsembleState(rho, 5000.0)
-    full = [ReadoutRecord(shot_index=k) for k in shots]
     outside = np.ones(28, dtype=bool)
     outside[basis.states] = False
-    for k, ev in enumerate(schedule.events):
-        apply_event(state, ev, ctx, full)
+
+    def zero_outside(k, ev):
         assert not state.rho[:, outside].any(), f"event {k} {ev!r}"
         assert not state.rho[:, :, outside].any(), f"event {k} {ev!r}"
-    if calib is not None:
-        for record in full:
-            record.calibrate_with(calib)
+
+    full = _driven_record(state, schedule.events, ctx, shots, calib, zero_outside)
     return basis, compact, full
 
 
@@ -928,7 +960,7 @@ class TestBlockBasis:
         assert calib.camera_floor > 0
         basis, compact, full = _compact_and_full(schedule, _BASIS_NOISE, loss, calib)
         assert basis.dim < 28
-        assert any(r.raw for r in full)
+        assert full.raw
         assert _bits(compact) == _bits(full)
 
     def test_decay_feeds_the_pulse_pair(self):
@@ -1054,12 +1086,10 @@ class TestOneStateShape:
         for shot in (5, [5]):
             ctx = ShotContext(MODEL, noise, LOSS_OFF, schedule, shot, calib)
             state = EnsembleState.pure("g30", 5000.0)
-            records = [ReadoutRecord(shot_index=5)]
-            for ev in schedule.events:
-                apply_event(state, ev, ctx, records)
+            record = _driven_record(state, schedule.events, ctx, [5], None)
             runs.append((ctx.delta_B, ctx.wall_t0, ctx.laser_phase,
                          ctx.field_offset(0.004), ctx.draw_normal(1.0), state.rho))
-            runs.append(_bits(records))
+            runs.append(_bits(record))
         assert runs[1] == runs[3] and runs[1][0][1]
         for one, listed in zip(runs[0], runs[2]):
             assert one.shape == listed.shape == (1,) + listed.shape[1:]
@@ -1080,10 +1110,8 @@ class TestOneStateShape:
             assert rho.flags.c_contiguous == (layout == "C")
             state.rho = rho
             ctx = ShotContext(MODEL, _BASIS_NOISE, loss, schedule, 2, calib)
-            records = [ReadoutRecord(shot_index=2)]
-            for ev in schedule.events:
-                apply_event(state, ev, ctx, records)
-            states.append((state.rho.tobytes(), _bits(records)))
+            record = _driven_record(state, schedule.events, ctx, [2], None)
+            states.append((state.rho.tobytes(), _bits(record)))
         assert states[0][1][0][1]
         assert states[1] == states[0] and states[2] == states[0]
 

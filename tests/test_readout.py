@@ -170,29 +170,51 @@ class TestProbeScanFit:
         assert fit3.params["tau"] == pytest.approx(4.5e-3, rel=1e-8)
 
 
+class TestBlockCalibration:
+    """A block's counts are inverted in one call, and each row comes out as
+    it does calibrated alone, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("calib", [
+        CALIB, default_calibration(MODEL, camera_floor=0.0),
+        default_calibration(MODEL, clock_pi_time=2e-3, dead_time=8e-3, eps_43=0.03)],
+        ids=["default", "floor_0", "slow_pulses"])
+    def test_rows_calibrate_as_alone(self, n, calib):
+        rng = np.random.default_rng(n)
+        raw = dict(zip(READOUT_LABELS, rng.uniform(-50.0, 5000.0, (4, n))))
+        block = calibrate(raw, calib)
+        assert list(block) == ["N4", "N3", "N4_mf0", "N3_mf0"]
+        for r in range(n):
+            alone = calibrate({label: column[r:r + 1] for label, column in raw.items()},
+                              calib)
+            for label in READOUT_LABELS:
+                assert block[label].shape == (n,)
+                assert block[label][r:r + 1].tobytes() == alone[label].tobytes()
+
+
 class TestRecord:
     def test_low_confidence_flag(self):
-        rec = ReadoutRecord()
-        rec.add("N4", 5.0, 0.0, floor=20.0)
-        rec.add("N3", 500.0, 0.005, floor=20.0)
-        assert "N4" in rec.low_confidence
-        assert "N3" not in rec.low_confidence
-        assert rec.raw["N4"] == 5.0   # flagged, not clipped
+        rec = ReadoutRecord(np.arange(2), raw={"N4": np.array([5.0, 500.0]),
+                                               "N3": np.array([500.0, 5.0])}, floor=20.0)
+        assert rec[0].low_confidence == {"N4": True, "N3": False}
+        assert rec[1].low_confidence == {"N4": False, "N3": True}
+        assert rec[0].raw["N4"] == 5.0   # flagged, not clipped
 
     def test_simulated_count_below_camera_floor_is_flagged(self):
         # a 50 us F=4 probe on g30 atoms sees ~1 crosstalk count plus camera
         # noise, so some counts land between 0 and the floor
         calib = dataclasses.replace(CALIB, camera_floor=20.0)
-        records = run_schedule(build_protocol("probe_scan", {"t": 0.05e-3}), MODEL,
-                               NoiseModel.off(3), LossParameters.off(), 8,
-                               calibration=calib)
-        counts = [(rec, label, value) for rec in records for label, value in rec.raw.items()]
+        record = run_schedule(build_protocol("probe_scan", {"t": 0.05e-3}), MODEL,
+                              NoiseModel.off(3), LossParameters.off(), 8,
+                              calibration=calib)
+        counts = [(record[r], label, value) for r in range(len(record))
+                  for label, value in record[r].raw.items()]
         assert any(0.0 < value < 20.0 for _, _, value in counts)
         for rec, label, value in counts:
-            assert (label in rec.low_confidence) == (value < 20.0)
+            assert rec.low_confidence[label] == (value < 20.0)
 
     def test_eta4(self):
-        rec = ReadoutRecord(raw={"N4_mf0": 300.0, "N3_mf0": 100.0})
+        rec = ReadoutRecord(shot_index=0, raw={"N4_mf0": 300.0, "N3_mf0": 100.0})
         assert rec.eta4() == pytest.approx(0.75)
         assert rec.eta3() == pytest.approx(0.25)
 
