@@ -193,7 +193,12 @@ def _dataset_from_file(path, model_name, quantity=None):
     quantity = quantity or _DEFAULT_QUANTITY.get(model_name, "eta4")
     scan = _scan_records(rows)
     xs = sorted(scan)
-    ys, sigmas = zip(*(mean_and_error(record_quantity(scan[x], quantity)) for x in xs))
+    try:
+        columns = [record_quantity(scan[x], quantity) for x in xs]
+    except KeyError:
+        raise ConfigError(f"--quantity {quantity}: {path} does not measure it "
+                          f"(it has {', '.join(sorted(scan[xs[0]].counts))})") from None
+    ys, sigmas = zip(*map(mean_and_error, columns))
     return Dataset(xs, ys, sigmas if all(s > 0 for s in sigmas) else None), quantity
 
 

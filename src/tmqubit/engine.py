@@ -20,17 +20,20 @@ full basis, combined with multiplicative decay/loss factors:
 The state is held unnormalized: trace(rho) is the surviving fraction of the
 initial ensemble and the complement is the lost count.  The engine has one
 leading batch axis of rows, and one run loop, ``run_scan``: it evolves the
-(point x shot) rows of a scan in blocks of up to ``_BATCH_SHOTS`` rows, each
-block one (rows, k, k) state with per-row field offsets, wall clocks,
-laser phases, noise seeds and pulse detunings and phases, and every handler
-acts once per event on the whole block.  A state starts at its initial
-sublevel and each handler, before it acts, holds the sublevels it can reach
-(``EnsembleState.hold``; 9 of 28 for a Ramsey shot with readout), at rows x
-k^2 x 16 bytes; every other entry would stay exactly zero.  Scan points whose
-schedules differ only in the ``detuning`` and ``phase`` of their microwave
-and 1140 nm pulses, with equal calibrations and noise models equal but for
-the seed, share blocks; any other point runs alone.  ``run_schedule`` is the
-scan of one point.  The state has this one shape everywhere: a single shot
+(point x shot) rows of a scan in blocks, each block one (rows, k, k) state
+with per-row field offsets, wall clocks, laser phases, noise seeds and pulse
+detunings and phases, and every handler acts once per event on the whole
+block.  A state starts at its initial sublevel and each handler, before it
+acts, holds the sublevels it can reach (``EnsembleState.hold``; 9 of 28 for a
+Ramsey shot with readout), at rows x k^2 x 16 bytes; every other entry would
+stay exactly zero.  Scan points whose schedules differ only in the
+``detuning`` and ``phase`` of their microwave and 1140 nm pulses, with equal
+calibrations and noise models equal but for the seed, form a group and share
+blocks; any other point is a group of one.  Blocks are sized by their state
+entries: the first block of a group has ``_BATCH_SHOTS`` rows, and every
+later one, which reaches the same k, up to max(``_BATCH_SHOTS``,
+``_BLOCK_ENTRIES`` // k^2) rows.  ``run_schedule`` is the scan of one
+point.  The state has this one shape everywhere: a single shot
 (``run_shot``, ``EnsembleState.pure``, a ``ShotContext`` of one index) is a
 block of one row, and every per-row quantity is a 1-D array over the rows.
 Each row is seeded from its own point's seed and shot index, and every sum
@@ -686,6 +689,13 @@ def _rotation(omega, delta, tau: float):
             (c + 1j * s_w * delta) * phase)
 
 
+# Values of a standing-wave average evaluated together: this bounds the
+# average's scratch (each value's nodes, and its node products for the
+# 1140 nm channel) at any number of values, and a value's sums then run over
+# arrays of the same layout whatever the other values are.
+_AVERAGE_CHUNK = 64
+
+
 def _standing_wave_average(average, a: float, n_values: int):
     """Standing-wave average of 1140 nm quantities, converged by node doubling.
 
@@ -697,32 +707,39 @@ def _standing_wave_average(average, a: float, n_values: int):
     period, the nodes u and 2*pi - u have equal scales, so ``average`` sees
     the n/2 scales of the first half period, whose mean is that of all n.
     n doubles from 32 until no entry of a value moves by 1e-9 (at most 16384
-    nodes).  Every value stops at its own n, so its average does not depend
-    on the other values.
+    nodes).  Every value stops at its own n, and the values are evaluated
+    ``_AVERAGE_CHUNK`` at a time, so its average does not depend on the
+    other values.
     """
     def evaluate(n_nodes: int, rows: np.ndarray):
         u = 2 * math.pi * (np.arange(n_nodes // 2) + 0.5) / n_nodes
         return average(np.sqrt(np.clip(1.0 + a * a + a * np.cos(u), 0.0, None)), rows)
 
-    n = 32
-    rows = np.arange(n_values)
-    out = evaluate(n, rows)
-    result = tuple(x.copy() for x in out)
-    while n < 16384 and len(rows):
-        n *= 2
-        prev, out = out, evaluate(n, rows)
+    result = None
+    for start in range(0, max(n_values, 1), _AVERAGE_CHUNK):
+        n = 32
+        rows = np.arange(start, min(start + _AVERAGE_CHUNK, n_values))
+        out = evaluate(n, rows)
+        if result is None:
+            result = tuple(np.empty((n_values,) + x.shape[1:], dtype=x.dtype) for x in out)
         for res, new in zip(result, out):
             res[rows] = new
-        moved = np.max([np.abs(new - old).reshape(len(rows), -1).max(axis=1)
-                        for new, old in zip(out, prev)], axis=0)
-        going = moved >= 1e-9
-        rows, out = rows[going], tuple(x[going] for x in out)
+        while n < 16384 and len(rows):
+            n *= 2
+            prev, out = out, evaluate(n, rows)
+            for res, new in zip(result, out):
+                res[rows] = new
+            moved = np.max([np.abs(new - old).reshape(len(rows), -1).max(axis=1)
+                            for new, old in zip(out, prev)], axis=0)
+            going = moved >= 1e-9
+            rows, out = rows[going], tuple(x[going] for x in out)
     return result
 
 
 # The node products e_a conj(e_b), e = (u00, u01, u11), formed for a <= b;
 # the mean for a > b is the conjugate of that for (b, a).
 _PRODUCT_A, _PRODUCT_B = np.triu_indices(3)
+_PRODUCTS = tuple(zip(_PRODUCT_A.tolist(), _PRODUCT_B.tolist()))
 # s4[2i+k, 2j+l] = <U_ij conj(U_kl)>, U = [[u00, u01], [u01, u11]]: the column
 # of that mean among (<u00>, <u01>, <u11>, the 6 product means, their
 # conjugates)
@@ -742,18 +759,23 @@ def _clock_average_core(omega_tau: float, delta_tau, a: float) -> tuple:
     reflection-modulated Rabi frequency (``_standing_wave_average``) for
     every entry of ``delta_tau`` (a number, or an array such as one value
     per shot), shaped ``delta_tau``'s shape + (2, 2) and + (4, 4), read-only.
-    Each distinct value is averaged once, in one array evaluation.
+    Each distinct value is averaged once.
     """
     delta_tau = np.asarray(delta_tau, dtype=float)
     values, inverse = np.unique(delta_tau.ravel(), return_inverse=True)
 
     def average(scale, rows):
-        e = np.stack(_rotation(omega_tau * scale, values[rows, None], 1.0), axis=1)
-        products = e[:, _PRODUCT_A] * e[:, _PRODUCT_B].conj()
-        return e.mean(axis=-1), products.mean(axis=-1)
+        # node sums of e, then of the products one pair at a time (no
+        # (values, 6, nodes) copies), divided by the node count as
+        # ndarray.mean divides, so each is the mean to the bit
+        e = _rotation(omega_tau * scale, values[rows, None], 1.0)
+        conj = [x.conj() for x in e]
+        sums = ([np.add.reduce(x, axis=-1) for x in e]
+                + [np.add.reduce(e[i] * conj[j], axis=-1) for i, j in _PRODUCTS])
+        return (np.stack(sums, axis=1) / len(scale),)
 
-    e_means, product_means = _standing_wave_average(average, a, len(values))
-    means = np.concatenate((e_means, product_means, product_means.conj()), axis=1)
+    (means,) = _standing_wave_average(average, a, len(values))
+    means = np.concatenate((means, means[:, 3:].conj()), axis=1)
     shape = delta_tau.shape
     m2 = means[:, [0, 1, 1, 2]][inverse].reshape(shape + (2, 2))
     s4 = means[:, _S4_COLUMNS][inverse].reshape(shape + (4, 4))
@@ -1191,11 +1213,17 @@ def apply_event(state: EnsembleState, ev, ctx: ShotContext) -> np.ndarray | None
 # ------------------------------------------------------------------ run loop
 
 # Rows (point x shot) evolved together by run_scan.  Every handler call
-# serves the whole block, so its fixed cost spreads over more rows as this
-# grows; the handlers update the state in place and the pulse chunks shrink
-# with the block, so the block's memory beyond its own state (rows x k^2 x
-# 16 B over its k reachable sublevels, at most rows x 12.5 kB) stays bounded.
+# serves the whole block, so its fixed cost spreads over more rows as a block
+# grows, but memory grows with its state's entries, rows x k^2 (16 B each
+# over its k reachable sublevels).  The first block of a group has
+# _BATCH_SHOTS rows; its k is that of every block of the group, so each
+# later block has max(_BATCH_SHOTS, _BLOCK_ENTRIES // k^2) rows.
+# _BLOCK_ENTRIES is a 64-row block at k = 15 (a loss-on Ramsey shot with
+# readout), 230 kB.  The handlers update the state in place, and the pulse
+# chunks and standing-wave averages are bounded at any block size, so the
+# block's memory beyond its own state stays bounded.
 _BATCH_SHOTS = 64
+_BLOCK_ENTRIES = 64 * 15**2
 
 
 def default_calibration(model: AtomModel, clock_pi_time: float = 1e-3,
@@ -1283,8 +1311,12 @@ def run_scan(points, model: AtomModel, loss: LossParameters, n_shots: int,
     of ``MwPulse``/``ClockPulse`` events (metadata included), their
     calibrations are equal and their noise models are equal except for the
     seed; a point that matches no other is a group of one.  A group's
-    (point, shot) rows run in blocks of up to ``_BATCH_SHOTS`` rows, which
-    may span points; inside a block those pulse fields are per-row arrays.
+    (point, shot) rows run in blocks, which may span points; inside a block
+    those pulse fields are per-row arrays.  The first block has up to
+    ``_BATCH_SHOTS`` rows.  Its state's basis size k is that of every block
+    of the group, since what the events reach does not depend on those
+    fields, so the later blocks have max(``_BATCH_SHOTS``,
+    ``_BLOCK_ENTRIES`` // k^2) rows each, the last one the rest.
     Shot k of a point draws from ``_shot_rng(noise.seed, k)`` of that
     point's noise, so its row equals ``run_shot`` of that point and index,
     in any block.  Each block is calibrated as a whole (``_run_batch``).
@@ -1303,15 +1335,22 @@ def run_scan(points, model: AtomModel, loss: LossParameters, n_shots: int,
         schedules = [points[p][0] for p in members]
         _, noise, calibration = points[members[0]]
         rows = [(m, k) for m in range(len(members)) for k in range(n_shots)]
-        blocks = []
-        for start in range(0, len(rows), _BATCH_SHOTS):
-            block = rows[start:start + _BATCH_SHOTS]
+
+        def run(block):
             point_of_row = [m for m, _ in block]
             schedule = (schedules[0] if len(members) == 1
                         else _block_schedule(schedules, point_of_row))
-            blocks.append(_run_batch(schedule, model, noise, loss, [k for _, k in block],
-                                     n_atoms, calibration,
-                                     [points[members[m]][1].seed for m in point_of_row])[1])
+            return _run_batch(schedule, model, noise, loss, [k for _, k in block],
+                              n_atoms, calibration,
+                              [points[members[m]][1].seed for m in point_of_row])
+
+        state, record = run(rows[:_BATCH_SHOTS])
+        blocks = [record]
+        # every later block reaches the first one's basis
+        size = max(_BATCH_SHOTS, _BLOCK_ENTRIES // state.basis.dim**2)
+        del state   # one block's state at a time
+        for start in range(_BATCH_SHOTS, len(rows), size):
+            blocks.append(run(rows[start:start + size])[1])
         group = join_records(blocks)
         for m, p in enumerate(members):
             records[p] = group[m * n_shots:(m + 1) * n_shots]
@@ -1322,7 +1361,8 @@ def run_schedule(schedule: Schedule, model: AtomModel, noise: NoiseModel,
                  loss: LossParameters, n_shots: int, n_atoms: float = 5000.0,
                  calibration: CrosstalkCalibration | None = None):
     """Run n_shots independent shots: the scan of one point, evolved in
-    blocks of up to ``_BATCH_SHOTS`` shots; its record, deterministic under
-    the noise seed, whose row k equals ``run_shot`` of index k."""
+    blocks sized by their state entries (``run_scan``); its record,
+    deterministic under the noise seed, whose row k equals ``run_shot`` of
+    index k."""
     point = (schedule, noise, calibration)
     return run_scan([point], model, loss, n_shots, n_atoms)[0]

@@ -27,7 +27,6 @@ from .engine import (
 from .fitting import (
     Dataset,
     FitError,
-    _profile_chi2,
     chi2_profile,
     contrast_from_eta,
     least_squares,
@@ -39,6 +38,7 @@ from .fitting import (
     model_ramsey_fringe,
     multistart,
     peak_to_peak_contrast,
+    profile_chi2,
     write_csv,
 )
 from .protocols import build_protocol, record_quantity
@@ -366,7 +366,7 @@ def fig10(outdir, seed=0, shots=10):
     except FitError:
         lo = hi = float("nan")
     grid = np.linspace(0.7 * t2, 1.6 * t2, 25)
-    prof = [(float(v), float(_profile_chi2(fit, 1, float(v)))) for v in grid]
+    prof = [(float(v), float(profile_chi2(fit, "t2", float(v)))) for v in grid]
     files.append(write_csv(os.path.join(outdir, "fig10_chi2_profile.csv"),
                            ["t2_s", "chi2"], prof,
                            [f"t2 = {float(t2)!r}",

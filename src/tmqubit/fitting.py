@@ -34,6 +34,7 @@ __all__ = [
     "multistart",
     "finite_difference_jacobian",
     "chi2_profile",
+    "profile_chi2",
     "peak_to_peak_contrast",
     "model_two_body_loss",
     "model_ramsey_fringe",
@@ -416,8 +417,12 @@ def peak_to_peak_contrast(dataset: Dataset) -> float:
     return float(np.max(dataset.y) - np.min(dataset.y))
 
 
-def _profile_chi2(fit: FitResult, index: int, value: float) -> float:
+def profile_chi2(fit: FitResult, param: str, value: float) -> float:
+    """Chi-square of ``fit``'s data with parameter ``param`` held at
+    ``value`` and the others re-optimized from the fitted values (left as
+    fitted when that fit fails): the curve ``chi2_profile`` crosses."""
     model, dataset = fit._model, fit._dataset
+    index = fit.param_names.index(param)
     others = [i for i in range(len(fit.values)) if i != index]
     if not others:
         f = np.atleast_1d(model(dataset.x, value))
@@ -464,13 +469,13 @@ def chi2_profile(fit: FitResult, param: str, max_expand: int = 60) -> tuple[floa
         step = scale
         for _ in range(max_expand):
             v = lo_v + direction * step
-            c = _profile_chi2(fit, index, v)
+            c = profile_chi2(fit, param, v)
             if c >= target:
                 # bisect between lo_v and v
                 a, b = lo_v, v
                 for _ in range(80):
                     mid = 0.5 * (a + b)
-                    fm = _profile_chi2(fit, index, mid)
+                    fm = profile_chi2(fit, param, mid)
                     if abs(fm - target) < 1e-9 or abs(b - a) < 1e-14 * max(1.0, abs(mid)):
                         return mid
                     a, b = (mid, b) if fm < target else (a, mid)

@@ -721,6 +721,8 @@ IGNORED_INPUTS = [
                  ["fit", "--model", "gaussian_decay", "--data", "{tmp}/d.csv",
                   "--init", "1.0,3.0", "--quantity", "eta4"], "--quantity",
                  id="fit_quantity_on_plain_csv"),
+    pytest.param({"d.csv": PROBE_SCAN_CSV}, FIT_D + ["--quantity", "eta4"], "--quantity eta4",
+                 id="fit_quantity_not_measured"),
     pytest.param({"d.csv": ""}, FIT_D, "d.csv: empty file", id="fit_empty_file"),
     pytest.param({"d.csv": "# schema=1\nt,n\n0,1\n1,2\n2,3\n"}, FIT_D,
                  "d.csv: column 'x'", id="fit_no_x_column"),

@@ -276,6 +276,19 @@ class TestClockPulse:
             m2_one, s4_one = engine._clock_average_core(omega_tau, float(d), a)
             assert np.array_equal(m2[0, k], m2_one) and np.array_equal(s4[0, k], s4_one)
 
+    @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 177, 384, 700])
+    def test_average_does_not_depend_on_the_block(self, n):
+        # any subset of the values averages to the same bits as in the whole:
+        # a shot's pulse map does not depend on the rows it ran with
+        a = math.sqrt(MODEL.constants.clock_reflection_intensity)
+        rng = np.random.default_rng(n)
+        delta_tau = rng.normal(0.0, 0.05, 1024)
+        whole = engine._clock_average_core(2.7, delta_tau, a)
+        idx = rng.choice(1024, n, replace=False)
+        part = engine._clock_average_core(2.7, delta_tau[idx], a)
+        for w, p in zip(whole, part):
+            assert np.array_equal(w[idx], p)
+
     def test_vanishing_reflection_is_storage_frame_rotation(self):
         # without back-reflection the averaged channel is one rotation, drive
         # phases at both pulse edges included
@@ -784,15 +797,8 @@ def _counting_batches(monkeypatch):
 
 
 class TestRunScan:
-    @pytest.mark.parametrize("name", list(_SCANS))
-    def test_each_point_equals_its_own_run(self, name, monkeypatch):
-        points, loss, n_shots = _SCANS[name]
-        monkeypatch.setattr(engine, "_BATCH_SHOTS", 8)
-        calls = _counting_batches(monkeypatch)
-        scan = run_scan(points, MODEL, loss, n_shots)
-        # the points share blocks of 8 rows
-        rows = len(points) * n_shots
-        assert calls == [min(8, rows - start) for start in range(0, rows, 8)]
+    @staticmethod
+    def _assert_each_point_equals_its_own_run(points, loss, n_shots, scan):
         assert len(scan) == len(points)
         for (schedule, noise, calib), records in zip(points, scan):
             alone = run_schedule(schedule, MODEL, noise, loss, n_shots, calibration=calib)
@@ -801,6 +807,30 @@ class TestRunScan:
                 assert a.raw == b.raw
                 assert a.calibrated == b.calibrated
                 assert a.low_confidence == b.low_confidence
+
+    @pytest.mark.parametrize("name", list(_SCANS))
+    def test_each_point_equals_its_own_run(self, name, monkeypatch):
+        points, loss, n_shots = _SCANS[name]
+        monkeypatch.setattr(engine, "_BATCH_SHOTS", 8)
+        monkeypatch.setattr(engine, "_BLOCK_ENTRIES", 0)
+        calls = _counting_batches(monkeypatch)
+        scan = run_scan(points, MODEL, loss, n_shots)
+        # the points share blocks of 8 rows
+        rows = len(points) * n_shots
+        assert calls == [min(8, rows - start) for start in range(0, rows, 8)]
+        self._assert_each_point_equals_its_own_run(points, loss, n_shots, scan)
+
+    def test_later_blocks_grow_to_the_entry_budget(self, monkeypatch):
+        # the first block of 8 rows reaches k = 9 sublevels, so with a budget
+        # of 20 rows at k = 9 the other 37 rows run as blocks of 20 and 17,
+        # each row as in its own point's run
+        points, loss, n_shots = _SCANS["blocks_straddle_points"]
+        monkeypatch.setattr(engine, "_BATCH_SHOTS", 8)
+        monkeypatch.setattr(engine, "_BLOCK_ENTRIES", 20 * 9**2)
+        calls = _counting_batches(monkeypatch)
+        scan = run_scan(points, MODEL, loss, n_shots)
+        assert calls == [8, 20, 17]
+        self._assert_each_point_equals_its_own_run(points, loss, n_shots, scan)
 
     def test_each_block_calibrates_once(self, monkeypatch):
         # 71 shots run as blocks of 64 and 7 rows: one readout.calibrate call
@@ -835,11 +865,12 @@ class TestRunScan:
             assert [r.calibrated for r in records] == [r.calibrated for r in alone]
 
     def test_fringe_contrast_shares_blocks(self, monkeypatch):
-        # 24 detunings x 16 shots run as 6 blocks of 64 rows, not 24 of 16
+        # 24 detunings x 16 shots run as 3 blocks, not 24 of 16: 64 rows,
+        # then 14400 // 9^2 = 177 rows of k = 9 sublevels, then the rest
         calls = _counting_batches(monkeypatch)
         _fringe_contrast(MODEL, NoiseModel(sigma_B_shot=60e-6, seed=0), LOSS_OFF, _CALIB,
                          0.08, 0.1, 16, 0)
-        assert calls == [64] * 6
+        assert calls == [64, 177, 143]
 
     def _fig4_run_scans(self, monkeypatch, tmp_path, t_grid):
         calls = []
@@ -1152,8 +1183,9 @@ def test_random_schedules_compact_equals_full(events, initial, bias, loss_on):
 
 
 class TestMemoryBounds:
-    """The shot path's working set beyond the state: tracemalloc peaks of
-    one call on a 64-row block."""
+    """The shot path's working set: a block's state stays within its entry
+    budget, and beyond the state, tracemalloc peaks of one call on a 64-row
+    block or of one standing-wave average stay bounded."""
 
     @staticmethod
     def _peak(call) -> int:
@@ -1177,8 +1209,17 @@ class TestMemoryBounds:
         state = EnsembleState(rho, 5000.0)
         assert self._peak(lambda: apply_event(state, ev, ctx)) < 16e6
 
+    @pytest.mark.parametrize("n_values", [384, 1024])
+    def test_standing_wave_average_scratch(self, n_values):
+        # the values are averaged 64 at a time, so the scratch does not grow
+        # with them: ~11 kB per value when they were all evaluated at once
+        a = math.sqrt(MODEL.constants.clock_reflection_intensity)
+        delta_tau = np.random.default_rng(0).normal(0.0, 0.05, n_values)
+        assert self._peak(lambda: engine._clock_average_core(2.7, delta_tau, a)) < 1.5e6
+
     def test_fig4_block_holds_nine_sublevels(self, monkeypatch):
-        # a fig4 block of 64 Ramsey rows: (64, 9, 9), 83 kB, not (64, 28, 28), 803 kB
+        # fig4's Ramsey rows hold 9 sublevels: a first block (64, 9, 9), 83 kB,
+        # not (64, 28, 28), 803 kB; the later blocks fill the entry budget
         states = []
         run_batch = engine._run_batch
 
@@ -1190,8 +1231,9 @@ class TestMemoryBounds:
         monkeypatch.setattr(engine, "_run_batch", kept)
         _fringe_contrast(MODEL, NoiseModel(sigma_B_shot=60e-6, seed=0), LOSS_OFF, _CALIB,
                          0.08, 0.1, 16, 0)
-        assert [rho.shape for rho in states] == [(64, 9, 9)] * 6
+        assert [rho.shape for rho in states] == [(64, 9, 9), (177, 9, 9), (143, 9, 9)]
         assert states[0].nbytes == 64 * 81 * 16 == 82944
+        assert all(len(rho) * rho.shape[1]**2 <= engine._BLOCK_ENTRIES for rho in states)
 
     def test_handlers_update_in_place(self):
         rho = np.tile(np.eye(28, dtype=complex) / 28, (64, 1, 1))

@@ -26,6 +26,7 @@ from tmqubit.fitting import (
     model_two_body_loss,
     multistart,
     peak_to_peak_contrast,
+    profile_chi2,
     read_csv,
 )
 
@@ -332,6 +333,10 @@ class TestChi2Profile:
         s = fit.error("a")
         assert hi - fit.params["a"] == pytest.approx(s, rel=0.01)
         assert fit.params["a"] - lo == pytest.approx(s, rel=0.01)
+        # the interval's ends are where the profiled curve reaches chi2_min + 1
+        assert profile_chi2(fit, "a", fit.params["a"]) == pytest.approx(fit.chi2)
+        for end in (lo, hi):
+            assert profile_chi2(fit, "a", end) == pytest.approx(fit.chi2 + 1.0, abs=1e-6)
 
     def test_flat_profile_detected(self):
         # the d parameter's influence is bounded far below the chi2 = min+1
