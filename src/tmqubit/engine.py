@@ -22,26 +22,30 @@ initial ensemble and the complement is the lost count.  The engine has one
 leading batch axis of rows, and one run loop, ``run_scan``: it evolves the
 (point x shot) rows of a scan in blocks, each block one (rows, k, k) state
 with per-row field offsets, wall clocks, laser phases, noise seeds and pulse
-detunings and phases, and every handler acts once per event on the whole
-block.  A state starts at its initial sublevel and each handler, before it
-acts, holds the sublevels it can reach (``EnsembleState.hold``; 9 of 28 for a
-Ramsey shot with readout), at rows x k^2 x 16 bytes; every other entry would
-stay exactly zero.  Scan points whose schedules differ only in the
-``detuning`` and ``phase`` of their microwave and 1140 nm pulses, with equal
-calibrations and noise models equal but for the seed, form a group and share
-blocks; any other point is a group of one.  Blocks are sized by their state
-entries: the first block of a group has ``_BATCH_SHOTS`` rows, and every
-later one, which reaches the same k, up to max(``_BATCH_SHOTS``,
-``_BLOCK_ENTRIES`` // k^2) rows.  ``run_schedule`` is the scan of one
-point.  The state has this one shape everywhere: a single shot
-(``run_shot``, ``EnsembleState.pure``, a ``ShotContext`` of one index) is a
-block of one row, and every per-row quantity is a 1-D array over the rows.
-Each row is seeded from its own point's seed and shot index, and every sum
-runs in a fixed order, so a shot's outcome depends only on its point and
-index, not on the block it ran in.  Readout counts are columns: a
-measurement returns one column over the rows, ``_run_batch`` collects them by
-label into the block's record and calibrates it in one call, and
-``run_scan`` gives one record per point, with a row per shot.
+detunings and phases.  Every event goes through one frame, ``apply_event``,
+once on the whole block: its kind's action does the instantaneous part, and
+the frame then applies the decay and loss over the event's duration (a pulse
+decays inside its own substeps), the laser phase walk and the clock.  A state
+starts at its initial sublevel and each action, before it acts, holds the
+sublevels it can reach (``EnsembleState.hold``; 9 of 28 for a Ramsey shot
+with readout), at rows x k^2 x 16 bytes; every other entry would stay exactly
+zero.  One reach rule, ``_reach``, gives them from the action's stages of
+exchanges and decay, and ``_grow`` keys its memo on the rule's inputs.  Scan
+points whose schedules differ only in the ``detuning`` and ``phase`` of their
+microwave and 1140 nm pulses, with equal calibrations and noise models equal
+but for the seed, form a group and share blocks; any other point is a group
+of one.  Blocks are sized by their state entries: the first block of a group
+has ``_BATCH_SHOTS`` rows, and every later one, which reaches the same k, up
+to max(``_BATCH_SHOTS``, ``_BLOCK_ENTRIES`` // k^2) rows.  ``run_schedule``
+is the scan of one point.  The state has this one shape everywhere: a single
+shot (``run_shot``, ``EnsembleState.pure``, a ``ShotContext`` of one index)
+is a block of one row, and every per-row quantity is a 1-D array over the
+rows.  Each row is seeded from its own point's seed and shot index, and every
+sum runs in a fixed order, so a shot's outcome depends only on its point and
+index, not on the block it ran in.  Readout counts are columns: a measurement
+returns one column over the rows, ``_run_batch`` collects them by label into
+the block's record and calibrates it in one call, and ``run_scan`` gives one
+record per point, with a row per shot.
 """
 
 from __future__ import annotations
@@ -92,13 +96,6 @@ __all__ = [
     "LossParameters",
     "TWO_BODY_TABLE",
     "ShotContext",
-    "apply_mw_pulse",
-    "apply_clock_pulse",
-    "apply_rf_sweep",
-    "apply_probe_410",
-    "apply_clean_530",
-    "apply_measure",
-    "evolve_free",
     "apply_event",
     "coherent_prep_transfer",
     "clock_rotation_transfer",
@@ -871,47 +868,38 @@ def _remove_manifold(rho: np.ndarray, indices: np.ndarray) -> None:
 # --------------------------------------------------------------- event handlers
 
 
-def _reach_decay(held: set[int], dt: float, ctx: ShotContext) -> set[int]:
-    """``held`` grown by decay over ``dt``: the branching targets of held
-    metastable states, then F=4 mF != 0 if active loss redistributes a held g40."""
-    if dt <= 0:
-        return held
-    if math.isfinite(ctx.model.constants.tau_c):
-        branching = ctx.model.metastable_branching()
-        for m in [s for s in held if s >= _META_ROWS.start]:
-            held.update(dst for dst, _ in branching[m])
-    if _G40 in held and ctx.loss.active and ctx.loss.class_arrays[2] is not None:
-        held.update(_G4_NONZERO.tolist())
+def _reach(held: set[int], stages, ctx: ShotContext) -> set[int]:
+    """``held`` grown by ``stages`` in order.  A stage ``(sets, decays)``
+    first exchanges within each of ``sets`` in order, each reaching all of
+    its states from any held one, then, if ``decays``, decays: held
+    metastable states reach their branching targets, and a held g40 reaches
+    F=4 mF != 0 if active loss redistributes it."""
+    for sets, decays in stages:
+        for states in sets:
+            if not held.isdisjoint(states):
+                held.update(states)
+        if not decays:
+            continue
+        if math.isfinite(ctx.model.constants.tau_c):
+            branching = ctx.model.metastable_branching()
+            for m in [s for s in held if s >= _META_ROWS.start]:
+                held.update(dst for dst, _ in branching[m])
+        if _G40 in held and ctx.loss.active and ctx.loss.class_arrays[2] is not None:
+            held.update(_G4_NONZERO.tolist())
     return held
 
 
-def _reach_sets(held: set[int], sets, dt: float, ctx: ShotContext) -> set[int]:
-    """``held`` grown by exchanges within each of ``sets`` in order, each
-    reaching all of its states from any held one, then by decay over dt."""
-    for states in sets:
-        if not held.isdisjoint(states):
-            held.update(states)
-    return _reach_decay(held, dt, ctx)
-
-
-def _reach_pulse(held: set[int], dt: float, ctx: ShotContext, i: int, j: int,
-                 spectators) -> set[int]:
-    """``held`` grown by a pulse on (i, j) in substeps of dt, each repeating the
-    first: decay, the pair, the pair's decay; then by the ``spectators`` (line, i, j)."""
-    _reach_sets(_reach_decay(held, dt, ctx), [(i, j)], dt, ctx)
-    return _reach_sets(held, [(a, b) for _, a, b in spectators], 0.0, ctx)
-
-
-def _grow(state: EnsembleState, key: tuple, reach, *args) -> None:
-    """Hold ``reach(held, *args)``, the held set ``held`` grown by what the
-    calling handler can reach.  The grown basis is kept on the basis under
-    ``key``, which must fix it (at most 64 keys per basis), and reused."""
+def _grow(state: EnsembleState, ctx: ShotContext, *stages) -> None:
+    """Hold ``_reach(held, stages, ctx)``, the held set grown by what the
+    calling action can reach.  The grown basis is kept on the basis under
+    the reach's own inputs (at most 64 keys per basis), and reused."""
+    key = (ctx.model, ctx.loss, stages)
     basis = state.basis
     grown = basis.grown.get(key)
     if grown is None:
         if len(basis.grown) >= 64:
             basis.grown.clear()
-        state.hold(reach(set(basis.local), *args))
+        state.hold(_reach(set(basis.local), stages, ctx))
         basis.grown[key] = state.basis
     elif grown is not basis:
         state._embed(grown)
@@ -923,19 +911,14 @@ def _decay_during(rho: np.ndarray, n0: float, dt: float, ctx: ShotContext,
     _apply_loss_channels(rho, dt, n0, ctx.loss, basis)
 
 
-def evolve_free(state: EnsembleState, T: float, ctx: ShotContext) -> None:
-    """Free evolution for T seconds: Zeeman/drift phases, metastable decay,
-    trap loss and two-body channels."""
-    if T < 0:
-        raise ValueError("free evolution time must be >= 0")
-    if T == 0:
+def _wait(state: EnsembleState, ev: Wait, ctx: ShotContext) -> None:
+    """Free evolution: the Zeeman/drift phases (the frame adds metastable
+    decay, trap loss and the two-body channels)."""
+    if ev.duration == 0:
         return
-    _grow(state, (ctx.model, ctx.loss, True), _reach_decay, T, ctx)
-    rho = state.rho
-    _apply_state_phases(rho, ctx.zeeman_phases(ctx.t, ctx.t + T, state.basis.states))
-    _decay_during(rho, state.n0, T, ctx, state.basis)
-    ctx.advance_laser_phase(T)
-    ctx.t += T
+    _grow(state, ctx, ((), True))
+    _apply_state_phases(state.rho, ctx.zeeman_phases(ctx.t, ctx.t + ev.duration,
+                                                     state.basis.states))
 
 
 # (substep, row) values whose propagators are computed in one array
@@ -956,7 +939,8 @@ def _substeps(loss: LossParameters, omega: float, tau: float) -> int:
 def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
                     omega: float, detuning, phase, tau: float,
                     averaged: bool, spectators=()) -> None:
-    # detuning and phase are numbers or per-shot arrays
+    # detuning and phase are numbers or per-shot arrays; ``spectators`` are
+    # the (lower, upper) pairs the pulse exchanges after it
     spec = ctx.model.find_transition(transition)
     i = STATE_INDEX[spec.lower]
     j = STATE_INDEX[spec.upper]
@@ -965,9 +949,8 @@ def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
         return
     n_sub = _substeps(ctx.loss, omega, tau)
     dt = tau / n_sub
-    # the model, transition and kind fix the spectators; dt > 0
-    _grow(state, (ctx.model, ctx.loss, transition, averaged), _reach_pulse,
-          dt, ctx, i, j, spectators)
+    # each substep repeats the first: decay, the pair, the pair's decay
+    _grow(state, ctx, ((), True), (((i, j),), True), (spectators, False))
     rho = state.rho
     basis = state.basis
 
@@ -988,8 +971,6 @@ def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
         # by the exchanges after it), so both stay empty: only the decay acts
         for _ in range(n_sub):
             _decay_during(rho, state.n0, dt, ctx, basis)
-        ctx.advance_laser_phase(tau)
-        ctx.t = t0 + tau
         return
     delta_n = 2 * math.pi * detuning
     a = math.sqrt(ctx.model.constants.clock_reflection_intensity)
@@ -1017,27 +998,27 @@ def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
             else:
                 _apply_pair_unitary(rho, li, lj, u[k])
             _decay_during(rho, state.n0, dt, ctx, basis)
-    ctx.advance_laser_phase(tau)
-    ctx.t = t0 + tau
 
 
 @lru_cache(maxsize=32)
-def _spectators(model: AtomModel, transition: str) -> tuple:
+def _spectators(model: AtomModel, transition: str) -> tuple[tuple, tuple]:
     """The microwave catalog lines other than ``transition``, in catalog
-    order, each as (line, lower basis index, upper basis index)."""
+    order, each as (line, lower basis index, upper basis index), and their
+    (lower, upper) pairs."""
     spec = model.find_transition(transition)
-    return tuple((other, STATE_INDEX[other.lower], STATE_INDEX[other.upper])
-                 for other in model.transition_catalog()
-                 if other.kind is TransitionKind.MW_HYPERFINE and other is not spec)
+    lines = tuple((other, STATE_INDEX[other.lower], STATE_INDEX[other.upper])
+                  for other in model.transition_catalog()
+                  if other.kind is TransitionKind.MW_HYPERFINE and other is not spec)
+    return lines, tuple((i, j) for _, i, j in lines)
 
 
-def apply_mw_pulse(state: EnsembleState, ev: MwPulse, ctx: ShotContext) -> None:
+def _mw_pulse(state: EnsembleState, ev: MwPulse, ctx: ShotContext) -> None:
     """Exact two-level rotation on the addressed hyperfine pair plus
     incoherent off-resonant leakage on every spectator line."""
     spec = ctx.model.find_transition(ev.transition)
-    spectators = _spectators(ctx.model, ev.transition)
+    spectators, pairs = _spectators(ctx.model, ev.transition)
     _coherent_pulse(state, ctx, ev.transition, ev.rabi_frequency,
-                    ev.detuning, ev.phase, ev.duration, averaged=False, spectators=spectators)
+                    ev.detuning, ev.phase, ev.duration, averaged=False, spectators=pairs)
     if ev.duration <= 0.0:
         return
     # off-resonant excitation of the other catalog lines, at its oscillation
@@ -1047,7 +1028,8 @@ def apply_mw_pulse(state: EnsembleState, ev: MwPulse, ctx: ShotContext) -> None:
             if i in local and j in local]
     if not held:
         return
-    b_mid = ctx.field_at(ctx.t - 0.5 * ev.duration)
+    t_end = ctx.t + ev.duration   # the frame moves the clock after the action
+    b_mid = ctx.field_at(t_end - 0.5 * ev.duration)
     f_drive = ctx.model.transition_frequency(spec, ctx.B_nominal) + ev.detuning
     # one row per held line, one column per row of the block
     dnu = f_drive - ctx.model.transition_frequency(tuple(other.name for other, _, _ in held), b_mid)
@@ -1057,7 +1039,7 @@ def apply_mw_pulse(state: EnsembleState, ev: MwPulse, ctx: ShotContext) -> None:
         _probabilistic_swap(state.rho, i, j, p)
 
 
-def apply_clock_pulse(state: EnsembleState, ev: ClockPulse, ctx: ShotContext) -> None:
+def _clock_pulse(state: EnsembleState, ev: ClockPulse, ctx: ShotContext) -> None:
     """Standing-wave averaged 1140 nm rotation with lifetime decay and the
     sampled laser phase."""
     _coherent_pulse(state, ctx, ev.transition, ev.rabi_frequency,
@@ -1078,28 +1060,24 @@ def _rf_steps(model: AtomModel, ev: RfSweep, B: float) -> tuple[tuple[int, int],
     return tuple(steps)
 
 
-def apply_rf_sweep(state: EnsembleState, ev: RfSweep, ctx: ShotContext) -> None:
+def _rf_sweep(state: EnsembleState, ev: RfSweep, ctx: ShotContext) -> None:
     """Incoherent ladder transfer across the F=4 sublevels swept by the RF."""
     steps = _rf_steps(ctx.model, ev, ctx.B_nominal)
-    _grow(state, (ctx.model, ctx.loss, steps, ev.duration > 0), _reach_sets, steps,
-          ev.duration, ctx)
+    _grow(state, ctx, (steps, ev.duration > 0))
     rho = state.rho
     local = state.basis.local
     eff = ctx.model.constants.rf_step_efficiency
     for src, dst in steps:
         if src in local and dst in local:
             _probabilistic_swap(rho, local[src], local[dst], eff)
-    _decay_during(rho, state.n0, ev.duration, ctx, state.basis)
-    ctx.advance_laser_phase(ev.duration)
-    ctx.t += ev.duration
 
 
 def coherent_prep_transfer(state: EnsembleState, ctx: ShotContext,
                            efficiency: float = 0.98) -> None:
     """Four sequential pi rotations along the preparation ladder, each with
     the given transfer efficiency, leaving residuals behind."""
-    hops = [(STATE_INDEX[src], STATE_INDEX[dst]) for src, dst in ctx.model.prep_ladder]
-    _grow(state, (ctx.model, "prep"), _reach_sets, hops, 0.0, ctx)
+    hops = tuple((STATE_INDEX[src], STATE_INDEX[dst]) for src, dst in ctx.model.prep_ladder)
+    _grow(state, ctx, (hops, False))
     rho = state.rho
     local = state.basis.local
     for src, dst in hops:
@@ -1107,21 +1085,17 @@ def coherent_prep_transfer(state: EnsembleState, ctx: ShotContext,
             _probabilistic_swap(rho, local[src], local[dst], efficiency)
 
 
-def apply_probe_410(state: EnsembleState, ev: Probe410, ctx: ShotContext) -> None:
+def _probe_410(state: EnsembleState, ev: Probe410, ctx: ShotContext) -> None:
     """Destructive resonant probe: clears the target ground manifold and pumps
     the spectator manifold at the calibrated rate."""
     if ev.duration <= 0:
         return
-    _grow(state, (ctx.model, ctx.loss, True), _reach_decay, ev.duration, ctx)
+    _grow(state, ctx, ((), True))
     rho = state.rho
     ground = state.basis.ground
-    calib = ctx.calibration
     _remove_manifold(rho, ground[ev.target_F])
-    dep = pump_depletion(ev.duration, calib)
+    dep = pump_depletion(ev.duration, ctx.calibration)
     _scale_states(rho, ground[3 if ev.target_F == 4 else 4], math.sqrt(1.0 - dep))
-    _decay_during(rho, state.n0, ev.duration, ctx, state.basis)
-    ctx.advance_laser_phase(ev.duration)
-    ctx.t += ev.duration
 
 
 def _scatter_probability(c, ev: Clean530) -> float:
@@ -1134,7 +1108,7 @@ def _scatter_probability(c, ev: Clean530) -> float:
     return -math.expm1(-rate_t)
 
 
-def apply_clean_530(state: EnsembleState, ev: Clean530, ctx: ShotContext) -> None:
+def _clean_530(state: EnsembleState, ev: Clean530, ctx: ShotContext) -> None:
     """530 nm cleaning: exponential removal of the target manifold and a small
     depolarizing scattering probability on the spectator manifold."""
     c = ctx.model.constants
@@ -1144,7 +1118,7 @@ def apply_clean_530(state: EnsembleState, ev: Clean530, ctx: ShotContext) -> Non
     p = _scatter_probability(c, ev)
     # the scatter spreads each held state over the whole manifold
     whole = (tuple(_GROUND_BY_F[other_F].tolist()),) if p > 0.0 else ()
-    _grow(state, (ctx.model, ctx.loss, whole, True), _reach_sets, whole, ev.duration, ctx)
+    _grow(state, ctx, (whole, True))
     rho = state.rho
     basis = state.basis
     surv = math.exp(-ev.duration / c.tau_clean)
@@ -1154,17 +1128,14 @@ def apply_clean_530(state: EnsembleState, ev: Clean530, ctx: ShotContext) -> Non
         per_state = p * _population(rho, other) / len(other)
         _scale_states(rho, other, math.sqrt(1.0 - p))
         _diagonal(rho)[:, other] += per_state[:, None]
-    _decay_during(rho, state.n0, ev.duration, ctx, basis)
-    ctx.advance_laser_phase(ev.duration)
-    ctx.t += ev.duration
 
 
-def apply_measure(state: EnsembleState, ev: Measure, ctx: ShotContext) -> np.ndarray:
+def _measure(state: EnsembleState, ev: Measure, ctx: ShotContext) -> np.ndarray:
     """Detect one ground manifold: returns the raw counts, a column over the
     rows, and applies the destructive back-action (probed atoms leave during
     the dead time)."""
     calib = ctx.calibration
-    _grow(state, (ctx.model, ctx.loss, ev.duration > 0), _reach_decay, ev.duration, ctx)
+    _grow(state, ctx, ((), ev.duration > 0))
     rho = state.rho
     f3, f4 = state.basis.ground[3], state.basis.ground[4]
     scale = probe_signal_scale(ev.probe_duration, calib)
@@ -1183,31 +1154,38 @@ def apply_measure(state: EnsembleState, ev: Measure, ctx: ShotContext) -> np.nda
     raw = signal_frac * state.n0
     if calib.camera_floor > 0:
         raw = raw + ctx.draw_normal(calib.camera_floor)
-    _decay_during(rho, state.n0, ev.duration, ctx, state.basis)
-    ctx.advance_laser_phase(ev.duration)
-    ctx.t += ev.duration
     return raw
 
 
+# event type -> (its action, whether the frame decays over its duration: a
+# pulse decays inside its own substeps)
+_ACTIONS = {
+    Wait: (_wait, True),
+    MwPulse: (_mw_pulse, False),
+    ClockPulse: (_clock_pulse, False),
+    RfSweep: (_rf_sweep, True),
+    Probe410: (_probe_410, True),
+    Clean530: (_clean_530, True),
+    Measure: (_measure, True),
+}
+
+
 def apply_event(state: EnsembleState, ev, ctx: ShotContext) -> np.ndarray | None:
-    """Apply one event to every row of ``state``: a measurement's raw counts
-    (``apply_measure``), else None."""
-    if isinstance(ev, Wait):
-        evolve_free(state, ev.duration, ctx)
-    elif isinstance(ev, MwPulse):
-        apply_mw_pulse(state, ev, ctx)
-    elif isinstance(ev, ClockPulse):
-        apply_clock_pulse(state, ev, ctx)
-    elif isinstance(ev, RfSweep):
-        apply_rf_sweep(state, ev, ctx)
-    elif isinstance(ev, Probe410):
-        apply_probe_410(state, ev, ctx)
-    elif isinstance(ev, Clean530):
-        apply_clean_530(state, ev, ctx)
-    elif isinstance(ev, Measure):
-        return apply_measure(state, ev, ctx)
-    else:
-        raise TypeError(f"unknown event {ev!r}")
+    """Apply one event to every row of ``state``: its action, then decay and
+    loss over its duration, the laser phase walk and the clock.  Returns a
+    measurement's raw counts, a column over the rows, else None."""
+    try:
+        action, decays = _ACTIONS[type(ev)]
+    except KeyError:
+        raise TypeError(f"unknown event {ev!r}") from None
+    if ev.duration < 0:
+        raise ValueError(f"{ev.kind} duration must be >= 0, got {ev.duration!r}")
+    column = action(state, ev, ctx)
+    if decays:
+        _decay_during(state.rho, state.n0, ev.duration, ctx, state.basis)
+    ctx.advance_laser_phase(ev.duration)
+    ctx.t += ev.duration
+    return column
 
 
 # ------------------------------------------------------------------ run loop

@@ -1,32 +1,33 @@
 """Named experiment protocols: complete schedules ending in the readout block.
 
-Each protocol maps a handful of scalar parameters onto a validated Schedule,
-so the batch front end and the figure runners can scan any parameter by
-rebuilding the schedule per scan point.
+Each protocol is a ``schedule`` builder, which maps a handful of scalar
+parameters onto a validated Schedule: a protocol reads its builder's
+parameters and takes its defaults, so the batch front end and the figure
+runners can scan any parameter by rebuilding the schedule per scan point.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
+import inspect
 
 from .readout import READOUT_LABELS, ReadoutRecord
 from .schedule import (
     BuilderConfig,
-    Measure,
     Schedule,
     ScheduleError,
-    ScheduleMetadata,
-    Wait,
     build_clock_coherence,
+    build_clock_rabi,
     build_cp,
+    build_lifetime,
+    build_probe_scan,
     build_rabi_scan,
     build_ramsey,
     build_shelving_readout,
     build_state_prep,
 )
 
-__all__ = ["PROTOCOLS", "build_protocol", "builder_config_from_params",
+__all__ = ["PROTOCOLS", "PROTOCOL_PARAMS", "build_protocol", "builder_config_from_params",
            "check_params", "record_quantity", "QUANTITIES"]
 
 _BUILDER_KEYS = tuple(f.name for f in dataclasses.fields(BuilderConfig))
@@ -36,78 +37,28 @@ def builder_config_from_params(params: dict) -> BuilderConfig:
     return BuilderConfig(**{k: params[k] for k in _BUILDER_KEYS if k in params})
 
 
-def _ramsey(cfg: BuilderConfig, params: dict) -> Schedule:
-    core = build_ramsey(params.get("t", 0.08), params.get("detuning", 0.0), cfg)
-    return core.followed_by(build_shelving_readout(cfg))
-
-
-def _cp(cfg: BuilderConfig, params: dict) -> Schedule:
-    core = build_cp(int(params.get("n", 1)), params.get("t", 1.0),
-                    params.get("detuning", 0.0), cfg)
-    return core.followed_by(build_shelving_readout(cfg))
-
-
-def _rabi(cfg: BuilderConfig, params: dict) -> Schedule:
-    core = build_rabi_scan(params.get("t", 2e-3), params.get("detuning", 0.0), cfg)
-    return core.followed_by(build_shelving_readout(cfg))
-
-
-def _lifetime(cfg: BuilderConfig, params: dict) -> Schedule:
-    state = str(params.get("state", "g30"))
-    core = Schedule((Wait(params.get("t", 1.0)),),
-                    ScheduleMetadata(name="lifetime", bias_field=cfg.bias_field,
-                                     initial_state=state))
-    return core.followed_by(build_shelving_readout(cfg))
-
-
-def _prep(cfg: BuilderConfig, params: dict) -> Schedule:
-    core = build_state_prep(cfg, theta=params.get("theta", math.pi))
-    return core.followed_by(build_shelving_readout(cfg))
-
-
-def _clock_coherence(cfg: BuilderConfig, params: dict) -> Schedule:
-    return build_clock_coherence(str(params.get("mode", "double")),
-                                 params.get("t", 0.05), cfg)
-
-
-def _clock_rabi(cfg: BuilderConfig, params: dict) -> Schedule:
-    sched = build_shelving_readout(cfg, first_pulse_duration=params.get("t", 1e-3))
-    meta = dataclasses.replace(sched.metadata, name="clock_rabi", initial_state="g40")
-    return Schedule(sched.events, meta)
-
-
-def _probe_scan(cfg: BuilderConfig, params: dict) -> Schedule:
-    # t scans the first probe length; the second probe stays at the
-    # reference length so only the first pulse's back-action is measured
-    tau = params.get("t", cfg.probe_duration)
-    events = (
-        Measure(label="N4", target_F=4, probe_duration=tau, dead_time=cfg.dead_time),
-        Measure(label="N3", target_F=3, probe_duration=cfg.probe_duration,
-                dead_time=cfg.dead_time),
-    )
-    meta = ScheduleMetadata(name="probe_scan", bias_field=cfg.bias_field,
-                            initial_state="g30")
-    return Schedule(events, meta)
-
-
-# name -> (builder, the parameters it reads besides the BuilderConfig fields)
+# name -> (builder, whether the shelving readout follows its schedule)
 PROTOCOLS = {
-    "ramsey": (_ramsey, ("t", "detuning")),
-    "cp": (_cp, ("n", "t", "detuning")),
-    "rabi": (_rabi, ("t", "detuning")),
-    "lifetime": (_lifetime, ("t", "state")),
-    "prep": (_prep, ("theta",)),
-    "clock_coherence": (_clock_coherence, ("mode", "t")),
-    "clock_rabi": (_clock_rabi, ("t",)),
-    "probe_scan": (_probe_scan, ("t",)),
+    "ramsey": (build_ramsey, True),
+    "cp": (build_cp, True),
+    "rabi": (build_rabi_scan, True),
+    "lifetime": (build_lifetime, True),
+    "prep": (build_state_prep, True),
+    "clock_coherence": (build_clock_coherence, False),
+    "clock_rabi": (build_clock_rabi, False),
+    "probe_scan": (build_probe_scan, False),
 }
+# name -> the parameters it reads besides the BuilderConfig fields: its
+# builder's, other than ``cfg``
+PROTOCOL_PARAMS = {name: tuple(p for p in inspect.signature(build).parameters if p != "cfg")
+                   for name, (build, _) in PROTOCOLS.items()}
 
 
 def check_params(name: str | None, params) -> None:
     """Raise ScheduleError naming the first parameter that protocol ``name``
     (None: a sequence script, which reads only the BuilderConfig fields)
     does not read."""
-    reads = (PROTOCOLS[name][1] if name else ()) + _BUILDER_KEYS
+    reads = (PROTOCOL_PARAMS[name] if name else ()) + _BUILDER_KEYS
     for key in params:
         if key not in reads:
             raise ScheduleError(f"{key} is not read by {name or 'a sequence script'}; "
@@ -122,8 +73,10 @@ def build_protocol(name: str, params: dict | None = None) -> Schedule:
                        f"choose from {', '.join(sorted(PROTOCOLS))}")
     params = dict(params or {})
     check_params(name, params)
-    build, _ = PROTOCOLS[name]
-    return build(builder_config_from_params(params), params)
+    build, readout_follows = PROTOCOLS[name]
+    cfg = builder_config_from_params(params)
+    schedule = build(**{k: params[k] for k in PROTOCOL_PARAMS[name] if k in params}, cfg=cfg)
+    return schedule.followed_by(build_shelving_readout(cfg)) if readout_follows else schedule
 
 
 QUANTITIES = ("eta4", "eta3", "total", "N4", "N3", "N4_mf0", "N3_mf0")

@@ -278,7 +278,7 @@ def simulate_readout(populations, calib: CrosstalkCalibration,
                      rng: np.random.Generator | None = None) -> dict:
     """Forward model: raw counts from the true populations [n4x, n40, n3x,
     n30] at readout start, in atoms.  An ensemble state's counts come from
-    running the readout block on it (``engine.apply_measure``)."""
+    running the readout block on it (``engine.apply_event``)."""
     raw = forward_matrix(calib) @ np.asarray(populations, dtype=float)
     if rng is not None and calib.camera_floor > 0:
         raw = raw + rng.normal(0.0, calib.camera_floor, size=4)

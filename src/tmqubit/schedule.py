@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
-from .atom import AtomModel, SublevelRef, TransitionKind
+from .atom import AtomModel, TransitionKind, state_index
 from .readout import READOUT_LABELS
 
 __all__ = [
@@ -45,6 +45,9 @@ __all__ = [
     "build_rabi_scan",
     "build_shelving_readout",
     "build_clock_coherence",
+    "build_lifetime",
+    "build_clock_rabi",
+    "build_probe_scan",
     "READOUT_LABELS",
 ]
 
@@ -152,6 +155,14 @@ class Measure:
 PulseEvent = MwPulse | ClockPulse | RfSweep | Probe410 | Clean530 | Wait | Measure
 
 
+def _negative_time(ev: PulseEvent) -> str:
+    """'negative <field> <value>' for the first negative time field of
+    ``ev``, else ''."""
+    names = ("probe_duration", "dead_time") if isinstance(ev, Measure) else ("duration",)
+    return next((f"negative {name} {getattr(ev, name)}" for name in names
+                 if getattr(ev, name) < 0), "")
+
+
 # ------------------------------------------------------------------- schedule
 
 
@@ -174,8 +185,8 @@ class Schedule:
     def validate(self, model: AtomModel) -> None:
         """Raise ScheduleError on any violated invariant."""
         for i, ev in enumerate(self.events):
-            if ev.duration < 0:
-                raise ScheduleError(f"event {i}: negative duration {ev.duration}")
+            if problem := _negative_time(ev):
+                raise ScheduleError(f"event {i}: {problem}")
             if isinstance(ev, (MwPulse, ClockPulse)):
                 try:
                     spec = model.find_transition(ev.transition)
@@ -190,8 +201,12 @@ class Schedule:
                 raise ScheduleError(f"event {i}: target_F must be 3 or 4")
         if self.metadata.bias_field < 0:
             raise ScheduleError("bias field must be >= 0")
-        if self.metadata.initial_state is not None:
-            SublevelRef.from_token(self.metadata.initial_state)
+        token = self.metadata.initial_state
+        if token is not None:
+            try:
+                state_index(token)
+            except ValueError as exc:
+                raise ScheduleError(f"initial_state {token!r}: {exc}") from None
 
     def followed_by(self, other: "Schedule") -> "Schedule":
         return replace(self, events=self.events + other.events)
@@ -336,8 +351,8 @@ def _parse_event(kind: str, tokens, kwargs, cfg: BuilderConfig, line: int) -> Pu
         raise ParseError(f"unknown event kind {kind!r}", line)
     if rest:
         raise ParseError(f"unknown argument {next(iter(rest))!r} for {kind}", line)
-    if ev.duration < 0:
-        raise ParseError(f"negative duration {ev.duration}", line)
+    if problem := _negative_time(ev):
+        raise ParseError(problem, line)
     return ev
 
 
@@ -456,42 +471,53 @@ def _pi(cfg: BuilderConfig, detuning: float, phase: float = 0.0) -> MwPulse:
                    detuning=detuning, phase=phase)
 
 
-def build_ramsey(T: float, detuning: float = 0.0, cfg: BuilderConfig | None = None) -> Schedule:
-    """Two pi/2 pulses separated by free evolution time T."""
-    if T < 0:
+def _clock(cfg: BuilderConfig, transition: str) -> ClockPulse:
+    return ClockPulse(transition=transition, duration=cfg.clock_pi_time,
+                      rabi_frequency=cfg.clock_rabi)
+
+
+def build_ramsey(t: float = 0.08, detuning: float = 0.0,
+                 cfg: BuilderConfig | None = None) -> Schedule:
+    """Two pi/2 pulses separated by free evolution time t."""
+    if t < 0:
         raise ScheduleError("free evolution time must be >= 0")
     cfg = cfg or BuilderConfig()
-    events = (_pi2(cfg, detuning), Wait(T), _pi2(cfg, detuning))
+    events = (_pi2(cfg, detuning), Wait(t), _pi2(cfg, detuning))
     meta = ScheduleMetadata(name="ramsey", bias_field=cfg.bias_field, initial_state="g30")
     return Schedule(events, meta)
 
 
-def build_cp(n: int, T: float, detuning: float = 0.0, cfg: BuilderConfig | None = None) -> Schedule:
+def build_cp(n: int = 1, t: float = 1.0, detuning: float = 0.0,
+             cfg: BuilderConfig | None = None) -> Schedule:
     """Carr-Purcell sequence: pi/2, n refocusing pi pulses, pi/2.
 
-    The free-evolution time T is split uniformly: T/(2n) before the first
-    and after the last pi pulse, T/n between neighbours.  n=0 reduces to
-    the plain Ramsey sequence.
+    The free-evolution time t is split uniformly: t/(2n) before the first
+    and after the last pi pulse, t/n between neighbours.  n=0 reduces to
+    the plain Ramsey sequence.  n may be a float with no fractional part.
     """
+    if not float(n).is_integer():
+        raise ScheduleError(f"pulse count must be a whole number, got {n!r}")
+    n = int(n)
     if n < 0:
         raise ScheduleError("pulse count must be >= 0")
-    if T < 0:
+    if t < 0:
         raise ScheduleError("free evolution time must be >= 0")
     cfg = cfg or BuilderConfig()
     events: list[PulseEvent] = [_pi2(cfg, detuning)]
     if n == 0:
-        events.append(Wait(T))
+        events.append(Wait(t))
     else:
-        events.append(Wait(T / (2 * n)))
+        events.append(Wait(t / (2 * n)))
         for k in range(n):
             events.append(_pi(cfg, detuning))
-            events.append(Wait(T / n if k < n - 1 else T / (2 * n)))
+            events.append(Wait(t / n if k < n - 1 else t / (2 * n)))
     events.append(_pi2(cfg, detuning))
     meta = ScheduleMetadata(name="cp", bias_field=cfg.bias_field, initial_state="g40")
     return Schedule(tuple(events), meta)
 
 
-def build_rabi_scan(t: float, detuning: float = 0.0, cfg: BuilderConfig | None = None) -> Schedule:
+def build_rabi_scan(t: float = 2e-3, detuning: float = 0.0,
+                    cfg: BuilderConfig | None = None) -> Schedule:
     """Single microwave pulse of duration t on the clock line."""
     if t < 0:
         raise ScheduleError("pulse duration must be >= 0")
@@ -501,8 +527,15 @@ def build_rabi_scan(t: float, detuning: float = 0.0, cfg: BuilderConfig | None =
     return Schedule(events, meta)
 
 
-def build_shelving_readout(cfg: BuilderConfig | None = None,
-                           first_pulse_duration: float | None = None) -> Schedule:
+def build_lifetime(t: float = 1.0, state: str = "g30",
+                   cfg: BuilderConfig | None = None) -> Schedule:
+    """Free evolution for t from the sublevel ``state``: trap and two-body loss."""
+    cfg = cfg or BuilderConfig()
+    meta = ScheduleMetadata(name="lifetime", bias_field=cfg.bias_field, initial_state=str(state))
+    return Schedule((Wait(t),), meta)
+
+
+def build_shelving_readout(cfg: BuilderConfig | None = None) -> Schedule:
     """State-selective readout with metastable shelving.
 
     Both central sublevels are shelved with clock-line pi pulses, the
@@ -512,23 +545,18 @@ def build_shelving_readout(cfg: BuilderConfig | None = None,
     leave the trap region.
     """
     cfg = cfg or BuilderConfig()
-    t1 = cfg.clock_pi_time if first_pulse_duration is None else first_pulse_duration
-
-    def clock(transition, duration=None):
-        return ClockPulse(transition=transition, rabi_frequency=cfg.clock_rabi,
-                          duration=cfg.clock_pi_time if duration is None else duration)
 
     def measure(label, target):
         return Measure(label=label, target_F=target, probe_duration=cfg.probe_duration,
                        dead_time=cfg.dead_time)
 
     events = (
-        clock(CLOCK_TRANSITION_F4, t1),
-        clock(CLOCK_TRANSITION_F3),
+        _clock(cfg, CLOCK_TRANSITION_F4),
+        _clock(cfg, CLOCK_TRANSITION_F3),
         measure("N4", 4),
         measure("N3", 3),
-        clock(CLOCK_TRANSITION_F4),
-        clock(CLOCK_TRANSITION_F3),
+        _clock(cfg, CLOCK_TRANSITION_F4),
+        _clock(cfg, CLOCK_TRANSITION_F3),
         measure("N4_mf0", 4),
         measure("N3_mf0", 3),
     )
@@ -536,28 +564,48 @@ def build_shelving_readout(cfg: BuilderConfig | None = None,
     return Schedule(events, meta)
 
 
-def build_clock_coherence(mode: str, T: float, cfg: BuilderConfig | None = None) -> Schedule:
+def build_clock_rabi(t: float = 1e-3, cfg: BuilderConfig | None = None) -> Schedule:
+    """The shelving readout from g40 with a first 1140 nm pulse of length t."""
+    readout = build_shelving_readout(cfg)
+    first = replace(readout.events[0], duration=t)
+    meta = replace(readout.metadata, name="clock_rabi", initial_state="g40")
+    return Schedule((first,) + readout.events[1:], meta)
+
+
+def build_probe_scan(t: float | None = None, cfg: BuilderConfig | None = None) -> Schedule:
+    """Two detections from g30: the first probe lasts t (default the
+    reference ``probe_duration``), the second the reference length, so only
+    the first pulse's back-action is measured."""
+    cfg = cfg or BuilderConfig()
+    events = (
+        Measure(label="N4", target_F=4, dead_time=cfg.dead_time,
+                probe_duration=cfg.probe_duration if t is None else t),
+        Measure(label="N3", target_F=3, probe_duration=cfg.probe_duration,
+                dead_time=cfg.dead_time),
+    )
+    meta = ScheduleMetadata(name="probe_scan", bias_field=cfg.bias_field,
+                            initial_state="g30")
+    return Schedule(events, meta)
+
+
+def build_clock_coherence(mode: str = "double", t: float = 0.05,
+                          cfg: BuilderConfig | None = None) -> Schedule:
     """Microwave Ramsey pair with metastable storage inserted in the middle.
 
     ``mode='single'`` stores only the F=4 arm on the 1140 nm transition;
     ``mode='double'`` stores both arms (bicolor), which cancels the common
-    laser phase.  The stored time T is bounded by the metastable lifetime.
+    laser phase.  The stored time t is bounded by the metastable lifetime.
     """
     if mode not in ("single", "double"):
         raise ScheduleError(f"mode must be 'single' or 'double', got {mode!r}")
-    if T < 0:
+    if t < 0:
         raise ScheduleError("storage time must be >= 0")
     cfg = cfg or BuilderConfig()
-
-    def clock(transition):
-        return ClockPulse(transition=transition, duration=cfg.clock_pi_time,
-                          rabi_frequency=cfg.clock_rabi)
-
-    down: list[PulseEvent] = [clock(CLOCK_TRANSITION_F4)]
+    down: list[PulseEvent] = [_clock(cfg, CLOCK_TRANSITION_F4)]
     if mode == "double":
-        down.append(clock(CLOCK_TRANSITION_F3))
+        down.append(_clock(cfg, CLOCK_TRANSITION_F3))
     up = list(reversed(down))
-    events = [_pi2(cfg, 0.0), *down, Wait(T), *up, _pi2(cfg, 0.0)]
+    events = [_pi2(cfg, 0.0), *down, Wait(t), *up, _pi2(cfg, 0.0)]
     meta = ScheduleMetadata(name=f"clock_coherence_{mode}", bias_field=cfg.bias_field,
                             initial_state="g30")
     core = Schedule(tuple(events), meta)

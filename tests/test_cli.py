@@ -10,7 +10,7 @@ from tmqubit.cli import main
 from tmqubit.config import ConfigError, RunConfig, load_config
 from tmqubit import figures
 from tmqubit.fitting import read_csv, write_csv
-from tmqubit.protocols import PROTOCOLS, build_protocol
+from tmqubit.protocols import PROTOCOL_PARAMS, build_protocol
 from tmqubit.readout import CrosstalkCalibration
 from tmqubit.schedule import parse_sequence
 
@@ -655,6 +655,11 @@ SCAN = ["scan", "--config", "{tmp}/run.ini", "--shots", "1", "--out", "{tmp}/out
         "--start", "-1", "--stop", "1"]
 
 
+SCHEDULE_ONLY_INI = RAMSEY_INI.split("[scan]")[0]   # one point, no scan
+CP_N_SCAN_INI = (SCHEDULE_ONLY_INI.replace("name = ramsey", "name = cp")
+                 + "[scan]\nparam = n\nvalues = 1, 2.5\n")
+
+
 def _ini(old="", new=""):
     return {"run.ini": RAMSEY_INI.replace(old, new, 1), "run.seq": SCRIPT}
 
@@ -686,6 +691,23 @@ IGNORED_INPUTS = [
                  id="schedule_key_of_another_protocol"),
     pytest.param(_ini("name = ramsey", "name = ramsey\nscript = {tmp}/run.seq"), SIMULATE,
                  "script", id="schedule_name_and_script"),
+    pytest.param(_ini("name = ramsey", "name = cp\nn = 2.5"), SIMULATE,
+                 "config error: [schedule] n = 2.5: ", id="schedule_cp_fractional_n"),
+    pytest.param({"run.ini": CP_N_SCAN_INI}, SIMULATE, "config error: [scan] n = 2.5: ",
+                 id="scan_cp_fractional_n"),
+    pytest.param({"run.ini": SCHEDULE_ONLY_INI.replace("name = ramsey",
+                                                       "name = lifetime\nstate = g99")},
+                 SIMULATE, "config error: [schedule] state = 'g99': ",
+                 id="schedule_unknown_initial_state"),
+    pytest.param({"run.ini": SCRIPT_INI, "run.seq": "@initial_state g99\n" + SCRIPT}, SIMULATE,
+                 "schedule error: initial_state 'g99'", id="script_unknown_initial_state"),
+    pytest.param({"run.ini": SCHEDULE_ONLY_INI.replace("name = ramsey\nt = 0.08",
+                                                       "name = probe_scan\nt = -1e-3")},
+                 SIMULATE, "config error: [schedule] t = -0.001: event 0: negative "
+                 "probe_duration", id="schedule_negative_probe_length"),
+    pytest.param({"run.ini": SCRIPT_INI,
+                  "run.seq": SCRIPT.replace("measure N4\n", "measure N4 probe_duration=-1ms\n")},
+                 SIMULATE, "negative probe_duration -0.001", id="script_negative_probe_length"),
     pytest.param({"run.ini": SCRIPT_INI + "detuning = 2\n", "run.seq": SCRIPT}, SIMULATE,
                  "detuning", id="script_with_protocol_key"),
     pytest.param({"run.ini": SCRIPT_INI, "run.seq": SCRIPT.replace("measure N4\n",
@@ -806,4 +828,4 @@ class TestReadme:
     def test_schedule_keys_table_matches_protocols(self):
         rows = re.findall(r"^\| `(\w+)` \| ((?:`\w+`(?:, )?)+) \|$", README.read_text(), re.M)
         assert {name: tuple(re.findall(r"`(\w+)`", keys)) for name, keys in rows} == \
-            {name: reads for name, (_, reads) in PROTOCOLS.items()}
+            PROTOCOL_PARAMS

@@ -21,11 +21,9 @@ from tmqubit.engine import (
     SinusoidDrift,
     TWO_BODY_TABLE,
     apply_event,
-    apply_mw_pulse,
     clock_rotation_transfer,
     coherent_prep_transfer,
     default_calibration,
-    evolve_free,
     run_scan,
     run_schedule,
     run_shot,
@@ -104,9 +102,9 @@ class TestMwPulse:
         sched = Schedule((MwPulse(duration=1e-3),), _meta())
         ctx = _ctx(sched, model=ISOLATED)
         state = _full_state("g30")
-        apply_mw_pulse(state, MwPulse(duration=1e-3), ctx)   # make a superposition
+        apply_event(state, MwPulse(duration=1e-3), ctx)   # make a superposition
         before = state.rho.copy()
-        apply_mw_pulse(state, MwPulse(duration=4e-3), ctx)   # 2 pi
+        apply_event(state, MwPulse(duration=4e-3), ctx)   # 2 pi
         assert np.max(np.abs(state.rho - before)) < 1e-12
 
     def test_spectator_leakage_formula(self):
@@ -312,8 +310,19 @@ class TestFreeEvolution:
         ctx = _ctx(sched)
         state = EnsembleState.pure("g30", 5000)
         before = state.rho.copy()
-        evolve_free(state, 0.0, ctx)
+        apply_event(state, Wait(0.0), ctx)
         assert np.array_equal(state.rho, before)
+
+    def test_negative_time_raises(self):
+        ctx = _ctx(Schedule((Wait(0.0),), _meta()))
+        with pytest.raises(ValueError, match="wait duration must be >= 0"):
+            apply_event(EnsembleState.pure("g30"), Wait(-1e-3), ctx)
+        assert ctx.t == 0.0
+
+    def test_unknown_event_raises(self):
+        ctx = _ctx(Schedule((), _meta()))
+        with pytest.raises(TypeError, match="unknown event 'wait 1ms'"):
+            apply_event(EnsembleState.pure("g30"), "wait 1ms", ctx)
 
     def test_beta_zero_pure_exponential(self):
         loss = LossParameters(tau=16.4, beta_by_state=(("g4m4", 0.0), ("g40", 0.0), ("g30", 0.0)))
@@ -357,7 +366,7 @@ class TestFreeEvolution:
         state.rho[:] = 0
         state.rho[0, i, i] = state.rho[0, j, j] = 0.5
         state.rho[0, i, j] = state.rho[0, j, i] = 0.5
-        evolve_free(state, 0.05, ctx)
+        apply_event(state, Wait(0.05), ctx)
         assert abs(state.rho[0, i, j]) == pytest.approx(0.5 * math.exp(-0.05 / (2 * 0.112)),
                                                      rel=1e-9)
 
@@ -1061,7 +1070,7 @@ class TestBlockBasis:
         grown = []
         for loss in (LOSS_OFF, LossParameters.from_table(0.6), LOSS_OFF):
             state = EnsembleState.pure("g40")
-            evolve_free(state, 0.01, ShotContext(MODEL, NOISE_OFF, loss, schedule, 0))
+            apply_event(state, Wait(0.01), ShotContext(MODEL, NOISE_OFF, loss, schedule, 0))
             grown.append(state.basis.dim)
         assert grown == [1, 9, 1]
         grown = []

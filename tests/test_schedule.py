@@ -1,9 +1,13 @@
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tmqubit.atom import AtomModel
+from tmqubit.protocols import PROTOCOLS, build_protocol
 from tmqubit.schedule import (
     BuilderConfig,
     Clean530,
@@ -56,6 +60,14 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_sequence("wait -1ms")
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("field", ["probe_duration", "dead_time"])
+    def test_negative_measure_time_is_named(self, model, field):
+        # the other field keeps the total duration positive
+        with pytest.raises(ParseError, match=f"negative {field} -0.001"):
+            parse_sequence(f"measure N4 {field}=-1ms")
+        with pytest.raises(ScheduleError, match=f"event 0: negative {field}"):
+            Schedule((Measure(**{field: -1e-3}),)).validate(model)
 
     def test_error_line_number(self):
         with pytest.raises(ParseError) as err:
@@ -197,6 +209,8 @@ class TestBuilders:
             build_ramsey(-1.0)
         with pytest.raises(ScheduleError):
             build_cp(-1, 1.0)
+        with pytest.raises(ScheduleError, match="whole number, got 2.5"):
+            build_cp(2.5, 1.0)
         with pytest.raises(ScheduleError):
             build_rabi_scan(-0.1)
 
@@ -231,3 +245,30 @@ class TestBuilders:
                   build_clock_coherence("single", 0.1),
                   build_clock_coherence("double", 0.1)):
             s.validate(model)
+
+
+def _protocol_goldens():
+    """(name, params, text) of every case of protocol_goldens.txt."""
+    text = (Path(__file__).parent / "protocol_goldens.txt").read_text()
+    cases = []
+    for case in re.split(r"^## ", text, flags=re.M)[1:]:
+        head, _, body = case.partition("\n")
+        name, params = head.split(" ", 1)
+        params = json.loads(params)
+        cases.append(pytest.param(name, params, body,
+                                  id=f"{name}-{'other' if params else 'defaults'}"))
+    return cases
+
+
+class TestProtocolGoldens:
+    """Every protocol's schedule at its builder's defaults and at one other
+    parameter set, byte for byte."""
+
+    @pytest.mark.parametrize("name, params, text", _protocol_goldens())
+    def test_protocol_matches_golden(self, name, params, text):
+        assert serialize_sequence(build_protocol(name, params)) == text
+
+    def test_every_protocol_has_both_cases(self):
+        cases = [case.values[:2] for case in _protocol_goldens()]
+        assert sorted(name for name, params in cases if not params) == sorted(PROTOCOLS)
+        assert sorted(name for name, params in cases if params) == sorted(PROTOCOLS)
