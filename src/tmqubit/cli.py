@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import inspect
 import math
+import os
 import sys
 from itertools import repeat
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config, scan_grid
 from .engine import run_scan
-from .figures import FIGURES, reproduce_figure
+from .figures import FIGURES
 from .fitting import (
     DataError,
     Dataset,
@@ -129,7 +130,6 @@ def _simulate_rows(cfg: RunConfig):
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
         cfg.noise = dataclasses.replace(cfg.noise, seed=args.seed)
     if args.shots is not None:
         cfg.shots = args.shots
@@ -148,16 +148,6 @@ def cmd_simulate(args) -> int:
 
 
 # ---------------------------------------------------------------------- fit
-
-
-_DEFAULT_QUANTITY = {
-    "two_body_loss": "total",
-    "exponential": "total",
-    "ramsey_fringe": "eta4",
-    "gaussian_decay": "eta4",
-    "gaussian_decay_offset": "eta3",
-    "rabi_reflection": "eta4",
-}
 
 
 def _scan_records(rows) -> dict[float, ReadoutRecord]:
@@ -182,15 +172,16 @@ def _scan_records(rows) -> dict[float, ReadoutRecord]:
     return scan
 
 
-def _dataset_from_file(path, model_name, quantity=None):
+def _dataset_from_file(path, spec, quantity=None):
     """Build a Dataset from either a plain x,y[,sigma] CSV or a schema=1
-    simulate file (aggregated over shots per scan value)."""
+    simulate file (aggregated over shots per scan value, of ``quantity``,
+    default the model's)."""
     rows = read_csv(path)
     if "scan_value" not in rows[0]:
         if quantity is not None:
             raise ConfigError(f"--quantity applies to simulate output, not the plain CSV {path}")
         return Dataset.from_rows(rows), None
-    quantity = quantity or _DEFAULT_QUANTITY.get(model_name, "eta4")
+    quantity = quantity or spec.quantity
     scan = _scan_records(rows)
     xs = sorted(scan)
     try:
@@ -209,12 +200,16 @@ def cmd_fit(args) -> int:
         return EXIT_CONFIG
     spec = MODELS[args.model]
     try:
-        dataset, quantity = _dataset_from_file(args.data, args.model, args.quantity)
+        dataset, quantity = _dataset_from_file(args.data, spec, args.quantity)
     except OSError as exc:
         print(f"fit: {exc}", file=sys.stderr)
         return EXIT_IO
     except DataError as exc:
         print(f"fit: {args.data}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if len(dataset) <= len(spec.param_names):
+        print(f"fit: {args.data}: {len(dataset)} points; model {args.model} needs at least "
+              f"{len(spec.param_names) + 1}", file=sys.stderr)
         return EXIT_CONFIG
     if args.init:
         try:
@@ -275,16 +270,17 @@ def cmd_fit(args) -> int:
 
 def cmd_reproduce(args) -> int:
     runner = FIGURES.get(args.figure)
-    if args.shots is not None and runner and "shots" not in inspect.signature(runner).parameters:
+    if runner is None:
+        print(f"reproduce: unknown figure id {args.figure!r}; "
+              f"choose from {', '.join(sorted(FIGURES))}", file=sys.stderr)
+        return EXIT_CONFIG
+    # fig2e and fig8 (one noise-off shot per point) take no shots
+    if args.shots is not None and "shots" not in inspect.signature(runner).parameters:
         print(f"reproduce: --shots does not apply to {args.figure}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        files = reproduce_figure(args.figure, args.out, seed=args.seed or 0,
-                                 shots=args.shots)
-    except KeyError as exc:
-        print(f"reproduce: {exc.args[0]}", file=sys.stderr)
-        return EXIT_CONFIG
-    for path in files:
+    os.makedirs(args.out, exist_ok=True)
+    shots = {} if args.shots is None else {"shots": args.shots}
+    for path in runner(args.out, seed=args.seed or 0, **shots):
         print(path)
     return EXIT_OK
 

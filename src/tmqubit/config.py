@@ -25,6 +25,7 @@ from .engine import (
     NoiseModel,
     RandomWalkDrift,
     SinusoidDrift,
+    TWO_BODY_TABLE,
     default_calibration,
 )
 from .protocols import builder_config_from_params
@@ -47,24 +48,20 @@ _SECTION_KEYS = {
     "noise": {"sigma_b_shot", "laser_phase_diffusion", "drift"},
     "loss": {"table_field", "tau", "volume_cm3",
              *(f"beta_{token}" for token, _ in LossParameters().beta_by_state)},
-    "readout": set(CrosstalkCalibration._FIELDS),
+    "readout": {f.name for f in dataclasses.fields(CrosstalkCalibration)},
     "schedule": None,   # checked against the protocol when it is built
     "scan": {"param", "values", *_GRID_KEYS},
 }
 # [schedule] parameters that also time the readout block
 _READOUT_TIMING = ("clock_pi_time", "probe_duration", "dead_time")
-# drift kind -> (class, {field: default}); each field is read from "drift_<field>"
-_DRIFT_KINDS = {
-    "sinusoid": (SinusoidDrift, {"amplitude": "0", "period": "1"}),
-    "random_walk": (RandomWalkDrift, {"step": "0", "interval": "1"}),
-}
+# drift kind -> class; each field is read from "drift_<field>", default the class's
+_DRIFT_KINDS = {cls.kind: cls for cls in (SinusoidDrift, RandomWalkDrift)}
 
 
 @dataclass
 class RunConfig:
     """Fully resolved run description."""
 
-    seed: int = 0
     shots: int = 20
     atoms: float = 5000.0
     constants: PhysicsConstants = field(default_factory=PhysicsConstants)
@@ -92,19 +89,17 @@ class RunConfig:
     def describe(self) -> list[str]:
         """Flat key=value lines of the resolved configuration, for embedding
         in reports."""
-        lines = [f"run.seed={self.seed}", f"run.shots={self.shots}",
+        lines = [f"run.seed={self.noise.seed}", f"run.shots={self.shots}",
                  f"run.atoms={self.atoms!r}"]
         for f_ in dataclasses.fields(PhysicsConstants):
             lines.append(f"constants.{f_.name}={getattr(self.constants, f_.name)!r}")
         lines.append(f"noise.sigma_b_shot={self.noise.sigma_B_shot!r}")
         drift = self.noise.drift
-        if isinstance(drift, SinusoidDrift):
-            lines.append(f"noise.drift=sinusoid({drift.amplitude!r},{drift.period!r})")
-        elif isinstance(drift, RandomWalkDrift):
-            lines.append(f"noise.drift=random_walk({drift.step!r},{drift.interval!r})")
-        else:
+        if drift is None:
             lines.append("noise.drift=none")
-        if drift is not None:   # the dead time sets the drift's wall clock
+        else:   # the dead time sets the drift's wall clock
+            values = ",".join(repr(getattr(drift, f_.name)) for f_ in dataclasses.fields(drift))
+            lines.append(f"noise.drift={drift.kind}({values})")
             lines.append(f"noise.inter_shot_dead_time={self.noise.inter_shot_dead_time!r}")
         lines.append(f"noise.laser_phase_diffusion={self.noise.laser_phase_diffusion!r}")
         lines.append(f"noise.seed={self.noise.seed}")
@@ -181,14 +176,16 @@ def load_config(path) -> RunConfig:
     kind = parser.get("noise", "drift", fallback="none").strip().lower()
     if kind != "none" and kind not in _DRIFT_KINDS:
         raise ConfigError(f"[noise] unknown drift kind {kind!r}")
-    drift_keys = ({"inter_shot_dead_time", *(f"drift_{name}" for name in _DRIFT_KINDS[kind][1])}
-                  if kind != "none" else set())
+    drift_fields = dataclasses.fields(_DRIFT_KINDS[kind]) if kind != "none" else ()
+    drift_keys = ({"inter_shot_dead_time", *(f"drift_{f.name}" for f in drift_fields)}
+                  if drift_fields else set())
     _check_keys(parser, {**_SECTION_KEYS, "noise": _SECTION_KEYS["noise"] | drift_keys})
     cfg = RunConfig()
+    fields = {}   # NoiseModel fields the file sets; the others keep its defaults
 
     if parser.has_section("run"):
         run = parser["run"]
-        cfg.seed = _int("run", "seed", run.get("seed", cfg.seed))
+        fields["seed"] = _int("run", "seed", run.get("seed", cfg.noise.seed))
         cfg.shots = _int("run", "shots", run.get("shots", cfg.shots))
         cfg.atoms = _float("run", "atoms", run.get("atoms", cfg.atoms))
         if cfg.shots < 1:
@@ -203,18 +200,16 @@ def load_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"[constants] {exc}") from None
 
-    fields = {"seed": cfg.seed}   # the others default to NoiseModel's
     if parser.has_section("noise"):
         noise = parser["noise"]
         for name in ("sigma_B_shot", "laser_phase_diffusion", "inter_shot_dead_time"):
             if name.lower() in noise:
                 fields[name] = _float("noise", name.lower(), noise[name.lower()])
-        if kind != "none":
-            cls, defaults = _DRIFT_KINDS[kind]
-            kwargs = {name: _float("noise", f"drift_{name}", noise.get(f"drift_{name}", default))
-                      for name, default in defaults.items()}
+        if drift_fields:
+            kwargs = {f.name: _float("noise", f"drift_{f.name}", noise[f"drift_{f.name}"])
+                      for f in drift_fields if f"drift_{f.name}" in noise}
             try:
-                fields["drift"] = cls(**kwargs)
+                fields["drift"] = _DRIFT_KINDS[kind](**kwargs)
             except ValueError as exc:   # the message starts with the field name
                 raise ConfigError(f"[noise] drift_{exc}") from None
     try:
@@ -225,7 +220,11 @@ def load_config(path) -> RunConfig:
     if parser.has_section("loss"):
         loss = parser["loss"]
         if "table_field" in loss:
-            base = LossParameters.from_table(_float("loss", "table_field", loss["table_field"]))
+            table_field = _float("loss", "table_field", loss["table_field"])
+            if table_field not in TWO_BODY_TABLE:
+                raise ConfigError(f"[loss] table_field = {loss['table_field']}: not a measured "
+                                  f"field; choose from {', '.join(map(repr, TWO_BODY_TABLE))}")
+            base = LossParameters.from_table(table_field)
         else:
             base = LossParameters()
         betas = dict(base.beta_by_state)
@@ -283,5 +282,5 @@ def load_config(path) -> RunConfig:
             cfg.scan_values = scan_grid(
                 _float("scan", "start", scan.get("start", "0")),
                 _float("scan", "stop", scan.get("stop", "1")),
-                int(_float("scan", "points", scan.get("points", "10"))), "[scan] points")
+                _int("scan", "points", scan.get("points", "10")), "[scan] points")
     return cfg

@@ -51,7 +51,6 @@ record per point, with a row per shot.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -99,7 +98,6 @@ __all__ = [
     "apply_event",
     "coherent_prep_transfer",
     "clock_rotation_transfer",
-    "two_body_decay",
     "run_scan",
     "run_schedule",
     "run_shot",
@@ -139,8 +137,10 @@ def _require(name: str, value: float, positive: bool = False,
 class SinusoidDrift:
     """Deterministic slow field drift B(t) = amplitude*sin(2*pi*t/period)."""
 
-    amplitude: float   # G
-    period: float      # s
+    amplitude: float = 0.0   # G
+    period: float = 1.0      # s
+
+    kind = "sinusoid"
 
     def __post_init__(self):
         _require("amplitude", self.amplitude)
@@ -151,8 +151,10 @@ class SinusoidDrift:
 class RandomWalkDrift:
     """Field drift stepping by N(0, step) every `interval` seconds."""
 
-    step: float        # G
-    interval: float    # s
+    step: float = 0.0       # G
+    interval: float = 1.0   # s
+
+    kind = "random_walk"
 
     def __post_init__(self):
         _require("step", self.step, non_negative=True)
@@ -191,25 +193,21 @@ def _shot_rng(seed: int, shot_index: int) -> np.random.Generator:
         np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, shot_index])))
 
 
-# Least recently used walks, one per noise seed; an evicted walk is
-# regenerated with the same values, since every prefix depends on the seed only.
-_WALK_CACHE: OrderedDict[int, np.ndarray] = OrderedDict()
-_WALK_CACHE_SIZE = 32
-
-
 def _walk_values(seed: int, n: int) -> np.ndarray:
-    """Cumulative standard-normal walk, deterministic in (seed, index)."""
-    have = _WALK_CACHE.get(seed)
-    if have is None or len(have) < n:
-        m = max(n, 1024 if have is None else 2 * len(have))
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0x9E3779B9])))
-        have = np.cumsum(rng.standard_normal(m))
-        _WALK_CACHE[seed] = have
-        if len(_WALK_CACHE) > _WALK_CACHE_SIZE:
-            _WALK_CACHE.popitem(last=False)
-    _WALK_CACHE.move_to_end(seed)
-    return have
+    """Cumulative standard-normal walk, deterministic in (seed, index): at
+    least ``n`` values, a power-of-two count of at least 1024."""
+    return _walk(seed, max(1024, 1 << (n - 1).bit_length()))
+
+
+@lru_cache(maxsize=32)
+def _walk(seed: int, length: int) -> np.ndarray:
+    """The first ``length`` values of the walk of ``seed``; every prefix
+    depends on the seed only, so any length gives the same values."""
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0x9E3779B9])))
+    walk = np.cumsum(rng.standard_normal(length))
+    walk.setflags(write=False)
+    return walk
 
 
 # ------------------------------------------------------------- loss parameters
@@ -242,25 +240,16 @@ class LossParameters:
                 raise ValueError(f"beta for {token} must be >= 0")
             state_index(token)
 
-    @property
-    def beta(self) -> dict[str, float]:
-        return dict(self.beta_by_state)
-
-    @cached_property
-    def loss_classes(self) -> tuple[tuple[int, float, bool], ...]:
-        """(basis index, beta, is the redistributing g40 class) of every
-        two-body class with beta > 0, resolved once."""
-        return tuple((state_index(token), beta, token == "g40")
-                     for token, beta in self.beta.items() if beta > 0.0)
-
     @cached_property
     def class_arrays(self) -> tuple[np.ndarray, np.ndarray, int | None]:
-        """``loss_classes`` as arrays: basis indices, beta/V per class, and
-        the position of the redistributing g40 class (None without one)."""
-        indices = np.array([c[0] for c in self.loss_classes], dtype=np.intp)
-        beta_over_v = np.array([c[1] for c in self.loss_classes]) / self.volume_cm3
-        g40 = next((k for k, c in enumerate(self.loss_classes) if c[2]), None)
-        return indices, beta_over_v, g40
+        """The two-body classes with beta > 0, resolved once: their basis
+        indices, beta/V per class, and the position of the redistributing
+        g40 class (None without one)."""
+        betas = {token: beta for token, beta in dict(self.beta_by_state).items() if beta > 0.0}
+        tokens = list(betas)
+        indices = np.array([state_index(token) for token in tokens], dtype=np.intp)
+        g40 = tokens.index("g40") if "g40" in betas else None
+        return indices, np.array(list(betas.values())) / self.volume_cm3, g40
 
     @classmethod
     def from_table(cls, B: float, tau: float = 16.4,
@@ -817,19 +806,6 @@ def _metastable_decay(rho: np.ndarray, dt: float, model: AtomModel,
     w = basis.branching(c.metastable_branch_to_f4)
     for k in np.flatnonzero(freed.any(axis=0)):   # the populated metastable states
         diag += w[:, k] * freed[:, k, None]
-
-
-def two_body_decay(n_init: float, t: float, tau: float,
-                   beta_over_v: float) -> float:
-    """Closed-form survival of a class population under single-atom loss and
-    two-body collisions: n' = -n/tau - (beta/V) n^2.
-
-    ``beta_over_v`` is beta/V in 1/s per atom.  The closed form is
-    ``fitting.model_two_body_loss``, which the loss channels use too.
-    """
-    if n_init <= 0 or t <= 0:
-        return n_init
-    return float(model_two_body_loss(t, n_init, tau, beta_over_v))
 
 
 def _apply_loss_channels(rho: np.ndarray, dt: float, n0: float,

@@ -21,7 +21,6 @@ from .engine import (
     RandomWalkDrift,
     default_calibration,
     run_scan,
-    run_schedule,
     run_shot,
 )
 from .fitting import (
@@ -45,11 +44,16 @@ from .protocols import build_protocol, record_quantity
 from .readout import fit_probe_scan, probe_parabola, probe_scan_points
 from .schedule import MwPulse, Schedule, Wait, build_clock_coherence
 
-__all__ = ["FIGURES", "reproduce_figure"]
+__all__ = ["FIGURES"]
 
 # Slow-fluctuation level consistent with the apparatus bound (< 150 uG):
 # tuned so the simulated free-induction decay at 0.1 G sits near 22 s.
 _SIGMA_B_COHERENCE = 6.0e-5
+
+# The noise of the decoupling runs (fig5, fig10): under the echoes the
+# quasi-static offset cancels, so the random-walk drift sets their decay.
+_CP_NOISE = NoiseModel(sigma_B_shot=_SIGMA_B_COHERENCE,
+                       drift=RandomWalkDrift(step=5e-5, interval=1.0))
 
 # Atoms per shot: the apparatus default; fig7's readout scan loads fewer.
 _N_ATOMS = 5000.0
@@ -104,14 +108,11 @@ def fig2e(outdir, seed=0):
         0.5 + np.linspace(0, 2 * period, 16),
         1.0 + np.linspace(0, 2 * period, 16),
     ])
-    rows = []
-    for t in ts:
-        sched = build_protocol("rabi", {"t": float(t), "bias_field": 0.6})
-        state, rec = run_shot(sched, model, noise, loss, 0, n_atoms=_N_ATOMS,
-                              calibration=calib)
-        eta3 = record_quantity(rec, "eta3")
-        ideal = math.cos(0.5 * (math.pi / 2e-3) * t) ** 2
-        rows.append((float(t), eta3, ideal))
+    points = [(build_protocol("rabi", {"t": float(t), "bias_field": 0.6}), noise, calib)
+              for t in ts]
+    rows = [(float(t), record_quantity(record[0], "eta3"),
+             math.cos(0.5 * (math.pi / 2e-3) * t) ** 2)
+            for t, record in zip(ts, run_scan(points, model, loss, 1, n_atoms=_N_ATOMS))]
     path = write_csv(os.path.join(outdir, "fig2e_rabi.csv"),
                      ["t_s", "eta3", "eta3_ideal"], rows,
                      ["microwave Rabi scan, B=0.6 G, collision channels on",
@@ -166,13 +167,18 @@ def fig4(outdir, seed=0, shots=16, t_grid=None):
     return files
 
 
-def _cp_eta_max(model, noise, loss, calib, n, t_free, bias, shots, seed):
-    target = "eta3" if n % 2 == 0 else "eta4"
-    sched = build_protocol("cp", {"n": n, "t": t_free, "bias_field": bias})
-    record = run_schedule(sched, model, dataclasses.replace(noise, seed=seed),
-                          loss, shots, n_atoms=_N_ATOMS, calibration=calib)
-    mean, err = mean_and_error(record_quantity(record, target))
-    return mean, err or 1e-4
+def _cp_eta_max(model, loss, calib, runs, bias, shots):
+    """(T, mean, error) of the CP target population at each ``(n, T, seed)``
+    of ``runs``, under ``_CP_NOISE`` with that seed: one scan."""
+    points = [(build_protocol("cp", {"n": n, "t": t_free, "bias_field": bias}),
+               dataclasses.replace(_CP_NOISE, seed=seed), calib)
+              for n, t_free, seed in runs]
+    etas = []
+    for (n, t_free, _), record in zip(runs, run_scan(points, model, loss, shots,
+                                                     n_atoms=_N_ATOMS)):
+        mean, err = mean_and_error(record_quantity(record, "eta3" if n % 2 == 0 else "eta4"))
+        etas.append((t_free, mean, err or 1e-4))
+    return etas
 
 
 def fig5(outdir, seed=0, shots=10):
@@ -180,15 +186,12 @@ def fig5(outdir, seed=0, shots=10):
     model = AtomModel()
     loss = LossParameters.off()
     calib = default_calibration(model, camera_floor=0.0)
-    noise = NoiseModel(sigma_B_shot=_SIGMA_B_COHERENCE,
-                       drift=RandomWalkDrift(step=5e-5, interval=1.0), seed=seed)
+    ns, ts = (0, 1, 2, 4, 8), (0.5, 2.0, 4.0, 8.0, 12.0, 18.0)
+    runs = [(n, t_free, seed + 17 * n) for n in ns for t_free in ts]
+    scan = _cp_eta_max(model, loss, calib, runs, 0.1, shots)
     rows = []
-    for n in (0, 1, 2, 4, 8):
-        etas = []
-        for t_free in (0.5, 2.0, 4.0, 8.0, 12.0, 18.0):
-            eta, err = _cp_eta_max(model, noise, loss, calib, n, t_free, 0.1,
-                                   shots, seed + 17 * n)
-            etas.append((t_free, eta, err))
+    for k, n in enumerate(ns):
+        etas = scan[k * len(ts):(k + 1) * len(ts)]
         t2 = _t2_or_nan(model_gaussian_decay_offset, etas, [1.0, 20.0])
         for t_free, eta, err in etas:
             contrast = float(contrast_from_eta(eta))
@@ -282,11 +285,10 @@ def fig7(outdir, seed=0, shots=20):
     model = AtomModel()
     noise = NoiseModel.off(seed)
     loss = LossParameters.off()
-    scan = {tau: run_schedule(build_protocol("probe_scan", {"t": float(tau)}), model,
-                              dataclasses.replace(noise, seed=seed), loss, shots,
-                              n_atoms=2000.0, calibration=None)
-            for tau in np.linspace(0.05e-3, 1.2e-3, 12)}
-    points = probe_scan_points(scan)
+    taus = np.linspace(0.05e-3, 1.2e-3, 12)
+    scan = run_scan([(build_protocol("probe_scan", {"t": float(tau)}), noise, None)
+                     for tau in taus], model, loss, shots, n_atoms=2000.0)
+    points = probe_scan_points(dict(zip(taus, scan)))
     fit4, fit3 = fit_probe_scan(*points)
     rows = [(*row, float(probe_parabola(row[0], *fit4.values)),
              float(model_exponential(row[0], *fit3.values)))
@@ -339,13 +341,9 @@ def fig10(outdir, seed=0, shots=10):
     model = AtomModel()
     loss = LossParameters.off()
     calib = default_calibration(model, camera_floor=0.0)
-    noise = NoiseModel(sigma_B_shot=_SIGMA_B_COHERENCE,
-                       drift=RandomWalkDrift(step=5e-5, interval=1.0), seed=seed)
-    etas = []
-    for t_free in (0.5, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0):
-        eta, err = _cp_eta_max(model, noise, loss, calib, 8, float(t_free), 0.1,
-                               shots, seed)
-        etas.append((float(t_free), eta, max(err, 1e-3)))
+    runs = [(8, t_free, seed) for t_free in (0.5, 2.0, 4.0, 8.0, 12.0, 16.0, 20.0)]
+    etas = [(t_free, eta, max(err, 1e-3))
+            for t_free, eta, err in _cp_eta_max(model, loss, calib, runs, 0.1, shots)]
     ds = Dataset(*(np.array(column) for column in zip(*etas)))
     fit = least_squares(model_gaussian_decay_offset, ds, [1.0, 30.0])
     t2 = fit.params["t2"]
@@ -384,15 +382,3 @@ FIGURES = {
     "fig8": fig8,
     "fig10": fig10,
 }
-
-
-def reproduce_figure(figure_id: str, outdir: str, seed: int = 0,
-                     shots: int | None = None) -> list[str]:
-    """Run one figure into ``outdir``; fig2e and fig8 (one noise-off shot
-    per point) take no ``shots``."""
-    if figure_id not in FIGURES:
-        raise KeyError(f"unknown figure id {figure_id!r}; "
-                       f"choose from {', '.join(sorted(FIGURES))}")
-    os.makedirs(outdir, exist_ok=True)
-    kwargs = {"seed": seed} if shots is None else {"seed": seed, "shots": shots}
-    return FIGURES[figure_id](outdir, **kwargs)

@@ -149,9 +149,15 @@ class Dataset:
     @classmethod
     def from_rows(cls, rows) -> "Dataset":
         """The ``x``, ``y`` and optional ``sigma`` columns of ``read_csv``
-        rows."""
-        sigma = csv_column(rows, "sigma") if "sigma" in rows[0] else None
-        return cls(csv_column(rows, "x"), csv_column(rows, "y"), sigma)
+        rows; raises DataError naming a column with a cell that is not a
+        finite number."""
+        names = ("x", "y", "sigma") if "sigma" in rows[0] else ("x", "y")
+        columns = [csv_column(rows, name) for name in names]
+        for name, column in zip(names, columns):
+            bad = [v for v in column if not math.isfinite(v)]
+            if bad:
+                raise DataError(f"column {name!r}: not a finite number: {bad[0]!r}")
+        return cls(*columns)
 
 
 # ------------------------------------------------------------------ fit engine
@@ -330,7 +336,7 @@ def model_two_body_loss(t, n0, tau, beta_over_v):
     """Atom number under single-atom loss plus two-body collisions:
     N(t) = N0 e^{-t/tau} / (1 + (beta/V) tau N0 (1 - e^{-t/tau})), and
     N0 / (1 + (beta/V) N0 t) at tau = inf.  Every argument but tau may be
-    an array; this is also the engine's two-body channel (``two_body_decay``)."""
+    an array; this is also the engine's two-body channel."""
     t = np.asarray(t, dtype=float)
     if math.isinf(tau):
         return n0 / (1.0 + beta_over_v * n0 * t)
@@ -495,6 +501,7 @@ def chi2_profile(fit: FitResult, param: str, max_expand: int = 60) -> tuple[floa
 class ModelSpec:
     func: object
     guess: object   # callable Dataset -> init sequence
+    quantity: str   # the observable a fit of simulate output reads by default
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -538,10 +545,11 @@ def _guess_rabi_reflection(ds: Dataset):
 
 
 MODELS = {
-    "two_body_loss": ModelSpec(model_two_body_loss, _guess_two_body),
-    "ramsey_fringe": ModelSpec(model_ramsey_fringe, _guess_fringe),
-    "gaussian_decay": ModelSpec(model_gaussian_decay, _guess_gaussian),
-    "gaussian_decay_offset": ModelSpec(model_gaussian_decay_offset, _guess_gaussian_offset),
-    "exponential": ModelSpec(model_exponential, _guess_exponential),
-    "rabi_reflection": ModelSpec(model_rabi_reflection, _guess_rabi_reflection),
+    "two_body_loss": ModelSpec(model_two_body_loss, _guess_two_body, "total"),
+    "ramsey_fringe": ModelSpec(model_ramsey_fringe, _guess_fringe, "eta4"),
+    "gaussian_decay": ModelSpec(model_gaussian_decay, _guess_gaussian, "eta4"),
+    "gaussian_decay_offset": ModelSpec(model_gaussian_decay_offset, _guess_gaussian_offset,
+                                       "eta3"),
+    "exponential": ModelSpec(model_exponential, _guess_exponential, "total"),
+    "rabi_reflection": ModelSpec(model_rabi_reflection, _guess_rabi_reflection, "eta4"),
 }

@@ -28,7 +28,7 @@ pair is averaged over shots (``probe_scan_points``) and fitted
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -159,19 +159,15 @@ class CrosstalkCalibration:
 
     # ------------------------------------------------------------ persistence
 
-    _FIELDS = ("eps_43", "dep_3", "clock_pi_efficiency", "camera_floor", "tau_c",
-               "branch_to_f4", "probe_reference", "probe_duration", "dead_time",
-               "clock_pi_time")
-
     def save(self, path) -> None:
         lines = ["# tmqubit readout calibration v1"]
-        lines += [f"{name} = {getattr(self, name)!r}" for name in self._FIELDS]
+        lines += [f"{f.name} = {getattr(self, f.name)!r}" for f in fields(self)]
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path) -> "CrosstalkCalibration":
-        values = {}
+        names, values = {f.name for f in fields(cls)}, {}
         with open(path) as fh:
             for raw_line in fh:
                 line = raw_line.split("#", 1)[0].strip()
@@ -179,7 +175,7 @@ class CrosstalkCalibration:
                     continue
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in cls._FIELDS:
+                if key not in names:
                     raise CalibrationError(f"unknown calibration field {key!r}")
                 values[key] = float(value)
         return cls(**values)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .atom import AtomModel, TransitionKind, state_index
 from .readout import READOUT_LABELS
@@ -406,16 +406,6 @@ def parse_sequence(text: str, cfg: BuilderConfig | None = None,
     return schedule
 
 
-_SERIAL_FIELDS = {
-    "mw": ("transition", "duration", "rabi_frequency", "detuning", "phase"),
-    "clock": ("transition", "duration", "rabi_frequency", "detuning", "phase"),
-    "rf_sweep": ("duration", "f_start", "f_stop"),
-    "probe": ("target_F", "duration"),
-    "clean": ("target_F", "duration", "s", "detuning"),
-    "wait": ("duration",),
-    "measure": ("label", "target_F", "probe_duration", "dead_time"),
-}
-
 _SERIAL_NAMES = {"rabi_frequency": "rabi", "target_F": "target_f"}
 
 
@@ -430,9 +420,9 @@ def serialize_sequence(schedule: Schedule) -> str:
         lines.append(f"@initial_state {md.initial_state}")
     for ev in schedule.events:
         parts = [ev.kind]
-        for fieldname in _SERIAL_FIELDS[ev.kind]:
-            value = getattr(ev, fieldname)
-            name = _SERIAL_NAMES.get(fieldname, fieldname)
+        for f in fields(ev):
+            value = getattr(ev, f.name)
+            name = _SERIAL_NAMES.get(f.name, f.name)
             parts.append(f"{name}={value!r}" if not isinstance(value, str) else f"{name}={value}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

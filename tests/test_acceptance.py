@@ -21,7 +21,6 @@ from tmqubit.engine import (
     coherent_prep_transfer,
     default_calibration,
     run_shot,
-    two_body_decay,
 )
 from tmqubit.fitting import (
     Dataset,
@@ -94,7 +93,7 @@ def test_01_two_body_closed_form_vs_ode_oracle():
         for token, beta in betas.items():
             bv = beta / VOLUME_CM3
             for t_end in (0.5, 5.0, 20.0, 60.0):
-                closed = two_body_decay(5000.0, t_end, 16.4, bv)
+                closed = float(model_two_body_loss(t_end, 5000.0, 16.4, bv))
                 oracle = _rk4_two_body(5000.0, t_end, 16.4, bv)
                 worst = max(worst, abs(closed - oracle) / oracle)
     elapsed = time.perf_counter() - t0

@@ -67,7 +67,8 @@ class TestConfig:
         path.write_text("[run]\n[noise]\n")
         cfg = load_config(path)
         default = RunConfig()
-        assert (cfg.seed, cfg.shots, cfg.atoms) == (default.seed, default.shots, default.atoms)
+        assert (cfg.noise.seed, cfg.shots, cfg.atoms) == (default.noise.seed, default.shots,
+                                                          default.atoms)
         assert cfg.noise == default.noise
 
     def test_unknown_constant_rejected(self, tmp_path):
@@ -83,6 +84,23 @@ class TestConfig:
         assert any(line.startswith("constants.gamma_qz=") for line in lines)
         assert any(line.startswith("schedule.name=ramsey") for line in lines)
         assert any(line.startswith("scan.param=detuning") for line in lines)
+
+    @pytest.mark.parametrize("noise, drift", [
+        ("", "none"),
+        ("drift = random_walk", "random_walk(0.0,1.0)"),
+        ("drift = random_walk\ndrift_step = 5e-5\ndrift_interval = 2",
+         "random_walk(5e-05,2.0)"),
+        ("drift = sinusoid", "sinusoid(0.0,1.0)"),
+        ("drift = sinusoid\ndrift_period = 60\ndrift_amplitude = 3e-4",
+         "sinusoid(0.0003,60.0)"),
+    ])
+    def test_describe_drift_lines(self, tmp_path, noise, drift):
+        path = tmp_path / "drift.ini"
+        path.write_text(f"[noise]\nsigma_b_shot = 0\n{noise}\n")
+        dead = [] if drift == "none" else ["noise.inter_shot_dead_time=0.6"]
+        assert [line for line in load_config(path).describe() if line.startswith("noise.")] == [
+            "noise.sigma_b_shot=0.0", f"noise.drift={drift}", *dead,
+            "noise.laser_phase_diffusion=0.0", "noise.seed=0"]
 
     def test_header_names_the_drift_dead_time(self, tmp_path):
         # the dead time between shots sets the drift's wall clock, so two runs
@@ -467,17 +485,18 @@ points = 12
         # fig7's per-shot counts, written as simulate output, calibrate to
         # the very fits fig7 reports
         scan = {}
-        run_schedule = figures.run_schedule
+        run_scan = figures.run_scan
 
-        def scattered(schedule, *args, **kwargs):
-            records = run_schedule(schedule, *args, **kwargs)
-            # shot-to-shot scatter above the 1e-3 error floor
-            records.raw["N4"] += 3.0 * records.shot_index
-            records.raw["N3"] -= 5.0 * records.shot_index
-            scan[schedule.events[0].probe_duration] = records
+        def scattered(points, *args, **kwargs):
+            records = run_scan(points, *args, **kwargs)
+            for (schedule, _, _), record in zip(points, records):
+                # shot-to-shot scatter above the 1e-3 error floor
+                record.raw["N4"] += 3.0 * record.shot_index
+                record.raw["N3"] -= 5.0 * record.shot_index
+                scan[schedule.events[0].probe_duration] = record
             return records
 
-        monkeypatch.setattr(figures, "run_schedule", scattered)
+        monkeypatch.setattr(figures, "run_scan", scattered)
         (fig7,) = figures.fig7(str(tmp_path), seed=1, shots=4)
         rows = [("t", tau, rec.shot_index, label, 0.0, rec.raw[label], float("nan"), 0)
                 for tau, records in scan.items() for rec in records for label in ("N4", "N3")]
@@ -729,6 +748,11 @@ IGNORED_INPUTS = [
                  id="scan_typo"),
     pytest.param(_ini("points = 30", "points = 30\nvalues = 1, 2"), SIMULATE, "values",
                  id="scan_values_and_grid"),
+    pytest.param(_ini("points = 30", "points = 2.9"), SIMULATE,
+                 "config error: [scan] points: not an integer: '2.9'", id="scan_fractional_points"),
+    pytest.param(_ini("tau = inf", "tau = inf\ntable_field = 5"), SIMULATE,
+                 "config error: [loss] table_field = 5: not a measured field; choose from 0.1, 0.6",
+                 id="loss_unmeasured_table_field"),
     pytest.param(_ini("[run]", "[noize]\nsigma_b_shot = 1\n[run]"), SIMULATE, "noize",
                  id="unknown_section"),
     pytest.param(_ini(), SCAN + ["--param", "tt", "--points", "3"], "tt",
@@ -752,6 +776,11 @@ IGNORED_INPUTS = [
                  id="fit_non_numeric_cell"),
     pytest.param({"d.csv": "x,y,sigma\n0,1,0.1\n1,2,0\n2,3,0.1\n"}, FIT_D,
                  "d.csv: column 'sigma'", id="fit_zero_sigma"),
+    pytest.param({"d.csv": "x,y\n0,1\n1,nan\n2,3\n"}, FIT_D,
+                 "d.csv: column 'y': not a finite number: nan", id="fit_non_finite_cell"),
+    pytest.param({"d.csv": "x,y\n0,1\n1,0.5\n"},
+                 ["fit", "--model", "two_body_loss", "--data", "{tmp}/d.csv"],
+                 "d.csv: 2 points; model two_body_loss needs at least 4", id="fit_too_few_points"),
     pytest.param({"d.csv": "x,y\n0,1\n1,2\n2,3\n3,4\n"}, CALIBRATE_D,
                  "d.csv: column 'scan_value'", id="calibrate_plain_csv"),
     pytest.param({"d.csv": "# schema=1\n"}, CALIBRATE_D, "d.csv: empty file",
@@ -803,7 +832,7 @@ def test_integral_run_values_load(tmp_path):
     path.write_text(RAMSEY_INI.replace("shots = 20", "shots = 1e1", 1)
                     .replace("seed = 7", "seed = 18446744073709551615", 1))
     cfg = load_config(str(path))
-    assert (cfg.shots, cfg.seed) == (10, 2**64 - 1)
+    assert (cfg.shots, cfg.noise.seed) == (10, 2**64 - 1)
 
 
 @pytest.mark.parametrize("files, argv, name", IGNORED_INPUTS)

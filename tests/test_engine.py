@@ -27,9 +27,9 @@ from tmqubit.engine import (
     run_scan,
     run_schedule,
     run_shot,
-    two_body_decay,
 )
 from tmqubit.figures import _fringe_contrast
+from tmqubit.fitting import model_two_body_loss
 from tmqubit.protocols import PROTOCOLS, build_protocol
 from tmqubit.readout import READOUT_LABELS, CrosstalkCalibration, block_record
 from tmqubit.schedule import (
@@ -335,7 +335,7 @@ class TestFreeEvolution:
         beta = TWO_BODY_TABLE[field][token]
         bv = beta / 1.6e-4
         for t_end in (1.0, 10.0, 60.0):
-            got = two_body_decay(5000.0, t_end, 16.4, bv)
+            got = float(model_two_body_loss(t_end, 5000.0, 16.4, bv))
             n = 5000.0
             steps = 6000
             h = t_end / steps
@@ -451,12 +451,15 @@ class TestDriftIntegrals:
 
     def test_walk_cache_bounded_and_regenerated_exactly(self):
         first = engine._walk_values(12345, 3000).copy()
-        for seed in range(engine._WALK_CACHE_SIZE + 5):
+        assert len(first) == 4096   # a power of two >= 1024
+        for seed in range(engine._walk.cache_info().maxsize + 5):
             engine._walk_values(seed, 10)
-        assert len(engine._WALK_CACHE) <= engine._WALK_CACHE_SIZE
-        assert 12345 not in engine._WALK_CACHE
-        again = engine._walk_values(12345, 3000)
+        info = engine._walk.cache_info()
+        assert info.currsize <= info.maxsize
+        again = engine._walk_values(12345, 3000)   # evicted: regenerated
+        assert engine._walk.cache_info().misses == info.misses + 1
         assert np.array_equal(again[:3000], first[:3000])
+        assert np.array_equal(engine._walk_values(12345, 10)[:1024], first[:1024])
 
 
 class TestEchoAndCoherence:
@@ -1317,8 +1320,11 @@ class TestParameterValidation:
         loss = LossParameters(beta_by_state=(("g4m4", 0.0), ("g40", 1e-9), ("g30", 2e-9)))
         g40 = STATE_INDEX[SublevelRef.from_token("g40")]
         g30 = STATE_INDEX[SublevelRef.from_token("g30")]
-        assert loss.loss_classes == ((g40, 1e-9, True), (g30, 2e-9, False))
-        assert loss.loss_classes is loss.loss_classes
+        indices, beta_over_v, g40_at = loss.class_arrays
+        assert indices.tolist() == [g40, g30]
+        assert beta_over_v.tolist() == [1e-9 / loss.volume_cm3, 2e-9 / loss.volume_cm3]
+        assert g40_at == 0
+        assert loss.class_arrays is loss.class_arrays
 
     @pytest.mark.parametrize("make", [
         lambda: NoiseModel(sigma_B_shot=-1e-4),
@@ -1342,5 +1348,5 @@ class TestParameterValidation:
     def test_from_table_picks_nearest_field(self):
         low = LossParameters.from_table(0.15)
         high = LossParameters.from_table(0.5)
-        assert low.beta["g30"] == TWO_BODY_TABLE[0.1]["g30"]
-        assert high.beta["g30"] == TWO_BODY_TABLE[0.6]["g30"]
+        assert dict(low.beta_by_state)["g30"] == TWO_BODY_TABLE[0.1]["g30"]
+        assert dict(high.beta_by_state)["g30"] == TWO_BODY_TABLE[0.6]["g30"]

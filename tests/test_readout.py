@@ -237,6 +237,16 @@ class TestPersistence:
         back = CrosstalkCalibration.load(path)
         assert back == CALIB
 
+    def test_saved_text(self, tmp_path):
+        # one line per field, in the dataclass's order
+        path = tmp_path / "calib.txt"
+        CrosstalkCalibration(eps_43=0.02, camera_floor=0.0).save(path)
+        assert path.read_text() == (
+            "# tmqubit readout calibration v1\neps_43 = 0.02\ndep_3 = 0.085\n"
+            "clock_pi_efficiency = 1.0\ncamera_floor = 0.0\ntau_c = 0.112\n"
+            "branch_to_f4 = 0.5\nprobe_reference = 0.0004\nprobe_duration = 0.0004\n"
+            "dead_time = 0.004\nclock_pi_time = 0.001\n")
+
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "calib.txt"
         path.write_text("nonsense = 1.0\n")
