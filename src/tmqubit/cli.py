@@ -222,6 +222,10 @@ def cmd_fit(args) -> int:
             return EXIT_CONFIG
     else:
         init = spec.guess(dataset)
+    if args.profile and args.profile not in spec.param_names:
+        print(f"fit: --profile {args.profile!r}: model {args.model} has no such parameter "
+              f"({', '.join(spec.param_names)})", file=sys.stderr)
+        return EXIT_CONFIG
 
     rng = np.random.default_rng(args.seed or 0)
     starts = (list(init) if attempt == 0 else [
@@ -234,10 +238,6 @@ def cmd_fit(args) -> int:
         return EXIT_FIT
 
     if args.profile:
-        if args.profile not in spec.param_names:
-            print(f"fit: cannot profile unknown parameter {args.profile!r}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
         try:
             best.profile_intervals[args.profile] = chi2_profile(best, args.profile)
         except FitError as exc:

@@ -102,7 +102,6 @@ class RunConfig:
             lines.append(f"noise.drift={drift.kind}({values})")
             lines.append(f"noise.inter_shot_dead_time={self.noise.inter_shot_dead_time!r}")
         lines.append(f"noise.laser_phase_diffusion={self.noise.laser_phase_diffusion!r}")
-        lines.append(f"noise.seed={self.noise.seed}")
         lines.append(f"loss.tau={self.loss.tau!r}")
         lines.append(f"loss.volume_cm3={self.loss.volume_cm3!r}")
         for token, beta in self.loss.beta_by_state:

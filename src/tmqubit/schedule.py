@@ -1,8 +1,9 @@
 """Timed pulse-sequence model: event types, protocol builders, script parser.
 
 A schedule is a strictly sequential list of rectangular events.  Scripts use
-one event per line (';' also separates events), ``kind key=value ...`` with
-optional positional shorthands for the coherent pulses, and ``#`` comments::
+one event per line (';' also separates events), ``kind key=value ...`` where
+each key is a field of the kind's event (positional words set a pulse's area
+and phase, a wait's duration and a measurement's label), and ``#`` comments::
 
     # prepare, then a Ramsey pair 80 ms apart
     mw pi 0deg
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, fields, replace
+from typing import get_args
 
 from .atom import AtomModel, TransitionKind, state_index
 from .readout import READOUT_LABELS
@@ -61,10 +63,9 @@ class ScheduleError(ValueError):
 
 
 class ParseError(ScheduleError):
-    def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
         self.line = line
-        self.column = column
 
 
 # --------------------------------------------------------------------- events
@@ -184,9 +185,12 @@ class Schedule:
 
     def validate(self, model: AtomModel) -> None:
         """Raise ScheduleError on any violated invariant."""
+        labels: dict[str, int] = {}   # measurement label -> its event
         for i, ev in enumerate(self.events):
             if problem := _negative_time(ev):
                 raise ScheduleError(f"event {i}: {problem}")
+            if isinstance(ev, Measure) and (first := labels.setdefault(ev.label, i)) != i:
+                raise ScheduleError(f"event {i}: measure label {ev.label!r} repeats event {first}")
             if isinstance(ev, (MwPulse, ClockPulse)):
                 try:
                     spec = model.find_transition(ev.transition)
@@ -225,27 +229,45 @@ _NUMBER_RE = re.compile(r"^([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)([a-zA-Z]*
 _AREA_RE = re.compile(r"^(\d*(?:\.\d+)?)pi(?:/(\d+))?$")
 
 
-def _parse_value(text: str, line: int, column: int) -> float:
+def _parse_value(text: str) -> float:
     m = _NUMBER_RE.match(text)
     if not m:
-        raise ParseError(f"cannot parse value {text!r}", line, column)
+        raise ValueError(f"cannot parse value {text!r}")
     value = float(m.group(1))
     unit = m.group(2).lower()
     if unit:
         if unit not in _UNITS:
-            raise ParseError(f"unknown unit {m.group(2)!r}", line, column)
+            raise ValueError(f"unknown unit {m.group(2)!r}")
         value *= _UNITS[unit]
     return value
 
 
-def _parse_area(text: str, line: int, column: int) -> float:
+def _parse_whole(text: str) -> int:
+    value = _parse_value(text)
+    if not value.is_integer():
+        raise ValueError(f"{text!r} is not a whole number")
+    return int(value)
+
+
+def _parse_area(text: str) -> float:
     """Pulse area in rad: 'pi', 'pi/2', '3pi/2', '0.5pi' or a number+unit."""
     m = _AREA_RE.match(text)
     if m:
         mult = float(m.group(1)) if m.group(1) else 1.0
         div = float(m.group(2)) if m.group(2) else 1.0
         return mult * math.pi / div
-    return _parse_value(text, line, column)
+    return _parse_value(text)
+
+
+# declared field type (or "area") -> the reader of a value written as text
+_READERS = {"str": str, "float": _parse_value, "int": _parse_whole, "area": _parse_area}
+
+
+def _read(type_name: str, text: str, word: str, line: int):
+    try:
+        return _READERS[type_name](text)
+    except ValueError as exc:
+        raise ParseError(f"{word!r}: {exc}", line) from None
 
 
 @dataclass(frozen=True)
@@ -281,76 +303,72 @@ class BuilderConfig:
         return math.pi / self.clock_pi_time
 
 
-def _coherent_event(cls, cfg: BuilderConfig, tokens, kwargs, line):
-    if cls is MwPulse:
-        defaults = {"transition": QUBIT_TRANSITION, "rabi": cfg.mw_rabi}
-    else:
-        defaults = {"transition": CLOCK_TRANSITION_F4, "rabi": cfg.clock_rabi}
-    area = phase = None
-    if tokens:
-        area = _parse_area(tokens[0], line, 2)
-    if len(tokens) > 1:
-        phase = _parse_value(tokens[1], line, 3)
-    if len(tokens) > 2:
-        raise ParseError(f"too many positional arguments for {cls.kind}", line, 4)
-    rabi = float(kwargs.pop("rabi", defaults["rabi"]))
-    if "duration" in kwargs:
-        duration = kwargs.pop("duration")
-        if area is not None:
-            raise ParseError("give either a pulse area or duration=, not both", line, 2)
-    else:
-        duration = (area if area is not None else math.pi) / rabi
-    return cls(
-        transition=str(kwargs.pop("transition", defaults["transition"])),
-        duration=float(duration),
-        rabi_frequency=rabi,
-        detuning=float(kwargs.pop("detuning", 0.0)),
-        phase=float(phase if phase is not None else kwargs.pop("phase", 0.0)),
-    ), kwargs
+# event type -> its fields that default to a BuilderConfig value, and that value
+_CONFIG_DEFAULTS = {
+    MwPulse: {"rabi_frequency": "mw_rabi"},
+    ClockPulse: {"rabi_frequency": "clock_rabi"},
+    RfSweep: {"duration": "rf_sweep_time", "f_start": "rf_f_start", "f_stop": "rf_f_stop"},
+    Probe410: {"duration": "probe_duration"},
+    Clean530: {"duration": "clean_time", "s": "clean_s", "detuning": "clean_detuning"},
+    Measure: {"probe_duration": "probe_duration", "dead_time": "dead_time"},
+}
 
 
-def _parse_event(kind: str, tokens, kwargs, cfg: BuilderConfig, line: int) -> PulseEvent:
-    if kind in ("mw", "clock"):
-        cls = MwPulse if kind == "mw" else ClockPulse
-        ev, rest = _coherent_event(cls, cfg, tokens, kwargs, line)
-    elif kind == "wait":
-        duration = tokens[0] if tokens else kwargs.pop("duration", "0")
-        ev, rest = Wait(duration=_parse_value(str(duration), line, 2)), kwargs
-    elif kind == "rf_sweep":
-        ev = RfSweep(
-            duration=float(kwargs.pop("duration", cfg.rf_sweep_time)),
-            f_start=float(kwargs.pop("f_start", cfg.rf_f_start)),
-            f_stop=float(kwargs.pop("f_stop", cfg.rf_f_stop)),
-        )
-        rest = kwargs
-    elif kind == "probe":
-        ev = Probe410(
-            target_F=int(kwargs.pop("target_f", 4)),
-            duration=float(kwargs.pop("duration", cfg.probe_duration)),
-        )
-        rest = kwargs
-    elif kind == "clean":
-        ev = Clean530(
-            target_F=int(kwargs.pop("target_f", 4)),
-            duration=float(kwargs.pop("duration", cfg.clean_time)),
-            s=float(kwargs.pop("s", cfg.clean_s)),
-            detuning=float(kwargs.pop("detuning", cfg.clean_detuning)),
-        )
-        rest = kwargs
-    elif kind == "measure":
-        label = str(tokens[0]) if tokens else str(kwargs.pop("label", "N4"))
-        target_default = 3 if label.startswith("N3") else 4
-        ev = Measure(
-            label=label,
-            target_F=int(kwargs.pop("target_f", target_default)),
-            probe_duration=float(kwargs.pop("probe_duration", cfg.probe_duration)),
-            dead_time=float(kwargs.pop("dead_time", cfg.dead_time)),
-        )
-        rest = kwargs
-    else:
+def _event(cls, cfg: BuilderConfig, **values) -> PulseEvent:
+    """A ``cls`` event with ``values``; each other field takes its
+    ``_CONFIG_DEFAULTS`` value of ``cfg``, else the dataclass default."""
+    defaults = _CONFIG_DEFAULTS.get(cls, {})
+    return cls(**{**{name: getattr(cfg, key) for name, key in defaults.items()}, **values})
+
+
+# script kind -> event type
+_KINDS = {cls.kind: cls for cls in get_args(PulseEvent)}
+# event type -> what its positional words set, in order ("area": a pulse's area)
+_POSITIONAL = {MwPulse: ("area", "phase"), ClockPulse: ("area", "phase"), Wait: ("duration",),
+               Measure: ("label",)}
+# the script name of a field where it differs from the field's
+_SERIAL_NAMES = {"rabi_frequency": "rabi", "target_F": "target_f"}
+# pragma -> the type of the ScheduleMetadata field it sets
+_PRAGMAS = {f.name: f.type.removesuffix(" | None") for f in fields(ScheduleMetadata)}
+
+
+def _read_event(words: list[str], cfg: BuilderConfig, line: int) -> PulseEvent:
+    """The event of one statement: its kind, then words that each set one
+    field, positional ones in the kind's ``_POSITIONAL`` order and
+    ``key=value`` ones by the field's script name, each read by the field's
+    type.  A pulse's duration defaults to its area (default pi) over its Rabi
+    frequency, and a measurement's target_F to 3 for an 'N3...' label."""
+    kind, *words = words
+    cls = _KINDS.get(kind)
+    if cls is None:
         raise ParseError(f"unknown event kind {kind!r}", line)
-    if rest:
-        raise ParseError(f"unknown argument {next(iter(rest))!r} for {kind}", line)
+    types = {"area": "area", **{f.name: f.type for f in fields(cls)}}
+    keywords = {_SERIAL_NAMES.get(f.name, f.name): f.name for f in fields(cls)}
+    slots = iter(_POSITIONAL.get(cls, ()))
+    values, set_by = {}, {}
+    for word in words:
+        key, eq, text = word.partition("=")
+        if not eq:
+            name, text = next(slots, None), word
+            if name is None:
+                raise ParseError(f"{word!r}: too many positional words for {kind} (it takes "
+                                 f"{', '.join(_POSITIONAL.get(cls, ())) or 'none'})", line)
+        elif not key or not text:
+            raise ParseError(f"malformed argument {word!r}", line)
+        elif (name := keywords.get(key.lower())) is None:
+            raise ParseError(f"{word!r}: unknown argument {key!r} for {kind}", line)
+        if name in set_by:
+            raise ParseError(f"{word!r} sets what {set_by[name]!r} already set", line)
+        values[name], set_by[name] = _read(types[name], text, word, line), word
+    if "area" in values and "duration" in values:
+        raise ParseError(f"{set_by['duration']!r}: give either a pulse area or duration=, "
+                         "not both", line)
+    area = values.pop("area", math.pi)
+    ev = _event(cls, cfg, **values)
+    if isinstance(ev, (MwPulse, ClockPulse)) and "duration" not in values:
+        ev = replace(ev, duration=area / ev.rabi_frequency)
+    if isinstance(ev, Measure) and "target_F" not in values:
+        ev = replace(ev, target_F=3 if ev.label.startswith("N3") else 4)
     if problem := _negative_time(ev):
         raise ParseError(problem, line)
     return ev
@@ -360,53 +378,33 @@ def parse_sequence(text: str, cfg: BuilderConfig | None = None,
                    model: AtomModel | None = None) -> Schedule:
     """Parse a sequence script into a validated Schedule.
 
-    Raises ParseError with the offending line (and column where known) on
-    malformed input; unknown transition names surface via validation when a
+    Raises ParseError naming the line and the offending word on malformed
+    input, including a word that would set nothing; unknown transition
+    names and repeated measurement labels surface via validation when a
     model is supplied.
     """
     cfg = cfg or BuilderConfig()
     events: list[PulseEvent] = []
-    meta_kwargs: dict = {"bias_field": cfg.bias_field}
+    meta: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
         if line.startswith("@"):
             parts = line[1:].split(None, 1)
             if len(parts) != 2:
                 raise ParseError("pragma needs a value, e.g. '@name ramsey'", lineno)
             key, value = parts[0], parts[1].strip()
-            if key == "name":
-                meta_kwargs["name"] = value
-            elif key == "bias_field":
-                meta_kwargs["bias_field"] = _parse_value(value, lineno, 2)
-            elif key == "initial_state":
-                meta_kwargs["initial_state"] = value
-            else:
+            if key not in _PRAGMAS:
                 raise ParseError(f"unknown pragma {key!r}", lineno)
+            if key in meta:
+                raise ParseError(f"{line!r}: @{key} is already set", lineno)
+            meta[key] = _read(_PRAGMAS[key], value, line, lineno)
             continue
-        for stmt in line.split(";"):
-            stmt = stmt.strip()
-            if not stmt:
-                continue
-            words = stmt.split()
-            kind = words[0]
-            tokens = [w for w in words[1:] if "=" not in w]
-            kwargs = {}
-            for w in words[1:]:
-                if "=" in w:
-                    k, _, v = w.partition("=")
-                    if not k or not v:
-                        raise ParseError(f"malformed argument {w!r}", lineno)
-                    kwargs[k.lower()] = _parse_value(v, lineno, 2) if k.lower() != "label" and k.lower() != "transition" else v
-            events.append(_parse_event(kind, tokens, kwargs, cfg, lineno))
-    schedule = Schedule(tuple(events), ScheduleMetadata(**meta_kwargs))
+        events += (_read_event(stmt.split(), cfg, lineno) for stmt in line.split(";")
+                   if stmt.strip())
+    schedule = Schedule(tuple(events), ScheduleMetadata(**{"bias_field": cfg.bias_field, **meta}))
     if model is not None:
         schedule.validate(model)
     return schedule
-
-
-_SERIAL_NAMES = {"rabi_frequency": "rabi", "target_F": "target_f"}
 
 
 def serialize_sequence(schedule: Schedule) -> str:
@@ -441,29 +439,22 @@ def build_state_prep(cfg: BuilderConfig | None = None, theta: float = math.pi) -
     """
     cfg = cfg or BuilderConfig()
     events: list[PulseEvent] = [
-        RfSweep(duration=cfg.rf_sweep_time, f_start=cfg.rf_f_start, f_stop=cfg.rf_f_stop),
-        MwPulse(duration=cfg.mw_pi_time, rabi_frequency=cfg.mw_rabi),
-        Clean530(target_F=4, duration=cfg.clean_time, s=cfg.clean_s, detuning=cfg.clean_detuning),
+        _event(RfSweep, cfg),
+        _event(MwPulse, cfg, duration=cfg.mw_pi_time),
+        _event(Clean530, cfg, target_F=4),
     ]
     if theta != 0.0:
-        events.append(MwPulse(duration=theta / cfg.mw_rabi, rabi_frequency=cfg.mw_rabi))
+        events.append(_event(MwPulse, cfg, duration=theta / cfg.mw_rabi))
     meta = ScheduleMetadata(name="state_prep", bias_field=cfg.bias_field, initial_state="g4m4")
     return Schedule(tuple(events), meta)
 
 
-def _pi2(cfg: BuilderConfig, detuning: float, phase: float = 0.0) -> MwPulse:
-    return MwPulse(duration=cfg.mw_pi_time / 2, rabi_frequency=cfg.mw_rabi,
-                   detuning=detuning, phase=phase)
-
-
-def _pi(cfg: BuilderConfig, detuning: float, phase: float = 0.0) -> MwPulse:
-    return MwPulse(duration=cfg.mw_pi_time, rabi_frequency=cfg.mw_rabi,
-                   detuning=detuning, phase=phase)
+def _pi2(cfg: BuilderConfig, detuning: float) -> MwPulse:
+    return _event(MwPulse, cfg, duration=cfg.mw_pi_time / 2, detuning=detuning)
 
 
 def _clock(cfg: BuilderConfig, transition: str) -> ClockPulse:
-    return ClockPulse(transition=transition, duration=cfg.clock_pi_time,
-                      rabi_frequency=cfg.clock_rabi)
+    return _event(ClockPulse, cfg, transition=transition, duration=cfg.clock_pi_time)
 
 
 def build_ramsey(t: float = 0.08, detuning: float = 0.0,
@@ -499,7 +490,7 @@ def build_cp(n: int = 1, t: float = 1.0, detuning: float = 0.0,
     else:
         events.append(Wait(t / (2 * n)))
         for k in range(n):
-            events.append(_pi(cfg, detuning))
+            events.append(_event(MwPulse, cfg, duration=cfg.mw_pi_time, detuning=detuning))
             events.append(Wait(t / n if k < n - 1 else t / (2 * n)))
     events.append(_pi2(cfg, detuning))
     meta = ScheduleMetadata(name="cp", bias_field=cfg.bias_field, initial_state="g40")
@@ -512,7 +503,7 @@ def build_rabi_scan(t: float = 2e-3, detuning: float = 0.0,
     if t < 0:
         raise ScheduleError("pulse duration must be >= 0")
     cfg = cfg or BuilderConfig()
-    events = (MwPulse(duration=t, rabi_frequency=cfg.mw_rabi, detuning=detuning),)
+    events = (_event(MwPulse, cfg, duration=t, detuning=detuning),)
     meta = ScheduleMetadata(name="rabi", bias_field=cfg.bias_field, initial_state="g30")
     return Schedule(events, meta)
 
@@ -536,19 +527,15 @@ def build_shelving_readout(cfg: BuilderConfig | None = None) -> Schedule:
     """
     cfg = cfg or BuilderConfig()
 
-    def measure(label, target):
-        return Measure(label=label, target_F=target, probe_duration=cfg.probe_duration,
-                       dead_time=cfg.dead_time)
-
     events = (
         _clock(cfg, CLOCK_TRANSITION_F4),
         _clock(cfg, CLOCK_TRANSITION_F3),
-        measure("N4", 4),
-        measure("N3", 3),
+        _event(Measure, cfg, label="N4", target_F=4),
+        _event(Measure, cfg, label="N3", target_F=3),
         _clock(cfg, CLOCK_TRANSITION_F4),
         _clock(cfg, CLOCK_TRANSITION_F3),
-        measure("N4_mf0", 4),
-        measure("N3_mf0", 3),
+        _event(Measure, cfg, label="N4_mf0", target_F=4),
+        _event(Measure, cfg, label="N3_mf0", target_F=3),
     )
     meta = ScheduleMetadata(name="shelving_readout", bias_field=cfg.bias_field)
     return Schedule(events, meta)
@@ -567,12 +554,9 @@ def build_probe_scan(t: float | None = None, cfg: BuilderConfig | None = None) -
     reference ``probe_duration``), the second the reference length, so only
     the first pulse's back-action is measured."""
     cfg = cfg or BuilderConfig()
-    events = (
-        Measure(label="N4", target_F=4, dead_time=cfg.dead_time,
-                probe_duration=cfg.probe_duration if t is None else t),
-        Measure(label="N3", target_F=3, probe_duration=cfg.probe_duration,
-                dead_time=cfg.dead_time),
-    )
+    first = {} if t is None else {"probe_duration": t}
+    events = (_event(Measure, cfg, label="N4", target_F=4, **first),
+              _event(Measure, cfg, label="N3", target_F=3))
     meta = ScheduleMetadata(name="probe_scan", bias_field=cfg.bias_field,
                             initial_state="g30")
     return Schedule(events, meta)

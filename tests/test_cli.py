@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -8,11 +9,12 @@ import pytest
 from tmqubit.atom import AtomModel
 from tmqubit.cli import main
 from tmqubit.config import ConfigError, RunConfig, load_config
-from tmqubit import figures
+from tmqubit import figures, fitting
 from tmqubit.fitting import read_csv, write_csv
 from tmqubit.protocols import PROTOCOL_PARAMS, build_protocol
 from tmqubit.readout import CrosstalkCalibration
-from tmqubit.schedule import parse_sequence
+from tmqubit.schedule import (_KINDS, _POSITIONAL, _SERIAL_NAMES, parse_sequence,
+                              serialize_sequence)
 
 RAMSEY_INI = """
 [run]
@@ -80,7 +82,7 @@ class TestConfig:
     def test_describe_embeds_everything(self, ramsey_config):
         cfg = load_config(ramsey_config)
         lines = cfg.describe()
-        assert any(line.startswith("run.seed=7") for line in lines)
+        assert [line for line in lines if "seed=" in line] == ["run.seed=7"]
         assert any(line.startswith("constants.gamma_qz=") for line in lines)
         assert any(line.startswith("schedule.name=ramsey") for line in lines)
         assert any(line.startswith("scan.param=detuning") for line in lines)
@@ -100,7 +102,7 @@ class TestConfig:
         dead = [] if drift == "none" else ["noise.inter_shot_dead_time=0.6"]
         assert [line for line in load_config(path).describe() if line.startswith("noise.")] == [
             "noise.sigma_b_shot=0.0", f"noise.drift={drift}", *dead,
-            "noise.laser_phase_diffusion=0.0", "noise.seed=0"]
+            "noise.laser_phase_diffusion=0.0"]
 
     def test_header_names_the_drift_dead_time(self, tmp_path):
         # the dead time between shots sets the drift's wall clock, so two runs
@@ -732,6 +734,16 @@ IGNORED_INPUTS = [
     pytest.param({"run.ini": SCRIPT_INI, "run.seq": SCRIPT.replace("measure N4\n",
                                                                   "measure N4 s=3\n")},
                  SIMULATE, "'s'", id="script_measure_s"),
+    pytest.param({"run.ini": SCRIPT_INI, "run.seq": SCRIPT.replace("measure N4\n",
+                                                                  "probe 5ms\nmeasure N4\n")},
+                 SIMULATE, "sequence error: line 5: '5ms'", id="script_probe_positional"),
+    pytest.param({"run.ini": SCRIPT_INI, "run.seq": SCRIPT.replace("measure N3\n",
+                                                                  "measure N3 target_f=3.5\n")},
+                 SIMULATE, "sequence error: line 6: 'target_f=3.5'",
+                 id="script_fractional_target_f"),
+    pytest.param({"run.ini": SCRIPT_INI, "run.seq": SCRIPT + "measure N4\n"}, SIMULATE,
+                 "schedule error: event 7: measure label 'N4' repeats event 3",
+                 id="script_repeated_label"),
     pytest.param(_ini("sigma_b_shot = 0", "sigma_B = 1e-4"), SIMULATE, "sigma_b",
                  id="noise_typo"),
     pytest.param(_ini("sigma_b_shot = 0", "sigma_b_shot = 0\ndrfit = sinusoid"), SIMULATE,
@@ -796,6 +808,9 @@ IGNORED_INPUTS = [
       for value in ("0", "-0.0004", "nan", "inf")],
     pytest.param({"d.csv": "x,y\n0,1.0\n2,0.5\n4,0.3\n"}, FIT_D + ["--init", "1,abc"],
                  "--init", id="fit_init_not_numbers"),
+    pytest.param({"d.csv": "x,y\n0,1.0\n2,0.5\n4,0.3\n"},
+                 FIT_D + ["--multistart", "5", "--profile", "bogus"], "--profile 'bogus'",
+                 id="fit_profile_unknown_parameter"),
     pytest.param(_ini(), SIMULATE[:-2] + ["--shots", "0"] + SIMULATE[-2:], "--shots",
                  id="simulate_zero_shots"),
     pytest.param(_ini(), SCAN + ["--param", "detuning", "--points", "3", "--shots", "0"],
@@ -843,6 +858,17 @@ def test_input_that_would_not_act_exits_2(tmp_path, capsys, files, argv, name):
     assert name in capsys.readouterr().err
 
 
+def test_unknown_profile_parameter_fits_nothing(tmp_path, monkeypatch):
+    calls, fit = [], fitting.least_squares
+    monkeypatch.setattr(fitting, "least_squares",
+                        lambda *args, **kw: calls.append(args) or fit(*args, **kw))
+    data = tmp_path / "d.csv"
+    data.write_text("x,y\n0,1.0\n2,0.5\n4,0.3\n")
+    assert main(["fit", "--model", "exponential", "--data", str(data), "--multistart", "5",
+                 "--profile", "bogus"]) == 2
+    assert calls == []
+
+
 class TestReadme:
     def test_examples_are_accepted(self, tmp_path):
         text = README.read_text()
@@ -851,8 +877,22 @@ class TestReadme:
         cfg = load_config(ini)
         build_protocol(cfg.schedule_name,
                        {**cfg.schedule_params, cfg.scan_param: cfg.scan_values[0]})
-        parse_sequence(re.search(r"```\n(@name .*?)```", text, re.S).group(1),
-                       model=AtomModel())
+        script = parse_sequence(re.search(r"```\n(@name .*?)```", text, re.S).group(1),
+                                model=AtomModel())
+        assert len(script.events) == 7
+        assert parse_sequence(serialize_sequence(script), model=AtomModel()) == script
+
+    def test_sequence_kinds_table_matches_parser(self):
+        rows = re.findall(r"^\| `(\w+)` \| (none|[`\w, ]+) \| ([`\w, ]+) \|$",
+                          README.read_text(), re.M)
+        table = {kind: (tuple(re.findall(r"`(\w+)`", positional)),
+                        tuple(re.findall(r"`(\w+)`", keywords)))
+                 for kind, positional, keywords in rows}
+        assert table == {kind: (_POSITIONAL.get(cls, ()),
+                                tuple(_SERIAL_NAMES.get(f.name, f.name)
+                                      for f in dataclasses.fields(cls)))
+                         for kind, cls in _KINDS.items()}
+        assert len(table) == 7
 
     def test_schedule_keys_table_matches_protocols(self):
         rows = re.findall(r"^\| `(\w+)` \| ((?:`\w+`(?:, )?)+) \|$", README.read_text(), re.M)

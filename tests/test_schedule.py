@@ -2,6 +2,7 @@ import json
 import math
 import re
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from tmqubit.schedule import (
     MwPulse,
     ParseError,
     Probe410,
+    PulseEvent,
     RfSweep,
     Schedule,
     ScheduleError,
@@ -69,6 +71,10 @@ class TestParser:
         with pytest.raises(ScheduleError, match=f"event 0: negative {field}"):
             Schedule((Measure(**{field: -1e-3}),)).validate(model)
 
+    def test_repeated_measure_label_rejected(self, model):
+        with pytest.raises(ScheduleError, match="event 2: measure label 'N4' repeats event 0"):
+            parse_sequence("measure N4\nmeasure N3\nmeasure N4 target_f=3", model=model)
+
     def test_error_line_number(self):
         with pytest.raises(ParseError) as err:
             parse_sequence("wait 1ms\nbogus 2ms\n")
@@ -88,12 +94,90 @@ class TestParser:
         with pytest.raises(ScheduleError):
             parse_sequence("mw pi 0deg transition=g41-g31", model=model)
 
+    @pytest.mark.parametrize("text, word", [
+        ("probe 5ms", "'5ms'"),
+        ("clean 2ms", "'2ms'"),
+        ("rf_sweep 1ms", "'1ms'"),
+        ("wait 1ms 2ms", "'2ms'"),
+        ("measure N4 extra", "'extra'"),
+        ("mw pi 0deg 1ms", "'1ms'"),
+        ("probe target_f=3.5", "'target_f=3.5'"),
+        ("measure N4 target_f=4.9", "'target_f=4.9'"),
+        ("clean target_f=4ms", "'target_f=4ms'"),
+        ("mw pi 0deg phase=1", "'phase=1'"),
+        ("wait 1ms duration=2ms", "'duration=2ms'"),
+        ("measure N4 label=N3", "'label=N3'"),
+        ("probe duration=1ms duration=2ms", "'duration=2ms'"),
+        ("clock pi duration=1ms", "'duration=1ms'"),
+        ("mw pi 0deg detuning=xyz", "'detuning=xyz'"),
+        ("mw pi 0deg detuning=5parsec", "'detuning=5parsec'"),
+        ("wait 1ms frobnicate=3", "'frobnicate=3'"),
+        ("measure N4 duration=1ms", "'duration=1ms'"),
+        ("wait 1ms\n@name a\n@name b", "'@name b'"),
+    ])
+    def test_word_that_sets_nothing_is_named(self, text, word):
+        with pytest.raises(ParseError, match=re.escape(word)) as err:
+            parse_sequence(text)
+        assert err.value.line == text.count("\n") + 1
+        assert "column" not in str(err.value)
+
     def test_pragmas(self):
         s = parse_sequence("@name demo\n@bias_field 100mG\nwait 1ms\n")
         assert s.metadata.name == "demo"
         assert s.metadata.bias_field == pytest.approx(0.1)
+        cfg = BuilderConfig(bias_field=0.3)
+        assert parse_sequence("wait 1ms", cfg).metadata == ScheduleMetadata(bias_field=0.3)
+        assert parse_sequence("@bias_field 0.1\nwait 1ms", cfg).metadata.bias_field == 0.1
         with pytest.raises(ParseError, match="unknown pragma"):
             parse_sequence("@var x 1\nwait 1ms\n")
+
+
+# every BuilderConfig value away from its default
+OTHER_CFG = BuilderConfig(bias_field=0.3, mw_pi_time=3e-3, clock_pi_time=0.7e-3,
+                          rf_sweep_time=6e-3, rf_f_start=810e3, rf_f_stop=770e3,
+                          clean_time=2.5e-3, clean_s=1.7, clean_detuning=500e6,
+                          probe_duration=0.35e-3, dead_time=6e-3)
+MW_RABI, CLOCK_RABI = OTHER_CFG.mw_rabi, OTHER_CFG.clock_rabi
+
+
+class TestEventForms:
+    """Each kind from its bare, positional and keyword forms under a
+    non-default BuilderConfig equals the event built directly."""
+
+    CASES = [
+        ("mw", MwPulse(duration=math.pi / MW_RABI, rabi_frequency=MW_RABI)),
+        ("mw pi/2 90deg", MwPulse(duration=math.pi / 2 / MW_RABI, rabi_frequency=MW_RABI,
+                                  phase=math.pi / 2)),
+        ("mw transition=g40-g30 duration=1.5e-3 rabi=2000 detuning=5 phase=0.5rad",
+         MwPulse(duration=1.5e-3, rabi_frequency=2000.0, detuning=5.0, phase=0.5)),
+        ("clock", ClockPulse(duration=math.pi / CLOCK_RABI, rabi_frequency=CLOCK_RABI)),
+        ("clock 3pi/4 0.1rad transition=g30-m20 rabi=2000",
+         ClockPulse(transition="g30-m20", duration=0.75 * math.pi / 2000.0,
+                    rabi_frequency=2000.0, phase=0.1)),
+        ("rf_sweep", RfSweep(duration=6e-3, f_start=810e3, f_stop=770e3)),
+        ("rf_sweep duration=4e-3 f_start=790e3 f_stop=780e3",
+         RfSweep(duration=4e-3, f_start=790e3, f_stop=780e3)),
+        ("probe", Probe410(target_F=4, duration=0.35e-3)),
+        ("probe target_f=3 duration=2e-4", Probe410(target_F=3, duration=2e-4)),
+        ("clean", Clean530(target_F=4, duration=2.5e-3, s=1.7, detuning=500e6)),
+        ("clean target_f=3 duration=2e-3 s=1.5 detuning=6e8",
+         Clean530(target_F=3, duration=2e-3, s=1.5, detuning=6e8)),
+        ("wait", Wait(0.0)),
+        ("wait 0.02", Wait(0.02)),
+        ("wait duration=0.02", Wait(0.02)),
+        ("measure", Measure(label="N4", target_F=4, probe_duration=0.35e-3, dead_time=6e-3)),
+        ("measure N3_mf0", Measure(label="N3_mf0", target_F=3, probe_duration=0.35e-3,
+                                   dead_time=6e-3)),
+        ("measure label=N3 target_f=4 probe_duration=3e-4 dead_time=5e-3",
+         Measure(label="N3", target_F=4, probe_duration=3e-4, dead_time=5e-3)),
+    ]
+
+    @pytest.mark.parametrize("text, event", CASES, ids=[text for text, _ in CASES])
+    def test_parsed_equals_constructed(self, text, event):
+        assert parse_sequence(text, OTHER_CFG).events == (event,)
+
+    def test_every_kind_is_covered(self):
+        assert {type(event) for _, event in self.CASES} == set(get_args(PulseEvent))
 
 
 class TestSerializer:
@@ -122,8 +206,9 @@ class TestSerializer:
                                        s=float(rng.uniform(0.5, 2.0))))
             elif kind == 5:
                 events.append(Wait(float(rng.uniform(0, 10.0))))
-            else:
-                events.append(Measure(label=str(rng.choice(["N4", "N3", "N4_mf0", "N3_mf0"])),
+            else:   # each measurement its own label: a repeated one is rejected
+                label = str(rng.choice(["N4", "N3", "N4_mf0", "N3_mf0"]))
+                events.append(Measure(label=f"{label}_{len(events)}",
                                       target_F=int(rng.choice([3, 4]))))
         meta = ScheduleMetadata(name="random", bias_field=float(rng.uniform(0.05, 1.0)),
                                 initial_state="g30" if rng.random() < 0.5 else None)
