@@ -12,7 +12,7 @@ branching of metastable decay.
 import numpy as np
 
 from tmqubit import AtomModel, Manifold, SublevelRef
-from tmqubit.atom import BASIS, TransitionKind
+from tmqubit.atom import BASIS, TRANSITIONS, TransitionKind
 
 model = AtomModel()
 
@@ -31,7 +31,7 @@ for mf in range(-4, 0):
 print("the 800 -> 785 kHz sweep crosses these four resonances in order")
 
 print("\n=== microwave transition catalog ===")
-for t in model.transition_catalog():
+for t in TRANSITIONS.values():
     if t.kind is TransitionKind.MW_HYPERFINE:
         detuning = (model.transition_frequency(t, 0.6)
                     - model.qubit_transition_frequency(0.6))

@@ -22,6 +22,7 @@ __all__ = [
     "SublevelRef",
     "TransitionKind",
     "TransitionSpec",
+    "TRANSITIONS",
     "PhysicsConstants",
     "AtomModel",
     "BASIS",
@@ -116,6 +117,30 @@ class TransitionSpec:
     @property
     def name(self) -> str:
         return f"{self.lower.token}-{self.upper.token}"
+
+
+def _g(F: int, mF: int) -> SublevelRef:
+    return SublevelRef(Manifold.GROUND, F, mF)
+
+
+def _m(F: int, mF: int) -> SublevelRef:
+    return SublevelRef(Manifold.METASTABLE_1140, F, mF)
+
+
+# The transition catalog, by name in catalog order: the state-preparation
+# ladder (strengths normalized to the central clock line g40-g30 = 1), the
+# F=4 RF ladder and the two 1140 nm lines.
+TRANSITIONS: dict[str, TransitionSpec] = {t.name: t for t in (
+    TransitionSpec(_g(4, -4), _g(3, -3), TransitionKind.MW_HYPERFINE, 1.32),
+    TransitionSpec(_g(4, -2), _g(3, -3), TransitionKind.MW_HYPERFINE, 0.25),
+    TransitionSpec(_g(4, -2), _g(3, -1), TransitionKind.MW_HYPERFINE, 0.96),
+    TransitionSpec(_g(4, 0), _g(3, -1), TransitionKind.MW_HYPERFINE, 0.61),
+    TransitionSpec(_g(4, 0), _g(3, 0), TransitionKind.MW_HYPERFINE, 1.0),
+    *(TransitionSpec(_g(4, mF), _g(4, mF + 1), TransitionKind.RF_INTRA_MANIFOLD)
+      for mF in range(-4, 4)),
+    TransitionSpec(_g(4, 0), _m(3, 0), TransitionKind.OPTICAL_1140),
+    TransitionSpec(_g(3, 0), _m(2, 0), TransitionKind.OPTICAL_1140),
+)}
 
 
 # Coefficients of the ground F=4 intra-manifold shift
@@ -246,15 +271,14 @@ def _shift(linear, quadratic, B):
 
 
 class AtomModel:
-    """Level energies, transition catalog and decay branching for one atom.
+    """Level energies and decay branching for one atom (the transition
+    catalog is the module's ``TRANSITIONS``).
 
     Immutable after construction; safe to share across threads.
     """
 
     def __init__(self, constants: PhysicsConstants | None = None):
         self.constants = constants or PhysicsConstants()
-        self._catalog = self._build_catalog()
-        self._by_name = {t.name: t for t in self._catalog}
         self._branching = self._build_branching()
 
     # ---------------------------------------------------------------- energies
@@ -296,7 +320,7 @@ class AtomModel:
         # package raised a process's peak RSS by ~0.8 MB
         import numpy as np
 
-        lines = [self.find_transition(name) for name in names]
+        lines = [TRANSITIONS[name] for name in names]
         lower = np.array([self._shift_terms(t.lower) for t in lines]).T[..., None]
         upper = np.array([self._shift_terms(t.upper) for t in lines]).T[..., None]
         lower.setflags(write=False)
@@ -328,7 +352,7 @@ class AtomModel:
         1-D array, gives one row of frequencies per transition.
         """
         if isinstance(t, str):
-            t = self.find_transition(t)
+            t = TRANSITIONS[t]
         if isinstance(t, tuple):
             kind, lower, upper = self._line_terms(t)
         else:
@@ -341,54 +365,14 @@ class AtomModel:
             return abs(hi - lo)
         return hi - lo
 
-    # ----------------------------------------------------------------- catalog
-
-    @staticmethod
-    def _g(F: int, mF: int) -> SublevelRef:
-        return SublevelRef(Manifold.GROUND, F, mF)
-
-    @staticmethod
-    def _m(F: int, mF: int) -> SublevelRef:
-        return SublevelRef(Manifold.METASTABLE_1140, F, mF)
-
-    def _build_catalog(self) -> tuple[TransitionSpec, ...]:
-        g, m = self._g, self._m
-        mw = TransitionKind.MW_HYPERFINE
-        # State-preparation ladder; strengths normalized to the central
-        # clock line (transition 5) = 1.
-        entries = [
-            TransitionSpec(g(4, -4), g(3, -3), mw, 1.32),
-            TransitionSpec(g(4, -2), g(3, -3), mw, 0.25),
-            TransitionSpec(g(4, -2), g(3, -1), mw, 0.96),
-            TransitionSpec(g(4, 0), g(3, -1), mw, 0.61),
-            TransitionSpec(g(4, 0), g(3, 0), mw, 1.0),
-        ]
-        for mF in range(-4, 4):
-            entries.append(
-                TransitionSpec(g(4, mF), g(4, mF + 1), TransitionKind.RF_INTRA_MANIFOLD)
-            )
-        entries.append(TransitionSpec(g(4, 0), m(3, 0), TransitionKind.OPTICAL_1140))
-        entries.append(TransitionSpec(g(3, 0), m(2, 0), TransitionKind.OPTICAL_1140))
-        return tuple(entries)
-
-    def transition_catalog(self) -> tuple[TransitionSpec, ...]:
-        return self._catalog
-
-    def find_transition(self, name: str) -> TransitionSpec:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(f"unknown transition {name!r}") from None
-
     @property
     def prep_ladder(self) -> tuple[tuple[SublevelRef, SublevelRef], ...]:
         """Coherent-preparation ladder as ordered (source, target) hops."""
-        g = self._g
         return (
-            (g(4, -4), g(3, -3)),
-            (g(3, -3), g(4, -2)),
-            (g(4, -2), g(3, -1)),
-            (g(3, -1), g(4, 0)),
+            (_g(4, -4), _g(3, -3)),
+            (_g(3, -3), _g(4, -2)),
+            (_g(4, -2), _g(3, -1)),
+            (_g(3, -1), _g(4, 0)),
         )
 
     # --------------------------------------------------------------- branching

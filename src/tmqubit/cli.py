@@ -51,31 +51,31 @@ EXIT_IO = 4
 # ----------------------------------------------------------------- simulate
 
 
-def _builds(cfg: RunConfig, params: dict, model) -> bool:
+def _builds(cfg: RunConfig, params: dict) -> bool:
     try:
         if cfg.schedule_script:
             check_params(None, params)
         else:
-            build_protocol(cfg.schedule_name, params).validate(model)
+            build_protocol(cfg.schedule_name, params)
     except ScheduleError:
         return False
     return True
 
 
-def _blamed_key(cfg: RunConfig, params: dict, scan_value, model) -> str:
+def _blamed_key(cfg: RunConfig, params: dict, scan_value) -> str:
     """The config entry to name for a schedule that does not build: the scan
     point when the ``[schedule]`` values alone build, else the first
     ``[schedule]`` key without which they do."""
     fixed = cfg.schedule_params
-    if scan_value is not None and _builds(cfg, fixed, model):
+    if scan_value is not None and _builds(cfg, fixed):
         return f"[scan] {cfg.scan_param} = {scan_value!r}"
     for key, value in fixed.items():
-        if _builds(cfg, {k: v for k, v in fixed.items() if k != key}, model):
+        if _builds(cfg, {k: v for k, v in fixed.items() if k != key}):
             return f"[schedule] {key} = {value!r}"
     return f"[schedule] name = {cfg.schedule_name}"
 
 
-def _resolve_schedule(cfg: RunConfig, params: dict, scan_value, model):
+def _resolve_schedule(cfg: RunConfig, params: dict, scan_value):
     try:
         builder = builder_config_from_params(params)
     except ValueError as exc:   # load_config checked [schedule], so a scan value
@@ -86,36 +86,33 @@ def _resolve_schedule(cfg: RunConfig, params: dict, scan_value, model):
             with open(cfg.schedule_script) as fh:
                 text = fh.read()
         except ScheduleError as exc:
-            raise ConfigError(f"{_blamed_key(cfg, params, scan_value, model)}: {exc}") from None
+            raise ConfigError(f"{_blamed_key(cfg, params, scan_value)}: {exc}") from None
         except OSError as exc:
             raise ConfigError(f"[schedule] script: {exc}") from None
-        return parse_sequence(text, builder, model)
+        return parse_sequence(text, builder)
     if not cfg.schedule_name:
         raise ConfigError("[schedule] name (or script) is required")
     try:
-        schedule = build_protocol(cfg.schedule_name, params)
-        schedule.validate(model)
+        return build_protocol(cfg.schedule_name, params)
     except KeyError as exc:
         raise ConfigError(f"[schedule] name: {exc.args[0]}") from None
     except ScheduleError as exc:
-        raise ConfigError(f"{_blamed_key(cfg, params, scan_value, model)}: {exc}") from None
-    return schedule
+        raise ConfigError(f"{_blamed_key(cfg, params, scan_value)}: {exc}") from None
 
 
 def _simulate_rows(cfg: RunConfig):
-    model = cfg.model()
     scan_values = cfg.scan_values if cfg.scan_param else (None,)
     points = []
     for k, value in enumerate(scan_values):
         params = dict(cfg.schedule_params)
         if value is not None:
             params[cfg.scan_param] = value
-        points.append((_resolve_schedule(cfg, params, value, model),
+        points.append((_resolve_schedule(cfg, params, value),
                        dataclasses.replace(cfg.noise, seed=cfg.noise.seed + 104729 * k),
                        cfg.calibration(params)))
     rows = []
     for value, record in zip(scan_values,
-                             run_scan(points, model, cfg.loss, cfg.shots, n_atoms=cfg.atoms)):
+                             run_scan(points, cfg.model(), cfg.loss, cfg.shots, n_atoms=cfg.atoms)):
         point = (cfg.scan_param or "", "" if value is None else value)
         nan, low = np.full(len(record), math.nan), record.low_confidence
         # each label's cells, one per shot; the rows take them shot by shot
@@ -414,7 +411,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"sequence error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ScheduleError as exc:   # a script's own check, e.g. an unknown transition
+    except ScheduleError as exc:   # a script's schedule or pragma, e.g. a repeated label
         print(f"schedule error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FitNonConvergence as exc:

@@ -7,9 +7,9 @@ fields), ``[schedule]`` (a protocol ``name`` or a ``script`` path, plus
 parameters) and ``[scan]`` (``param`` with ``values`` or
 ``start``/``stop``/``points``).  Every default equals the apparatus value
 carried by the corresponding dataclass.  A section or key that nothing reads
-raises ConfigError naming it; ``[schedule]`` parameters are checked against
-the protocol when it is built (``protocols.check_params``), and ``[run]``
-keys are not checked.
+raises ConfigError naming it (``[run] workers``, which set a process pool
+that is gone, is accepted and ignored); ``[schedule]`` parameters are
+checked against the protocol when it is built (``protocols.check_params``).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ _GRID_KEYS = ("start", "stop", "points")
 # drift_* keys of its drift kind and, with a drift (whose wall clock it sets),
 # inter_shot_dead_time
 _SECTION_KEYS = {
-    "run": None,
+    "run": {"seed", "shots", "atoms"},
     "constants": {f.name for f in dataclasses.fields(PhysicsConstants)},
     "noise": {"sigma_b_shot", "laser_phase_diffusion", "drift"},
     "loss": {"table_field", "tau", "volume_cm3",
@@ -52,6 +52,9 @@ _SECTION_KEYS = {
     "schedule": None,   # checked against the protocol when it is built
     "scan": {"param", "values", *_GRID_KEYS},
 }
+# keys that are accepted and read by nothing: the benchmark's generated INIs
+# still write [run] workers
+_IGNORED_KEYS = {("run", "workers")}
 # [schedule] parameters that also time the readout block
 _READOUT_TIMING = ("clock_pi_time", "probe_duration", "dead_time")
 # drift kind -> class; each field is read from "drift_<field>", default the class's
@@ -149,7 +152,7 @@ def _check_keys(parser, allowed: dict) -> None:
         if section not in allowed:
             raise ConfigError(f"[{section}]: unknown section; choose from {', '.join(allowed)}")
         for key in parser[section] if allowed[section] is not None else ():
-            if key not in allowed[section]:
+            if key not in allowed[section] and (section, key) not in _IGNORED_KEYS:
                 raise ConfigError(f"[{section}] {key}: not read; [{section}] reads "
                                   f"{', '.join(sorted(allowed[section]))}")
 
@@ -270,16 +273,19 @@ def load_config(path) -> RunConfig:
         cfg.scan_param = scan.get("param", "").strip()
         if not cfg.scan_param:
             raise ConfigError("[scan] param is required")
+        grid = [key for key in _GRID_KEYS if key in scan]
         if "values" in scan:
-            grid = [key for key in _GRID_KEYS if key in scan]
             if grid:
                 raise ConfigError(f"[scan] values and {'/'.join(grid)}: give values "
                                   "or start/stop/points, not both")
             cfg.scan_values = tuple(_float("scan", "values", v)
                                     for v in scan["values"].split(","))
         else:
-            cfg.scan_values = scan_grid(
-                _float("scan", "start", scan.get("start", "0")),
-                _float("scan", "stop", scan.get("stop", "1")),
-                _int("scan", "points", scan.get("points", "10")), "[scan] points")
+            missing = [key for key in _GRID_KEYS if key not in scan]
+            if missing:
+                raise ConfigError(f"[scan] {'/'.join(missing)}: missing; give values "
+                                  "or all of start/stop/points")
+            cfg.scan_values = scan_grid(_float("scan", "start", scan["start"]),
+                                        _float("scan", "stop", scan["stop"]),
+                                        _int("scan", "points", scan["points"]), "[scan] points")
     return cfg

@@ -63,6 +63,7 @@ from .atom import (
     Manifold,
     STATE_INDEX,
     SublevelRef,
+    TRANSITIONS,
     TransitionKind,
     metastable_branching_table,
     state_index,
@@ -814,6 +815,9 @@ def _apply_loss_channels(rho: np.ndarray, dt: float, n0: float,
     if dt <= 0 or not loss.active:
         return
     tau_only = math.exp(-dt / loss.tau)           # 1 at tau = inf
+    if tau_only == 0.0:   # no atom outlives dt, and the survival ratios below are 0/0
+        rho[:] = 0.0
+        return
     indices, beta_over_v, g40 = basis.loss_arrays(loss)
     diag = _diagonal(rho)
     # class populations at the start of the step, in atoms
@@ -917,7 +921,7 @@ def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
                     averaged: bool, spectators=()) -> None:
     # detuning and phase are numbers or per-shot arrays; ``spectators`` are
     # the (lower, upper) pairs the pulse exchanges after it
-    spec = ctx.model.find_transition(transition)
+    spec = TRANSITIONS[transition]
     i = STATE_INDEX[spec.lower]
     j = STATE_INDEX[spec.upper]
     t0 = ctx.t
@@ -977,22 +981,21 @@ def _coherent_pulse(state: EnsembleState, ctx: ShotContext, transition: str,
 
 
 @lru_cache(maxsize=32)
-def _spectators(model: AtomModel, transition: str) -> tuple[tuple, tuple]:
+def _spectators(transition: str) -> tuple[tuple, tuple]:
     """The microwave catalog lines other than ``transition``, in catalog
     order, each as (line, lower basis index, upper basis index), and their
     (lower, upper) pairs."""
-    spec = model.find_transition(transition)
     lines = tuple((other, STATE_INDEX[other.lower], STATE_INDEX[other.upper])
-                  for other in model.transition_catalog()
-                  if other.kind is TransitionKind.MW_HYPERFINE and other is not spec)
+                  for name, other in TRANSITIONS.items()
+                  if other.kind is TransitionKind.MW_HYPERFINE and name != transition)
     return lines, tuple((i, j) for _, i, j in lines)
 
 
 def _mw_pulse(state: EnsembleState, ev: MwPulse, ctx: ShotContext) -> None:
     """Exact two-level rotation on the addressed hyperfine pair plus
     incoherent off-resonant leakage on every spectator line."""
-    spec = ctx.model.find_transition(ev.transition)
-    spectators, pairs = _spectators(ctx.model, ev.transition)
+    spec = TRANSITIONS[ev.transition]
+    spectators, pairs = _spectators(ev.transition)
     _coherent_pulse(state, ctx, ev.transition, ev.rabi_frequency,
                     ev.detuning, ev.phase, ev.duration, averaged=False, spectators=pairs)
     if ev.duration <= 0.0:
@@ -1149,13 +1152,13 @@ _ACTIONS = {
 def apply_event(state: EnsembleState, ev, ctx: ShotContext) -> np.ndarray | None:
     """Apply one event to every row of ``state``: its action, then decay and
     loss over its duration, the laser phase walk and the clock.  Returns a
-    measurement's raw counts, a column over the rows, else None."""
+    measurement's raw counts, a column over the rows, else None.  An event
+    checked its own fields when it was made (``schedule``), so none is
+    checked here; an object of no event kind raises TypeError."""
     try:
         action, decays = _ACTIONS[type(ev)]
     except KeyError:
         raise TypeError(f"unknown event {ev!r}") from None
-    if ev.duration < 0:
-        raise ValueError(f"{ev.kind} duration must be >= 0, got {ev.duration!r}")
     column = action(state, ev, ctx)
     if decays:
         _decay_during(state.rho, state.n0, ev.duration, ctx, state.basis)
@@ -1281,7 +1284,6 @@ def run_scan(points, model: AtomModel, loss: LossParameters, n_shots: int,
     points = list(points)
     groups: dict[tuple, list[int]] = {}
     for p, (schedule, noise, calibration) in enumerate(points):
-        schedule.validate(model)
         key = (_scan_key(schedule), replace(noise, seed=0), calibration)
         groups.setdefault(key, []).append(p)
     records = [None] * len(points)

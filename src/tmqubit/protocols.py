@@ -1,9 +1,11 @@
 """Named experiment protocols: complete schedules ending in the readout block.
 
 Each protocol is a ``schedule`` builder, which maps a handful of scalar
-parameters onto a validated Schedule: a protocol reads its builder's
-parameters and takes its defaults, so the batch front end and the figure
-runners can scan any parameter by rebuilding the schedule per scan point.
+parameters onto a Schedule: a protocol reads its builder's parameters and
+takes its defaults, so the batch front end and the figure runners can scan
+any parameter by rebuilding the schedule per scan point.  The schedule is
+valid because its events check their own fields when made: a bad parameter
+raises the ScheduleError of the event it would set.
 """
 
 from __future__ import annotations

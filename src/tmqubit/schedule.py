@@ -13,6 +13,13 @@ and phase, a wait's duration and a measurement's label), and ``#`` comments::
 Durations, frequencies and angles accept unit suffixes (ms, us, kHz, MHz,
 deg, rad, mG, ...); the canonical serialized form is suffix-free SI and
 round-trips bit-exactly through the parser.
+
+Every event, ``ScheduleMetadata`` and ``Schedule`` checks its own fields
+when made, so a schedule that exists is valid: times, Rabi frequencies, a
+clean's ``s`` and the bias field are finite and >= 0, ``target_F`` is 3 or 4,
+a pulse's transition is a catalog line of its kind, the initial state is a
+sublevel token, and no measurement label repeats.  A ScheduleError names the
+kind and the field; a script's event raises it as a ParseError on its line.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from typing import get_args
 
-from .atom import AtomModel, TransitionKind, state_index
+from .atom import TRANSITIONS, TransitionKind, state_index
 from .readout import READOUT_LABELS
 
 __all__ = [
@@ -70,9 +77,34 @@ class ParseError(ScheduleError):
 
 # --------------------------------------------------------------------- events
 
+# fields that are finite and >= 0 on every event kind that has them
+_NONNEGATIVE = frozenset({"duration", "probe_duration", "dead_time", "rabi_frequency", "s"})
+
+
+class _Event:
+    """An event kind that checks its own fields when made: a ScheduleError
+    names the kind and the first field that breaks its rule."""
+
+    def __post_init__(self):
+        # the field names, without the tuple ``fields()`` builds on every
+        # call: on every event made, it raised a fig4 pass's peak RSS
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if name in _NONNEGATIVE and not 0 <= value < math.inf:
+                problem = f"must be finite and >= 0, got {value!r}"
+            elif name == "target_F" and value not in (3, 4):
+                problem = f"must be 3 or 4, got {value!r}"
+            elif name == "transition" and value not in TRANSITIONS:
+                problem = f"must be a catalog line, got unknown transition {value!r}"
+            elif name == "transition" and TRANSITIONS[value].kind is not self.transition_kind:
+                problem = f"must be a {self.transition_kind.value} line, got {value}"
+            else:
+                continue
+            raise ScheduleError(f"{self.kind} {name} {problem}")
+
 
 @dataclass(frozen=True)
-class MwPulse:
+class MwPulse(_Event):
     """Coherent microwave pulse on one hyperfine transition."""
 
     transition: str = QUBIT_TRANSITION
@@ -82,10 +114,11 @@ class MwPulse:
     phase: float = 0.0                       # rad
 
     kind = "mw"
+    transition_kind = TransitionKind.MW_HYPERFINE
 
 
 @dataclass(frozen=True)
-class ClockPulse:
+class ClockPulse(_Event):
     """Coherent 1140 nm pulse on one ground-metastable transition."""
 
     transition: str = CLOCK_TRANSITION_F4
@@ -95,10 +128,11 @@ class ClockPulse:
     phase: float = 0.0
 
     kind = "clock"
+    transition_kind = TransitionKind.OPTICAL_1140
 
 
 @dataclass(frozen=True)
-class RfSweep:
+class RfSweep(_Event):
     """Linear RF sweep walking population across adjacent mF sublevels."""
 
     duration: float = 5e-3
@@ -109,7 +143,7 @@ class RfSweep:
 
 
 @dataclass(frozen=True)
-class Probe410:
+class Probe410(_Event):
     """Resonant 410 nm probe on one ground hyperfine manifold."""
 
     target_F: int = 4
@@ -119,7 +153,7 @@ class Probe410:
 
 
 @dataclass(frozen=True)
-class Clean530:
+class Clean530(_Event):
     """530 nm cleaning pulse removing one ground manifold."""
 
     target_F: int = 4
@@ -131,14 +165,14 @@ class Clean530:
 
 
 @dataclass(frozen=True)
-class Wait:
+class Wait(_Event):
     duration: float = 0.0
 
     kind = "wait"
 
 
 @dataclass(frozen=True)
-class Measure:
+class Measure(_Event):
     """Destructive atom-number detection of one ground manifold."""
 
     label: str = "N4"
@@ -156,14 +190,6 @@ class Measure:
 PulseEvent = MwPulse | ClockPulse | RfSweep | Probe410 | Clean530 | Wait | Measure
 
 
-def _negative_time(ev: PulseEvent) -> str:
-    """'negative <field> <value>' for the first negative time field of
-    ``ev``, else ''."""
-    names = ("probe_duration", "dead_time") if isinstance(ev, Measure) else ("duration",)
-    return next((f"negative {name} {getattr(ev, name)}" for name in names
-                 if getattr(ev, name) < 0), "")
-
-
 # ------------------------------------------------------------------- schedule
 
 
@@ -173,44 +199,30 @@ class ScheduleMetadata:
     bias_field: float = 0.6            # G
     initial_state: str | None = None   # sublevel token; None = default rule
 
+    def __post_init__(self):
+        if not 0 <= self.bias_field < math.inf:
+            raise ScheduleError(f"bias_field must be finite and >= 0, got {self.bias_field!r}")
+        if self.initial_state is not None:
+            try:
+                state_index(self.initial_state)
+            except ValueError as exc:
+                raise ScheduleError(f"initial_state {self.initial_state!r}: {exc}") from None
+
 
 @dataclass(frozen=True)
 class Schedule:
     events: tuple[PulseEvent, ...] = ()
     metadata: ScheduleMetadata = field(default_factory=ScheduleMetadata)
 
+    def __post_init__(self):
+        labels: dict[str, int] = {}   # measurement label -> its event
+        for i, ev in enumerate(self.events):
+            if isinstance(ev, Measure) and (first := labels.setdefault(ev.label, i)) != i:
+                raise ScheduleError(f"event {i}: measure label {ev.label!r} repeats event {first}")
+
     @property
     def duration(self) -> float:
         return sum(ev.duration for ev in self.events)
-
-    def validate(self, model: AtomModel) -> None:
-        """Raise ScheduleError on any violated invariant."""
-        labels: dict[str, int] = {}   # measurement label -> its event
-        for i, ev in enumerate(self.events):
-            if problem := _negative_time(ev):
-                raise ScheduleError(f"event {i}: {problem}")
-            if isinstance(ev, Measure) and (first := labels.setdefault(ev.label, i)) != i:
-                raise ScheduleError(f"event {i}: measure label {ev.label!r} repeats event {first}")
-            if isinstance(ev, (MwPulse, ClockPulse)):
-                try:
-                    spec = model.find_transition(ev.transition)
-                except KeyError as exc:
-                    raise ScheduleError(f"event {i}: {exc.args[0]}") from None
-                want = TransitionKind.MW_HYPERFINE if isinstance(ev, MwPulse) else TransitionKind.OPTICAL_1140
-                if spec.kind is not want:
-                    raise ScheduleError(
-                        f"event {i}: transition {ev.transition} is {spec.kind.value}, not {want.value}"
-                    )
-            if isinstance(ev, (Probe410, Clean530, Measure)) and ev.target_F not in (3, 4):
-                raise ScheduleError(f"event {i}: target_F must be 3 or 4")
-        if self.metadata.bias_field < 0:
-            raise ScheduleError("bias field must be >= 0")
-        token = self.metadata.initial_state
-        if token is not None:
-            try:
-                state_index(token)
-            except ValueError as exc:
-                raise ScheduleError(f"initial_state {token!r}: {exc}") from None
 
     def followed_by(self, other: "Schedule") -> "Schedule":
         return replace(self, events=self.events + other.events)
@@ -239,6 +251,8 @@ def _parse_value(text: str) -> float:
         if unit not in _UNITS:
             raise ValueError(f"unknown unit {m.group(2)!r}")
         value *= _UNITS[unit]
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
     return value
 
 
@@ -364,24 +378,24 @@ def _read_event(words: list[str], cfg: BuilderConfig, line: int) -> PulseEvent:
         raise ParseError(f"{set_by['duration']!r}: give either a pulse area or duration=, "
                          "not both", line)
     area = values.pop("area", math.pi)
-    ev = _event(cls, cfg, **values)
-    if isinstance(ev, (MwPulse, ClockPulse)) and "duration" not in values:
-        ev = replace(ev, duration=area / ev.rabi_frequency)
-    if isinstance(ev, Measure) and "target_F" not in values:
-        ev = replace(ev, target_F=3 if ev.label.startswith("N3") else 4)
-    if problem := _negative_time(ev):
-        raise ParseError(problem, line)
+    if not values.get("rabi_frequency", 1.0) > 0 and "duration" not in values:
+        raise ParseError(f"{set_by['rabi_frequency']!r}: a pulse area needs rabi > 0", line)
+    try:
+        ev = _event(cls, cfg, **values)
+        if isinstance(ev, (MwPulse, ClockPulse)) and "duration" not in values:
+            ev = replace(ev, duration=area / ev.rabi_frequency)
+        if isinstance(ev, Measure) and "target_F" not in values:
+            ev = replace(ev, target_F=3 if ev.label.startswith("N3") else 4)
+    except ScheduleError as exc:
+        raise ParseError(str(exc), line) from None
     return ev
 
 
-def parse_sequence(text: str, cfg: BuilderConfig | None = None,
-                   model: AtomModel | None = None) -> Schedule:
-    """Parse a sequence script into a validated Schedule.
+def parse_sequence(text: str, cfg: BuilderConfig | None = None) -> Schedule:
+    """Parse a sequence script into a Schedule.
 
-    Raises ParseError naming the line and the offending word on malformed
-    input, including a word that would set nothing; unknown transition
-    names and repeated measurement labels surface via validation when a
-    model is supplied.
+    Raises ParseError naming the line and the offending word or field: a
+    word that would set nothing, or an event that breaks its own rules.
     """
     cfg = cfg or BuilderConfig()
     events: list[PulseEvent] = []
@@ -401,10 +415,7 @@ def parse_sequence(text: str, cfg: BuilderConfig | None = None,
             continue
         events += (_read_event(stmt.split(), cfg, lineno) for stmt in line.split(";")
                    if stmt.strip())
-    schedule = Schedule(tuple(events), ScheduleMetadata(**{"bias_field": cfg.bias_field, **meta}))
-    if model is not None:
-        schedule.validate(model)
-    return schedule
+    return Schedule(tuple(events), ScheduleMetadata(**{"bias_field": cfg.bias_field, **meta}))
 
 
 def serialize_sequence(schedule: Schedule) -> str:
@@ -460,8 +471,6 @@ def _clock(cfg: BuilderConfig, transition: str) -> ClockPulse:
 def build_ramsey(t: float = 0.08, detuning: float = 0.0,
                  cfg: BuilderConfig | None = None) -> Schedule:
     """Two pi/2 pulses separated by free evolution time t."""
-    if t < 0:
-        raise ScheduleError("free evolution time must be >= 0")
     cfg = cfg or BuilderConfig()
     events = (_pi2(cfg, detuning), Wait(t), _pi2(cfg, detuning))
     meta = ScheduleMetadata(name="ramsey", bias_field=cfg.bias_field, initial_state="g30")
@@ -481,8 +490,6 @@ def build_cp(n: int = 1, t: float = 1.0, detuning: float = 0.0,
     n = int(n)
     if n < 0:
         raise ScheduleError("pulse count must be >= 0")
-    if t < 0:
-        raise ScheduleError("free evolution time must be >= 0")
     cfg = cfg or BuilderConfig()
     events: list[PulseEvent] = [_pi2(cfg, detuning)]
     if n == 0:
@@ -500,8 +507,6 @@ def build_cp(n: int = 1, t: float = 1.0, detuning: float = 0.0,
 def build_rabi_scan(t: float = 2e-3, detuning: float = 0.0,
                     cfg: BuilderConfig | None = None) -> Schedule:
     """Single microwave pulse of duration t on the clock line."""
-    if t < 0:
-        raise ScheduleError("pulse duration must be >= 0")
     cfg = cfg or BuilderConfig()
     events = (_event(MwPulse, cfg, duration=t, detuning=detuning),)
     meta = ScheduleMetadata(name="rabi", bias_field=cfg.bias_field, initial_state="g30")
@@ -572,8 +577,6 @@ def build_clock_coherence(mode: str = "double", t: float = 0.05,
     """
     if mode not in ("single", "double"):
         raise ScheduleError(f"mode must be 'single' or 'double', got {mode!r}")
-    if t < 0:
-        raise ScheduleError("storage time must be >= 0")
     cfg = cfg or BuilderConfig()
     down: list[PulseEvent] = [_clock(cfg, CLOCK_TRANSITION_F4)]
     if mode == "double":

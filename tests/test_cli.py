@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tmqubit.atom import AtomModel
 from tmqubit.cli import main
 from tmqubit.config import ConfigError, RunConfig, load_config
 from tmqubit import figures, fitting
@@ -724,11 +723,27 @@ IGNORED_INPUTS = [
                  "schedule error: initial_state 'g99'", id="script_unknown_initial_state"),
     pytest.param({"run.ini": SCHEDULE_ONLY_INI.replace("name = ramsey\nt = 0.08",
                                                        "name = probe_scan\nt = -1e-3")},
-                 SIMULATE, "config error: [schedule] t = -0.001: event 0: negative "
-                 "probe_duration", id="schedule_negative_probe_length"),
+                 SIMULATE, "config error: [schedule] t = -0.001: measure probe_duration must be "
+                 "finite and >= 0, got -0.001", id="schedule_negative_probe_length"),
     pytest.param({"run.ini": SCRIPT_INI,
                   "run.seq": SCRIPT.replace("measure N4\n", "measure N4 probe_duration=-1ms\n")},
-                 SIMULATE, "negative probe_duration -0.001", id="script_negative_probe_length"),
+                 SIMULATE,
+                 "sequence error: line 5: measure probe_duration must be finite and >= 0, "
+                 "got -0.001",
+                 id="script_negative_probe_length"),
+    pytest.param({"run.ini": SCRIPT_INI,
+                  "run.seq": SCRIPT.replace("mw pi/2 0deg\n", "mw pi rabi=0\n", 1)},
+                 SIMULATE, "sequence error: line 2: 'rabi=0': a pulse area needs rabi > 0",
+                 id="script_zero_rabi_area"),
+    pytest.param({"run.ini": SCHEDULE_ONLY_INI.replace(
+        "name = ramsey\nt = 0.08", "name = prep\nclean_s = -1\nclean_detuning = 0")}, SIMULATE,
+                 "config error: [schedule] clean_s = -1.0: clean s must be finite and >= 0, "
+                 "got -1.0",
+                 id="schedule_negative_clean_s"),
+    pytest.param({"run.ini": SCRIPT_INI,
+                  "run.seq": SCRIPT.replace("measure N4\n", "clean s=-0.5\nmeasure N4\n")},
+                 SIMULATE, "sequence error: line 5: clean s must be finite and >= 0, got -0.5",
+                 id="script_negative_clean_s"),
     pytest.param({"run.ini": SCRIPT_INI + "detuning = 2\n", "run.seq": SCRIPT}, SIMULATE,
                  "detuning", id="script_with_protocol_key"),
     pytest.param({"run.ini": SCRIPT_INI, "run.seq": SCRIPT.replace("measure N4\n",
@@ -758,6 +773,10 @@ IGNORED_INPUTS = [
                  "beta_g4m3", id="loss_unknown_beta"),
     pytest.param(_ini("points = 30", "points = 30\nstpo = 5"), SIMULATE, "stpo",
                  id="scan_typo"),
+    pytest.param({"run.ini": SCHEDULE_ONLY_INI + "[scan]\nparam = t\nstart = 5\n"}, SIMULATE,
+                 "config error: [scan] stop/points: missing", id="scan_partial_grid"),
+    pytest.param(_ini("shots = 20", "shot = 3"), SIMULATE, "config error: [run] shot: not read",
+                 id="run_unknown_key"),
     pytest.param(_ini("points = 30", "points = 30\nvalues = 1, 2"), SIMULATE, "values",
                  id="scan_values_and_grid"),
     pytest.param(_ini("points = 30", "points = 2.9"), SIMULATE,
@@ -842,6 +861,14 @@ def test_bad_run_value_exits_2(tmp_path, capsys, old, new, message):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_run_workers_is_accepted_and_ignored(tmp_path):
+    # the process pool it set is gone, and the benchmark's INIs still write it
+    plain, workers = tmp_path / "plain.ini", tmp_path / "workers.ini"
+    plain.write_text(RAMSEY_INI)
+    workers.write_text(RAMSEY_INI.replace("shots = 20", "shots = 20\nworkers = 2", 1))
+    assert load_config(str(workers)).describe() == load_config(str(plain)).describe()
+
+
 def test_integral_run_values_load(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(RAMSEY_INI.replace("shots = 20", "shots = 1e1", 1)
@@ -877,10 +904,16 @@ class TestReadme:
         cfg = load_config(ini)
         build_protocol(cfg.schedule_name,
                        {**cfg.schedule_params, cfg.scan_param: cfg.scan_values[0]})
-        script = parse_sequence(re.search(r"```\n(@name .*?)```", text, re.S).group(1),
-                                model=AtomModel())
+        script = parse_sequence(re.search(r"```\n(@name .*?)```", text, re.S).group(1))
         assert len(script.events) == 7
-        assert parse_sequence(serialize_sequence(script), model=AtomModel()) == script
+        assert parse_sequence(serialize_sequence(script)) == script
+
+    def test_library_use_runs(self, capsys):
+        # the documented API, run as written: 600 loss-on Ramsey shots
+        code = re.search(r"## Library use\n\n```python\n(.*?)```", README.read_text(), re.S)
+        exec(compile(code.group(1), "README.md", "exec"), {})
+        out = capsys.readouterr().out
+        assert "\nc = " in out and "chi2/dof = " in out
 
     def test_sequence_kinds_table_matches_parser(self):
         rows = re.findall(r"^\| `(\w+)` \| (none|[`\w, ]+) \| ([`\w, ]+) \|$",

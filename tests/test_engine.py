@@ -3,6 +3,7 @@ import csv
 import math
 import tracemalloc
 from dataclasses import replace
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, strategies as st
 
 from tmqubit import engine, figures, readout
 from tmqubit.atom import (
-    BASIS, AtomModel, Manifold, PhysicsConstants, STATE_INDEX, SublevelRef, TransitionKind,
+    BASIS, TRANSITIONS, AtomModel, Manifold, PhysicsConstants, STATE_INDEX, SublevelRef,
+    TransitionKind,
 )
 from tmqubit.engine import (
     EnsembleState,
@@ -39,8 +41,10 @@ from tmqubit.schedule import (
     Measure,
     MwPulse,
     Probe410,
+    PulseEvent,
     RfSweep,
     Schedule,
+    ScheduleError,
     ScheduleMetadata,
     Wait,
     build_clock_coherence,
@@ -116,8 +120,10 @@ class TestMwPulse:
         assert 1.5e-5 <= p <= 2.5e-5
 
     def test_unknown_transition_rejected(self):
-        with pytest.raises(KeyError):
-            _drive([MwPulse(transition="g41-g31", duration=1e-3)], _meta())
+        # rejected when the pulse is made, before any engine sees it
+        with pytest.raises(ScheduleError, match="^mw transition must be a catalog line, "
+                                                "got unknown transition 'g41-g31'$"):
+            MwPulse(transition="g41-g31", duration=1e-3)
 
     def test_against_time_dependent_schroedinger_oracle(self):
         # RK4 integration of the storage-frame Hamiltonian
@@ -314,10 +320,10 @@ class TestFreeEvolution:
         assert np.array_equal(state.rho, before)
 
     def test_negative_time_raises(self):
-        ctx = _ctx(Schedule((Wait(0.0),), _meta()))
-        with pytest.raises(ValueError, match="wait duration must be >= 0"):
-            apply_event(EnsembleState.pure("g30"), Wait(-1e-3), ctx)
-        assert ctx.t == 0.0
+        # the event checks its own duration when made, so none reaches the frame
+        with pytest.raises(ScheduleError, match="^wait duration must be finite and >= 0, "
+                                                "got -0.001$"):
+            Wait(-1e-3)
 
     def test_unknown_event_raises(self):
         ctx = _ctx(Schedule((), _meta()))
@@ -328,6 +334,12 @@ class TestFreeEvolution:
         loss = LossParameters(tau=16.4, beta_by_state=(("g4m4", 0.0), ("g40", 0.0), ("g30", 0.0)))
         state, _ = _drive([Wait(10.0)], _meta(), loss=loss)
         assert state.atom_number == pytest.approx(5000 * math.exp(-10 / 16.4), rel=1e-12)
+
+    def test_wait_past_every_atom_empties_the_state(self):
+        # e^{-t/tau} underflows to 0 beyond ~745 tau: no atom is left, and no
+        # survival ratio 0/0 is taken
+        state, _ = _drive([Wait(2e4)], _meta(), loss=LossParameters.from_table(0.6))
+        assert state.trace == 0.0
 
     @pytest.mark.parametrize("field,token", [(b, t) for b in TWO_BODY_TABLE
                                              for t in TWO_BODY_TABLE[b]])
@@ -745,9 +757,9 @@ class TestRunSchedule:
         assert state.population("g30") == pytest.approx(1.0)
 
     def test_run_schedule_validates(self):
-        bad = Schedule((MwPulse(transition="g44-g33"),), _meta())
-        with pytest.raises(Exception):
-            run_schedule(bad, MODEL, NOISE_OFF, LOSS_OFF, 1)
+        # a schedule that exists is valid: the bad event is not made
+        with pytest.raises(ScheduleError, match="unknown transition 'g44-g33'"):
+            MwPulse(transition="g44-g33")
 
 
 def _ramsey_points(detunings, noise, calib, seed_step=1000, t=0.01):
@@ -1067,8 +1079,9 @@ class TestBlockBasis:
 
     def test_growth_is_kept_per_loss_and_pulse_kind(self):
         # equal bases grow alike only under equal loss and handler: a loss-off
-        # wait leaves g40 alone, a table-loss one holds F=4; a clock-averaged
-        # pulse holds no spectator line, a microwave pulse on the same pair does
+        # wait leaves g40 alone, a table-loss one holds F=4; from g40 a clock
+        # pulse holds m30 and its decay targets, a microwave pulse g30 and the
+        # spectator line's g3m1 (a clock pulse on the microwave pair is not made)
         schedule = Schedule((Wait(0.01),), _meta(initial="g40"))
         grown = []
         for loss in (LOSS_OFF, LossParameters.from_table(0.6), LOSS_OFF):
@@ -1076,12 +1089,14 @@ class TestBlockBasis:
             apply_event(state, Wait(0.01), ShotContext(MODEL, NOISE_OFF, loss, schedule, 0))
             grown.append(state.basis.dim)
         assert grown == [1, 9, 1]
+        with pytest.raises(ScheduleError, match="clock transition must be a clock line"):
+            ClockPulse(transition="g40-g30")
         grown = []
-        for ev in (ClockPulse(transition="g40-g30"), MwPulse(), ClockPulse(transition="g40-g30")):
+        for ev in (ClockPulse(), MwPulse(), ClockPulse()):
             state = EnsembleState.pure("g40")
             apply_event(state, ev, ShotContext(MODEL, NOISE_OFF, LOSS_OFF, schedule, 0))
             grown.append(state.basis.dim)
-        assert grown[0] == grown[2] == 2 < grown[1]
+        assert grown == [6, 3, 6]
 
     @pytest.mark.parametrize("loss", [LossParameters.from_table(0.6), LOSS_OFF],
                              ids=["table_loss", "loss_off"])
@@ -1159,10 +1174,8 @@ class TestOneStateShape:
         assert states[1] == states[0] and states[2] == states[0]
 
 
-_MW_LINES = [t.name for t in MODEL.transition_catalog()
-             if t.kind is TransitionKind.MW_HYPERFINE]
-_CLOCK_LINES = [t.name for t in MODEL.transition_catalog()
-                if t.kind is TransitionKind.OPTICAL_1140]
+_MW_LINES = [name for name, t in TRANSITIONS.items() if t.kind is TransitionKind.MW_HYPERFINE]
+_CLOCK_LINES = [name for name, t in TRANSITIONS.items() if t.kind is TransitionKind.OPTICAL_1140]
 _DURATION = st.floats(0.0, 2e-3)
 _TARGET_F = st.sampled_from((3, 4))
 _EVENTS = st.one_of(
@@ -1187,11 +1200,71 @@ _EVENTS = st.one_of(
        initial=st.sampled_from([s.token for s in BASIS]),
        bias=st.sampled_from((0.1, 0.6)), loss_on=st.booleans())
 def test_random_schedules_compact_equals_full(events, initial, bias, loss_on):
+    # each measurement its own label (a schedule repeats none): a repeated
+    # label takes its event index
+    events, seen = list(events), set()
+    for k, ev in enumerate(events):
+        if isinstance(ev, Measure):
+            if ev.label in seen:
+                events[k] = ev = replace(ev, label=f"{ev.label}_{k}")
+            seen.add(ev.label)
     schedule = Schedule(tuple(events), _meta(bias=bias, initial=initial))
     loss = LossParameters.from_table(bias) if loss_on else LOSS_OFF
     _, compact, full = _compact_and_full(schedule, _BASIS_NOISE, loss,
                                          default_calibration(MODEL), shots=(0, 1))
     assert _bits(compact) == _bits(full)
+
+
+# field values on every side of each event rule: negative, zero, small,
+# large and not finite, each field's first strategy passing its rule, so that
+# about half the draws of a field pass.  A pulse's duration and Rabi
+# frequency stay small enough together (area <= 200 rad) that its loss-on
+# substeps stay few.
+_ANY_TIME = st.one_of(st.floats(0.0, 1e4), st.floats(-1e4, 1e4),
+                      st.sampled_from((math.inf, -math.inf, math.nan)))
+_ANY_F = st.one_of(st.sampled_from((3, 4)), st.integers(-1, 6))
+
+
+def _any_pulse(kind):
+    return {"transition": st.one_of(
+                st.sampled_from([name for name, t in TRANSITIONS.items() if t.kind is kind]),
+                st.sampled_from([*TRANSITIONS, "g44-g33"])),
+            "duration": st.one_of(st.floats(0.0, 1e-2), st.floats(-1e-2, 1e-2)),
+            "rabi_frequency": st.one_of(st.floats(0.0, 2e4), st.floats(-2e4, 2e4)),
+            "detuning": st.floats(-1e3, 1e3), "phase": st.floats(-10.0, 10.0)}
+
+
+_ANY_FIELDS = {
+    Wait: {"duration": _ANY_TIME},
+    MwPulse: _any_pulse(TransitionKind.MW_HYPERFINE),
+    ClockPulse: _any_pulse(TransitionKind.OPTICAL_1140),
+    RfSweep: {"duration": _ANY_TIME, "f_start": st.floats(-1e6, 2e6),
+              "f_stop": st.floats(-1e6, 2e6)},
+    Probe410: {"target_F": _ANY_F, "duration": _ANY_TIME},
+    Clean530: {"target_F": _ANY_F, "duration": _ANY_TIME,
+               "s": st.one_of(st.floats(0.0, 1e4), st.floats(-2.0, 2.0)),
+               "detuning": st.one_of(st.just(0.0), st.floats(-1e9, 1e9))},
+    Measure: {"label": st.sampled_from(READOUT_LABELS), "target_F": _ANY_F,
+              "probe_duration": _ANY_TIME, "dead_time": _ANY_TIME},
+}
+
+
+@pytest.mark.parametrize("cls", get_args(PulseEvent), ids=lambda cls: cls.kind)
+@given(data=st.data(), initial=st.sampled_from([s.token for s in BASIS]))
+def test_any_event_is_rejected_when_made_or_keeps_the_trace(cls, data, initial):
+    # an event either fails its own checks, naming its kind and the field,
+    # or runs on a pure state with loss off and on, and the trace does not grow
+    values = data.draw(st.fixed_dictionaries(_ANY_FIELDS[cls]), label="fields")
+    try:
+        ev = cls(**values)
+    except ScheduleError as exc:
+        assert any(str(exc).startswith(f"{cls.kind} {name} must ") for name in values), exc
+        return
+    for loss in (LOSS_OFF, LossParameters.from_table(0.6)):
+        state = EnsembleState.pure(initial)
+        apply_event(state, ev, ShotContext(MODEL, NOISE_OFF, loss,
+                                           Schedule((ev,), _meta(initial=initial)), 0))
+        assert state.trace <= 1.0 + 1e-12, (loss, state.trace)
 
 
 class TestMemoryBounds:
