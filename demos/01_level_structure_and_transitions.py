@@ -12,15 +12,16 @@ branching of metastable decay.
 import numpy as np
 
 from tmqubit import AtomModel, Manifold, SublevelRef
-from tmqubit.atom import BASIS, TRANSITIONS, TransitionKind
+from tmqubit.atom import BASIS, TRANSITIONS, TransitionKind, metastable_branching_table
 
 model = AtomModel()
+branching = metastable_branching_table(model.constants.metastable_branch_to_f4)
 
 print("=== hyperfine clock line ===")
 for b in (0.0, 0.1, 0.6):
-    f = model.qubit_transition_frequency(b)
+    f = model.transition_frequency("g40-g30", b)
     print(f"B = {b:3.1f} G: f = {f / 1e6:.6f} MHz "
-          f"(shift {f - model.qubit_transition_frequency(0):+8.2f} Hz)")
+          f"(shift {f - model.transition_frequency('g40-g30', 0):+8.2f} Hz)")
 
 print("\n=== RF repumping ladder at the 0.6 G working field ===")
 for mf in range(-4, 0):
@@ -34,16 +35,16 @@ print("\n=== microwave transition catalog ===")
 for t in TRANSITIONS.values():
     if t.kind is TransitionKind.MW_HYPERFINE:
         detuning = (model.transition_frequency(t, 0.6)
-                    - model.qubit_transition_frequency(0.6))
+                    - model.transition_frequency("g40-g30", 0.6))
         print(f"{t.name:12s} strength {t.relative_strength:4.2f} "
               f"offset at 0.6 G: {detuning / 1e3:+9.1f} kHz")
 
 print("\n=== metastable decay branching (central sublevels) ===")
 for token in ("m30", "m20"):
     src = SublevelRef.from_token(token)
-    targets = model.metastable_branching()[BASIS.index(src)]
+    targets = branching[BASIS.index(src)]
     parts = ", ".join(f"{BASIS[dst].token}: {w:.3f}" for dst, w in targets)
     print(f"{token} -> {parts}")
 
 print("\ncolumn sums:", [round(sum(w for _, w in t), 12)
-                         for t in model.metastable_branching().values()][:4], "...")
+                         for t in branching.values()][:4], "...")

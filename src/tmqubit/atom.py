@@ -3,7 +3,14 @@
 The tracked basis covers the two hyperfine manifolds of the electronic
 ground state (F=4 and F=3, split by 1497 MHz) and the two hyperfine
 manifolds of the metastable level reached by the 1140 nm transition
-(F'=3 and F'=2), for a total of 9 + 7 + 7 + 5 = 28 magnetic sublevels.
+(F'=3 and F'=2), for a total of 9 + 7 + 7 + 5 = 28 magnetic sublevels;
+the metastable ones close the basis, from ``META_START`` on.
+
+Each fact of the atom is stated once, in a table ``AtomModel`` builds from
+its ``PhysicsConstants``: ``zeeman``, every sublevel's Zeeman coefficients
+(the clock line's gamma_qz*B^2 lift included), from which
+``transition_frequency`` and the engine's Zeeman phases are computed, and
+``decay``, the metastable decay branching the engine applies and follows.
 
 Units: frequencies in Hz, angular rates in rad/s, times in s.  Magnetic
 fields are expressed in gauss throughout the public API because every
@@ -14,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
@@ -29,6 +36,7 @@ __all__ = [
     "STATE_INDEX",
     "state_index",
     "DIM",
+    "META_START",
     "wigner_3j",
     "clebsch_gordan",
     "metastable_branching_table",
@@ -89,6 +97,9 @@ def _build_basis() -> tuple[SublevelRef, ...]:
 BASIS: tuple[SublevelRef, ...] = _build_basis()
 STATE_INDEX: dict[SublevelRef, int] = {s: i for i, s in enumerate(BASIS)}
 DIM = len(BASIS)
+# the metastable sublevels close the basis: indices META_START to DIM - 1
+META_START = min(i for i, s in enumerate(BASIS) if s.manifold is Manifold.METASTABLE_1140)
+assert DIM == 28 and all(s.manifold is Manifold.METASTABLE_1140 for s in BASIS[META_START:])
 
 
 @lru_cache(maxsize=256)
@@ -96,7 +107,6 @@ def state_index(token: str) -> int:
     """Basis index of the sublevel named by ``token``, in any spelling
     ``SublevelRef.from_token`` accepts; raises its ValueError otherwise."""
     return STATE_INDEX[SublevelRef.from_token(token)]
-assert DIM == 28
 
 
 class TransitionKind(enum.Enum):
@@ -194,11 +204,6 @@ class PhysicsConstants:
         if not 0.0 <= self.rf_step_efficiency <= 1.0:
             raise ValueError("rf_step_efficiency must lie in [0, 1]")
 
-    def replace(self, **overrides) -> "PhysicsConstants":
-        d = asdict(self)
-        d.update(overrides)
-        return PhysicsConstants(**d)
-
 
 def wigner_3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
     """Wigner 3-j symbol for integer angular momenta (Racah formula)."""
@@ -265,105 +270,74 @@ def metastable_branching_table(branch_to_f4: float) -> dict[int, tuple[tuple[int
     return table
 
 
-def _shift(linear, quadratic, B):
-    """Zeeman shift linear*B + quadratic*B^2 of ``AtomModel._shift_terms``."""
-    return linear * B + quadratic * B * B
-
-
 class AtomModel:
-    """Level energies and decay branching for one atom (the transition
-    catalog is the module's ``TRANSITIONS``).
+    """Level energies and decay branching of one atom, each held in one
+    read-only table built with the model (the transition catalog is the
+    module's ``TRANSITIONS``).
+
+    ``zeeman`` is (3, DIM): for each basis state, mF*k and mF^2*q of its
+    manifold's linear and quadratic coefficients, and its clock lift,
+    ``gamma_qz`` on ground F=3 (which shifts the clock line by
+    gamma_qz*B^2).  A state's energy offset at field B is
+    mF*k*B + (mF^2*q + lift)*B^2 in Hz.  The lift is -0.0 on every other
+    state: that zero adds to any number exactly, sign included.
+
+    ``decay`` is (DIM, DIM - META_START): W[dst, k] is the share of the
+    decay of metastable state META_START + k that lands in ground state dst
+    (``metastable_branching_table`` as a matrix).
 
     Immutable after construction; safe to share across threads.
     """
 
     def __init__(self, constants: PhysicsConstants | None = None):
-        self.constants = constants or PhysicsConstants()
-        self._branching = self._build_branching()
-
-    # ---------------------------------------------------------------- energies
-
-    def qubit_transition_frequency(self, B: float) -> float:
-        """Frequency of the (g,4,0) -> (g,3,0) hyperfine line at field B (G)."""
-        if B < 0:
-            raise ValueError("magnetic field must be >= 0")
-        c = self.constants
-        return c.hyperfine_splitting_ground + c.gamma_qz * B * B
-
-    def _manifold_coeffs(self, s: SublevelRef) -> tuple[float, float]:
-        """(k, q): per-mF linear and per-mF^2 quadratic coefficient, Hz/G(^2)."""
-        c = self.constants
-        if s.manifold is Manifold.GROUND:
-            if s.F == 4:
-                return c.linear_zeeman_ground_f4, c.quad_zeeman_ground_f4
-            return c.linear_zeeman_ground_f3, c.quad_zeeman_ground_f3
-        if s.F == 3:
-            return c.linear_zeeman_meta_f3, 0.0
-        return c.linear_zeeman_meta_f2, 0.0
-
-    def _shift_terms(self, s: SublevelRef) -> tuple[float, float]:
-        """(mF k, mF^2 q): the shift of s is mF k B + mF^2 q B^2."""
-        if s not in STATE_INDEX:
-            raise ValueError(f"untracked sublevel {s!r}")
-        k, q = self._manifold_coeffs(s)
-        return s.mF * k, s.mF * s.mF * q
-
-    def sublevel_shift(self, s: SublevelRef, B: float) -> float:
-        """Intra-manifold Zeeman shift of sublevel s at field B, in Hz."""
-        return _shift(*self._shift_terms(s), B)
-
-    @lru_cache(maxsize=64)
-    def _line_terms(self, names: tuple[str, ...]) -> tuple:
-        """The kind of the transitions ``names`` and the ``_shift_terms`` of
-        their lower and upper states, as read-only (2, lines, 1) arrays."""
         # imported on first use: importing numpy ahead of the rest of the
         # package raised a process's peak RSS by ~0.8 MB
         import numpy as np
 
-        lines = [TRANSITIONS[name] for name in names]
-        lower = np.array([self._shift_terms(t.lower) for t in lines]).T[..., None]
-        upper = np.array([self._shift_terms(t.upper) for t in lines]).T[..., None]
-        lower.setflags(write=False)
-        upper.setflags(write=False)
-        return lines[0].kind, lower, upper
+        self.constants = c = constants or PhysicsConstants()
+        coeffs = {(Manifold.GROUND, 4): (c.linear_zeeman_ground_f4, c.quad_zeeman_ground_f4),
+                  (Manifold.GROUND, 3): (c.linear_zeeman_ground_f3, c.quad_zeeman_ground_f3),
+                  (Manifold.METASTABLE_1140, 3): (c.linear_zeeman_meta_f3, 0.0),
+                  (Manifold.METASTABLE_1140, 2): (c.linear_zeeman_meta_f2, 0.0)}
+        rows = []
+        for s in BASIS:
+            k, q = coeffs[s.manifold, s.F]
+            lift = c.gamma_qz if (s.manifold, s.F) == (Manifold.GROUND, 3) else -0.0
+            rows.append((s.mF * k, s.mF * s.mF * q, lift))
+        self.zeeman = np.array(rows).T
+        self.decay = np.zeros((DIM, DIM - META_START))
+        for src, targets in metastable_branching_table(c.metastable_branch_to_f4).items():
+            for dst, weight in targets:
+                self.decay[dst, src - META_START] = weight
+        self.zeeman.setflags(write=False)
+        self.decay.setflags(write=False)
 
-    def state_zeeman_coeffs(self, s: SublevelRef) -> tuple[float, float]:
-        """(linear, quadratic) field coefficients of the state's energy offset.
+    def transition_frequency(self, t: TransitionSpec | str | tuple[str, ...], B):
+        """Transition frequency at field B (G), in Hz:
+        base + (lift_u - lift_l)*B^2 + shift_u(B) - shift_l(B), with each
+        state's shift(B) = mF*k*B + mF^2*q*B^2 and lift from ``zeeman``.
 
-        energy_offset(B) = linear*B + quadratic*B^2 in Hz; the quadratic term
-        for the ground F=3 manifold carries the hyperfine clock coefficient so
-        that the (4,0)-(3,0) splitting shifts by gamma_qz*B^2.
-        """
-        k, q = self._manifold_coeffs(s)
-        quad = s.mF * s.mF * q
-        if s.manifold is Manifold.GROUND and s.F == 3:
-            quad += self.constants.gamma_qz
-        return s.mF * k, quad
-
-    def transition_frequency(self, t: TransitionSpec | str | tuple[str, ...],
-                             B: float) -> float:
-        """Transition frequency at field B.
-
-        MW transitions: absolute frequency including the hyperfine splitting.
-        RF transitions: adjacent-sublevel splitting (positive).
+        MW transitions: absolute frequency, base the hyperfine splitting.
+        RF transitions: the upper sublevel's offset from the lower one.
         Optical transitions: Zeeman offset relative to the zero-field line
         (the absolute optical frequency never enters the model).
-        A tuple of names of transitions of one kind, with B a number or a
-        1-D array, gives one row of frequencies per transition.
+        ``t`` is a line or its catalog name; a tuple of names gives one row
+        of frequencies per line, with B a number or a 1-D array.
         """
-        if isinstance(t, str):
-            t = TRANSITIONS[t]
+        import numpy as np
+
         if isinstance(t, tuple):
-            kind, lower, upper = self._line_terms(t)
+            lines, shape = [TRANSITIONS[name] for name in t], (-1, 1)
         else:
-            kind, lower, upper = t.kind, self._shift_terms(t.lower), self._shift_terms(t.upper)
-        lo, hi = _shift(*lower, B), _shift(*upper, B)
-        if kind is TransitionKind.MW_HYPERFINE:
-            c = self.constants
-            return c.hyperfine_splitting_ground + c.gamma_qz * B * B + hi - lo
-        if kind is TransitionKind.RF_INTRA_MANIFOLD:
-            return abs(hi - lo)
-        return hi - lo
+            lines, shape = [TRANSITIONS[t] if isinstance(t, str) else t], ()
+        base = np.reshape([self.constants.hyperfine_splitting_ground
+                           if line.kind is TransitionKind.MW_HYPERFINE else 0.0
+                           for line in lines], shape)
+        (k_u, q_u, lift_u), (k_l, q_l, lift_l) = (
+            self.zeeman[:, [STATE_INDEX[getattr(line, end)] for line in lines]].reshape(3, *shape)
+            for end in ("upper", "lower"))
+        return (base + (lift_u - lift_l) * B * B
+                + (k_u * B + q_u * B * B) - (k_l * B + q_l * B * B))
 
     @property
     def prep_ladder(self) -> tuple[tuple[SublevelRef, SublevelRef], ...]:
@@ -374,11 +348,3 @@ class AtomModel:
             (_g(4, -2), _g(3, -1)),
             (_g(3, -1), _g(4, 0)),
         )
-
-    # --------------------------------------------------------------- branching
-
-    def _build_branching(self) -> dict[int, tuple[tuple[int, float], ...]]:
-        return metastable_branching_table(self.constants.metastable_branch_to_f4)
-
-    def metastable_branching(self) -> dict[int, tuple[tuple[int, float], ...]]:
-        return self._branching

@@ -411,7 +411,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"sequence error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ScheduleError as exc:   # a script's schedule or pragma, e.g. a repeated label
+    except ScheduleError as exc:   # a script's metadata from [schedule], e.g. bias_field
         print(f"schedule error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FitNonConvergence as exc:

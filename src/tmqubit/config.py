@@ -76,18 +76,22 @@ class RunConfig:
     schedule_script: str = ""
     scan_param: str = ""
     scan_values: tuple = ()
+    _model: AtomModel | None = field(default=None, init=False, repr=False, compare=False)
 
     def model(self) -> AtomModel:
-        return AtomModel(self.constants)
+        """The model of ``constants``, built once for the constants it holds."""
+        if self._model is None or self._model.constants is not self.constants:
+            self._model = AtomModel(self.constants)
+        return self._model
 
     def calibration(self, params: dict | None = None) -> CrosstalkCalibration:
         """Calibration of the readout block of the schedule built from
         ``params`` (default: the ``[schedule]`` values): its pi time, probe
         duration and dead time, unless ``[readout]`` sets them."""
         params = self.schedule_params if params is None else params
-        timing = {key: params[key] for key in _READOUT_TIMING if key in params}
-        return default_calibration(self.model(), timing.pop("clock_pi_time", 1e-3),
-                                   **{**timing, **self.calibration_overrides})
+        fields = {**{key: params[key] for key in _READOUT_TIMING if key in params},
+                  **self.calibration_overrides}
+        return default_calibration(self.model(), fields.pop("clock_pi_time", 1e-3), **fields)
 
     def describe(self) -> list[str]:
         """Flat key=value lines of the resolved configuration, for embedding

@@ -17,6 +17,11 @@ full basis, combined with multiplicative decay/loss factors:
   parasitic back-reflection, applied as a mixture of rotations;
 * probe/clean pulses: calibrated rate processes.
 
+The atom's facts come from the model's tables: the Zeeman phases from
+``AtomModel.zeeman``, the decay and the sublevels it reaches from
+``AtomModel.decay``, and the RF ladder resonances and microwave spectator
+detunings from ``AtomModel.transition_frequency``, which reads ``zeeman``.
+
 The state is held unnormalized: trace(rho) is the surviving fraction of the
 initial ensemble and the complement is the lost count.  The engine has one
 leading batch axis of rows, and one run loop, ``run_scan``: it evolves the
@@ -60,12 +65,12 @@ from .atom import (
     AtomModel,
     BASIS,
     DIM,
+    META_START,
     Manifold,
     STATE_INDEX,
     SublevelRef,
     TRANSITIONS,
     TransitionKind,
-    metastable_branching_table,
     state_index,
 )
 from .fitting import model_two_body_loss
@@ -109,11 +114,6 @@ _GROUND_F4 = np.array([STATE_INDEX[s] for s in BASIS
                        if s.manifold is Manifold.GROUND and s.F == 4])
 _GROUND_F3 = np.array([STATE_INDEX[s] for s in BASIS
                        if s.manifold is Manifold.GROUND and s.F == 3])
-_META = np.array([STATE_INDEX[s] for s in BASIS
-                  if s.manifold is Manifold.METASTABLE_1140])
-# the metastable states close the basis, so rows/columns scale through a view
-_META_ROWS = slice(int(_META[0]), int(_META[-1]) + 1)
-assert _META_ROWS.stop == DIM and len(_META) == DIM - _META_ROWS.start
 _GROUND_BY_F = {4: _GROUND_F4, 3: _GROUND_F3}
 _G4_NONZERO = np.array([i for i in _GROUND_F4 if BASIS[i].mF != 0])
 _G40 = state_index("g40")
@@ -235,10 +235,10 @@ class LossParameters:
         if not self.tau > 0:
             raise ValueError("tau must be strictly positive")
         if not self.volume_cm3 > 0:
-            raise ValueError("volume must be strictly positive")
+            raise ValueError(f"volume_cm3 must be > 0, got {self.volume_cm3!r}")
         for token, beta in self.beta_by_state:
             if beta < 0:
-                raise ValueError(f"beta for {token} must be >= 0")
+                raise ValueError(f"beta_{token} must be >= 0, got {beta!r}")
             state_index(token)
 
     @cached_property
@@ -288,12 +288,12 @@ class _Basis:
         # the held states of each ground manifold, and the held metastable
         # states: they close the basis, so a view slices them
         self.ground = {F: self._subset(full) for F, full in _GROUND_BY_F.items()}
-        self.meta = slice(int(np.searchsorted(self.states, _META_ROWS.start)), self.dim)
+        self.meta = slice(int(np.searchsorted(self.states, META_START)), self.dim)
         self.g4_nonzero = self._subset(_G4_NONZERO)
         for shared in (self.states, self.g4_nonzero, *self.ground.values()):   # memoized
             shared.setflags(write=False)
         self._loss = self._loss_arrays = None
-        self._branch_to_f4 = self._w = None
+        self._model = self._w = None
         self.grown = {}   # reach key -> the basis a handler grows this one to (_grow)
 
     def _subset(self, full: np.ndarray) -> np.ndarray:
@@ -310,13 +310,12 @@ class _Basis:
             self._loss, self._loss_arrays = loss, (local, beta_over_v[keep], g40)
         return self._loss_arrays
 
-    def branching(self, branch_to_f4: float) -> np.ndarray:
-        """``_branching_matrix`` over the held states and held metastable
-        states.  Kept for the last ``branch_to_f4`` seen."""
-        if branch_to_f4 != self._branch_to_f4:
-            w = _branching_matrix(branch_to_f4)
-            cols = self.states[self.meta] - _META_ROWS.start
-            self._branch_to_f4, self._w = branch_to_f4, w[np.ix_(self.states, cols)]
+    def branching(self, model: AtomModel) -> np.ndarray:
+        """``model.decay`` over the held states and held metastable states.
+        Kept for the last ``model`` seen."""
+        if model is not self._model:
+            cols = self.states[self.meta] - META_START
+            self._model, self._w = model, model.decay[np.ix_(self.states, cols)]
         return self._w
 
 
@@ -422,16 +421,6 @@ class EnsembleState:
 # ---------------------------------------------------------------- shot context
 
 
-@lru_cache(maxsize=8)
-def _zeeman_coeffs(model: AtomModel) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only per-state (linear, quadratic) field coefficients of a model,
-    which is immutable after construction."""
-    k, q = (np.array(c) for c in zip(*map(model.state_zeeman_coeffs, BASIS)))
-    k.setflags(write=False)
-    q.setflags(write=False)
-    return k, q
-
-
 class ShotContext:
     """Sampled noise, elapsed time, and model/loss references of a block of
     rows, one shot each.
@@ -464,7 +453,9 @@ class ShotContext:
                         if noise.sigma_B_shot > 0 else 0.0)
         self.t = 0.0
         self.laser_phase = np.zeros(len(shots))
-        self._zeeman_k, self._zeeman_q = _zeeman_coeffs(model)
+        # per basis state, the linear and quadratic coefficients of its energy
+        k, q, lift = model.zeeman
+        self._zeeman_k, self._zeeman_q = k, q + lift
 
     @property
     def delta_B(self) -> np.ndarray:
@@ -779,18 +770,6 @@ def clock_rotation_transfer(omega0: float, tau: float, a: float,
     return float(s4[3, 0].real)
 
 
-@lru_cache(maxsize=16)
-def _branching_matrix(branch_to_f4: float) -> np.ndarray:
-    """Read-only W[dst, k]: share of the decay of the k-th metastable state
-    that lands in ground state dst."""
-    w = np.zeros((DIM, len(_META)))
-    for src, targets in metastable_branching_table(branch_to_f4).items():
-        for dst, weight in targets:
-            w[dst, src - _META_ROWS.start] = weight
-    w.setflags(write=False)
-    return w
-
-
 def _metastable_decay(rho: np.ndarray, dt: float, model: AtomModel,
                       basis: _Basis = _FULL) -> None:
     c = model.constants
@@ -804,7 +783,7 @@ def _metastable_decay(rho: np.ndarray, dt: float, model: AtomModel,
     # a negative rounding residue on the diagonal frees nothing
     freed = (1.0 - surv) * np.maximum(shelved, 0.0)
     _scale_states(rho, basis.meta, math.sqrt(surv))
-    w = basis.branching(c.metastable_branch_to_f4)
+    w = basis.branching(model)
     for k in np.flatnonzero(freed.any(axis=0)):   # the populated metastable states
         diag += w[:, k] * freed[:, k, None]
 
@@ -861,9 +840,9 @@ def _reach(held: set[int], stages, ctx: ShotContext) -> set[int]:
         if not decays:
             continue
         if math.isfinite(ctx.model.constants.tau_c):
-            branching = ctx.model.metastable_branching()
-            for m in [s for s in held if s >= _META_ROWS.start]:
-                held.update(dst for dst, _ in branching[m])
+            decay = ctx.model.decay
+            for m in [s for s in held if s >= META_START]:
+                held.update(np.flatnonzero(decay[:, m - META_START]).tolist())
         if _G40 in held and ctx.loss.active and ctx.loss.class_arrays[2] is not None:
             held.update(_G4_NONZERO.tolist())
     return held

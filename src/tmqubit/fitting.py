@@ -209,17 +209,17 @@ class FitResult:
 def finite_difference_jacobian(model, x: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Central-difference d f / d p, adaptive step per parameter."""
     params = np.asarray(params, dtype=float)
-    n = len(np.atleast_1d(model(x, *params)))
-    jac = np.empty((n, len(params)))
     rel = float(np.finfo(float).eps) ** (1.0 / 3.0)
+    columns = []
     for j, p in enumerate(params):
         h = rel * max(abs(p), 1e-8)
         plus = params.copy()
         minus = params.copy()
         plus[j] += h
         minus[j] -= h
-        jac[:, j] = (np.atleast_1d(model(x, *plus)) - np.atleast_1d(model(x, *minus))) / (2 * h)
-    return jac
+        columns.append((np.atleast_1d(model(x, *plus)) - np.atleast_1d(model(x, *minus)))
+                       / (2 * h))
+    return np.stack(columns, axis=1)
 
 
 def least_squares(model, dataset: Dataset, init, param_names=None,

@@ -16,10 +16,12 @@ round-trips bit-exactly through the parser.
 
 Every event, ``ScheduleMetadata`` and ``Schedule`` checks its own fields
 when made, so a schedule that exists is valid: times, Rabi frequencies, a
-clean's ``s`` and the bias field are finite and >= 0, ``target_F`` is 3 or 4,
-a pulse's transition is a catalog line of its kind, the initial state is a
-sublevel token, and no measurement label repeats.  A ScheduleError names the
-kind and the field; a script's event raises it as a ParseError on its line.
+clean's ``s`` and the bias field are finite and >= 0, detunings, phases and
+sweep frequencies are finite, ``target_F`` is 3 or 4, a pulse's transition is
+a catalog line of its kind, the initial state is a sublevel token, and no
+measurement label repeats.  A ScheduleError names the kind and the field; a
+script's event, pragma or repeated label raises it as a ParseError on its
+line.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import math
 import re
 from dataclasses import dataclass, field, fields, replace
 from typing import get_args
+
+import numpy as np
 
 from .atom import TRANSITIONS, TransitionKind, state_index
 from .readout import READOUT_LABELS
@@ -66,7 +70,12 @@ CLOCK_TRANSITION_F3 = "g30-m20"
 
 
 class ScheduleError(ValueError):
-    pass
+    """An event, metadata or schedule that breaks its rules; ``event`` is
+    the index of the event at fault in a schedule's events, if there is one."""
+
+    def __init__(self, message: str, event: int | None = None):
+        super().__init__(message)
+        self.event = event
 
 
 class ParseError(ScheduleError):
@@ -79,6 +88,16 @@ class ParseError(ScheduleError):
 
 # fields that are finite and >= 0 on every event kind that has them
 _NONNEGATIVE = frozenset({"duration", "probe_duration", "dead_time", "rabi_frequency", "s"})
+# fields that are finite on every event kind that has them
+_FINITE = frozenset({"detuning", "phase", "f_start", "f_stop"})
+
+
+def _finite(value) -> bool:
+    """``value`` is a finite number, or an array of finite numbers (a
+    scanned pulse's per-row detunings and phases, ``engine._block_schedule``)."""
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
+    return math.isfinite(value)
 
 
 class _Event:
@@ -92,6 +111,8 @@ class _Event:
             value = getattr(self, name)
             if name in _NONNEGATIVE and not 0 <= value < math.inf:
                 problem = f"must be finite and >= 0, got {value!r}"
+            elif name in _FINITE and not _finite(value):
+                problem = f"must be finite, got {value!r}"
             elif name == "target_F" and value not in (3, 4):
                 problem = f"must be 3 or 4, got {value!r}"
             elif name == "transition" and value not in TRANSITIONS:
@@ -218,7 +239,8 @@ class Schedule:
         labels: dict[str, int] = {}   # measurement label -> its event
         for i, ev in enumerate(self.events):
             if isinstance(ev, Measure) and (first := labels.setdefault(ev.label, i)) != i:
-                raise ScheduleError(f"event {i}: measure label {ev.label!r} repeats event {first}")
+                raise ScheduleError(f"event {i}: measure label {ev.label!r} repeats event {first}",
+                                    event=i)
 
     @property
     def duration(self) -> float:
@@ -395,10 +417,12 @@ def parse_sequence(text: str, cfg: BuilderConfig | None = None) -> Schedule:
     """Parse a sequence script into a Schedule.
 
     Raises ParseError naming the line and the offending word or field: a
-    word that would set nothing, or an event that breaks its own rules.
+    word that would set nothing, or an event, pragma or measurement label
+    that breaks the rules of ``ScheduleMetadata`` or ``Schedule``.
     """
     cfg = cfg or BuilderConfig()
     events: list[PulseEvent] = []
+    event_lines: list[int] = []
     meta: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -412,10 +436,20 @@ def parse_sequence(text: str, cfg: BuilderConfig | None = None) -> Schedule:
             if key in meta:
                 raise ParseError(f"{line!r}: @{key} is already set", lineno)
             meta[key] = _read(_PRAGMAS[key], value, line, lineno)
+            try:
+                ScheduleMetadata(**{key: meta[key]})
+            except ScheduleError as exc:
+                raise ParseError(str(exc), lineno) from None
             continue
-        events += (_read_event(stmt.split(), cfg, lineno) for stmt in line.split(";")
-                   if stmt.strip())
-    return Schedule(tuple(events), ScheduleMetadata(**{"bias_field": cfg.bias_field, **meta}))
+        for stmt in line.split(";"):
+            if stmt.strip():
+                events.append(_read_event(stmt.split(), cfg, lineno))
+                event_lines.append(lineno)
+    metadata = ScheduleMetadata(**{"bias_field": cfg.bias_field, **meta})
+    try:
+        return Schedule(tuple(events), metadata)
+    except ScheduleError as exc:   # a repeated label: the line of the event at fault
+        raise ParseError(str(exc), event_lines[exc.event]) from None
 
 
 def serialize_sequence(schedule: Schedule) -> str:

@@ -8,6 +8,7 @@ from tmqubit.atom import (
     AtomModel,
     BASIS,
     DIM,
+    META_START,
     Manifold,
     PhysicsConstants,
     STATE_INDEX,
@@ -18,6 +19,8 @@ from tmqubit.atom import (
     state_index,
     wigner_3j,
 )
+from tmqubit.engine import LossParameters, NoiseModel, ShotContext
+from tmqubit.schedule import Schedule, ScheduleMetadata
 
 
 @pytest.fixture(scope="module")
@@ -64,37 +67,72 @@ class TestBasis:
             assert state_index(token) == state_index(token) == expected
 
 
+def _offset(model, s: SublevelRef, B: float) -> float:
+    """Zeeman energy offset of s at field B from ``model.zeeman``."""
+    k, q, lift = model.zeeman[:, STATE_INDEX[s]]
+    return k * B + (q + lift) * B * B
+
+
 class TestQubitFrequency:
     def test_zero_field_identity(self, model):
-        assert model.qubit_transition_frequency(0.0) == 1.497e9
+        assert model.transition_frequency("g40-g30", 0.0) == 1.497e9
 
     def test_working_field_shifts(self, model):
         # quadratic coefficient gives 8.52 Hz and 306.72 Hz at 0.1 and 0.6 G;
         # the absolute tolerance is one ulp of the 1.497 GHz carrier
-        assert model.qubit_transition_frequency(0.1) - 1.497e9 == pytest.approx(8.52, abs=5e-7)
-        assert model.qubit_transition_frequency(0.6) - 1.497e9 == pytest.approx(306.72, abs=5e-7)
-
-    def test_negative_field_rejected(self, model):
-        with pytest.raises(ValueError):
-            model.qubit_transition_frequency(-0.1)
+        for b, shift in ((0.1, 8.52), (0.6, 306.72)):
+            assert (model.transition_frequency("g40-g30", b) - 1.497e9
+                    == pytest.approx(shift, abs=5e-7))
 
     def test_quadratic_exactly(self, model):
         # exact up to one ulp of the carrier frequency
         for b in np.linspace(0.0, 1.0, 21):
-            diff = model.qubit_transition_frequency(b) - model.qubit_transition_frequency(0.0)
+            diff = (model.transition_frequency("g40-g30", b)
+                    - model.transition_frequency("g40-g30", 0.0))
             assert diff == pytest.approx(852.0 * b * b, abs=5e-7)
+
+
+def _literal_offset(c: PhysicsConstants, s: SublevelRef, B: float) -> float:
+    """mF k B + mF^2 q B^2 (+ gamma_qz B^2 on ground F=3), written out from
+    the constants."""
+    k, q = {(Manifold.GROUND, 4): (c.linear_zeeman_ground_f4, c.quad_zeeman_ground_f4),
+            (Manifold.GROUND, 3): (c.linear_zeeman_ground_f3, c.quad_zeeman_ground_f3),
+            (Manifold.METASTABLE_1140, 3): (c.linear_zeeman_meta_f3, 0.0),
+            (Manifold.METASTABLE_1140, 2): (c.linear_zeeman_meta_f2, 0.0)}[s.manifold, s.F]
+    lift = c.gamma_qz if (s.manifold, s.F) == (Manifold.GROUND, 3) else 0.0
+    return s.mF * k * B + s.mF**2 * q * B**2 + lift * B**2
+
+
+@pytest.mark.parametrize("name", list(TRANSITIONS))
+@pytest.mark.parametrize("B", (0.1, 0.6))
+def test_line_shift_is_the_states_energy_difference(name, B):
+    # every catalog line moves with field as the difference of its states'
+    # Zeeman energies: as written out from the constants, and as the
+    # relative phase rate the engine integrates at a field offset B from 0 G
+    c = PhysicsConstants(quad_zeeman_ground_f3=-250.0)   # F=3 with a quadratic term too
+    model = AtomModel(c)
+    line = TRANSITIONS[name]
+    shift = model.transition_frequency(name, B) - model.transition_frequency(name, 0.0)
+    literal = _literal_offset(c, line.upper, B) - _literal_offset(c, line.lower, B)
+    assert shift == pytest.approx(literal, rel=1e-12, abs=5e-7)
+    ctx = ShotContext(model, NoiseModel.off(), LossParameters.off(),
+                      Schedule(metadata=ScheduleMetadata(bias_field=0.0)), 0)
+    ctx.delta_B = B
+    T = 0.25
+    lower, upper = ctx.zeeman_phases(0.0, T, [STATE_INDEX[line.lower], STATE_INDEX[line.upper]])[0]
+    assert (upper - lower) / (2 * math.pi * T) == pytest.approx(shift, rel=1e-12, abs=5e-7)
 
 
 class TestSublevelShift:
     def test_mf0_first_order_zero(self, model):
+        # every mF = 0 sublevel has no Zeeman offset but the clock lift, so
+        # the g40-m30 line does not move with field
+        for s in BASIS:
+            if s.mF == 0:
+                assert model.zeeman[0, STATE_INDEX[s]] == model.zeeman[1, STATE_INDEX[s]] == 0.0
         for b in (0.0, 0.3, 0.6):
-            assert model.sublevel_shift(SublevelRef(Manifold.GROUND, 4, 0), b) == 0.0
-
-    def test_untracked_rejected(self, model):
-        bogus = SublevelRef(Manifold.GROUND, 4, 0)
-        object.__setattr__(bogus, "F", 5)
-        with pytest.raises(ValueError):
-            model.sublevel_shift(bogus, 0.1)
+            assert _offset(model, SublevelRef(Manifold.GROUND, 4, 0), b) == 0.0
+            assert model.transition_frequency("g40-m30", b) == 0.0
 
     def test_rf_ladder_span(self, model):
         # the four sweep transitions sit in [785, 800] kHz at 0.6 G
@@ -106,7 +144,7 @@ class TestSublevelShift:
             assert 785e3 <= f <= 800e3
 
     def test_spectator_isolation_60khz(self, model):
-        f00 = model.qubit_transition_frequency(0.6)
+        f00 = model.transition_frequency("g40-g30", 0.6)
         worst = math.inf
         for mf in range(-4, 5):
             for mfp in (mf - 1, mf, mf + 1):
@@ -114,19 +152,20 @@ class TestSublevelShift:
                     continue
                 lo = SublevelRef(Manifold.GROUND, 4, mf)
                 up = SublevelRef(Manifold.GROUND, 3, mfp)
-                f = (1.497e9 + 852.0 * 0.36
-                     + model.sublevel_shift(up, 0.6) - model.sublevel_shift(lo, 0.6))
+                f = 1.497e9 + _offset(model, up, 0.6) - _offset(model, lo, 0.6)
                 worst = min(worst, abs(f - f00))
         assert worst >= 60e3
 
     def test_odd_in_mf_at_first_order(self, model):
-        # shift(F, mF) + shift(F, -mF) = 2 * quadratic part
-        for F in (4, 3):
+        # shift(F, mF) + shift(F, -mF) = 2 * quadratic part (+ 2 * clock lift)
+        c = model.constants
+        for F, q, lift in ((4, c.quad_zeeman_ground_f4, 0.0),
+                           (3, c.quad_zeeman_ground_f3, c.gamma_qz)):
             for mf in range(1, F + 1):
-                s_plus = model.sublevel_shift(SublevelRef(Manifold.GROUND, F, mf), 0.4)
-                s_minus = model.sublevel_shift(SublevelRef(Manifold.GROUND, F, -mf), 0.4)
-                _, q = model._manifold_coeffs(SublevelRef(Manifold.GROUND, F, mf))
-                assert s_plus + s_minus == pytest.approx(2 * q * mf * mf * 0.16, abs=1e-9)
+                s_plus = _offset(model, SublevelRef(Manifold.GROUND, F, mf), 0.4)
+                s_minus = _offset(model, SublevelRef(Manifold.GROUND, F, -mf), 0.4)
+                assert s_plus + s_minus == pytest.approx(2 * (q * mf * mf + lift) * 0.16,
+                                                         abs=1e-9)
 
 
 class TestCatalog:
@@ -180,13 +219,21 @@ class TestAngularMomentum:
             assert ours == pytest.approx(ref, abs=1e-12)
 
     def test_branching_normalized(self, model):
-        for src, targets in model.metastable_branching().items():
-            assert sum(w for _, w in targets) == pytest.approx(1.0, abs=1e-12)
-            assert BASIS[src].manifold is Manifold.METASTABLE_1140
-            for dst, w in targets:
+        # column k of the decay matrix is the decay of state META_START + k
+        assert model.decay.shape == (DIM, DIM - META_START)
+        for k, column in enumerate(model.decay.T):
+            src = BASIS[META_START + k]
+            assert src.manifold is Manifold.METASTABLE_1140
+            assert column.sum() == pytest.approx(1.0, abs=1e-12)
+            for dst in np.flatnonzero(column):
                 assert BASIS[dst].manifold is Manifold.GROUND
-                assert abs(BASIS[dst].mF - BASIS[src].mF) <= 1
-                assert w > 0
+                assert abs(BASIS[dst].mF - src.mF) <= 1
+                assert column[dst] > 0
+        table = metastable_branching_table(model.constants.metastable_branch_to_f4)
+        assert sum(len(targets) for targets in table.values()) == np.count_nonzero(model.decay)
+        for src, targets in table.items():
+            for dst, w in targets:
+                assert model.decay[dst, src - META_START] == w
 
     def test_f2_decays_only_to_f3(self):
         table = metastable_branching_table(0.5)
@@ -207,8 +254,3 @@ class TestConstants:
             PhysicsConstants(tau_c=-1.0)
         with pytest.raises(ValueError):
             PhysicsConstants(gamma_qz=0.0)
-
-    def test_replace(self):
-        c = PhysicsConstants().replace(gamma_qz=900.0)
-        assert c.gamma_qz == 900.0
-        assert c.tau_c == 0.112

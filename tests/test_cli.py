@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tmqubit.atom import AtomModel, PhysicsConstants
 from tmqubit.cli import main
 from tmqubit.config import ConfigError, RunConfig, load_config
-from tmqubit import figures, fitting
+from tmqubit.engine import default_calibration
+from tmqubit import config, figures, fitting
 from tmqubit.fitting import read_csv, write_csv
 from tmqubit.protocols import PROTOCOL_PARAMS, build_protocol
 from tmqubit.readout import CrosstalkCalibration
@@ -192,6 +194,18 @@ class TestSimulate:
         assert err.startswith("config error: [readout]")
         assert field in err
 
+    @pytest.mark.parametrize("loss, key", [
+        ("beta_g40 = 0\nvolume_cm3 = 0", "[loss] volume_cm3 must be > 0, got 0.0"),
+        ("beta_g40 = -1", "[loss] beta_g40 must be >= 0, got -1.0"),
+    ], ids=["zero_volume", "negative_beta"])
+    def test_invalid_loss_names_the_key(self, tmp_path, capsys, loss, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(RAMSEY_INI.replace("beta_g40 = 0", loss))
+        code = main(["simulate", "--config", str(path), "--shots", "1",
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}")
+
     @pytest.mark.parametrize("value", ["0", "-1e-3"])
     def test_nonpositive_schedule_pi_time_is_config_error(self, tmp_path, capsys, value):
         path = tmp_path / "bad.ini"
@@ -283,6 +297,29 @@ class TestSimulate:
         calib = load_config(path).calibration()
         assert calib.dead_time == 2e-3
         assert calib.probe_duration == 0.3e-3
+
+    def test_readout_pi_time_wins_over_schedule(self, tmp_path):
+        # a [readout] clock_pi_time times the calibration in place of the
+        # [schedule] one, and the run goes through
+        path = tmp_path / "both.ini"
+        path.write_text(RAMSEY_INI.replace("t = 0.08", "t = 0.08\nclock_pi_time = 2e-3")
+                        .replace("camera_floor = 0", "camera_floor = 0\nclock_pi_time = 1e-3"))
+        cfg = load_config(path)
+        assert cfg.calibration() == default_calibration(cfg.model(), 1e-3, camera_floor=0.0)
+        assert main(["simulate", "--config", str(path), "--shots", "1",
+                     "--out", str(tmp_path / "out.csv")]) == 0
+
+    def test_one_model_per_config(self, ramsey_config, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(config, "AtomModel",
+                            lambda *args: built.append(args) or AtomModel(*args))
+        assert main(["simulate", "--config", ramsey_config, "--shots", "1",
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(built) == 1
+        cfg = load_config(ramsey_config)
+        assert cfg.model() is cfg.model()
+        cfg.constants = PhysicsConstants(gamma_qz=900.0)
+        assert cfg.model().constants is cfg.constants
 
     def test_config_embedded_for_provenance(self, ramsey_config, tmp_path):
         out = str(tmp_path / "out.csv")
@@ -720,7 +757,7 @@ IGNORED_INPUTS = [
                  SIMULATE, "config error: [schedule] state = 'g99': ",
                  id="schedule_unknown_initial_state"),
     pytest.param({"run.ini": SCRIPT_INI, "run.seq": "@initial_state g99\n" + SCRIPT}, SIMULATE,
-                 "schedule error: initial_state 'g99'", id="script_unknown_initial_state"),
+                 "sequence error: line 1: initial_state 'g99'", id="script_unknown_initial_state"),
     pytest.param({"run.ini": SCHEDULE_ONLY_INI.replace("name = ramsey\nt = 0.08",
                                                        "name = probe_scan\nt = -1e-3")},
                  SIMULATE, "config error: [schedule] t = -0.001: measure probe_duration must be "
@@ -757,7 +794,7 @@ IGNORED_INPUTS = [
                  SIMULATE, "sequence error: line 6: 'target_f=3.5'",
                  id="script_fractional_target_f"),
     pytest.param({"run.ini": SCRIPT_INI, "run.seq": SCRIPT + "measure N4\n"}, SIMULATE,
-                 "schedule error: event 7: measure label 'N4' repeats event 3",
+                 "sequence error: line 9: event 7: measure label 'N4' repeats event 3",
                  id="script_repeated_label"),
     pytest.param(_ini("sigma_b_shot = 0", "sigma_B = 1e-4"), SIMULATE, "sigma_b",
                  id="noise_typo"),

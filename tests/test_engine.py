@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from tmqubit import engine, figures, readout
 from tmqubit.atom import (
-    BASIS, TRANSITIONS, AtomModel, Manifold, PhysicsConstants, STATE_INDEX, SublevelRef,
+    BASIS, META_START, TRANSITIONS, AtomModel, Manifold, PhysicsConstants, STATE_INDEX, SublevelRef,
     TransitionKind,
 )
 from tmqubit.engine import (
@@ -406,7 +406,7 @@ class TestMetastableDecay:
 
     def test_survival_at_one_lifetime(self):
         pops, after = self._decayed([self.TAU_C])
-        meta = engine._META
+        meta = slice(META_START, None)
         assert after[meta] == pytest.approx(math.exp(-1.0) * pops[meta], rel=1e-12)
 
     def test_population_conserved(self):
@@ -1223,6 +1223,7 @@ def test_random_schedules_compact_equals_full(events, initial, bias, loss_on):
 _ANY_TIME = st.one_of(st.floats(0.0, 1e4), st.floats(-1e4, 1e4),
                       st.sampled_from((math.inf, -math.inf, math.nan)))
 _ANY_F = st.one_of(st.sampled_from((3, 4)), st.integers(-1, 6))
+_NOT_FINITE = st.sampled_from((math.inf, -math.inf, math.nan))
 
 
 def _any_pulse(kind):
@@ -1231,19 +1232,20 @@ def _any_pulse(kind):
                 st.sampled_from([*TRANSITIONS, "g44-g33"])),
             "duration": st.one_of(st.floats(0.0, 1e-2), st.floats(-1e-2, 1e-2)),
             "rabi_frequency": st.one_of(st.floats(0.0, 2e4), st.floats(-2e4, 2e4)),
-            "detuning": st.floats(-1e3, 1e3), "phase": st.floats(-10.0, 10.0)}
+            "detuning": st.one_of(st.floats(-1e3, 1e3), _NOT_FINITE),
+            "phase": st.one_of(st.floats(-10.0, 10.0), _NOT_FINITE)}
 
 
 _ANY_FIELDS = {
     Wait: {"duration": _ANY_TIME},
     MwPulse: _any_pulse(TransitionKind.MW_HYPERFINE),
     ClockPulse: _any_pulse(TransitionKind.OPTICAL_1140),
-    RfSweep: {"duration": _ANY_TIME, "f_start": st.floats(-1e6, 2e6),
-              "f_stop": st.floats(-1e6, 2e6)},
+    RfSweep: {"duration": _ANY_TIME, "f_start": st.one_of(st.floats(-1e6, 2e6), _NOT_FINITE),
+              "f_stop": st.one_of(st.floats(-1e6, 2e6), _NOT_FINITE)},
     Probe410: {"target_F": _ANY_F, "duration": _ANY_TIME},
     Clean530: {"target_F": _ANY_F, "duration": _ANY_TIME,
                "s": st.one_of(st.floats(0.0, 1e4), st.floats(-2.0, 2.0)),
-               "detuning": st.one_of(st.just(0.0), st.floats(-1e9, 1e9))},
+               "detuning": st.one_of(st.just(0.0), st.floats(-1e9, 1e9), _NOT_FINITE)},
     Measure: {"label": st.sampled_from(READOUT_LABELS), "target_F": _ANY_F,
               "probe_duration": _ANY_TIME, "dead_time": _ANY_TIME},
 }

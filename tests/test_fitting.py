@@ -146,6 +146,18 @@ class TestJacobian:
         assert jac4[:, 0] == pytest.approx(0.5 * np.exp(-((x3 / t2) ** 2)), rel=1e-6)
 
 
+    def test_two_evaluations_per_parameter(self):
+        calls = []
+
+        def model(x, *params):
+            calls.append(params)
+            return model_ramsey_fringe(x, *params)
+
+        jac = finite_difference_jacobian(model, np.linspace(-6, 6, 13), [0.5, 0.9, 0.16, 0.3])
+        assert jac.shape == (13, 4)
+        assert len(calls) == 8
+
+
 class TestTwoBodyModel:
     def test_beta_zero_pure_exponential(self):
         t = np.linspace(0, 50, 11)

@@ -69,9 +69,20 @@ class TestParser:
                                                 "got inf$"):
             Measure(**{field: math.inf})
 
+    @pytest.mark.parametrize("cls, name", [(MwPulse, "detuning"), (MwPulse, "phase"),
+                                           (ClockPulse, "detuning"), (ClockPulse, "phase"),
+                                           (Clean530, "detuning"), (RfSweep, "f_start"),
+                                           (RfSweep, "f_stop")])
+    def test_frequency_and_phase_are_finite(self, cls, name):
+        for value in (math.inf, -math.inf, math.nan, np.array([0.0, math.nan])):
+            with pytest.raises(ScheduleError, match=f"^{cls.kind} {name} must be finite, got "):
+                cls(**{name: value})
+        cls(**{name: np.array([0.0, -2.5])})   # a scanned block's per-row values
+
     def test_repeated_measure_label_rejected(self):
-        with pytest.raises(ScheduleError, match="event 2: measure label 'N4' repeats event 0"):
-            parse_sequence("measure N4\nmeasure N3\nmeasure N4 target_f=3")
+        with pytest.raises(ParseError, match="^line 3: event 3: measure label 'N4' repeats "
+                                             "event 0$"):
+            parse_sequence("measure N4\nmeasure N3; wait 1ms\nmeasure N4 target_f=3")
         with pytest.raises(ScheduleError, match="event 1: measure label 'N3' repeats event 0"):
             Schedule((Measure("N3"), Measure("N3"))).followed_by(build_shelving_readout())
 
@@ -133,6 +144,14 @@ class TestParser:
         assert parse_sequence("@bias_field 0.1\nwait 1ms", cfg).metadata.bias_field == 0.1
         with pytest.raises(ParseError, match="unknown pragma"):
             parse_sequence("@var x 1\nwait 1ms\n")
+
+    @pytest.mark.parametrize("pragma, message", [
+        ("@initial_state g99", "initial_state 'g99': F=9 not tracked in manifold GROUND"),
+        ("@bias_field -1mG", "bias_field must be finite and >= 0, got -0.001"),
+    ])
+    def test_pragma_that_breaks_a_metadata_rule_is_named_on_its_line(self, pragma, message):
+        with pytest.raises(ParseError, match=f"^line 2: {re.escape(message)}$"):
+            parse_sequence(f"@name demo\n{pragma}\nwait 1ms\n")
 
 
 # every BuilderConfig value away from its default
