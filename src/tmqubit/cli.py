@@ -53,8 +53,9 @@ EXIT_IO = 4
 
 def _builds(cfg: RunConfig, params: dict) -> bool:
     try:
-        if cfg.schedule_script:
+        if cfg.schedule_script:   # an empty script takes only the [schedule] metadata
             check_params(None, params)
+            parse_sequence("", builder_config_from_params(params))
         else:
             build_protocol(cfg.schedule_name, params)
     except ScheduleError:
@@ -84,12 +85,13 @@ def _resolve_schedule(cfg: RunConfig, params: dict, scan_value):
         try:
             check_params(None, params)
             with open(cfg.schedule_script) as fh:
-                text = fh.read()
-        except ScheduleError as exc:
+                return parse_sequence(fh.read(), builder)
+        except ParseError:   # a line of the script
+            raise
+        except ScheduleError as exc:   # a [schedule] value, e.g. bias_field
             raise ConfigError(f"{_blamed_key(cfg, params, scan_value)}: {exc}") from None
         except OSError as exc:
             raise ConfigError(f"[schedule] script: {exc}") from None
-        return parse_sequence(text, builder)
     if not cfg.schedule_name:
         raise ConfigError("[schedule] name (or script) is required")
     try:
@@ -410,9 +412,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ParseError as exc:
         print(f"sequence error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ScheduleError as exc:   # a script's metadata from [schedule], e.g. bias_field
-        print(f"schedule error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FitNonConvergence as exc:
         print(f"fit error: {exc}", file=sys.stderr)

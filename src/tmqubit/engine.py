@@ -194,21 +194,21 @@ def _shot_rng(seed: int, shot_index: int) -> np.random.Generator:
         np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, shot_index])))
 
 
-def _walk_values(seed: int, n: int) -> np.ndarray:
-    """Cumulative standard-normal walk, deterministic in (seed, index): at
-    least ``n`` values, a power-of-two count of at least 1024."""
-    return _walk(seed, max(1024, 1 << (n - 1).bit_length()))
-
-
 @lru_cache(maxsize=32)
 def _walk(seed: int, length: int) -> np.ndarray:
-    """The first ``length`` values of the walk of ``seed``; every prefix
-    depends on the seed only, so any length gives the same values."""
+    """Read-only (length, 3) table of the walk of ``seed``: per interval k,
+    w_k (a cumulative sum of N(0, 1) steps), S1[k] = sum_{j<k} w_j and
+    S2[k] = sum_{j<k} w_j^2, each summed in index order, so any length
+    gives the same prefix, each sum rounded to ~1e-16 of its size; the
+    integrals they give are in ``ShotContext``."""
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0x9E3779B9])))
-    walk = np.cumsum(rng.standard_normal(length))
-    walk.setflags(write=False)
-    return walk
+    table = np.zeros((length, 3))
+    table[:, 0] = np.cumsum(rng.standard_normal(length))
+    np.cumsum(table[:-1, 0], out=table[1:, 1])
+    np.cumsum(table[:-1, 0] ** 2, out=table[1:, 2])
+    table.setflags(write=False)
+    return table
 
 
 # ------------------------------------------------------------- loss parameters
@@ -232,13 +232,11 @@ class LossParameters:
     volume_cm3: float = 0.16e-3                       # cm^3
 
     def __post_init__(self):
-        if not self.tau > 0:
+        if not self.tau > 0:   # inf: no single-atom loss
             raise ValueError("tau must be strictly positive")
-        if not self.volume_cm3 > 0:
-            raise ValueError(f"volume_cm3 must be > 0, got {self.volume_cm3!r}")
+        _require("volume_cm3", self.volume_cm3, positive=True)
         for token, beta in self.beta_by_state:
-            if beta < 0:
-                raise ValueError(f"beta_{token} must be >= 0, got {beta!r}")
+            _require(f"beta_{token}", beta, non_negative=True)
             state_index(token)
 
     @cached_property
@@ -433,6 +431,12 @@ class ShotContext:
     walk of its seed, so its numbers do not depend on the other rows of the
     block.  ``delta_B``, ``wall_t0``, ``laser_phase`` and the field queries
     are 1-D arrays over the rows; schedule time ``t`` is common to all rows.
+
+    A random walk is integrated from its prefix sums (``_walk``): over [a, b],
+    int w = w_a (b - a) + (w_b - w_a)(b - K_b I) + I (S1[K_b] - S1[K_a] -
+    (K_b - K_a) w_a), I the interval and K = floor(t / I), likewise for w^2
+    with S2, every row read at both ends in one gather.  Inside one interval
+    only w_a (b - a) is nonzero; across intervals S adds ~1e-16 of its size.
     """
 
     def __init__(self, model: AtomModel, noise: NoiseModel, loss: LossParameters,
@@ -446,8 +450,9 @@ class ShotContext:
         shots = np.atleast_1d(shot_index)
         seeds = [noise.seed] * len(shots) if seeds is None else [int(s) for s in seeds]
         self.rngs = [_shot_rng(s, int(k)) for s, k in zip(seeds, shots)]
-        # noise seed -> mask of its rows, for the random-walk drift
-        self._walk_rows = {s: np.array([x == s for x in seeds]) for s in dict.fromkeys(seeds)}
+        if isinstance(noise.drift, RandomWalkDrift):   # each row's position among the seeds
+            self._walk_seeds = tuple(dict.fromkeys(seeds))
+            self._walk_row = np.array([self._walk_seeds.index(s) for s in seeds], dtype=np.intp)
         self.wall_t0 = shots * (schedule.duration + noise.inter_shot_dead_time)
         self.delta_B = (self.draw_normal(noise.sigma_B_shot)
                         if noise.sigma_B_shot > 0 else 0.0)
@@ -473,15 +478,15 @@ class ShotContext:
 
     # ---- field sampling -----------------------------------------------------
 
-    def _walk_at(self, k: np.ndarray) -> np.ndarray:
-        """Standard random-walk values at interval indices ``k`` (an array
-        broadcasting against the shots), each shot reading its seed's walk."""
-        n = int(k.max()) + 1
-        out = np.empty(np.broadcast_shapes(k.shape, self.wall_t0.shape))
-        k = np.broadcast_to(k, out.shape)
-        for seed, rows in self._walk_rows.items():
-            out[..., rows] = _walk_values(seed, n)[k[..., rows]]
-        return out
+    def _walk_at(self, wall_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(walk, K) at wall times ``wall_t`` (an array broadcasting against
+        the rows), K = max(floor(t / interval), 0): ``walk`` holds each row's
+        (w_K, S1[K], S2[K]) on a last axis, read from its seed's ``_walk``
+        table in one gather."""
+        k = np.maximum(wall_t // self.noise.drift.interval, 0).astype(np.intp)
+        length = max(1024, 1 << int(k.max()).bit_length())
+        tables = np.stack([_walk(s, length) for s in self._walk_seeds])
+        return tables[self._walk_row, k], k
 
     def _drift_value(self, wall_t: np.ndarray):
         d = self.noise.drift
@@ -489,8 +494,7 @@ class ShotContext:
             return 0.0
         if isinstance(d, SinusoidDrift):
             return d.amplitude * np.sin(2 * math.pi * wall_t / d.period)
-        k = np.maximum(wall_t // d.interval, 0).astype(np.intp)
-        return d.step * self._walk_at(k)
+        return d.step * self._walk_at(wall_t)[0][..., 0]
 
     def field_offset(self, t: float) -> np.ndarray:
         """B(t) - B_nominal at schedule time t (G), per shot."""
@@ -517,21 +521,20 @@ class ShotContext:
             i1 = o * dt + int_d
             i2 = o**2 * dt + 2 * o * int_d + int_d2
             return i1, i2
-        # random walk: piecewise constant on drift intervals; an interval that
-        # has ended adds zero-length segments
-        wa, wb = np.broadcast_arrays(self.wall_t0 + t0, self.wall_t0 + t1)
-        k = (wa // d.interval).astype(np.intp)
-        i1, i2 = np.zeros(wa.shape), np.zeros(wa.shape)
-        t = wa
-        while (active := t < wb).any():
-            t_next = np.minimum(wb, (k + 1) * d.interval)
-            seg = np.where(active, t_next - t, 0.0)
-            step = o + d.step * self._walk_at(k)
-            i1 += step * seg
-            i2 += step * step * seg
-            k = k + active
-            t = np.where(active, t_next, t)
-        return i1, i2
+        # random walk: w_a (b - a) plus the terms of the interval edges
+        # crossed, for w^p with S_p (the ShotContext docstring)
+        ends = np.array(np.broadcast_arrays(self.wall_t0 + t0, self.wall_t0 + t1))
+        walk, k = self._walk_at(ends)
+        span, into, crossed = ends[1] - ends[0], ends[1] - k[1] * d.interval, k[1] - k[0]
+
+        def integral(wp, sp):
+            return wp[0] * span + (wp[1] - wp[0]) * into + d.interval * (
+                sp[1] - sp[0] - crossed * wp[0])
+
+        w = walk[..., 0]
+        int_d = d.step * integral(w, walk[..., 1])
+        int_d2 = d.step**2 * integral(w * w, walk[..., 2])
+        return o * span + int_d, o**2 * span + 2 * o * int_d + int_d2
 
     def field_integrals(self, t0, t1) -> tuple[np.ndarray, np.ndarray]:
         """(I1, I2) = (int (B-Bn) dt, int (B^2-Bn^2) dt) over [t0, t1], G*s units."""

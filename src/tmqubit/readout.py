@@ -145,17 +145,17 @@ class CrosstalkCalibration:
     clock_pi_time: float = 1e-3
 
     def __post_init__(self):
+        from .engine import _require   # the engine imports this module at load time
+
         for name in ("eps_43", "dep_3", "clock_pi_efficiency", "branch_to_f4"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.camera_floor < 0:
-            raise ValueError("camera_floor must be >= 0")
-        for name in ("tau_c", "probe_reference", "clock_pi_time"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("probe_duration", "dead_time"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
+        if not self.tau_c > 0:   # inf: no metastable decay, as PhysicsConstants allows
+            raise ValueError("tau_c must be > 0")
+        for name in ("probe_reference", "clock_pi_time"):
+            _require(name, getattr(self, name), positive=True)
+        for name in ("camera_floor", "probe_duration", "dead_time"):
+            _require(name, getattr(self, name), non_negative=True)
 
     # ------------------------------------------------------------ persistence
 
@@ -281,18 +281,6 @@ def simulate_readout(populations, calib: CrosstalkCalibration,
     return dict(zip(READOUT_LABELS, raw))
 
 
-@lru_cache(maxsize=16)
-def _inverse_matrix(calib: CrosstalkCalibration) -> np.ndarray:
-    """Read-only inverse of ``forward_matrix(calib)``, memoized like it;
-    raises CalibrationError (not cached) when the matrix is singular."""
-    a = forward_matrix(calib)
-    if abs(np.linalg.det(a)) < 1e-12:
-        raise CalibrationError("singular calibration matrix")
-    inv = np.linalg.inv(a)
-    inv.setflags(write=False)
-    return inv
-
-
 def calibrate(raw, calib: CrosstalkCalibration) -> dict:
     """Invert the linear readout model.
 
@@ -301,11 +289,15 @@ def calibrate(raw, calib: CrosstalkCalibration) -> dict:
     keyed and shaped like them: ``N4``/``N3`` are the mF != 0 backgrounds,
     ``N4_mf0``/``N3_mf0`` the central sublevels, all referred to the start
     of the readout block.  Each row is inverted on its own, so a row's
-    result does not depend on the block it came in.
+    result does not depend on the block it came in.  Raises
+    CalibrationError when the matrix is singular.
     """
+    a = forward_matrix(calib)
+    if abs(np.linalg.det(a)) < 1e-12:
+        raise CalibrationError("singular calibration matrix")
     counts = np.stack([np.asarray(raw[label], dtype=float) for label in READOUT_LABELS],
                       axis=-1)
-    n4x, n40, n3x, n30 = np.einsum("ij,...j->...i", _inverse_matrix(calib), counts).T
+    n4x, n40, n3x, n30 = np.einsum("ij,...j->...i", np.linalg.inv(a), counts).T
     return {"N4": n4x, "N3": n3x, "N4_mf0": n40, "N3_mf0": n30}
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ode_oracle import rk4_two_body
 from tmqubit.atom import AtomModel
 from tmqubit.cli import main
 from tmqubit.engine import (
@@ -55,22 +56,6 @@ def report(number, ok, detail):
     assert ok, detail
 
 
-def _rk4_two_body(n0, t_end, tau, bv, steps=6000):
-    n = n0
-    h = t_end / steps
-
-    def f(n):
-        return -n / tau - bv * n * n
-
-    for _ in range(steps):
-        k1 = f(n)
-        k2 = f(n + 0.5 * h * k1)
-        k3 = f(n + 0.5 * h * k2)
-        k4 = f(n + h * k3)
-        n += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return n
-
-
 def _coherence_contrast(events, bias, noise, shots, n_atoms=100.0,
                         model=MODEL, loss=LOSS_OFF, initial="g30"):
     """Ensemble-averaged qubit coherence 2|<rho_01>| after the events."""
@@ -94,7 +79,7 @@ def test_01_two_body_closed_form_vs_ode_oracle():
             bv = beta / VOLUME_CM3
             for t_end in (0.5, 5.0, 20.0, 60.0):
                 closed = float(model_two_body_loss(t_end, 5000.0, 16.4, bv))
-                oracle = _rk4_two_body(5000.0, t_end, 16.4, bv)
+                oracle = rk4_two_body(5000.0, t_end, 16.4, bv)
                 worst = max(worst, abs(closed - oracle) / oracle)
     elapsed = time.perf_counter() - t0
     report(1, worst <= 1e-6 and elapsed < 1.0,

@@ -781,6 +781,14 @@ IGNORED_INPUTS = [
                   "run.seq": SCRIPT.replace("measure N4\n", "clean s=-0.5\nmeasure N4\n")},
                  SIMULATE, "sequence error: line 5: clean s must be finite and >= 0, got -0.5",
                  id="script_negative_clean_s"),
+    pytest.param({"run.ini": SCRIPT_INI + "bias_field = -0.1\n",
+                  "run.seq": SCRIPT.replace("@bias_field 0.1\n", "")}, SIMULATE,
+                 "config error: [schedule] bias_field = -0.1: bias_field must be finite and "
+                 ">= 0, got -0.1", id="script_negative_bias_field"),
+    pytest.param({"run.ini": SCRIPT_INI + "[scan]\nparam = bias_field\nvalues = 0.1, -0.1\n",
+                  "run.seq": SCRIPT.replace("@bias_field 0.1\n", "")}, SIMULATE,
+                 "config error: [scan] bias_field = -0.1: bias_field must be finite",
+                 id="script_scan_negative_bias_field"),
     pytest.param({"run.ini": SCRIPT_INI + "detuning = 2\n", "run.seq": SCRIPT}, SIMULATE,
                  "detuning", id="script_with_protocol_key"),
     pytest.param({"run.ini": SCRIPT_INI, "run.seq": SCRIPT.replace("measure N4\n",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ode_oracle import rk4_two_body
 from tmqubit import engine, figures, readout
 from tmqubit.atom import (
     BASIS, META_START, TRANSITIONS, AtomModel, Manifold, PhysicsConstants, STATE_INDEX, SublevelRef,
@@ -344,21 +345,11 @@ class TestFreeEvolution:
     @pytest.mark.parametrize("field,token", [(b, t) for b in TWO_BODY_TABLE
                                              for t in TWO_BODY_TABLE[b]])
     def test_closed_form_matches_rk4_oracle(self, field, token):
-        beta = TWO_BODY_TABLE[field][token]
-        bv = beta / 1.6e-4
+        bv = TWO_BODY_TABLE[field][token] / 1.6e-4
         for t_end in (1.0, 10.0, 60.0):
             got = float(model_two_body_loss(t_end, 5000.0, 16.4, bv))
-            n = 5000.0
-            steps = 6000
-            h = t_end / steps
-            f = lambda n: -n / 16.4 - bv * n * n
-            for _ in range(steps):
-                k1 = f(n)
-                k2 = f(n + 0.5 * h * k1)
-                k3 = f(n + 0.5 * h * k2)
-                k4 = f(n + h * k3)
-                n += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            assert abs(got - n) / n < 1e-6
+            oracle = rk4_two_body(5000.0, t_end, 16.4, bv)
+            assert abs(got - oracle) / oracle < 1e-6
 
     def test_metastable_decay_branching(self):
         state, _ = _drive([Wait(0.112)], _meta(initial="m30"))
@@ -461,17 +452,60 @@ class TestDriftIntegrals:
         # value shot 0 sees at its own t = 1.5
         assert c1.field_offset(0.0) == pytest.approx(c0.field_offset(1.5))
 
+    def test_prefix_form_matches_per_interval_sum(self):
+        # a block of four rows on three seeds, and random spans that cross
+        # no interval edge, one edge or many: each integral against the sum
+        # over its intervals of _walk's values, rounded once (math.fsum)
+        interval = 0.5
+        drift = RandomWalkDrift(step=1e-4, interval=interval)
+        noise = NoiseModel(sigma_B_shot=2e-4, drift=drift, seed=9)
+        sched = Schedule((Wait(3.0),), _meta(bias=0.1))
+        seeds = [9, 11, 9, 4]
+        ctx = ShotContext(MODEL, noise, LOSS_OFF, sched, [0, 3, 5, 2], seeds=seeds)
+        rng = np.random.default_rng(17)
+        t0 = rng.uniform(0.0, 40.0, 60)
+        t1 = t0 + np.concatenate([rng.uniform(0.0, 0.01, 20), rng.uniform(0.4, 0.6, 20),
+                                  rng.uniform(5.0, 30.0, 20)])
+        i1, i2 = ctx._offset_integrals(t0[:, None], t1[:, None])
+        edges = set()
+        for r, seed in enumerate(seeds):
+            w = engine._walk(seed, 1024)[:, 0]
+            o = ctx.delta_B[r]
+            for s, (a, b) in enumerate(zip(ctx.wall_t0[r] + t0, ctx.wall_t0[r] + t1)):
+                ks = range(int(a // interval), int(b // interval) + 1)
+                edges.add(min(len(ks) - 1, 2))
+                seg = [min(b, (k + 1) * interval) - max(a, k * interval) for k in ks]
+                values = [o + drift.step * w[k] for k in ks]
+                scale = math.fsum(abs(v) * d for v, d in zip(values, seg))
+                assert abs(i1[s, r] - math.fsum(v * d for v, d in zip(values, seg))) \
+                    <= 1e-9 * scale
+                assert abs(i2[s, r] - math.fsum(v * v * d for v, d in zip(values, seg))) \
+                    <= 1e-9 * scale * max(map(abs, values))
+        assert edges == {0, 1, 2}   # no edge, one, and more than one
+
+    def test_walk_is_held_at_its_first_value_before_wall_time_zero(self):
+        # K = floor(t / interval) is clamped at 0: each row reads its own
+        # seed's first value, never another table's
+        drift = RandomWalkDrift(step=1e-4, interval=1.0)
+        noise = NoiseModel(sigma_B_shot=0.0, drift=drift, seed=3)
+        sched = Schedule((Wait(1.0),), _meta(bias=0.1))
+        ctx = ShotContext(MODEL, noise, LOSS_OFF, sched, [0, 0], seeds=[3, 8])
+        first = [drift.step * engine._walk(seed, 1)[0, 0] for seed in (3, 8)]
+        assert ctx.field_offset(-2.5).tolist() == first
+
     def test_walk_cache_bounded_and_regenerated_exactly(self):
-        first = engine._walk_values(12345, 3000).copy()
-        assert len(first) == 4096   # a power of two >= 1024
+        first = engine._walk(12345, 3000).copy()
+        assert first.shape == (3000, 3)   # w, S1, S2 per interval
         for seed in range(engine._walk.cache_info().maxsize + 5):
-            engine._walk_values(seed, 10)
+            engine._walk(seed, 10)
         info = engine._walk.cache_info()
         assert info.currsize <= info.maxsize
-        again = engine._walk_values(12345, 3000)   # evicted: regenerated
+        again = engine._walk(12345, 3000)   # evicted: regenerated
         assert engine._walk.cache_info().misses == info.misses + 1
-        assert np.array_equal(again[:3000], first[:3000])
-        assert np.array_equal(engine._walk_values(12345, 10)[:1024], first[:1024])
+        assert np.array_equal(again, first)
+        # any length gives the same prefix, prefix sums included
+        assert np.array_equal(engine._walk(12345, 10), first[:10])
+        assert np.array_equal(engine._walk(12345, 4096)[:3000], first)
 
 
 class TestEchoAndCoherence:
@@ -492,6 +526,49 @@ class TestEchoAndCoherence:
                     apply_event(state, ev, ctx)
                 coherence = 2 * abs(state.coherence("g40", "g30"))
                 assert abs(coherence - 1.0) < 1e-9
+
+    @staticmethod
+    def _cp_contrast_oracle(n, t, bias, drift, shots, dead_time=0.6):
+        """Mean over shots of exp(-Var(phi)/2) of a CP sequence under a random
+        walk alone, from the walk's definition: a N(0, 1) step at every
+        multiple t_j of the interval, each adding (2 pi 2 gamma_qz B
+        drift.step) * int_{t_j}^{end} s(t) dt to the phase, with s the +-1
+        switching function of the free evolutions."""
+        duration = build_protocol("cp", {"n": n, "t": t, "bias_field": bias}).duration
+        events = build_cp(n, t, cfg=BuilderConfig(bias_field=bias)).events
+        waits, at, sign = [], events[0].duration, 1.0
+        for ev in events[1:-1]:   # the waits, and the pi pulses that flip s
+            if isinstance(ev, Wait):
+                waits.append((at, at + ev.duration, sign))
+            else:
+                sign = -sign
+            at += ev.duration
+
+        def tail(tau):   # int_tau^end s(t) dt; 0 before the first wait too
+            return sum(s * max(0.0, b - max(a, tau)) for a, b, s in waits)
+
+        scale = (2 * math.pi * 2 * MODEL.constants.gamma_qz * bias * drift.step) ** 2
+        total = 0.0
+        for k in range(shots):
+            start = k * (duration + dead_time)
+            steps = np.arange(math.floor(start / drift.interval),
+                              math.ceil((start + at) / drift.interval) + 1) * drift.interval
+            total += math.exp(-0.5 * scale * sum(tail(x - start) ** 2 for x in steps))
+        return total / shots
+
+    @pytest.mark.parametrize("n,t", [(1, 8.0), (2, 12.0), (8, 20.0)])
+    def test_cp_contrast_under_random_walk_matches_oracle(self, n, t):
+        # the engine's walk integrals against a closed form that reads none
+        # of them: agreement within 3 standard errors of 300 shots
+        drift = RandomWalkDrift(5e-5, 1.0)
+        noise = NoiseModel(sigma_B_shot=0.0, drift=drift, seed=0)
+        schedule = build_protocol("cp", {"n": n, "t": t, "bias_field": 0.1})
+        calib = default_calibration(MODEL, camera_floor=0.0)
+        record = run_scan([(schedule, noise, calib)], MODEL, LOSS_OFF, 300)[0]
+        contrast = 2 * (record.eta3() if n % 2 == 0 else record.eta4()) - 1
+        error = contrast.std(ddof=1) / math.sqrt(len(contrast))
+        expected = self._cp_contrast_oracle(n, t, 0.1, drift, 300)
+        assert abs(contrast.mean() - expected) <= 3 * error
 
     def test_single_and_double_storage_decay_rates(self):
         # contrast ratio over storage time tracks exp(-T/(2 tau_c)) for the
@@ -1390,6 +1467,21 @@ class TestParameterValidation:
             LossParameters(beta_by_state=(("g30", -1e-9),))
         with pytest.raises(ValueError):
             LossParameters(beta_by_state=(("g55", 1e-9),))
+
+    @pytest.mark.parametrize("fields,name", [
+        ({"volume_cm3": math.inf}, "volume_cm3"),
+        ({"volume_cm3": math.nan}, "volume_cm3"),
+        ({"beta_by_state": (("g4m4", 1e-11), ("g30", math.nan))}, "beta_g30"),
+        ({"beta_by_state": (("g40", math.inf),)}, "beta_g40"),
+    ])
+    def test_loss_parameters_must_be_finite(self, fields, name):
+        # an infinite volume zeroed every two-body rate, and a NaN beta
+        # dropped its class, both without a word
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            LossParameters(**fields)
+
+    def test_loss_without_single_atom_decay(self):
+        assert not LossParameters(tau=math.inf, beta_by_state=()).active
 
     def test_loss_classes_resolved_once(self):
         loss = LossParameters(beta_by_state=(("g4m4", 0.0), ("g40", 1e-9), ("g30", 2e-9)))

@@ -264,3 +264,17 @@ class TestValidation:
             CrosstalkCalibration(clock_pi_efficiency=2.0)
         with pytest.raises(ValueError):
             CrosstalkCalibration(camera_floor=-1.0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("camera_floor", math.inf), ("camera_floor", math.nan), ("dead_time", math.inf),
+        ("probe_duration", math.inf), ("probe_reference", math.inf),
+        ("clock_pi_time", math.inf)])
+    def test_timings_and_floor_must_be_finite(self, name, value):
+        # an infinite floor gave inf raw and NaN calibrated counts, a NaN
+        # floor acted as 0, and an infinite dead time raised from a Measure
+        # inside forward_matrix
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            CrosstalkCalibration(**{name: value})
+
+    def test_no_metastable_decay_is_a_calibration(self):
+        assert CrosstalkCalibration(tau_c=math.inf).tau_c == math.inf
