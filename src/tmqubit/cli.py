@@ -2,8 +2,10 @@
 
 Every subcommand is deterministic under a fixed seed and configuration and
 writes versioned CSV (``# schema=1``); the resolved configuration is
-embedded in each output for provenance.  Exit codes: 0 success, 2
-configuration error, 3 fit non-convergence, 4 I/O error.
+embedded in each output for provenance.  A command raises where it finds
+a fault, and ``main`` alone turns the error into the exit code: 0 success,
+2 configuration, sequence-script or readout-calibration error, 3 any fit
+error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import inspect
 import math
 import os
 import sys
+from contextlib import contextmanager
 from itertools import repeat
 
 import numpy as np
@@ -25,7 +28,6 @@ from .fitting import (
     DataError,
     Dataset,
     FitError,
-    FitNonConvergence,
     MODELS,
     chi2_profile,
     csv_column,
@@ -36,8 +38,8 @@ from .fitting import (
 )
 from .protocols import (QUANTITIES, build_protocol, builder_config_from_params, check_params,
                         record_quantity)
-from .readout import (CrosstalkCalibration, ReadoutRecord, fit_probe_scan, probe_parabola,
-                      probe_scan_points)
+from .readout import (PARABOLA_WINDOW, CalibrationError, CrosstalkCalibration, ReadoutRecord,
+                      fit_probe_scan, probe_parabola, probe_scan_points)
 from .schedule import ParseError, ScheduleError, parse_sequence
 
 __all__ = ["main"]
@@ -85,13 +87,18 @@ def _resolve_schedule(cfg: RunConfig, params: dict, scan_value):
         try:
             check_params(None, params)
             with open(cfg.schedule_script) as fh:
-                return parse_sequence(fh.read(), builder)
+                schedule = parse_sequence(fh.read(), builder)
         except ParseError:   # a line of the script
             raise
         except ScheduleError as exc:   # a [schedule] value, e.g. bias_field
             raise ConfigError(f"{_blamed_key(cfg, params, scan_value)}: {exc}") from None
         except OSError as exc:
             raise ConfigError(f"[schedule] script: {exc}") from None
+        if "bias_field" in params and params["bias_field"] != schedule.metadata.bias_field:
+            section = "[scan]" if cfg.scan_param == "bias_field" else "[schedule]"
+            raise ConfigError(f"{section} bias_field = {params['bias_field']!r}: the script "
+                              f"sets @bias_field {schedule.metadata.bias_field!r}")
+        return schedule
     if not cfg.schedule_name:
         raise ConfigError("[schedule] name (or script) is required")
     try:
@@ -126,7 +133,7 @@ def _simulate_rows(cfg: RunConfig):
     return rows
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.noise = dataclasses.replace(cfg.noise, seed=args.seed)
@@ -143,10 +150,19 @@ def cmd_simulate(args) -> int:
     print(f"simulate: {cfg.schedule_name or cfg.schedule_script}: "
           f"{n_scan} scan points x {cfg.shots} shots -> {len(rows)} rows -> {args.out}",
           file=sys.stderr)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------- fit
+
+
+@contextmanager
+def _data_file(path):
+    """Read the data file ``path``: its DataError is raised as a ConfigError
+    naming the file."""
+    try:
+        yield
+    except DataError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _scan_records(rows) -> dict[float, ReadoutRecord]:
@@ -192,55 +208,43 @@ def _dataset_from_file(path, spec, quantity=None):
     return Dataset(xs, ys, sigmas if all(s > 0 for s in sigmas) else None), quantity
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> None:
     if args.model not in MODELS:
-        print(f"fit: unknown model {args.model!r}; choose from "
-              f"{', '.join(sorted(MODELS))}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--model: unknown model {args.model!r}; choose from "
+                          f"{', '.join(sorted(MODELS))}")
+    if args.seed < 0:   # the multistart generator's seed
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     spec = MODELS[args.model]
-    try:
+    with _data_file(args.data):
         dataset, quantity = _dataset_from_file(args.data, spec, args.quantity)
-    except OSError as exc:
-        print(f"fit: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except DataError as exc:
-        print(f"fit: {args.data}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     if len(dataset) <= len(spec.param_names):
-        print(f"fit: {args.data}: {len(dataset)} points; model {args.model} needs at least "
-              f"{len(spec.param_names) + 1}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{args.data}: {len(dataset)} points; model {args.model} needs at "
+                          f"least {len(spec.param_names) + 1}")
     if args.init:
         try:
             init = [float(v) for v in args.init.split(",")]
         except ValueError:
             init = []
         if len(init) != len(spec.param_names):
-            print(f"fit: --init {args.init!r}: model {args.model} needs {len(spec.param_names)} "
-                  f"initial values ({', '.join(spec.param_names)})", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"--init {args.init!r}: model {args.model} needs "
+                              f"{len(spec.param_names)} initial values "
+                              f"({', '.join(spec.param_names)})")
     else:
         init = spec.guess(dataset)
     if args.profile and args.profile not in spec.param_names:
-        print(f"fit: --profile {args.profile!r}: model {args.model} has no such parameter "
-              f"({', '.join(spec.param_names)})", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--profile {args.profile!r}: model {args.model} has no such "
+                          f"parameter ({', '.join(spec.param_names)})")
 
     rng = np.random.default_rng(args.seed or 0)
     starts = (list(init) if attempt == 0 else [
         v * float(rng.uniform(0.5, 2.0)) + (0.0 if v != 0 else rng.normal(0, 1e-3))
         for v in init] for attempt in range(args.multistart))
-    try:
-        best = multistart(spec.func, dataset, starts, spec.param_names)
-    except FitError as exc:
-        print(f"fit: did not converge: {exc}", file=sys.stderr)
-        return EXIT_FIT
-
+    best = multistart(spec.func, dataset, starts, spec.param_names)
     if args.profile:
         try:
             best.profile_intervals[args.profile] = chi2_profile(best, args.profile)
-        except FitError as exc:
-            print(f"fit: profile failed: {exc}", file=sys.stderr)
+        except FitError as exc:   # the fit stands; its report has no profile line
+            print(f"note: no profile interval for {args.profile}: {exc}", file=sys.stderr)
 
     print(best.summary())
     if best.used_unit_weights:
@@ -261,65 +265,50 @@ def cmd_fit(args) -> int:
             lines.append(f"profile.{name} = {float(lo)!r} {float(hi)!r}")
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- reproduce
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> None:
     runner = FIGURES.get(args.figure)
     if runner is None:
-        print(f"reproduce: unknown figure id {args.figure!r}; "
-              f"choose from {', '.join(sorted(FIGURES))}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--figure: unknown figure id {args.figure!r}; "
+                          f"choose from {', '.join(sorted(FIGURES))}")
     # fig2e and fig8 (one noise-off shot per point) take no shots
     if args.shots is not None and "shots" not in inspect.signature(runner).parameters:
-        print(f"reproduce: --shots does not apply to {args.figure}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--shots does not apply to {args.figure}")
     os.makedirs(args.out, exist_ok=True)
     shots = {} if args.shots is None else {"shots": args.shots}
     for path in runner(args.out, seed=args.seed or 0, **shots):
         print(path)
-    return EXIT_OK
 
 
 # --------------------------------------------------------- calibrate-readout
 
 
-def cmd_calibrate_readout(args) -> int:
+def cmd_calibrate_readout(args) -> None:
     if not (math.isfinite(args.probe_reference) and args.probe_reference > 0):
         raise ConfigError(f"--probe-reference must be finite and > 0, "
                           f"got {args.probe_reference}")
-    try:
+    with _data_file(args.data):
         points = probe_scan_points(_scan_records(read_csv(args.data)))
-    except OSError as exc:
-        print(f"calibrate-readout: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except DataError as exc:
-        print(f"calibrate-readout: {args.data}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except KeyError as exc:
-        print(f"calibrate-readout: {args.data}: column 'measure' has no {exc.args[0]} rows",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    if len(points[0]) < 4:
-        print("calibrate-readout: need a probe-duration scan with >= 4 points",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        fit4, fit3 = fit_probe_scan(*points)
-    except FitNonConvergence as exc:
-        print(f"calibrate-readout: {exc}", file=sys.stderr)
-        return EXIT_FIT
+    n_points, n_window = len(points[0]), int(np.count_nonzero(points[0] <= PARABOLA_WINDOW))
+    if n_points < 4 or n_window < 2:
+        raise ConfigError(f"{args.data}: need a probe-duration scan with >= 4 points, >= 2 of "
+                          f"them <= {PARABOLA_WINDOW!r} s (the crosstalk parabola's window); "
+                          f"got {n_points} and {n_window}")
+    fit4, fit3 = fit_probe_scan(*points)
     tau_ref = args.probe_reference
     a0 = fit3.params["a"]
     eps = float(probe_parabola(tau_ref, fit4.params["c"]) / a0)
     eps_err = float(probe_parabola(tau_ref, fit4.error("c")) / a0)
     dep = float(-math.expm1(-tau_ref / fit3.params["tau"]))
     dep_err = abs(dep - (-math.expm1(-tau_ref / (fit3.params["tau"] + fit3.error("tau")))))
-    calib = CrosstalkCalibration(eps_43=min(max(eps, 0.0), 1.0),
-                                 dep_3=min(max(dep, 0.0), 1.0),
+    if not dep < 1.0:   # the pump rate of dep_3 = 1 is infinite
+        raise FitError(f"depletion time constant {float(fit3.params['tau'])!r} s empties F=3 "
+                       f"within the {tau_ref!r} s reference probe (dep_3 = {dep!r})")
+    calib = CrosstalkCalibration(eps_43=min(max(eps, 0.0), 1.0), dep_3=max(dep, 0.0),
                                  probe_reference=tau_ref)
     calib.save(args.out)
     print(f"eps_43 = {eps!r} +- {eps_err!r}")
@@ -335,7 +324,6 @@ def cmd_calibrate_readout(args) -> int:
                      f"{float(fit3.error('tau'))!r}\n")
             fh.write(f"parabola_c = {float(fit4.params['c'])!r} +- "
                      f"{float(fit4.error('c'))!r}\n")
-    return EXIT_OK
 
 
 # --------------------------------------------------------------------- main
@@ -399,26 +387,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; every fault of its input or its fit is raised where
+    it is found, and is turned into its exit code here alone."""
+    args = _build_parser().parse_args(argv)
     try:
         for flag in ("shots", "multistart"):
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ConfigError(f"--{flag} must be >= 1, got {value}")
-        return args.func(args)
-    except ConfigError as exc:
+        args.func(args)
+    except (ConfigError, CalibrationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ParseError as exc:
         print(f"sequence error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FitNonConvergence as exc:
+    except FitError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -161,6 +161,17 @@ def _check_keys(parser, allowed: dict) -> None:
                                   f"{', '.join(sorted(allowed[section]))}")
 
 
+def _made(prefix: str, make, *args, **fields):
+    """``make(*args, **fields)``: the object a section builds.  Its ValueError,
+    whose message starts with the field at fault, is raised as a ConfigError
+    that starts with ``prefix``: the section (``"[loss] "``), or the section and
+    the key prefix of the fields (``"[noise] drift_"``)."""
+    try:
+        return make(*args, **fields)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
 def scan_grid(start: float, stop: float, points: int, name: str) -> tuple:
     """``points`` evenly spaced values from ``start`` to ``stop``; ``name``
     is the setting to blame when ``points < 1``."""
@@ -176,7 +187,10 @@ def load_config(path) -> RunConfig:
     """Parse an INI config file into a RunConfig; raises ConfigError naming
     the offending section/field."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:   # no section header, a key given twice, ...
+        raise ConfigError(str(exc)) from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     kind = parser.get("noise", "drift", fallback="none").strip().lower()
@@ -201,10 +215,7 @@ def load_config(path) -> RunConfig:
 
     constants = parser["constants"] if parser.has_section("constants") else {}
     overrides = {key: _float("constants", key, raw) for key, raw in constants.items()}
-    try:
-        cfg.constants = PhysicsConstants(**overrides)
-    except ValueError as exc:
-        raise ConfigError(f"[constants] {exc}") from None
+    cfg.constants = _made("[constants] ", PhysicsConstants, **overrides)
 
     if parser.has_section("noise"):
         noise = parser["noise"]
@@ -214,14 +225,8 @@ def load_config(path) -> RunConfig:
         if drift_fields:
             kwargs = {f.name: _float("noise", f"drift_{f.name}", noise[f"drift_{f.name}"])
                       for f in drift_fields if f"drift_{f.name}" in noise}
-            try:
-                fields["drift"] = _DRIFT_KINDS[kind](**kwargs)
-            except ValueError as exc:   # the message starts with the field name
-                raise ConfigError(f"[noise] drift_{exc}") from None
-    try:
-        cfg.noise = dataclasses.replace(cfg.noise, **fields)
-    except ValueError as exc:
-        raise ConfigError(f"[noise] {exc}") from None
+            fields["drift"] = _made("[noise] drift_", _DRIFT_KINDS[kind], **kwargs)
+    cfg.noise = _made("[noise] ", dataclasses.replace, cfg.noise, **fields)
 
     if parser.has_section("loss"):
         loss = parser["loss"]
@@ -240,21 +245,14 @@ def load_config(path) -> RunConfig:
                 betas[token] = _float("loss", key, loss[key])
         tau_raw = loss.get("tau", str(base.tau))
         tau = math.inf if tau_raw.strip().lower() in ("inf", "infinity") else _float("loss", "tau", tau_raw)
-        try:
-            cfg.loss = LossParameters(
-                tau=tau,
-                beta_by_state=tuple(betas.items()),
-                volume_cm3=_float("loss", "volume_cm3", loss.get("volume_cm3", str(base.volume_cm3))))
-        except ValueError as exc:
-            raise ConfigError(f"[loss] {exc}") from None
+        cfg.loss = _made("[loss] ", LossParameters, tau=tau, beta_by_state=tuple(betas.items()),
+                         volume_cm3=_float("loss", "volume_cm3",
+                                           loss.get("volume_cm3", str(base.volume_cm3))))
 
     if parser.has_section("readout"):
         cfg.calibration_overrides = {key: _float("readout", key, raw)
                                      for key, raw in parser["readout"].items()}
-        try:
-            CrosstalkCalibration(**cfg.calibration_overrides)
-        except ValueError as exc:
-            raise ConfigError(f"[readout] {exc}") from None
+        _made("[readout] ", CrosstalkCalibration, **cfg.calibration_overrides)
 
     if parser.has_section("schedule"):
         sched = parser["schedule"]
@@ -267,10 +265,7 @@ def load_config(path) -> RunConfig:
                 cfg.schedule_params[key] = _float("schedule", key, raw)
         cfg.schedule_params.update({key: sched[key].strip() for key in ("state", "mode")
                                     if key in sched})
-        try:
-            builder_config_from_params(cfg.schedule_params)
-        except ValueError as exc:
-            raise ConfigError(f"[schedule] {exc}") from None
+        _made("[schedule] ", builder_config_from_params, cfg.schedule_params)
 
     if parser.has_section("scan"):
         scan = parser["scan"]

@@ -34,7 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from .atom import AtomModel, PhysicsConstants
-from .fitting import Dataset, FitResult, least_squares, mean_and_error, model_exponential
+from .fitting import (DataError, Dataset, FitResult, least_squares, mean_and_error,
+                      model_exponential)
 
 __all__ = [
     "READOUT_LABELS",
@@ -49,11 +50,14 @@ __all__ = [
     "forward_matrix",
     "calibrate",
     "probe_parabola",
+    "PARABOLA_WINDOW",
     "probe_scan_points",
     "fit_probe_scan",
 ]
 
 READOUT_LABELS = ("N4", "N3", "N4_mf0", "N3_mf0")
+# longest probe (s) at which the crosstalk signal still grows as tau^2
+PARABOLA_WINDOW = 1.0e-3
 
 
 class CalibrationError(ValueError):
@@ -147,9 +151,12 @@ class CrosstalkCalibration:
     def __post_init__(self):
         from .engine import _require   # the engine imports this module at load time
 
-        for name in ("eps_43", "dep_3", "clock_pi_efficiency", "branch_to_f4"):
+        for name in ("eps_43", "clock_pi_efficiency", "branch_to_f4"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        if not 0.0 <= self.dep_3 < 1.0:
+            raise ValueError("dep_3 must lie in [0, 1) (its pump rate -ln(1 - dep_3)/"
+                             f"probe_reference is infinite at 1), got {self.dep_3!r}")
         if not self.tau_c > 0:   # inf: no metastable decay, as PhysicsConstants allows
             raise ValueError("tau_c must be > 0")
         for name in ("probe_reference", "clock_pi_time"):
@@ -220,6 +227,8 @@ def crosstalk_fraction(tau: float, calib: CrosstalkCalibration) -> float:
     if calib.eps_43 <= 0.0 or tau <= 0.0:
         return 0.0
     p = pump_rate(calib)
+    if p == 0.0:   # no repumping (dep_3 = 0, or 1 - dep_3 rounds to 1): the p -> 0 limit
+        return calib.eps_43 * (tau / calib.probe_reference) ** 2
     kappa = calib.eps_43 / _pumped_signal_integral(calib.probe_reference, p)
     return kappa * _pumped_signal_integral(tau, p)
 
@@ -290,11 +299,12 @@ def calibrate(raw, calib: CrosstalkCalibration) -> dict:
     ``N4_mf0``/``N3_mf0`` the central sublevels, all referred to the start
     of the readout block.  Each row is inverted on its own, so a row's
     result does not depend on the block it came in.  Raises
-    CalibrationError when the matrix is singular.
+    CalibrationError, naming the calibration's fields and values, when the
+    matrix is singular.
     """
     a = forward_matrix(calib)
     if abs(np.linalg.det(a)) < 1e-12:
-        raise CalibrationError("singular calibration matrix")
+        raise CalibrationError(f"singular readout matrix of {calib}")
     counts = np.stack([np.asarray(raw[label], dtype=float) for label in READOUT_LABELS],
                       axis=-1)
     n4x, n40, n3x, n30 = np.einsum("ij,...j->...i", np.linalg.inv(a), counts).T
@@ -312,10 +322,13 @@ def probe_parabola(tau, c):
 def probe_scan_points(scan: dict) -> tuple[np.ndarray, ...]:
     """(taus, n4, n4_err, n3, n3_err) of a first-probe duration scan
     ``{tau: record}``, ascending in tau: the shot means of the raw N4 and N3
-    counts, each with its standard error floored at 1e-3 counts."""
+    counts, each with its standard error floored at 1e-3 counts; raises
+    DataError when a scan value has no N4 or N3 rows."""
     taus = np.array(sorted(scan))
     columns = []
     for label in ("N4", "N3"):
+        if any(label not in scan[tau].raw for tau in taus):
+            raise DataError(f"column 'measure' has no {label} rows")
         mean, err = np.array([mean_and_error(scan[tau].raw[label]) for tau in taus]).T
         columns += [mean, np.maximum(err, 1e-3)]
     return (taus, *columns)
@@ -326,12 +339,12 @@ def fit_probe_scan(taus, n4, n4_err, n3, n3_err) -> tuple[FitResult, FitResult]:
     the probe durations ``taus``).
 
     The F=4 count is the crosstalk signal, fitted by ``probe_parabola`` where
-    the quadratic growth law holds (probe pulses up to 1 ms); the F=3 count
-    decays as ``model_exponential`` over the whole scan.  Returns the
+    the quadratic growth law holds (probe pulses up to ``PARABOLA_WINDOW``); the
+    F=3 count decays as ``model_exponential`` over the whole scan.  Returns the
     (parabola, exponential) fits; raises FitNonConvergence like
     ``least_squares``.
     """
-    mask = taus <= 1.0e-3
+    mask = taus <= PARABOLA_WINDOW
     fit4 = least_squares(probe_parabola, Dataset(taus[mask], n4[mask], n4_err[mask]),
                          [max(n4[mask][-1], 1.0) / taus[mask][-1] ** 2], ("c",))
     fit3 = least_squares(model_exponential, Dataset(taus, n3, n3_err),

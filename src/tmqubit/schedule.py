@@ -113,6 +113,9 @@ class _Event:
                 problem = f"must be finite and >= 0, got {value!r}"
             elif name in _FINITE and not _finite(value):
                 problem = f"must be finite, got {value!r}"
+            elif name == "rabi_frequency" and self.kind == "mw" and not value * value < math.inf:
+                # the off-resonant leakage onto the spectator lines squares it
+                problem = f"must square to a finite number, got {value!r}"
             elif name == "target_F" and value not in (3, 4):
                 problem = f"must be 3 or 4, got {value!r}"
             elif name == "transition" and value not in TRANSITIONS:

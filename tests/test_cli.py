@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,12 @@ from tmqubit.cli import main
 from tmqubit.config import ConfigError, RunConfig, load_config
 from tmqubit.engine import default_calibration
 from tmqubit import config, figures, fitting
-from tmqubit.fitting import read_csv, write_csv
+from tmqubit.fitting import (FitError, FitNonConvergence, SingularNormalMatrix, read_csv,
+                             write_csv)
 from tmqubit.protocols import PROTOCOL_PARAMS, build_protocol
-from tmqubit.readout import CrosstalkCalibration
-from tmqubit.schedule import (_KINDS, _POSITIONAL, _SERIAL_NAMES, parse_sequence,
-                              serialize_sequence)
+from tmqubit.readout import CalibrationError, CrosstalkCalibration
+from tmqubit.schedule import (_KINDS, _POSITIONAL, _SERIAL_NAMES, BuilderConfig, ParseError,
+                              parse_sequence, serialize_sequence)
 
 RAMSEY_INI = """
 [run]
@@ -976,3 +978,106 @@ class TestReadme:
         rows = re.findall(r"^\| `(\w+)` \| ((?:`\w+`(?:, )?)+) \|$", README.read_text(), re.M)
         assert {name: tuple(re.findall(r"`(\w+)`", keys)) for name, keys in rows} == \
             PROTOCOL_PARAMS
+
+
+# ------------------------------------------------------------ exit codes
+
+# every numeric key a one-shot ramsey run reads, each set alone to a value
+# at or past the edge of its range
+SWEEP_KEYS = [
+    *[("run", key) for key in ("seed", "shots", "atoms")],
+    *[("constants", f.name) for f in dataclasses.fields(PhysicsConstants)],
+    *[("noise", key) for key in ("sigma_b_shot", "laser_phase_diffusion")],
+    *[("loss", key) for key in ("table_field", "tau", "volume_cm3", "beta_g4m4", "beta_g40",
+                                "beta_g30")],
+    *[("readout", f.name) for f in dataclasses.fields(CrosstalkCalibration)],
+    *[("schedule", key) for key in ("t", "detuning",
+                                    *(f.name for f in dataclasses.fields(BuilderConfig)))],
+]
+
+
+def test_boundary_values_exit_0_or_2_naming_the_key(tmp_path, capsys):
+    # each ended in a traceback once: a singular readout matrix, dep_3 = 0
+    # or 1, an overflowing mw Rabi frequency
+    ini, out, bad = tmp_path / "run.ini", str(tmp_path / "out.csv"), []
+    for section, key in SWEEP_KEYS:
+        for value in ("0", "1e-300", "1", "-1", "1e3"):
+            sections = {"run": {"shots": "1"}, "schedule": {"name": "ramsey"}}
+            sections.setdefault(section, {})[key] = value
+            ini.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                                   for name, keys in sections.items()))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    code = main(["simulate", "--config", str(ini), "--out", out])
+                except Exception as exc:   # the fault under test: report every one
+                    code = f"{type(exc).__name__}: {exc}"
+            err = capsys.readouterr().err
+            if code not in (0, 2) or code == 2 and key.lower() not in err.lower():
+                bad.append((section, key, value, code, err))
+    assert bad == []
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigError("[run] shots"), 2, "config error: "),
+    (ParseError("bad word", 3), 2, "sequence error: "),
+    (CalibrationError("singular readout matrix"), 2, "config error: "),
+    (FitNonConvergence("no downhill step"), 3, "fit error: "),
+    (SingularNormalMatrix("singular normal matrix"), 3, "fit error: "),
+    (FitError("dof = 1 - 1 < 1"), 3, "fit error: "),
+    (FileNotFoundError(2, "No such file or directory"), 4, "io error: "),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_main_maps_each_error_kind_to_its_exit_code(tmp_path, capsys, monkeypatch, error,
+                                                     code, prefix):
+    def runner(out, seed):
+        raise error
+
+    monkeypatch.setitem(figures.FIGURES, "raising", runner)
+    assert main(["reproduce", "--figure", "raising", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == f"{prefix}{error}\n"
+
+
+def test_calibrate_needs_two_probes_in_the_parabola_window(tmp_path, capsys):
+    # one probe of at most 1 ms left the parabola fit no degree of freedom
+    data = tmp_path / "d.csv"
+    data.write_text(PROBE_SCAN_CSV.split("\n", 1)[0] + "\n" + "".join(
+        f"t,{tau!r},0,N4,0.0,{3e7 * tau * tau!r},nan,0\n"
+        f"t,{tau!r},0,N3,0.0,{2000 * math.exp(-tau / 4.5e-3)!r},nan,0\n"
+        for tau in (0.5e-3, 2e-3, 3e-3, 4e-3)))
+    assert main(["calibrate-readout", "--data", str(data), "--out",
+                 str(tmp_path / "c.txt")]) == 2
+    assert ">= 2 of them <= 0.001 s" in capsys.readouterr().err
+    assert not (tmp_path / "c.txt").exists()
+
+
+@pytest.mark.parametrize("ini, code, message", [
+    (SCRIPT_INI + "bias_field = 0.3\n", 2,
+     "config error: [schedule] bias_field = 0.3: the script sets @bias_field 0.1"),
+    (SCRIPT_INI + "[scan]\nparam = bias_field\nvalues = 0.1, 0.2\n", 2,
+     "config error: [scan] bias_field = 0.2: the script sets @bias_field 0.1"),
+    (SCRIPT_INI + "bias_field = 0.1\n", 0, ""),
+], ids=["schedule", "scan", "agreeing"])
+def test_script_bias_field_must_agree_with_the_config(tmp_path, capsys, ini, code, message):
+    # the run took the pragma's field while the header recorded the config's
+    (tmp_path / "run.seq").write_text(SCRIPT)
+    (tmp_path / "run.ini").write_text(ini.replace("{tmp}", str(tmp_path)))
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in SIMULATE]) == code
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[run]\nshots = 1\nshots = 2\n", "option 'shots' in section 'run' already exists"),
+    ("shots = 1\n", "no section headers"),
+], ids=["key_twice", "no_section"])
+def test_unparsable_config_exits_2(tmp_path, capsys, text, message):
+    (tmp_path / "run.ini").write_text(text)
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in SIMULATE]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_negative_fit_seed_exits_2(tmp_path, capsys):
+    # np.random.default_rng(-1) raised a ValueError out of main
+    data = tmp_path / "d.csv"
+    data.write_text("x,y\n0,1.0\n2,0.5\n4,0.3\n5,0.2\n")
+    assert main(["fit", "--model", "exponential", "--data", str(data), "--seed", "-1"]) == 2
+    assert "config error: --seed must be >= 0, got -1" in capsys.readouterr().err

@@ -278,3 +278,26 @@ class TestValidation:
 
     def test_no_metastable_decay_is_a_calibration(self):
         assert CrosstalkCalibration(tau_c=math.inf).tau_c == math.inf
+
+
+class TestNoRepumping:
+    def test_zero_pump_rate_takes_the_parabolic_limit(self):
+        # dep_3 = 0, and dep_3 = 1e-300 where 1 - dep_3 rounds to 1, divided
+        # by a zero signal integral
+        for dep in (0.0, 1e-300):
+            calib = dataclasses.replace(CALIB, dep_3=dep)
+            assert crosstalk_fraction(0.3e-3, calib) == CALIB.eps_43 * (0.3e-3 / 0.4e-3) ** 2
+            assert pump_depletion(0.3e-3, calib) == 0.0
+        near = crosstalk_fraction(0.3e-3, dataclasses.replace(CALIB, dep_3=1e-9))
+        assert near == pytest.approx(CALIB.eps_43 * (0.3e-3 / 0.4e-3) ** 2, rel=1e-8)
+
+    def test_full_depletion_is_rejected(self):
+        # the pump rate -ln(1 - dep_3)/probe_reference is infinite there
+        with pytest.raises(ValueError, match=r"^dep_3 must lie in \[0, 1\)"):
+            CrosstalkCalibration(dep_3=1.0)
+
+
+def test_singular_matrix_names_the_calibration():
+    with pytest.raises(CalibrationError, match=r"probe_duration=0\.0"):
+        calibrate(dict.fromkeys(READOUT_LABELS, 1.0),
+                  dataclasses.replace(CALIB, probe_duration=0.0))

@@ -388,3 +388,13 @@ class TestProtocolGoldens:
         cases = [case.values[:2] for case in _protocol_goldens()]
         assert sorted(name for name, params in cases if not params) == sorted(PROTOCOLS)
         assert sorted(name for name, params in cases if params) == sorted(PROTOCOLS)
+
+
+def test_mw_rabi_frequency_must_square_to_a_finite_number():
+    # the spectator leakage of engine._mw_pulse squares it: mw_pi_time = 1e-300
+    # ended in an OverflowError there
+    with pytest.raises(ScheduleError, match=r"^mw rabi_frequency must square to a finite number"):
+        MwPulse(rabi_frequency=2e154)
+    with pytest.raises(ParseError, match=r"^line 1: mw rabi_frequency must square"):
+        parse_sequence("mw pi rabi=1e200")
+    assert ClockPulse(rabi_frequency=2e154).rabi_frequency == 2e154
