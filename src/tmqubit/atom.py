@@ -153,6 +153,10 @@ TRANSITIONS: dict[str, TransitionSpec] = {t.name: t for t in (
 )}
 
 
+# G: the Zeeman model's weak-field limit, a tenth of the 1.07 kG where mu_B*B/h = 1497 MHz
+MAX_FIELD = 100.0
+# Hz: above every carrier of the model (the 410 nm probe's 731 THz)
+MAX_FREQUENCY = 1e15
 # Coefficients of the ground F=4 intra-manifold shift
 #   shift(mF, B) = mF*k4*B + mF^2*q4*B^2
 # are pinned by the RF-sweep ladder: at the 0.6 G working field the four
@@ -173,7 +177,8 @@ class PhysicsConstants:
     constrained by two hard requirements (the RF sweep ladder span and
     >= 60 kHz spectator isolation of the hyperfine clock line at 0.6 G);
     only detunings built from them enter the dynamics, never absolute
-    g-factors.  Trap loss (lifetime, volume) is ``engine.LossParameters``
+    g-factors; each keeps a shift (|mF| <= 4) at MAX_FIELD below MAX_FREQUENCY.
+    Trap loss (lifetime, volume) is ``engine.LossParameters``
     and the 530 nm detuning is a property of each cleaning pulse.
     """
 
@@ -197,6 +202,13 @@ class PhysicsConstants:
                      "tau_clean"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
+        for name, value in vars(self).items():   # the Zeeman coefficients' bounds
+            power = (1 if name.startswith("linear_zeeman") else
+                     2 if name.startswith(("quad_zeeman", "gamma_qz")) else 0)
+            bound = MAX_FREQUENCY / (4 * MAX_FIELD) ** power
+            if power and not abs(value) <= bound:
+                raise ValueError(f"{name} must be at most {bound:g} in magnitude: a shift "
+                                 f"at {MAX_FIELD:g} G stays below {MAX_FREQUENCY:g} Hz")
         if not 0.0 <= self.metastable_branch_to_f4 <= 1.0:
             raise ValueError("metastable_branch_to_f4 must lie in [0, 1]")
         if not 0.0 <= self.clock_reflection_intensity < 1.0:

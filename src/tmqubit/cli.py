@@ -21,7 +21,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config, scan_grid
+from .config import MAX_SHOTS, ConfigError, RunConfig, load_config, scan_grid
 from .engine import run_scan
 from .figures import FIGURES
 from .fitting import (
@@ -391,10 +391,10 @@ def main(argv=None) -> int:
     it is found, and is turned into its exit code here alone."""
     args = _build_parser().parse_args(argv)
     try:
-        for flag in ("shots", "multistart"):
+        for flag, most in (("shots", MAX_SHOTS), ("multistart", math.inf)):
             value = getattr(args, flag, None)
-            if value is not None and value < 1:
-                raise ConfigError(f"--{flag} must be >= 1, got {value}")
+            if value is not None and not 1 <= value <= most:
+                raise ConfigError(f"--{flag} must lie in [1, {most}], got {value}")
         args.func(args)
     except (ConfigError, CalibrationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

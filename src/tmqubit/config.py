@@ -38,6 +38,7 @@ class ConfigError(ValueError):
     pass
 
 
+MAX_SHOTS = 10**6   # a shot is one cycle of the apparatus, about a second
 _GRID_KEYS = ("start", "stop", "points")
 # section -> the keys it reads (None: not checked); [noise] also reads the
 # drift_* keys of its drift kind and, with a drift (whose wall clock it sets),
@@ -208,8 +209,8 @@ def load_config(path) -> RunConfig:
         fields["seed"] = _int("run", "seed", run.get("seed", cfg.noise.seed))
         cfg.shots = _int("run", "shots", run.get("shots", cfg.shots))
         cfg.atoms = _float("run", "atoms", run.get("atoms", cfg.atoms))
-        if cfg.shots < 1:
-            raise ConfigError("[run] shots must be >= 1")
+        if not 1 <= cfg.shots <= MAX_SHOTS:
+            raise ConfigError(f"[run] shots must lie in [1, {MAX_SHOTS}]")
         if not cfg.atoms > 0:
             raise ConfigError("[run] atoms must be > 0")
 

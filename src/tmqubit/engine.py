@@ -62,6 +62,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .atom import (
+    MAX_FIELD,
     AtomModel,
     BASIS,
     DIM,
@@ -83,6 +84,7 @@ from .readout import (
     pump_depletion,
 )
 from .schedule import (
+    MAX_CLOCK_AREA,
     Clean530,
     ClockPulse,
     Measure,
@@ -123,15 +125,17 @@ _G40 = state_index("g40")
 
 
 def _require(name: str, value: float, positive: bool = False,
-             non_negative: bool = False) -> None:
+             non_negative: bool = False, most: float = math.inf) -> None:
     """Raise ValueError naming ``name`` unless value is finite (and > 0 or
-    >= 0 when asked)."""
+    >= 0 when asked) and at most ``most``."""
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if positive and not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
     if non_negative and not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most:g}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,7 @@ class SinusoidDrift:
     kind = "sinusoid"
 
     def __post_init__(self):
-        _require("amplitude", self.amplitude)
+        _require("amplitude", abs(self.amplitude), most=MAX_FIELD)
         _require("period", self.period, positive=True)
 
 
@@ -158,7 +162,7 @@ class RandomWalkDrift:
     kind = "random_walk"
 
     def __post_init__(self):
-        _require("step", self.step, non_negative=True)
+        _require("step", self.step, non_negative=True, most=MAX_FIELD)
         _require("interval", self.interval, positive=True)
 
 
@@ -179,7 +183,7 @@ class NoiseModel:
     inter_shot_dead_time: float = 0.6     # s
 
     def __post_init__(self):
-        _require("sigma_B_shot", self.sigma_B_shot, non_negative=True)
+        _require("sigma_B_shot", self.sigma_B_shot, non_negative=True, most=MAX_FIELD)
         _require("laser_phase_diffusion", self.laser_phase_diffusion, non_negative=True)
         _require("inter_shot_dead_time", self.inter_shot_dead_time, non_negative=True)
 
@@ -236,7 +240,8 @@ class LossParameters:
             raise ValueError("tau must be strictly positive")
         _require("volume_cm3", self.volume_cm3, positive=True)
         for token, beta in self.beta_by_state:
-            _require(f"beta_{token}", beta, non_negative=True)
+            # cm^3/s: over 200 times the largest coefficient of TWO_BODY_TABLE
+            _require(f"beta_{token}", beta, non_negative=True, most=1e-6)
             state_index(token)
 
     @cached_property
@@ -670,82 +675,54 @@ def _rotation(omega, delta, tau: float):
             (c + 1j * s_w * delta) * phase)
 
 
-# Values of a standing-wave average evaluated together: this bounds the
-# average's scratch (each value's nodes, and its node products for the
-# 1140 nm channel) at any number of values, and a value's sums then run over
-# arrays of the same layout whatever the other values are.
-_AVERAGE_CHUNK = 64
+# (value, node) entries averaged together: bounded scratch, one layout per value
+_AVERAGE_ENTRIES = 2048
 
 
-def _standing_wave_average(average, a: float, n_values: int):
-    """Standing-wave average of 1140 nm quantities, converged by node doubling.
-
-    A back-reflection of amplitude ratio ``a`` modulates the Rabi frequency
-    as Omega(z) = Omega0*sqrt(1+a^2+a*cos 2kz).  ``average(scale, rows)``
-    maps node scales Omega(z)/Omega0 to a tuple of arrays whose leading axis
-    runs over the values ``rows`` (indices into ``range(n_values)``), each
-    already averaged over the nodes.  Of n midpoint nodes u of one optical
-    period, the nodes u and 2*pi - u have equal scales, so ``average`` sees
-    the n/2 scales of the first half period, whose mean is that of all n.
-    n doubles from 32 until no entry of a value moves by 1e-9 (at most 16384
-    nodes).  Every value stops at its own n, and the values are evaluated
-    ``_AVERAGE_CHUNK`` at a time, so its average does not depend on the
-    other values.
-    """
-    def evaluate(n_nodes: int, rows: np.ndarray):
-        u = 2 * math.pi * (np.arange(n_nodes // 2) + 0.5) / n_nodes
-        return average(np.sqrt(np.clip(1.0 + a * a + a * np.cos(u), 0.0, None)), rows)
-
-    result = None
-    for start in range(0, max(n_values, 1), _AVERAGE_CHUNK):
-        n = 32
-        rows = np.arange(start, min(start + _AVERAGE_CHUNK, n_values))
-        out = evaluate(n, rows)
-        if result is None:
-            result = tuple(np.empty((n_values,) + x.shape[1:], dtype=x.dtype) for x in out)
-        for res, new in zip(result, out):
-            res[rows] = new
-        while n < 16384 and len(rows):
-            n *= 2
-            prev, out = out, evaluate(n, rows)
-            for res, new in zip(result, out):
-                res[rows] = new
-            moved = np.max([np.abs(new - old).reshape(len(rows), -1).max(axis=1)
-                            for new, old in zip(out, prev)], axis=0)
-            going = moved >= 1e-9
-            rows, out = rows[going], tuple(x[going] for x in out)
-    return result
+def _standing_wave_scales(omega_tau: float, a: float) -> np.ndarray:
+    """The n/2 scales s(u) = sqrt(1 + a^2 + a*cos u), u = 2kz, of the first
+    half period (s(2*pi - u) = s(u)) of the n-node midpoint rule that averages
+    a 1140 nm pulse of area ``omega_tau`` over the standing wave: n is the
+    first multiple of 32 >= k + 12*k^(1/3), k the largest phase gradient
+    omega_tau*|s'(u)| (README, Approximations).  Tested to 1e-12 from a
+    2^16-node average for a in [0, 1), detunings up to 50/tau and areas up to
+    ``MAX_CLOCK_AREA``; a larger area omega_tau*max(1, |a|) raises ValueError."""
+    if not omega_tau * max(1.0, abs(a)) <= MAX_CLOCK_AREA:
+        raise ValueError(f"standing-wave average: pulse area {omega_tau!r} rad at reflection "
+                         f"{a!r} is past the node rule's limit {MAX_CLOCK_AREA:g} rad")
+    big = 1.0 + a * a
+    k = abs(omega_tau * a) / math.sqrt(2.0 * (big + math.sqrt(big * big - a * a)))
+    n = 32 * max(1, math.ceil((k + 12.0 * k ** (1 / 3)) / 32))
+    u = 2 * math.pi * (np.arange(n // 2) + 0.5) / n
+    return np.sqrt(big + a * np.cos(u))
 
 
 # The node products e_a conj(e_b), e = (u00, u01, u11), formed for a <= b;
 # the mean for a > b is the conjugate of that for (b, a).
-_PRODUCT_A, _PRODUCT_B = np.triu_indices(3)
-_PRODUCTS = tuple(zip(_PRODUCT_A.tolist(), _PRODUCT_B.tolist()))
+_PRODUCTS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 # s4[2i+k, 2j+l] = <U_ij conj(U_kl)>, U = [[u00, u01], [u01, u11]]: the column
 # of that mean among (<u00>, <u01>, <u11>, the 6 product means, their
 # conjugates)
-_U_ENTRY = ((0, 1), (1, 2))
-_PRODUCT_COLUMN = np.empty((3, 3), dtype=np.intp)
-_PRODUCT_COLUMN[_PRODUCT_B, _PRODUCT_A] = 9 + np.arange(6)
-_PRODUCT_COLUMN[_PRODUCT_A, _PRODUCT_B] = 3 + np.arange(6)
-_S4_COLUMNS = np.array([[_PRODUCT_COLUMN[_U_ENTRY[i][j], _U_ENTRY[k][m]]
-                         for j in (0, 1) for m in (0, 1)]
-                        for i in (0, 1) for k in (0, 1)])
+_S4_COLUMNS = np.array([[3, 4, 10, 6], [4, 5, 6, 7], [10, 6, 11, 13], [6, 7, 13, 8]])
 
 
 def _clock_average_core(omega_tau: float, delta_tau, a: float) -> tuple:
     """Standing-wave average of the drive-frame rotation for one 1140 nm pulse.
 
     Returns (mean 2x2 matrix, 4x4 superoperator) of the mixture over the
-    reflection-modulated Rabi frequency (``_standing_wave_average``) for
-    every entry of ``delta_tau`` (a number, or an array such as one value
-    per shot), shaped ``delta_tau``'s shape + (2, 2) and + (4, 4), read-only.
-    Each distinct value is averaged once.
+    reflection-modulated Rabi frequency for every entry of ``delta_tau`` (a
+    number, or an array such as one value per shot), shaped ``delta_tau``'s
+    shape + (2, 2) and + (4, 4), read-only.  Each distinct value is averaged
+    once on the n nodes of ``_standing_wave_scales`` (n >= k + 12*k^(1/3)):
+    1e-12 from a 2^16-node average up to ``MAX_CLOCK_AREA``, ValueError past it.
     """
     delta_tau = np.asarray(delta_tau, dtype=float)
     values, inverse = np.unique(delta_tau.ravel(), return_inverse=True)
-
-    def average(scale, rows):
+    scale = _standing_wave_scales(omega_tau, a)
+    means = np.empty((len(values), 9), dtype=complex)
+    step = max(1, _AVERAGE_ENTRIES // len(scale))
+    for start in range(0, len(values), step):
+        rows = slice(start, start + step)
         # node sums of e, then of the products one pair at a time (no
         # (values, 6, nodes) copies), divided by the node count as
         # ndarray.mean divides, so each is the mean to the bit
@@ -753,13 +730,10 @@ def _clock_average_core(omega_tau: float, delta_tau, a: float) -> tuple:
         conj = [x.conj() for x in e]
         sums = ([np.add.reduce(x, axis=-1) for x in e]
                 + [np.add.reduce(e[i] * conj[j], axis=-1) for i, j in _PRODUCTS])
-        return (np.stack(sums, axis=1) / len(scale),)
-
-    (means,) = _standing_wave_average(average, a, len(values))
+        means[rows] = np.stack(sums, axis=1) / len(scale)
     means = np.concatenate((means, means[:, 3:].conj()), axis=1)
-    shape = delta_tau.shape
-    m2 = means[:, [0, 1, 1, 2]][inverse].reshape(shape + (2, 2))
-    s4 = means[:, _S4_COLUMNS][inverse].reshape(shape + (4, 4))
+    m2 = means[:, [0, 1, 1, 2]][inverse].reshape(delta_tau.shape + (2, 2))
+    s4 = means[:, _S4_COLUMNS][inverse].reshape(delta_tau.shape + (4, 4))
     m2.setflags(write=False)
     s4.setflags(write=False)
     return m2, s4

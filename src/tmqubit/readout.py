@@ -152,8 +152,7 @@ class CrosstalkCalibration:
         from .engine import _require   # the engine imports this module at load time
 
         for name in ("eps_43", "clock_pi_efficiency", "branch_to_f4"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+            _require(name, getattr(self, name), non_negative=True, most=1.0)
         if not 0.0 <= self.dep_3 < 1.0:
             raise ValueError("dep_3 must lie in [0, 1) (its pump rate -ln(1 - dep_3)/"
                              f"probe_reference is infinite at 1), got {self.dep_3!r}")

@@ -16,10 +16,12 @@ round-trips bit-exactly through the parser.
 
 Every event, ``ScheduleMetadata`` and ``Schedule`` checks its own fields
 when made, so a schedule that exists is valid: times, Rabi frequencies, a
-clean's ``s`` and the bias field are finite and >= 0, detunings, phases and
-sweep frequencies are finite, ``target_F`` is 3 or 4, a pulse's transition is
-a catalog line of its kind, the initial state is a sublevel token, and no
-measurement label repeats.  A ScheduleError names the kind and the field; a
+clean's ``s``, a 1140 nm pulse's area (to ``MAX_CLOCK_AREA``) and the bias
+field (to ``atom.MAX_FIELD``) are finite and >= 0, detunings (below
+``atom.MAX_FREQUENCY``), phases and sweep frequencies are finite, ``target_F``
+is 3 or 4, a pulse's transition is a catalog line of its kind, the initial
+state is a sublevel token, and no measurement label repeats.  A ScheduleError
+names the kind and the field; a
 script's event, pragma or repeated label raises it as a ParseError on its
 line.
 """
@@ -33,7 +35,7 @@ from typing import get_args
 
 import numpy as np
 
-from .atom import TRANSITIONS, TransitionKind, state_index
+from .atom import MAX_FIELD, MAX_FREQUENCY, TRANSITIONS, TransitionKind, state_index
 from .readout import READOUT_LABELS
 
 __all__ = [
@@ -88,16 +90,20 @@ class ParseError(ScheduleError):
 
 # fields that are finite and >= 0 on every event kind that has them
 _NONNEGATIVE = frozenset({"duration", "probe_duration", "dead_time", "rabi_frequency", "s"})
-# fields that are finite on every event kind that has them
-_FINITE = frozenset({"detuning", "phase", "f_start", "f_stop"})
+# fields that are finite on every event kind that has them, and below their
+# bound in magnitude (past every carrier of the model, a detuning in Hz)
+_FINITE = {"detuning": MAX_FREQUENCY, "phase": math.inf, "f_start": math.inf, "f_stop": math.inf}
+# rad: the largest 1140 nm pulse area, up to which the engine's standing-wave
+# average is tested (engine._standing_wave_scales)
+MAX_CLOCK_AREA = 1e4
 
 
-def _finite(value) -> bool:
-    """``value`` is a finite number, or an array of finite numbers (a
-    scanned pulse's per-row detunings and phases, ``engine._block_schedule``)."""
+def _finite(value, bound: float) -> bool:
+    """``value``, a number or an array of numbers (a scanned pulse's per-row
+    detunings and phases, ``engine._block_schedule``), is below ``bound``."""
     if isinstance(value, np.ndarray):
-        return bool(np.isfinite(value).all())
-    return math.isfinite(value)
+        return bool((np.abs(value) < bound).all())
+    return abs(value) < bound
 
 
 class _Event:
@@ -111,8 +117,12 @@ class _Event:
             value = getattr(self, name)
             if name in _NONNEGATIVE and not 0 <= value < math.inf:
                 problem = f"must be finite and >= 0, got {value!r}"
-            elif name in _FINITE and not _finite(value):
-                problem = f"must be finite, got {value!r}"
+            elif name in _FINITE and not _finite(value, _FINITE[name]):
+                problem = (f"must be below {_FINITE[name]:g} Hz in magnitude, got {value!r}"
+                           if _finite(value, math.inf) else f"must be finite, got {value!r}")
+            elif name == "rabi_frequency" and self.kind == "clock" and not (
+                    area := value * self.duration) <= MAX_CLOCK_AREA:
+                problem = f"times duration must be at most {MAX_CLOCK_AREA:g} rad, got {area!r}"
             elif name == "rabi_frequency" and self.kind == "mw" and not value * value < math.inf:
                 # the off-resonant leakage onto the spectator lines squares it
                 problem = f"must square to a finite number, got {value!r}"
@@ -224,8 +234,9 @@ class ScheduleMetadata:
     initial_state: str | None = None   # sublevel token; None = default rule
 
     def __post_init__(self):
-        if not 0 <= self.bias_field < math.inf:
-            raise ScheduleError(f"bias_field must be finite and >= 0, got {self.bias_field!r}")
+        if not 0 <= self.bias_field <= MAX_FIELD:
+            rule = f"at most {MAX_FIELD:g} G" if self.bias_field > MAX_FIELD else "finite and >= 0"
+            raise ScheduleError(f"bias_field must be {rule}, got {self.bias_field!r}")
         if self.initial_state is not None:
             try:
                 state_index(self.initial_state)

@@ -254,3 +254,13 @@ class TestConstants:
             PhysicsConstants(tau_c=-1.0)
         with pytest.raises(ValueError):
             PhysicsConstants(gamma_qz=0.0)
+
+    @pytest.mark.parametrize("name, edge", [
+        ("linear_zeeman_ground_f4", 2.5e12), ("linear_zeeman_meta_f2", -2.5e12),
+        ("quad_zeeman_ground_f3", -6.25e9), ("gamma_qz", 6.25e9)])
+    def test_zeeman_coefficients_keep_shifts_below_every_carrier(self, name, edge):
+        # a shift of |mF| = 4 at the 100 G weak-field limit stays below 1e15 Hz
+        assert getattr(PhysicsConstants(**{name: edge}), name) == edge
+        message = f"{name} must be at most {abs(edge):g} in magnitude: a shift at 100 G"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            PhysicsConstants(**{name: edge * (1 + 1e-9)})

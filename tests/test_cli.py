@@ -170,7 +170,10 @@ class TestSimulate:
         ("sigma_b_shot = nan", "sigma_b_shot"),
         ("drift = sinusoid\ndrift_amplitude = 3e-4\ndrift_period = 0", "drift_period"),
         ("drift = random_walk\ndrift_step = 1e-4\ndrift_interval = -1", "drift_interval"),
-    ], ids=["negative_sigma", "nan_sigma", "zero_drift_period", "negative_drift_interval"])
+        ("drift = sinusoid\ndrift_amplitude = -1e300", "drift_amplitude"),
+        ("drift = random_walk\ndrift_step = 1e300", "drift_step"),
+    ], ids=["negative_sigma", "nan_sigma", "zero_drift_period", "negative_drift_interval",
+            "huge_drift_amplitude", "huge_drift_step"])
     def test_invalid_noise_is_config_error(self, tmp_path, capsys, noise, field):
         path = tmp_path / "bad.ini"
         path.write_text(RAMSEY_INI.replace("sigma_b_shot = 0", noise))
@@ -998,10 +1001,12 @@ SWEEP_KEYS = [
 
 def test_boundary_values_exit_0_or_2_naming_the_key(tmp_path, capsys):
     # each ended in a traceback once: a singular readout matrix, dep_3 = 0
-    # or 1, an overflowing mw Rabi frequency
+    # or 1, an overflowing mw Rabi frequency, and at 1e300 an overflowing
+    # Zeeman coefficient, field, field noise, beta or detuning (shots = 1e300
+    # ran out of memory)
     ini, out, bad = tmp_path / "run.ini", str(tmp_path / "out.csv"), []
     for section, key in SWEEP_KEYS:
-        for value in ("0", "1e-300", "1", "-1", "1e3"):
+        for value in ("0", "1e-300", "1", "-1", "1e3", "1e300"):
             sections = {"run": {"shots": "1"}, "schedule": {"name": "ramsey"}}
             sections.setdefault(section, {})[key] = value
             ini.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
@@ -1073,6 +1078,42 @@ def test_unparsable_config_exits_2(tmp_path, capsys, text, message):
     (tmp_path / "run.ini").write_text(text)
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in SIMULATE]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--shots", "1000001"], "config error: --shots must lie in [1, 1000000], got 1000001"),
+    (["--shots", "0"], "config error: --shots must lie in [1, 1000000], got 0"),
+], ids=["above", "zero"])
+def test_shots_flag_is_bounded(ramsey_config, tmp_path, capsys, argv, message):
+    assert main(["simulate", "--config", ramsey_config, "--out", str(tmp_path / "o.csv"),
+                 *argv]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("scan, key", [
+    ("", "[schedule] t = 4.0"),
+    ("[scan]\nparam = t\nvalues = 1e-3, 4.0\n", "[scan] t = 4.0"),
+], ids=["schedule", "scan"])
+def test_clock_pulse_past_the_area_limit_exits_2(tmp_path, capsys, scan, key):
+    # a 4 s pi/1ms pulse has area 1.26e4 rad, past the standing-wave node
+    # rule's limit: the loss-off pulse, one substep, would take it whole
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\nshots = 1\n[loss]\ntau = inf\nbeta_g4m4 = 0\nbeta_g40 = 0\n"
+                    "beta_g30 = 0\n[schedule]\nname = clock_rabi\nt = "
+                    + ("1e-3" if scan else "4.0") + "\n" + scan)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: clock rabi_frequency times duration must "
+                          "be at most 10000 rad, got 12566.3")
+
+
+def test_rabi_reflection_fit_past_the_area_limit_exits_3(tmp_path, capsys):
+    # the guess puts the peak at 1 ms, so the 5 s point has area 1.6e4 rad
+    data = tmp_path / "d.csv"
+    data.write_text("x,y\n1e-3,0.99\n1,0.5\n2,0.4\n3,0.5\n4,0.6\n5,0.5\n")
+    assert main(["fit", "--model", "rabi_reflection", "--data", str(data)]) == 3
+    assert capsys.readouterr().err.startswith("fit error: standing-wave average: pulse area ")
 
 
 def test_negative_fit_seed_exits_2(tmp_path, capsys):

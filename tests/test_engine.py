@@ -32,10 +32,11 @@ from tmqubit.engine import (
     run_shot,
 )
 from tmqubit.figures import _fringe_contrast
-from tmqubit.fitting import model_two_body_loss
+from tmqubit.fitting import model_rabi_reflection, model_two_body_loss
 from tmqubit.protocols import PROTOCOLS, build_protocol
 from tmqubit.readout import READOUT_LABELS, CrosstalkCalibration, block_record
 from tmqubit.schedule import (
+    MAX_CLOCK_AREA,
     BuilderConfig,
     Clean530,
     ClockPulse,
@@ -241,29 +242,68 @@ class TestClockPulse:
             s4 += np.kron(u, u.conj())
         return m2 / n_nodes, s4 / n_nodes
 
-    @pytest.mark.parametrize("omega_tau, delta_tau, a, min_nodes", [
+    @staticmethod
+    def _reference(omega_tau, delta_tau, a, n_nodes=2**16):
+        """Standing-wave averages on a fixed midpoint rule of ``n_nodes`` over
+        the whole period, each node sum contiguous (pairwise): (m2, s4) per
+        entry of ``delta_tau``, and the sin^2 average of ``model_rabi_reflection``
+        at area ``omega_tau``."""
+        r = np.sqrt(1.0 + a * a + a * np.cos(2 * np.pi * (np.arange(n_nodes) + 0.5) / n_nodes))
+        d = np.asarray(delta_tau, dtype=float)[:, None]
+        w = np.hypot(omega_tau * r, d)
+        c, s = np.cos(0.5 * w), np.sin(0.5 * w) / np.where(w > 0.0, w, 1.0)
+        phase = np.exp(0.5j * d)
+        # U = [[u00, u01], [u01, u11]]: the entries and their node means
+        u = [(c - 1j * s * d) * phase, -1j * s * omega_tau * r * phase,
+             (c + 1j * s * d) * phase]
+        at = ((0, 1), (1, 2))
+        means = [np.mean(x, axis=-1) for x in u]
+        products = [[np.mean(x * y.conj(), axis=-1) for y in u] for x in u]
+        m2 = np.array([[means[at[i][j]] for j in (0, 1)] for i in (0, 1)])
+        s4 = np.array([[products[at[i][j]][at[k][m]] for j in (0, 1) for m in (0, 1)]
+                       for i in (0, 1) for k in (0, 1)])
+        return (np.moveaxis(m2, -1, 0), np.moveaxis(s4, -1, 0),
+                np.mean(np.sin(0.5 * omega_tau * r) ** 2))
+
+    @pytest.mark.parametrize("omega_tau, delta_tau, a, loop_nodes", [
         (0.0, 0.0, 0.1225, 64),            # w = 0 at every node: identity
         (0.0, 2.5, 0.1225, 64),
         (math.pi, 0.0, 0.1225, 64),
         (math.pi / 2, 0.8, 0.3, 64),
         (60 * math.pi, 4.0, 0.5, 256),     # detuned, many Rabi cycles
     ])
-    def test_array_average_matches_node_loop(self, omega_tau, delta_tau, a, min_nodes):
-        n = 32
-        m2_ref, s4_ref = self._node_loop(omega_tau, delta_tau, a, n)
-        while n < 16384:
-            n *= 2
-            m2_next, s4_next = self._node_loop(omega_tau, delta_tau, a, n)
-            done = (np.max(np.abs(s4_next - s4_ref)) < 1e-9
-                    and np.max(np.abs(m2_next - m2_ref)) < 1e-9)
-            m2_ref, s4_ref = m2_next, s4_next
-            if done:
-                break
-        assert n >= min_nodes
+    def test_array_average_matches_node_loop(self, omega_tau, delta_tau, a, loop_nodes):
+        # the one-pass average against the fixed 2^16-node one; a doubling
+        # loop stopped at 1e-9 took ``loop_nodes`` nodes here, the rule no more
+        m2_ref, s4_ref, _ = self._reference(omega_tau, [delta_tau], a)
         m2, s4 = engine._clock_average_core(omega_tau, delta_tau, a)
-        assert np.max(np.abs(m2 - m2_ref)) <= 1e-12
-        assert np.max(np.abs(s4 - s4_ref)) <= 1e-12
+        assert np.max(np.abs(m2 - m2_ref[0])) <= 1e-12
+        assert np.max(np.abs(s4 - s4_ref[0])) <= 1e-12
         assert not m2.flags.writeable and not s4.flags.writeable
+        assert 2 * len(engine._standing_wave_scales(omega_tau, a)) <= loop_nodes
+
+    @pytest.mark.parametrize("a", [0.0, math.sqrt(0.015), 0.5, 0.9, 0.999999])
+    def test_node_rule_matches_fixed_node_average(self, a):
+        # the rule's node count against a 2^16-node average, up to the area
+        # limit and near a = 1, where the strip in which the integrand is
+        # analytic is narrowest: the 1140 nm maps and the fit model's sin^2
+        delta_tau = np.array([0.0, 0.3, 5.0, 50.0])
+        for omega_tau in (0.0, math.pi, 8 * math.pi, 60 * math.pi, 400 * math.pi,
+                          2000 * math.pi, MAX_CLOCK_AREA):
+            m2_ref, s4_ref, sin2_ref = self._reference(omega_tau, delta_tau, a)
+            m2, s4 = engine._clock_average_core(omega_tau, delta_tau, a)
+            sin2 = model_rabi_reflection(1.0, omega_tau, a, math.inf)
+            assert np.max(np.abs(m2 - m2_ref)) <= 1e-12, omega_tau
+            assert np.max(np.abs(s4 - s4_ref)) <= 1e-12, omega_tau
+            assert abs(sin2 - sin2_ref) <= 1e-12, omega_tau
+
+    def test_area_past_the_limit_raises(self):
+        a = math.sqrt(0.015)
+        assert engine._clock_average_core(MAX_CLOCK_AREA, 0.0, a)[1].shape == (4, 4)
+        with pytest.raises(ValueError, match="past the node rule's limit 10000 rad"):
+            engine._clock_average_core(1.001 * MAX_CLOCK_AREA, 0.0, a)
+        with pytest.raises(ValueError, match="past the node rule's limit"):
+            clock_rotation_transfer(math.pi / 1e-3, 4.0, a)
 
     @pytest.mark.parametrize("a2, omega_tau", [(0.015, math.pi), (0.3, 60.0)])
     def test_batched_average_matches_each_value_alone(self, a2, omega_tau):
@@ -335,6 +375,16 @@ class TestFreeEvolution:
         loss = LossParameters(tau=16.4, beta_by_state=(("g4m4", 0.0), ("g40", 0.0), ("g30", 0.0)))
         state, _ = _drive([Wait(10.0)], _meta(), loss=loss)
         assert state.atom_number == pytest.approx(5000 * math.exp(-10 / 16.4), rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [math.inf, 16.4])
+    def test_g40_two_body_flips_keep_their_atoms(self, tau):
+        # g40's dipolar spin flips move atoms into the other F=4 sublevels and
+        # lose none: the trace falls only by the single-atom factor
+        loss = LossParameters(tau=tau, beta_by_state=(("g4m4", 0.0), ("g40", 1.1e-9),
+                                                      ("g30", 0.0)))
+        state, _ = _drive([Wait(2.0)], _meta(initial="g40"), loss=loss)
+        assert state.population("g40") < 0.94 * math.exp(-2.0 / tau)
+        assert state.trace == pytest.approx(math.exp(-2.0 / tau), abs=1e-12)
 
     def test_wait_past_every_atom_empties_the_state(self):
         # e^{-t/tau} underflows to 0 beyond ~745 tau: no atom is left, and no

@@ -10,6 +10,7 @@ import pytest
 
 from tmqubit.protocols import PROTOCOLS, build_protocol
 from tmqubit.schedule import (
+    MAX_CLOCK_AREA,
     BuilderConfig,
     Clean530,
     ClockPulse,
@@ -397,4 +398,27 @@ def test_mw_rabi_frequency_must_square_to_a_finite_number():
         MwPulse(rabi_frequency=2e154)
     with pytest.raises(ParseError, match=r"^line 1: mw rabi_frequency must square"):
         parse_sequence("mw pi rabi=1e200")
-    assert ClockPulse(rabi_frequency=2e154).rabi_frequency == 2e154
+    # a clock pulse's bound is its area, not the square of its Rabi frequency
+    assert ClockPulse(rabi_frequency=2e154, duration=2e-151).rabi_frequency == 2e154
+
+
+def test_clock_pulse_area_is_bounded_by_the_node_rule():
+    # past MAX_CLOCK_AREA the engine's standing-wave average has no tested
+    # node count, so the pulse is refused when made
+    assert ClockPulse(rabi_frequency=1e4, duration=1.0).duration == 1.0
+    with pytest.raises(ScheduleError, match=r"^clock rabi_frequency times duration must be "
+                                            r"at most 10000 rad, got 12566.37\d*$"):
+        ClockPulse(rabi_frequency=math.pi / 1e-3, duration=4.0)
+    with pytest.raises(ParseError, match=r"^line 2: clock rabi_frequency times duration"):
+        parse_sequence("wait 1ms\nclock duration=4")
+    assert MAX_CLOCK_AREA == 1e4
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: MwPulse(detuning=-2e15), "mw detuning must be below 1e+15 Hz in magnitude"),
+    (lambda: ClockPulse(detuning=np.array([0.0, 1e300])), "clock detuning must be below"),
+    (lambda: ScheduleMetadata(bias_field=100.5), "bias_field must be at most 100 G"),
+], ids=["mw_detuning", "scanned_detuning", "bias_field"])
+def test_detunings_and_fields_are_bounded(make, message):
+    with pytest.raises(ScheduleError, match="^" + re.escape(message)):
+        make()
